@@ -22,17 +22,17 @@ from .decrypt import (
     trial_decrypt_blocks,
     validate_plaintext,
 )
-from .entropy import shannon_entropy
+from .entropy import entropy_profile, shannon_entropy
 from .fixtures import FixtureSpec, generate_fixture, reference_encrypt
 from .memscan import (
     BlockHypothesis,
+    Candidate,
     CandidateIv,
     CandidateKey,
     CandidateKeyBlock,
     ExtractSet,
     MemoryExtract,
     ScanConfig,
-    entropy_profile,
     load_extracts,
     pair_candidates,
     scan_standard,
@@ -41,6 +41,7 @@ from .memscan import (
 
 __all__ = [
     "BlockHypothesis",
+    "Candidate",
     "CandidateIv",
     "CandidateKey",
     "CandidateKeyBlock",

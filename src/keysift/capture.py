@@ -83,9 +83,6 @@ class HandshakeSummary:
     tls_version: int
     cipher_suite: int
     key_len_bytes: int
-    aead: bool = True
-    explicit_nonce_len: int = EXPLICIT_NONCE_LEN
-    implicit_iv_len: int = 4
 
     @property
     def suite_name(self) -> str:

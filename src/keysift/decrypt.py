@@ -11,7 +11,8 @@ import struct
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Sequence
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -24,7 +25,7 @@ from .capture import (
     SessionCapture,
 )
 from .errors import AuthFailure, BadKeyLength, NoValidDecrypt
-from .memscan import CandidateIv, CandidateKey, CandidateKeyBlock
+from .memscan import Candidate, CandidateKeyBlock
 
 
 class Validation(Enum):
@@ -117,9 +118,66 @@ def _first_app_data(capture: SessionCapture, direction: Direction) -> tuple[int,
     raise NoValidDecrypt(0, 0.0)
 
 
+# One trial material: (key, implicit IV, index in the caller's list, orientation swapped).
+_Material = tuple[bytes, bytes, int, bool]
+
+
+def _pair_materials(pairs: Iterable[tuple[Candidate, Candidate]]) -> Iterator[_Material]:
+    for pair_index, (cand_key, cand_iv) in enumerate(pairs):
+        yield cand_key.value, cand_iv.value, pair_index, False
+
+
+def _first_opening(
+    record: EncryptedRecord, materials: Iterable[_Material], seq_window: int
+) -> tuple[int, tuple[_Material, int, bytes] | None]:
+    """Try each material against ``record`` at every sequence number of the
+    window, nearest first. Returns the trial count and the first
+    (material, seq, plaintext) whose tag verifies, or None."""
+    seqs = _seq_candidates(record.seq, seq_window)
+    trials = 0
+    for material in materials:
+        aead = _cipher_for(material[0])
+        for seq in seqs:
+            trials += 1
+            plaintext = _open_record(aead, record, material[1], seq)
+            if plaintext is not None:
+                return trials, (material, seq, plaintext)
+    return trials, None
+
+
+def _trial(capture: SessionCapture, materials: Iterable[_Material], seq_window: int,
+           validators: Sequence[Callable[[bytes], bool]], clock: Callable[[], float], index_field: str) -> TrialResult:
+    """Trial ``materials`` against the first client ApplicationData record; the
+    winning material's index goes into the TrialResult field ``index_field``."""
+    started = clock()
+    record_index, record = _first_app_data(capture, Direction.CLIENT_TO_SERVER)
+    trials, winner = _first_opening(record, materials, seq_window)
+    if winner is None:
+        raise NoValidDecrypt(trials, clock() - started)
+    (key, implicit_iv, index, swapped), seq, plaintext = winner
+    validation = (
+        Validation.TAG_AND_PROTOCOL_VALID
+        if validate_plaintext(plaintext, validators)
+        else Validation.TAG_VERIFIED
+    )
+    return TrialResult(
+        key=key,
+        implicit_iv=implicit_iv,
+        direction=Direction.CLIENT_TO_SERVER,
+        seq_used=seq,
+        record_index=record_index,
+        plaintext=plaintext,
+        validation=validation,
+        orientation_swapped=swapped,
+        trials=trials,
+        elapsed=clock() - started,
+        **{index_field: index},
+    )
+
+
 def trial_decrypt(
     capture: SessionCapture,
-    pairs: Sequence[tuple[CandidateKey, CandidateIv]],
+    pairs: Sequence[tuple[Candidate, Candidate]],
     seq_window: int = 2,
     validators: Sequence[Callable[[bytes], bool]] = (_looks_like_http,),
     clock: Callable[[], float] = time.perf_counter,
@@ -127,34 +185,7 @@ def trial_decrypt(
     """Try (key, IV) pairs in order against the first client ApplicationData
     record until a tag verifies; raises NoValidDecrypt with the trial count
     and elapsed time when every pair is exhausted."""
-    started = clock()
-    trials = 0
-    record_index, record = _first_app_data(capture, Direction.CLIENT_TO_SERVER)
-    seqs = _seq_candidates(record.seq, seq_window)
-    for pair_index, (cand_key, cand_iv) in enumerate(pairs):
-        aead = _cipher_for(cand_key.value)
-        for seq in seqs:
-            trials += 1
-            plaintext = _open_record(aead, record, cand_iv.value, seq)
-            if plaintext is not None:
-                validation = (
-                    Validation.TAG_AND_PROTOCOL_VALID
-                    if validate_plaintext(plaintext, validators)
-                    else Validation.TAG_VERIFIED
-                )
-                return TrialResult(
-                    key=cand_key.value,
-                    implicit_iv=cand_iv.value,
-                    direction=Direction.CLIENT_TO_SERVER,
-                    seq_used=seq,
-                    record_index=record_index,
-                    plaintext=plaintext,
-                    validation=validation,
-                    pair_index=pair_index,
-                    trials=trials,
-                    elapsed=clock() - started,
-                )
-    raise NoValidDecrypt(trials, clock() - started)
+    return _trial(capture, _pair_materials(pairs), seq_window, validators, clock, "pair_index")
 
 
 def trial_decrypt_blocks(
@@ -167,40 +198,15 @@ def trial_decrypt_blocks(
     """Key-block trial loop. Each block is tried in both orientations, since a
     block recovered under the wrong hypothesis holds the true material in its
     opposite slots."""
-    started = clock()
-    trials = 0
-    record_index, record = _first_app_data(capture, Direction.CLIENT_TO_SERVER)
-    seqs = _seq_candidates(record.seq, seq_window)
-    for block_index, block in enumerate(blocks):
-        orientations = (
-            (block.client_key, block.client_iv, False),
-            (block.server_key, block.server_iv, True),
+    materials = (
+        material
+        for block_index, block in enumerate(blocks)
+        for material in (
+            (block.client_key, block.client_iv, block_index, False),
+            (block.server_key, block.server_iv, block_index, True),
         )
-        for key, implicit_iv, swapped in orientations:
-            aead = _cipher_for(key)
-            for seq in seqs:
-                trials += 1
-                plaintext = _open_record(aead, record, implicit_iv, seq)
-                if plaintext is not None:
-                    validation = (
-                        Validation.TAG_AND_PROTOCOL_VALID
-                        if validate_plaintext(plaintext, validators)
-                        else Validation.TAG_VERIFIED
-                    )
-                    return TrialResult(
-                        key=key,
-                        implicit_iv=implicit_iv,
-                        direction=Direction.CLIENT_TO_SERVER,
-                        seq_used=seq,
-                        record_index=record_index,
-                        plaintext=plaintext,
-                        validation=validation,
-                        block_index=block_index,
-                        orientation_swapped=swapped,
-                        trials=trials,
-                        elapsed=clock() - started,
-                    )
-    raise NoValidDecrypt(trials, clock() - started)
+    )
+    return _trial(capture, materials, seq_window, validators, clock, "block_index")
 
 
 @dataclass(frozen=True)
@@ -221,26 +227,11 @@ class DecryptedSession:
     partial: bool
 
 
-def _probe_direction(
-    record: EncryptedRecord,
-    materials: Iterable[tuple[bytes, bytes]],
-    seq_window: int,
-) -> tuple[bytes, bytes, int] | None:
-    """First (key, iv, seq_delta) that opens ``record`` within the seq window."""
-    seqs = _seq_candidates(record.seq, seq_window)
-    for key, implicit_iv in materials:
-        aead = _cipher_for(key)
-        for seq in seqs:
-            if _open_record(aead, record, implicit_iv, seq) is not None:
-                return key, implicit_iv, seq - record.seq
-    return None
-
-
 def decrypt_session(
     capture: SessionCapture,
     result: TrialResult,
     blocks: Sequence[CandidateKeyBlock] | None = None,
-    pairs: Sequence[tuple[CandidateKey, CandidateIv]] | None = None,
+    pairs: Sequence[tuple[Candidate, Candidate]] | None = None,
     seq_window: int = 2,
 ) -> DecryptedSession:
     """Decrypt every ApplicationData record both ways with confirmed material.
@@ -263,20 +254,19 @@ def decrypt_session(
     server_records = capture.app_data(Direction.SERVER_TO_CLIENT)
     if server_records:
         _, probe_record = server_records[0]
-        candidates: list[tuple[bytes, bytes]] = []
+        opposite = []
         if result.block_index is not None and blocks is not None:
             block = blocks[result.block_index]
             if result.orientation_swapped:
-                candidates.append((block.client_key, block.client_iv))
+                opposite.append((block.client_key, block.client_iv, result.block_index, False))
             else:
-                candidates.append((block.server_key, block.server_iv))
-        if pairs is not None:
-            candidates.extend((k.value, v.value) for k, v in pairs)
-        found = _probe_direction(probe_record, candidates, seq_window)
+                opposite.append((block.server_key, block.server_iv, result.block_index, True))
+        materials = chain(opposite, _pair_materials(pairs or ()))
+        _, found = _first_opening(probe_record, materials, seq_window)
         if found is not None:
-            key, implicit_iv, delta = found
+            (key, implicit_iv, _, _), seq, _ = found
             material[Direction.SERVER_TO_CLIENT] = (key, implicit_iv)
-            deltas[Direction.SERVER_TO_CLIENT] = delta
+            deltas[Direction.SERVER_TO_CLIENT] = seq - probe_record.seq
 
     transcript = []
     partial = False

@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-import numpy as np
-
 from .errors import EmptySegment
 
 
@@ -39,6 +37,8 @@ def entropy_profile(
     what the CSV export and offline plotting consume. A trailing partial
     window is ignored; a trailing partial region is reported.
     """
+    import numpy as np  # only this profile needs numpy; the decrypt path stays free of it
+
     if window <= 0:
         raise ValueError("window must be positive")
     if region_windows <= 0:

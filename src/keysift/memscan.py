@@ -21,7 +21,6 @@ from enum import Enum
 from pathlib import Path
 
 from .capture import SessionCapture
-from .entropy import entropy_profile as _entropy_profile
 from .entropy import shannon_entropy
 from .errors import EmptyDirectory, NoCandidates, UnreadableFile
 
@@ -135,19 +134,17 @@ class ScanConfig:
 
 
 @dataclass(frozen=True)
-class CandidateIv:
+class Candidate:
+    """A key or implicit-IV window that cleared its entropy gate."""
+
     value: bytes
     extract_id: int
     offset: int
     entropy: float
 
 
-@dataclass(frozen=True)
-class CandidateKey:
-    value: bytes
-    extract_id: int
-    offset: int
-    entropy: float
+CandidateKey = Candidate
+CandidateIv = Candidate
 
 
 class BlockHypothesis(Enum):
@@ -177,12 +174,6 @@ def find_all(data: bytes, pattern: bytes) -> list[int]:
     return hits
 
 
-def entropy_profile(extract: MemoryExtract, window: int, threshold: float,
-                    region_windows: int = 256) -> list[tuple[int, int]]:
-    """Per-region counts of windows above the entropy threshold; see entropy module."""
-    return _entropy_profile(extract.data, window, threshold, region_windows)
-
-
 def _map_extracts(extracts: list[MemoryExtract], fn, workers: int):
     if workers > 1 and len(extracts) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -190,38 +181,36 @@ def _map_extracts(extracts: list[MemoryExtract], fn, workers: int):
     return [fn(e) for e in extracts]
 
 
-def _scan_windows_one(extract: MemoryExtract, cfg: ScanConfig):
+def _marker_windows(extract: MemoryExtract, marker: bytes, width: int, max_distance: int,
+                    gate: float, step: int) -> list[Candidate]:
+    """Every ``width``-byte window up to ``max_distance`` past a marker whose entropy clears ``gate``."""
     data = extract.data
-    if data.find(KEY_MARKER) == -1:
+    found = []
+    for hit in find_all(data, marker):
+        base = hit + len(marker)
+        for dist in range(0, max_distance + 1, step):
+            start = base + dist
+            window = data[start : start + width]
+            if len(window) < width:
+                break
+            ent = shannon_entropy(window)
+            if ent > gate:
+                found.append(Candidate(bytes(window), extract.id, start, ent))
+    return found
+
+
+def _scan_windows_one(extract: MemoryExtract, cfg: ScanConfig):
+    if extract.data.find(KEY_MARKER) == -1:
         return [], []
-    ivs = []
-    for marker in find_all(data, IV_MARKER):
-        base = marker + len(IV_MARKER)
-        for dist in range(0, cfg.max_iv_distance + 1, cfg.step):
-            start = base + dist
-            window = data[start : start + IV_LEN]
-            if len(window) < IV_LEN:
-                break
-            ent = shannon_entropy(window)
-            if ent > cfg.iv_entropy_threshold:
-                ivs.append(CandidateIv(bytes(window), extract.id, start, ent))
-    keys = []
-    for marker in find_all(data, KEY_MARKER):
-        base = marker + len(KEY_MARKER)
-        for dist in range(0, cfg.max_key_distance + 1, cfg.step):
-            start = base + dist
-            window = data[start : start + cfg.key_len_bytes]
-            if len(window) < cfg.key_len_bytes:
-                break
-            ent = shannon_entropy(window)
-            if ent > cfg.key_entropy_threshold:
-                keys.append(CandidateKey(bytes(window), extract.id, start, ent))
+    ivs = _marker_windows(extract, IV_MARKER, IV_LEN, cfg.max_iv_distance, cfg.iv_entropy_threshold, cfg.step)
+    keys = _marker_windows(extract, KEY_MARKER, cfg.key_len_bytes, cfg.max_key_distance,
+                           cfg.key_entropy_threshold, cfg.step)
     return keys, ivs
 
 
 def scan_windows(
     extracts: ExtractSet, cfg: ScanConfig, workers: int = 1
-) -> tuple[list[CandidateKey], list[CandidateIv]]:
+) -> tuple[list[Candidate], list[Candidate]]:
     """Marker scan over all extracts in band order 1, 2, 3.
 
     An extract only participates when the key marker occurs in it at all.
@@ -231,8 +220,8 @@ def scan_windows(
     ordered = extracts.in_band_order()
     results = _map_extracts(ordered, lambda e: _scan_windows_one(e, cfg), workers)
 
-    seen_keys: dict[bytes, CandidateKey] = {}
-    seen_ivs: dict[bytes, CandidateIv] = {}
+    seen_keys: dict[bytes, Candidate] = {}
+    seen_ivs: dict[bytes, Candidate] = {}
     for keys, ivs in results:
         for cand in keys:
             seen_keys.setdefault(cand.value, cand)
@@ -252,7 +241,7 @@ def _prune_hits(offsets: list[int], gap: int) -> list[int]:
     return kept
 
 
-def _blocks_at_hit(data: bytes, extract_id: int, p: int, value: bytes, cfg: ScanConfig,
+def _blocks_at_hit(data: bytes, extract_id: int, p: int, cfg: ScanConfig,
                    key_gate) -> list[CandidateKeyBlock]:
     """Both key-block layouts that would place an IV slot at offset ``p``.
 
@@ -262,37 +251,24 @@ def _blocks_at_hit(data: bytes, extract_id: int, p: int, value: bytes, cfg: Scan
     """
     k = cfg.key_len_bytes
     blocks = []
-    # matched value is the client IV: keys sit at p-2k and p-k
-    if p - 2 * k >= 0 and p + 8 <= len(data):
-        client_key = data[p - 2 * k : p - k]
-        server_key = data[p - k : p]
+    # the matched value is the client IV, or the server IV 4 bytes further on
+    for shift, hypothesis in ((0, BlockHypothesis.IV_WAS_CLIENT), (IV_LEN, BlockHypothesis.IV_WAS_SERVER)):
+        start = p - 2 * k - shift
+        ivs = start + 2 * k
+        if start < 0 or ivs + 2 * IV_LEN > len(data):
+            continue
+        client_key = data[start : start + k]
+        server_key = data[start + k : ivs]
         if key_gate(client_key) and key_gate(server_key):
             blocks.append(
                 CandidateKeyBlock(
                     client_key=bytes(client_key),
                     server_key=bytes(server_key),
-                    client_iv=value,
-                    server_iv=bytes(data[p + 4 : p + 8]),
+                    client_iv=bytes(data[ivs : ivs + IV_LEN]),
+                    server_iv=bytes(data[ivs + IV_LEN : ivs + 2 * IV_LEN]),
                     extract_id=extract_id,
-                    offset=p - 2 * k,
-                    hypothesis=BlockHypothesis.IV_WAS_CLIENT,
-                    iv_hit_offset=p,
-                )
-            )
-    # matched value is the server IV: the block starts 4 bytes earlier still
-    if p - 2 * k - 4 >= 0:
-        client_key = data[p - 2 * k - 4 : p - k - 4]
-        server_key = data[p - k - 4 : p - 4]
-        if key_gate(client_key) and key_gate(server_key):
-            blocks.append(
-                CandidateKeyBlock(
-                    client_key=bytes(client_key),
-                    server_key=bytes(server_key),
-                    client_iv=bytes(data[p - 4 : p]),
-                    server_iv=value,
-                    extract_id=extract_id,
-                    offset=p - 2 * k - 4,
-                    hypothesis=BlockHypothesis.IV_WAS_SERVER,
+                    offset=start,
+                    hypothesis=hypothesis,
                     iv_hit_offset=p,
                 )
             )
@@ -322,17 +298,14 @@ def scan_standard(
 
     iv_values: list[bytes] = []
     seen_values: set[bytes] = set()
-    iv_candidates: list[CandidateIv] = []
     for extract, hits in zip(ordered, hit_lists):
         for off in hits:
             if off < IV_LEN:
                 continue
             segment = extract.data[off - IV_LEN : off]
-            ent = shannon_entropy(segment)
-            if ent <= cfg.iv_entropy_threshold:
+            if shannon_entropy(segment) <= cfg.iv_entropy_threshold:
                 continue
             value = bytes(segment)
-            iv_candidates.append(CandidateIv(value, extract.id, off - IV_LEN, ent))
             if value not in seen_values:
                 seen_values.add(value)
                 iv_values.append(value)
@@ -343,12 +316,10 @@ def scan_standard(
     key_gate = lambda seg: shannon_entropy(seg) > cfg.key_entropy_threshold
 
     def _scan_one(extract: MemoryExtract) -> list[CandidateKeyBlock]:
-        occurrences = sorted(
-            (p, value) for value in iv_values for p in find_all(extract.data, value)
-        )
+        occurrences = sorted(p for value in iv_values for p in find_all(extract.data, value))
         per_hit: dict[int, list[CandidateKeyBlock]] = {}
-        for p, value in occurrences:
-            blocks = _blocks_at_hit(extract.data, extract.id, p, value, cfg, key_gate)
+        for p in occurrences:
+            blocks = _blocks_at_hit(extract.data, extract.id, p, cfg, key_gate)
             if blocks:
                 per_hit.setdefault(p, []).extend(blocks)
         kept = _prune_hits(list(per_hit), cfg.min_artefact_gap)
@@ -361,8 +332,8 @@ def scan_standard(
 
 
 def pair_candidates(
-    keys: list[CandidateKey], ivs: list[CandidateIv]
-) -> list[tuple[CandidateKey, CandidateIv]]:
+    keys: list[Candidate], ivs: list[Candidate]
+) -> list[tuple[Candidate, Candidate]]:
     """Cross product of candidates as an ordered trial list.
 
     Same-extract pairs come first, then closer key/IV offsets; list positions

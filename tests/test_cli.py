@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from keysift.capture import NonceStyle, parse_capture
 from keysift.cli import EXIT_ERROR, EXIT_NO_DECRYPT, EXIT_OK, main, run_pipeline
@@ -311,3 +313,55 @@ def test_text_report_renders(windows_fixture_32, capsys):
     text = capsys.readouterr().out
     assert "outcome:  decrypted" in text
     assert "|GET /images/" in text  # hex+printable transcript
+
+
+def _subprocess_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+
+
+def test_auto_fallback_report_keeps_windows_counts(tmp_path):
+    # decoy-rich memory paired with an unrelated session: the windows attempt
+    # exhausts every pair, then auto mode falls back to a standard scan that
+    # finds no key block; the report must still show the windows attempt
+    memory = FixtureSpec(
+        rng_seed=7, key_len_bytes=32, layout=FixtureLayout.WINDOWS_MARKERS, filler=Filler.RANDOM,
+        explicit_nonce_style=NonceStyle.COUNTER_LIKE, decoy_markers=2, extract_sizes=(2 * MB,),
+    )
+    foreign = FixtureSpec(
+        rng_seed=7 + 1_000_003, key_len_bytes=32, filler=Filler.RANDOM,
+        explicit_nonce_style=NonceStyle.COUNTER_LIKE, extract_sizes=(MB,),
+    )
+    memory_paths, _ = generate_fixture(memory, tmp_path / "memory")
+    foreign_paths, _ = generate_fixture(foreign, tmp_path / "foreign")
+    auto = run_pipeline(memory_paths.extract_dir, foreign_paths.root, mode="auto")
+    windows = run_pipeline(memory_paths.extract_dir, foreign_paths.root, mode="windows")
+    assert auto.outcome == windows.outcome == "no_valid_decrypt"
+    assert windows.candidates["keys"] > 0 and windows.trials["attempted"] > 0
+    assert auto.candidates["keys"] == windows.candidates["keys"]
+    assert auto.candidates["ivs"] == windows.candidates["ivs"]
+    assert auto.candidates["key_blocks"] == 0
+    assert auto.trials["attempted"] == windows.trials["attempted"]
+
+
+def test_cli_import_does_not_load_numpy():
+    probe = "import sys, keysift.cli; sys.exit('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=_subprocess_env(), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr or "numpy was imported"
+
+
+def test_benchmark_tracer_sees_every_layer(windows_fixture_16, tmp_path):
+    # benchmarks/traced.py wraps the names keysift.cli calls through; a
+    # refactor that bypasses them would silently zero the per-layer metrics
+    _, paths, _ = windows_fixture_16
+    traced = Path(__file__).resolve().parent.parent / "benchmarks" / "traced.py"
+    trace, out = tmp_path / "trace.json", tmp_path / "report.json"
+    done = subprocess.run(
+        [sys.executable, str(traced), "full", str(trace), "decrypt", "--extracts", str(paths.extract_dir),
+         "--capture", str(paths.root), "--output", str(out)],
+        env=_subprocess_env(), capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    recorded = json.loads(trace.read_text())
+    names = {span[0] for span in recorded["spans"]}
+    assert {"run_pipeline", "scan_windows", "pair_candidates", "trial_decrypt", "decrypt_session"} <= names
+    assert recorded["counts"]["trials"] == json.loads(out.read_text())["trials"]["attempted"]
