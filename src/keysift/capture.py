@@ -252,22 +252,21 @@ def parse_raw_streams(client_data: bytes, server_data: bytes) -> SessionCapture:
     key_len = suite_key_len(suite)
     summary = HandshakeSummary(tls_version=version, cipher_suite=suite, key_len_bytes=key_len)
 
-    # Cross-direction arrival order is not recoverable from two raw streams;
-    # merge by per-direction sequence number, client first on ties.
-    merged = sorted(
-        client_encrypted + server_encrypted,
-        key=lambda r: (r.seq, 0 if r.direction is Direction.CLIENT_TO_SERVER else 1),
-    )
+    return assemble_session(summary, client_encrypted + server_encrypted)
 
-    first_nonce = None
+
+def assemble_session(summary: HandshakeSummary, records: list[EncryptedRecord]) -> SessionCapture:
+    """Merge both directions' encrypted records into a SessionCapture.
+
+    Cross-direction arrival order is not recoverable from two raw streams, so
+    records merge by per-direction sequence number, client first on ties. The
+    first client ApplicationData record supplies the explicit nonce.
+    """
+    merged = sorted(records, key=lambda r: (r.seq, r.direction is not Direction.CLIENT_TO_SERVER))
     for rec in merged:
         if rec.direction is Direction.CLIENT_TO_SERVER and rec.content_type == CONTENT_APPLICATION_DATA:
-            first_nonce = rec.explicit_nonce
-            break
-    if first_nonce is None:
-        raise NoApplicationData("no client-to-server ApplicationData record")
-
-    return SessionCapture(handshake=summary, records=tuple(merged), first_explicit_nonce=first_nonce)
+            return SessionCapture(handshake=summary, records=tuple(merged), first_explicit_nonce=rec.explicit_nonce)
+    raise NoApplicationData("no client-to-server ApplicationData record")
 
 
 def _client_hello(suite: int, random32: bytes) -> bytes:

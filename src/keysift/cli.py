@@ -1,7 +1,7 @@
 """Pipeline orchestration and the command-line interface.
 
 Exit codes are stable: 0 for a validated decrypt, 2 when analysis completed
-but nothing decrypted, 1 for operational errors.
+but nothing decrypted, 1 for operational and usage errors.
 """
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .capture import CaptureFormat, NonceStyle, SessionCapture, explicit_nonce_style, parse_capture
@@ -37,6 +37,17 @@ EXIT_ERROR = 1
 EXIT_NO_DECRYPT = 2
 
 MODES = ("auto", "windows", "standard")
+
+
+class UsageError(KeysiftError):
+    """A command-line argument or option value is invalid."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports bad arguments as a UsageError, so they exit 1 like any other error."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 @dataclass
@@ -89,7 +100,6 @@ def run_pipeline(
     mode: str = "auto",
     config: ScanConfig | None = None,
     seq_window: int = 2,
-    workers: int = 1,
     session_filter: tuple | None = None,
     clock=time.perf_counter,
 ) -> RunReport:
@@ -132,10 +142,10 @@ def run_pipeline(
         scan_start = clock()
         blocks = pairs = None
         if attempt == "windows":
-            keys, ivs = scan_windows(extracts, cfg, workers=workers)
+            keys, ivs = scan_windows(extracts, cfg)
             report.candidates.update(keys=len(keys), ivs=len(ivs))
         else:
-            blocks = scan_standard(extracts, capture, cfg, workers=workers)
+            blocks = scan_standard(extracts, capture, cfg)
             report.candidates["key_blocks"] = len(blocks)
         report.timings["memory_analysis_secs"] += clock() - scan_start
         decrypt_start = clock()
@@ -170,42 +180,43 @@ def run_pipeline(
 
 
 def _add_scan_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--key-size", type=int, choices=(16, 32), default=None,
+    """Scanner knobs; each flag's dest is the ScanConfig field it overrides."""
+    parser.add_argument("--key-size", dest="key_len_bytes", type=int, choices=(16, 32),
                         help="AES key length in bytes (default: from the capture)")
-    parser.add_argument("--iv-entropy", type=float, default=None, help="IV entropy gate (default 1.5)")
-    parser.add_argument("--key-entropy", type=float, default=None,
+    parser.add_argument("--iv-entropy", dest="iv_entropy_threshold", type=float,
+                        help="IV entropy gate (default 1.5)")
+    parser.add_argument("--key-entropy", dest="key_entropy_threshold", type=float,
                         help="key entropy gate (default 0.9*log2(key size))")
-    parser.add_argument("--max-iv-distance", type=int, default=None,
+    parser.add_argument("--max-iv-distance", type=int,
                         help="max bytes after the IV marker to search (default 64)")
-    parser.add_argument("--max-key-distance", type=int, default=None,
+    parser.add_argument("--max-key-distance", type=int,
                         help="max bytes after the key marker to search (default 128)")
-    parser.add_argument("--step", type=int, default=None, help="window stride in bytes (default 4)")
-    parser.add_argument("--min-gap", type=int, default=None,
+    parser.add_argument("--step", type=int, help="window stride in bytes (default 4)")
+    parser.add_argument("--min-gap", dest="min_artefact_gap", type=int,
                         help="prune candidates closer than this many bytes (default 1000)")
-    parser.add_argument("--counter-bound", type=int, default=None,
+    parser.add_argument("--counter-bound", dest="counter_nonce_bound", type=int,
                         help="nonces below this value look counter-like (default 256)")
 
 
 def _config_from_args(args, key_len: int) -> ScanConfig:
-    kwargs = {"key_len_bytes": args.key_size or key_len}
-    for attr, flag in (
-        ("iv_entropy_threshold", "iv_entropy"),
-        ("key_entropy_threshold", "key_entropy"),
-        ("max_iv_distance", "max_iv_distance"),
-        ("max_key_distance", "max_key_distance"),
-        ("step", "step"),
-        ("min_artefact_gap", "min_gap"),
-        ("counter_nonce_bound", "counter_bound"),
-    ):
-        value = getattr(args, flag)
-        if value is not None:
-            kwargs[attr] = value
-    return ScanConfig(**kwargs)
+    """ScanConfig from the scanner flags given; ``key_len`` unless --key-size is."""
+    given = {f.name: getattr(args, f.name, None) for f in fields(ScanConfig)}
+    kwargs = {name: value for name, value in given.items() if value is not None}
+    kwargs.setdefault("key_len_bytes", key_len)
+    try:
+        return ScanConfig(**kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
-def _parse_filter(text: str | None) -> tuple | None:
-    if text is None:
-        return None
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
+
+
+def _parse_filter(text: str) -> tuple:
     try:
         left, right = text.split(",")
         ip_a, port_a = left.rsplit(":", 1)
@@ -223,7 +234,7 @@ def _emit(args, text: str) -> None:
 
 
 def _cmd_decrypt(args) -> int:
-    capture = parse_capture(args.capture, args.capture_format, _parse_filter(args.filter))
+    capture = parse_capture(args.capture, args.capture_format, args.filter)
     cfg = _config_from_args(args, capture.handshake.key_len_bytes)
     clock = (lambda: 0.0) if args.no_timings else time.perf_counter
     report = run_pipeline(
@@ -232,7 +243,6 @@ def _cmd_decrypt(args) -> int:
         mode=args.mode,
         config=cfg,
         seq_window=args.seq_window,
-        workers=args.workers,
         clock=clock,
     )
     payload = report.to_dict()
@@ -244,11 +254,10 @@ def _cmd_scan(args) -> int:
     extracts = load_extracts(args.extracts)
     if args.mode == "standard" or (args.mode == "auto" and args.capture):
         if not args.capture:
-            print("error: standard scan needs --capture for the explicit nonce", file=sys.stderr)
-            return EXIT_ERROR
-        capture = parse_capture(args.capture, args.capture_format, _parse_filter(args.filter))
+            raise UsageError("standard scan needs --capture for the explicit nonce")
+        capture = parse_capture(args.capture, args.capture_format, args.filter)
         cfg = _config_from_args(args, capture.handshake.key_len_bytes)
-        blocks = scan_standard(extracts, capture, cfg, workers=args.workers)
+        blocks = scan_standard(extracts, capture, cfg)
         payload = {
             "mode": "standard",
             "key_blocks": [
@@ -265,8 +274,8 @@ def _cmd_scan(args) -> int:
             ],
         }
     else:
-        cfg = _config_from_args(args, args.key_size or 32)
-        keys, ivs = scan_windows(extracts, cfg, workers=args.workers)
+        cfg = _config_from_args(args, 32)
+        keys, ivs = scan_windows(extracts, cfg)
         rows = lambda cands: [
             {"extract_id": c.extract_id, "offset": c.offset, "entropy": round(c.entropy, 6), "value": c.value.hex()}
             for c in cands
@@ -277,7 +286,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_parse_capture(args) -> int:
-    capture = parse_capture(args.capture, args.capture_format, _parse_filter(args.filter))
+    capture = parse_capture(args.capture, args.capture_format, args.filter)
     payload = {
         "cipher_suite": f"0x{capture.handshake.cipher_suite:04X}",
         "suite_name": capture.handshake.suite_name,
@@ -325,7 +334,7 @@ def _cmd_gen_fixture(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="keysift",
         description="Recover TLS 1.2 AES-GCM key material from memory extracts and decrypt captured traffic",
     )
@@ -337,10 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="capture input: directory with client.tls/server.tls, or a pcap file")
     decrypt.add_argument("--capture-format", choices=("raw_records", "pcap"), default="raw_records")
     decrypt.add_argument("--mode", choices=MODES, default="auto")
-    decrypt.add_argument("--seq-window", type=int, default=2,
+    decrypt.add_argument("--seq-window", type=_non_negative_int, default=2,
                          help="sequence numbers to try around the reconstruction (default 2)")
-    decrypt.add_argument("--workers", type=int, default=1, help="parallel extract scanning threads")
-    decrypt.add_argument("--filter", default=None, help="pcap session filter, IP:PORT,IP:PORT")
+    decrypt.add_argument("--filter", type=_parse_filter, default=None,
+                         help="pcap session filter, IP:PORT,IP:PORT")
     decrypt.add_argument("--format", choices=("json", "text"), default="json")
     decrypt.add_argument("--output", default=None, help="write the report here instead of stdout")
     decrypt.add_argument("--no-timings", action="store_true",
@@ -353,8 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--capture", default=None, help="needed for the standard scan")
     scan.add_argument("--capture-format", choices=("raw_records", "pcap"), default="raw_records")
     scan.add_argument("--mode", choices=MODES, default="windows")
-    scan.add_argument("--workers", type=int, default=1)
-    scan.add_argument("--filter", default=None)
+    scan.add_argument("--filter", type=_parse_filter, default=None)
     scan.add_argument("--output", default=None)
     _add_scan_flags(scan)
     scan.set_defaults(func=_cmd_scan)
@@ -362,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("parse-capture", help="parse a capture and summarize the session")
     pc.add_argument("--capture", required=True)
     pc.add_argument("--capture-format", choices=("raw_records", "pcap"), default="raw_records")
-    pc.add_argument("--filter", default=None)
+    pc.add_argument("--filter", type=_parse_filter, default=None)
     pc.add_argument("--output", default=None)
     pc.set_defaults(func=_cmd_parse_capture)
 
@@ -385,9 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (KeysiftError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

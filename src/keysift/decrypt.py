@@ -122,9 +122,25 @@ def _first_app_data(capture: SessionCapture, direction: Direction) -> tuple[int,
 _Material = tuple[bytes, bytes, int, bool]
 
 
-def _pair_materials(pairs: Iterable[tuple[Candidate, Candidate]]) -> Iterator[_Material]:
-    for pair_index, (cand_key, cand_iv) in enumerate(pairs):
+def _pair_materials(pairs: Sequence[tuple[Candidate, Candidate]], order: Iterable[int]) -> Iterator[_Material]:
+    for pair_index in order:
+        cand_key, cand_iv = pairs[pair_index]
         yield cand_key.value, cand_iv.value, pair_index, False
+
+
+def _probe_order(count: int, winner: int | None) -> Iterator[int]:
+    """Server-probe pair order: nearest the winning client pair first (lower
+    index on ties), the winner itself last; list order without a winner. The
+    server's key and IV lie about as far apart as the client's, so their pair
+    sorts close to the winner."""
+    if winner is None or not 0 <= winner < count:
+        yield from range(count)
+        return
+    for dist in range(1, max(winner, count - 1 - winner) + 1):
+        for index in (winner - dist, winner + dist):
+            if 0 <= index < count:
+                yield index
+    yield winner
 
 
 def _first_opening(
@@ -146,7 +162,7 @@ def _first_opening(
 
 
 def _trial(capture: SessionCapture, materials: Iterable[_Material], seq_window: int,
-           validators: Sequence[Callable[[bytes], bool]], clock: Callable[[], float], index_field: str) -> TrialResult:
+           clock: Callable[[], float], index_field: str) -> TrialResult:
     """Trial ``materials`` against the first client ApplicationData record; the
     winning material's index goes into the TrialResult field ``index_field``."""
     started = clock()
@@ -155,11 +171,7 @@ def _trial(capture: SessionCapture, materials: Iterable[_Material], seq_window: 
     if winner is None:
         raise NoValidDecrypt(trials, clock() - started)
     (key, implicit_iv, index, swapped), seq, plaintext = winner
-    validation = (
-        Validation.TAG_AND_PROTOCOL_VALID
-        if validate_plaintext(plaintext, validators)
-        else Validation.TAG_VERIFIED
-    )
+    validation = Validation.TAG_AND_PROTOCOL_VALID if validate_plaintext(plaintext) else Validation.TAG_VERIFIED
     return TrialResult(
         key=key,
         implicit_iv=implicit_iv,
@@ -179,20 +191,18 @@ def trial_decrypt(
     capture: SessionCapture,
     pairs: Sequence[tuple[Candidate, Candidate]],
     seq_window: int = 2,
-    validators: Sequence[Callable[[bytes], bool]] = (_looks_like_http,),
     clock: Callable[[], float] = time.perf_counter,
 ) -> TrialResult:
     """Try (key, IV) pairs in order against the first client ApplicationData
     record until a tag verifies; raises NoValidDecrypt with the trial count
     and elapsed time when every pair is exhausted."""
-    return _trial(capture, _pair_materials(pairs), seq_window, validators, clock, "pair_index")
+    return _trial(capture, _pair_materials(pairs, range(len(pairs))), seq_window, clock, "pair_index")
 
 
 def trial_decrypt_blocks(
     capture: SessionCapture,
     blocks: Sequence[CandidateKeyBlock],
     seq_window: int = 2,
-    validators: Sequence[Callable[[bytes], bool]] = (_looks_like_http,),
     clock: Callable[[], float] = time.perf_counter,
 ) -> TrialResult:
     """Key-block trial loop. Each block is tried in both orientations, since a
@@ -206,7 +216,7 @@ def trial_decrypt_blocks(
             (block.server_key, block.server_iv, block_index, True),
         )
     )
-    return _trial(capture, materials, seq_window, validators, clock, "block_index")
+    return _trial(capture, materials, seq_window, clock, "block_index")
 
 
 @dataclass(frozen=True)
@@ -238,8 +248,9 @@ def decrypt_session(
 
     Client material comes from the winning trial. Server material comes from
     the winning block's opposite slots, or, for pair-based wins, from a second
-    trial over the remaining pairs against the first server record. Records
-    that do not authenticate are marked and flip the partial flag.
+    trial over the pairs against the first server record, outward from the
+    winning pair. Records that do not authenticate are marked and flip the
+    partial flag.
     """
     if result.validation is Validation.FAILED:
         raise ValueError("cannot expand a failed trial into a session")
@@ -261,7 +272,8 @@ def decrypt_session(
                 opposite.append((block.client_key, block.client_iv, result.block_index, False))
             else:
                 opposite.append((block.server_key, block.server_iv, result.block_index, True))
-        materials = chain(opposite, _pair_materials(pairs or ()))
+        pairs = pairs or ()
+        materials = chain(opposite, _pair_materials(pairs, _probe_order(len(pairs), result.pair_index)))
         _, found = _first_opening(probe_record, materials, seq_window)
         if found is not None:
             (key, implicit_iv, _, _), seq, _ = found

@@ -31,6 +31,7 @@ from .capture import (
     HandshakeSummary,
     NonceStyle,
     SessionCapture,
+    assemble_session,
     serialize_session,
 )
 from .decrypt import record_aad
@@ -266,13 +267,7 @@ def _build_session(spec: FixtureSpec, truth: FixtureGroundTruth, rng: random.Ran
                 seq=1, direction=direction,
             )
         )
-    merged = sorted(records, key=lambda r: (r.seq, 0 if r.direction is Direction.CLIENT_TO_SERVER else 1))
-    first_nonce = next(
-        r.explicit_nonce
-        for r in merged
-        if r.direction is Direction.CLIENT_TO_SERVER and r.content_type == CONTENT_APPLICATION_DATA
-    )
-    return SessionCapture(handshake=summary, records=tuple(merged), first_explicit_nonce=first_nonce)
+    return assemble_session(summary, records)
 
 
 def _filler_buffer(filler: Filler, size: int, rng: random.Random) -> bytearray:

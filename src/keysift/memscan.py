@@ -7,15 +7,13 @@ The standard scan instead anchors on the captured explicit nonce: wherever it
 occurs, the 4 bytes in front of it are a candidate implicit IV, and wherever
 that IV value recurs a TLS 1.2 key-block layout is hypothesised around it.
 
-Scanners are pure functions of immutable inputs. Per-extract work may fan out
-to a thread pool; results are merged and ordered so that serial and parallel
-runs are byte-for-byte identical.
+Scanners are pure functions of immutable inputs. Extracts are scanned one
+after another in a fixed order, so repeat runs are byte-for-byte identical.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -174,13 +172,6 @@ def find_all(data: bytes, pattern: bytes) -> list[int]:
     return hits
 
 
-def _map_extracts(extracts: list[MemoryExtract], fn, workers: int):
-    if workers > 1 and len(extracts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, extracts))
-    return [fn(e) for e in extracts]
-
-
 def _marker_windows(extract: MemoryExtract, marker: bytes, width: int, max_distance: int,
                     gate: float, step: int) -> list[Candidate]:
     """Every ``width``-byte window up to ``max_distance`` past a marker whose entropy clears ``gate``."""
@@ -208,21 +199,17 @@ def _scan_windows_one(extract: MemoryExtract, cfg: ScanConfig):
     return keys, ivs
 
 
-def scan_windows(
-    extracts: ExtractSet, cfg: ScanConfig, workers: int = 1
-) -> tuple[list[Candidate], list[Candidate]]:
+def scan_windows(extracts: ExtractSet, cfg: ScanConfig) -> tuple[list[Candidate], list[Candidate]]:
     """Marker scan over all extracts in band order 1, 2, 3.
 
     An extract only participates when the key marker occurs in it at all.
     Candidates are deduplicated by value, keeping the first sighting in band
     order, then sorted by (extract_id, offset).
     """
-    ordered = extracts.in_band_order()
-    results = _map_extracts(ordered, lambda e: _scan_windows_one(e, cfg), workers)
-
     seen_keys: dict[bytes, Candidate] = {}
     seen_ivs: dict[bytes, Candidate] = {}
-    for keys, ivs in results:
+    for extract in extracts.in_band_order():
+        keys, ivs = _scan_windows_one(extract, cfg)
         for cand in keys:
             seen_keys.setdefault(cand.value, cand)
         for cand in ivs:
@@ -279,7 +266,6 @@ def scan_standard(
     extracts: ExtractSet,
     capture: SessionCapture,
     cfg: ScanConfig,
-    workers: int = 1,
 ) -> list[CandidateKeyBlock]:
     """Explicit-nonce scan: nonce occurrences -> candidate implicit IVs ->
     key-block hypotheses wherever an IV value recurs.
@@ -294,12 +280,10 @@ def scan_standard(
     nonce = capture.first_explicit_nonce
     ordered = sorted(extracts.extracts, key=lambda e: e.id)
 
-    hit_lists = _map_extracts(ordered, lambda e: find_all(e.data, nonce), workers)
-
     iv_values: list[bytes] = []
     seen_values: set[bytes] = set()
-    for extract, hits in zip(ordered, hit_lists):
-        for off in hits:
+    for extract in ordered:
+        for off in find_all(extract.data, nonce):
             if off < IV_LEN:
                 continue
             segment = extract.data[off - IV_LEN : off]
@@ -325,8 +309,7 @@ def scan_standard(
         kept = _prune_hits(list(per_hit), cfg.min_artefact_gap)
         return [block for p in kept for block in per_hit[p]]
 
-    results = _map_extracts(ordered, _scan_one, workers)
-    merged = [block for blocks in results for block in blocks]
+    merged = [block for extract in ordered for block in _scan_one(extract)]
     merged.sort(key=lambda b: (b.extract_id, b.offset, b.hypothesis.value))
     return merged
 

@@ -296,12 +296,7 @@ def test_criterion_7_byte_identical_reports(windows_fixture_16):
     _, paths, _ = windows_fixture_16
     zero_clock = lambda: 0.0
     for mode in ("windows", "auto"):
-        runs = [
-            run_pipeline(paths.extract_dir, paths.root, mode=mode, workers=1, clock=zero_clock),
-            run_pipeline(paths.extract_dir, paths.root, mode=mode, workers=1, clock=zero_clock),
-            run_pipeline(paths.extract_dir, paths.root, mode=mode, workers=4, clock=zero_clock),
-            run_pipeline(paths.extract_dir, paths.root, mode=mode, workers=8, clock=zero_clock),
-        ]
+        runs = [run_pipeline(paths.extract_dir, paths.root, mode=mode, clock=zero_clock) for _ in range(2)]
         rendered = [render_json(r.to_dict()) for r in runs]
         assert len(set(rendered)) == 1, f"mode {mode} reports diverged"
 
@@ -309,11 +304,11 @@ def test_criterion_7_byte_identical_reports(windows_fixture_16):
 def test_criterion_7_cli_reports_byte_identical(windows_fixture_32, tmp_path):
     _, paths, _ = windows_fixture_32
     outputs = []
-    for name, workers in (("a.json", "1"), ("b.json", "4")):
+    for name in ("a.json", "b.json"):
         out = tmp_path / name
         code = main([
             "decrypt", "--extracts", str(paths.extract_dir), "--capture", str(paths.root),
-            "--workers", workers, "--no-timings", "--output", str(out),
+            "--no-timings", "--output", str(out),
         ])
         assert code == EXIT_OK
         outputs.append(out.read_bytes())

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from keysift.capture import NonceStyle, parse_capture
 from keysift.cli import EXIT_ERROR, EXIT_NO_DECRYPT, EXIT_OK, main, run_pipeline
 from keysift.fixtures import FixtureLayout, Filler, FixtureSpec, generate_fixture
@@ -112,6 +114,34 @@ def test_operational_error_exit_code(tmp_path):
         "decrypt", "--extracts", str(tmp_path / "missing"), "--capture", str(tmp_path / "nope"),
     ])
     assert code == EXIT_ERROR
+
+
+_DECRYPT = ("decrypt", "--extracts", "{extracts}", "--capture", "{capture}")
+
+
+@pytest.mark.parametrize("argv", [
+    ("decrypt", "--extracts", "{extracts}"),
+    _DECRYPT + ("--workers", "2"),
+    _DECRYPT + ("--step", "0"),
+    _DECRYPT + ("--min-gap", "-1"),
+    _DECRYPT + ("--filter", "bogus"),
+    _DECRYPT + ("--seq-window", "-1"),
+    ("scan", "--extracts", "{extracts}", "--step", "0"),
+], ids=["missing-capture", "workers", "step-0", "negative-gap", "bad-filter", "negative-seq-window", "scan-step-0"])
+def test_usage_errors_exit_1_with_one_error_line(windows_fixture_16, capsys, argv):
+    _, paths, _ = windows_fixture_16
+    code = _run([arg.format(extracts=paths.extract_dir, capture=paths.root) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        _run(["decrypt", "--help"])
+    assert info.value.code == 0
+    assert "--extracts" in capsys.readouterr().out
 
 
 def test_scan_windows_command(windows_fixture_16, capsys):
@@ -344,9 +374,10 @@ def test_auto_fallback_report_keeps_windows_counts(tmp_path):
 
 
 def test_cli_import_does_not_load_numpy():
-    probe = "import sys, keysift.cli; sys.exit('numpy' in sys.modules)"
+    probe = "import sys, keysift.cli; print(*[m for m in ('numpy', 'concurrent.futures') if m in sys.modules])"
     done = subprocess.run([sys.executable, "-c", probe], env=_subprocess_env(), capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr or "numpy was imported"
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [], f"imported: {done.stdout}"
 
 
 def test_benchmark_tracer_sees_every_layer(windows_fixture_16, tmp_path):

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import keysift.decrypt as decrypt_module
 from keysift.capture import (
     Direction,
     NonceStyle,
@@ -306,6 +307,34 @@ def test_decrypt_session_pairs_recover_server_direction(session_capture):
     session = decrypt_session(capture, result, pairs=pairs)
     assert not session.partial
     assert session.server_key == truth.server_key
+
+
+def test_server_probe_starts_next_to_the_winning_pair(session_capture, monkeypatch):
+    # the server pair sorts right before the client pair; the probe must not
+    # first retry the 50 junk pairs in front of them
+    capture, truth = session_capture
+    pairs = [_cand(bytes([i]) * 32, bytes([i, i + 1, i + 2, i + 3])) for i in range(50)]
+    pairs += [_cand(truth.server_key, truth.server_iv), _cand(truth.client_key, truth.client_iv)]
+    window = 2
+    result = trial_decrypt(capture, pairs, seq_window=window)
+    assert result.pair_index == 51
+
+    opens = []
+    real_aesgcm = decrypt_module.AESGCM
+
+    class CountingAESGCM:
+        def __init__(self, key):
+            self._aead = real_aesgcm(key)
+
+        def decrypt(self, nonce, data, aad):
+            opens.append(nonce)
+            return self._aead.decrypt(nonce, data, aad)
+
+    monkeypatch.setattr(decrypt_module, "AESGCM", CountingAESGCM)
+    session = decrypt_session(capture, result, pairs=pairs, seq_window=window)
+    assert session.server_key == truth.server_key and not session.partial
+    probe_opens = len(opens) - len(session.transcript)  # one open per transcript record
+    assert probe_opens <= 2 * window + 1
 
 
 def test_decrypt_session_server_unknown_is_partial(session_capture):

@@ -230,14 +230,12 @@ def test_scan_windows_realistic_shape_set_sizes(tmp_path, seed):
     assert any(k.value == truth.server_key for k in keys)
 
 
-def test_scan_windows_deterministic_and_parallel(windows_fixture_32):
+def test_scan_windows_deterministic(windows_fixture_32):
     _, paths, _ = windows_fixture_32
-    extract_set = load_extracts(paths.extract_dir)
     cfg = ScanConfig(key_len_bytes=32)
-    serial = scan_windows(extract_set, cfg, workers=1)
-    again = scan_windows(extract_set, cfg, workers=1)
-    parallel = scan_windows(extract_set, cfg, workers=4)
-    assert serial == again == parallel
+    first = scan_windows(load_extracts(paths.extract_dir), cfg)
+    again = scan_windows(load_extracts(paths.extract_dir), cfg)
+    assert first == again
 
 
 # ---------------------------------------------------------------------------
@@ -334,13 +332,11 @@ def test_prune_monotone(offsets, gaps):
     assert len(_prune_hits(offsets, large)) <= len(_prune_hits(offsets, small))
 
 
-def test_scan_standard_deterministic_and_parallel(tmp_path):
+def test_scan_standard_deterministic(tmp_path):
     _, _, capture, extract_set = _generic_fixture(tmp_path, seed=17, key_len=32)
     cfg = ScanConfig(key_len_bytes=32)
-    assert (
-        scan_standard(extract_set, capture, cfg, workers=1)
-        == scan_standard(extract_set, capture, cfg, workers=4)
-    )
+    first = scan_standard(extract_set, capture, cfg)
+    assert first and first == scan_standard(extract_set, capture, cfg)
 
 
 # ---------------------------------------------------------------------------
