@@ -27,8 +27,6 @@ from .fixtures import FixtureSpec, generate_fixture, reference_encrypt
 from .memscan import (
     BlockHypothesis,
     Candidate,
-    CandidateIv,
-    CandidateKey,
     CandidateKeyBlock,
     ExtractSet,
     MemoryExtract,
@@ -42,8 +40,6 @@ from .memscan import (
 __all__ = [
     "BlockHypothesis",
     "Candidate",
-    "CandidateIv",
-    "CandidateKey",
     "CandidateKeyBlock",
     "CaptureFormat",
     "DecryptedSession",

@@ -80,7 +80,6 @@ class TlsRecord:
 
 @dataclass(frozen=True)
 class HandshakeSummary:
-    tls_version: int
     cipher_suite: int
     key_len_bytes: int
 
@@ -250,7 +249,7 @@ def parse_raw_streams(client_data: bytes, server_data: bytes) -> SessionCapture:
     if version != TLS_1_2:
         raise UnsupportedCipherSuite(f"negotiated version 0x{version:04X}; TLS 1.2 required")
     key_len = suite_key_len(suite)
-    summary = HandshakeSummary(tls_version=version, cipher_suite=suite, key_len_bytes=key_len)
+    summary = HandshakeSummary(cipher_suite=suite, key_len_bytes=key_len)
 
     return assemble_session(summary, client_encrypted + server_encrypted)
 

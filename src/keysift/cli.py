@@ -115,6 +115,8 @@ def run_pipeline(
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
+    if seq_window < 0:
+        raise ValueError(f"seq_window must not be negative, got {seq_window}")
 
     if isinstance(capture_source, SessionCapture):
         capture = capture_source
@@ -152,9 +154,9 @@ def run_pipeline(
         try:
             if blocks is None:
                 pairs = pair_candidates(keys, ivs)
-                result = trial_decrypt(capture, pairs, seq_window=seq_window, clock=clock)
+                result = trial_decrypt(capture, pairs, seq_window=seq_window)
             else:
-                result = trial_decrypt_blocks(capture, blocks, seq_window=seq_window, clock=clock)
+                result = trial_decrypt_blocks(capture, blocks, seq_window=seq_window)
             session = decrypt_session(capture, result, blocks=blocks, pairs=pairs, seq_window=seq_window)
         except (NoCandidates, NoValidDecrypt) as exc:
             attempted += getattr(exc, "trials", 0)
@@ -162,12 +164,12 @@ def run_pipeline(
         finally:
             report.timings["decrypt_analysis_secs"] += clock() - decrypt_start
 
-        hypothesis = blocks[result.block_index].hypothesis.value if blocks is not None else None
+        hypothesis = blocks[result.index].hypothesis.value if blocks is not None else None
         report.mode_used = attempt
         report.outcome = "decrypted_partial" if session.partial else "decrypted"
         report.trials = {
             "attempted": attempted + result.trials,
-            "winner_index": result.pair_index if result.pair_index is not None else result.block_index,
+            "winner_index": result.index,
             "seq_used": result.seq_used,
             "validation": result.validation.value,
         }

@@ -8,11 +8,10 @@ label on successful decrypts.
 from __future__ import annotations
 
 import struct
-import time
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -29,24 +28,19 @@ from .memscan import Candidate, CandidateKeyBlock
 
 
 class Validation(Enum):
-    FAILED = "failed"
     TAG_VERIFIED = "tag_verified"
     TAG_AND_PROTOCOL_VALID = "tag_and_protocol_valid"
 
 
-_HTTP_METHODS = (
+_HTTP_PREFIXES = (
     b"GET ", b"POST ", b"HEAD ", b"PUT ", b"DELETE ",
-    b"OPTIONS ", b"TRACE ", b"CONNECT ", b"PATCH ",
+    b"OPTIONS ", b"TRACE ", b"CONNECT ", b"PATCH ", b"HTTP/1.",
 )
 
 
-def _looks_like_http(plaintext: bytes) -> bool:
-    return plaintext.startswith(_HTTP_METHODS) or plaintext.startswith(b"HTTP/1.")
-
-
-def validate_plaintext(plaintext: bytes, validators: Sequence[Callable[[bytes], bool]] = (_looks_like_http,)) -> bool:
-    """True when any validator accepts the plaintext. Default: HTTP/1.x shape."""
-    return any(v(plaintext) for v in validators)
+def validate_plaintext(plaintext: bytes) -> bool:
+    """True when the plaintext has HTTP/1.x request or response shape."""
+    return plaintext.startswith(_HTTP_PREFIXES)
 
 
 def record_aad(seq: int, content_type: int, record_version: int, plaintext_len: int) -> bytes:
@@ -88,8 +82,10 @@ def _seq_candidates(reconstructed: int, window: int) -> list[int]:
 
     Negative values are replaced by extending the range upward so the trial
     count per pair stays fixed; the window absorbs the ambiguity of whether a
-    Finished message consumed sequence number 0.
+    Finished message consumed sequence number 0. A negative window is rejected.
     """
+    if window < 0:
+        raise ValueError(f"seq_window must not be negative, got {window}")
     low = max(0, reconstructed - window)
     candidates = list(range(low, low + 2 * window + 1))
     candidates.sort(key=lambda s: (abs(s - reconstructed), s))
@@ -98,24 +94,23 @@ def _seq_candidates(reconstructed: int, window: int) -> list[int]:
 
 @dataclass(frozen=True)
 class TrialResult:
+    """The first material whose tag verified; ``index`` is its position in the
+    list handed to the trial function (a pair index or a key-block index)."""
+
     key: bytes
     implicit_iv: bytes
-    direction: Direction
     seq_used: int
-    record_index: int
     plaintext: bytes
     validation: Validation
-    pair_index: int | None = None
-    block_index: int | None = None
+    index: int
     orientation_swapped: bool = False
     trials: int = 0
-    elapsed: float = 0.0
 
 
-def _first_app_data(capture: SessionCapture, direction: Direction) -> tuple[int, EncryptedRecord]:
-    for index, record in capture.app_data(direction):
-        return index, record
-    raise NoValidDecrypt(0, 0.0)
+def _first_client_record(capture: SessionCapture) -> EncryptedRecord:
+    for _, record in capture.app_data(Direction.CLIENT_TO_SERVER):
+        return record
+    raise NoValidDecrypt(0)
 
 
 # One trial material: (key, implicit IV, index in the caller's list, orientation swapped).
@@ -161,29 +156,23 @@ def _first_opening(
     return trials, None
 
 
-def _trial(capture: SessionCapture, materials: Iterable[_Material], seq_window: int,
-           clock: Callable[[], float], index_field: str) -> TrialResult:
-    """Trial ``materials`` against the first client ApplicationData record; the
-    winning material's index goes into the TrialResult field ``index_field``."""
-    started = clock()
-    record_index, record = _first_app_data(capture, Direction.CLIENT_TO_SERVER)
+def _trial(capture: SessionCapture, materials: Iterable[_Material], seq_window: int) -> TrialResult:
+    """Trial ``materials`` against the first client ApplicationData record."""
+    record = _first_client_record(capture)
     trials, winner = _first_opening(record, materials, seq_window)
     if winner is None:
-        raise NoValidDecrypt(trials, clock() - started)
+        raise NoValidDecrypt(trials)
     (key, implicit_iv, index, swapped), seq, plaintext = winner
     validation = Validation.TAG_AND_PROTOCOL_VALID if validate_plaintext(plaintext) else Validation.TAG_VERIFIED
     return TrialResult(
         key=key,
         implicit_iv=implicit_iv,
-        direction=Direction.CLIENT_TO_SERVER,
         seq_used=seq,
-        record_index=record_index,
         plaintext=plaintext,
         validation=validation,
+        index=index,
         orientation_swapped=swapped,
         trials=trials,
-        elapsed=clock() - started,
-        **{index_field: index},
     )
 
 
@@ -191,19 +180,17 @@ def trial_decrypt(
     capture: SessionCapture,
     pairs: Sequence[tuple[Candidate, Candidate]],
     seq_window: int = 2,
-    clock: Callable[[], float] = time.perf_counter,
 ) -> TrialResult:
     """Try (key, IV) pairs in order against the first client ApplicationData
     record until a tag verifies; raises NoValidDecrypt with the trial count
-    and elapsed time when every pair is exhausted."""
-    return _trial(capture, _pair_materials(pairs, range(len(pairs))), seq_window, clock, "pair_index")
+    when every pair is exhausted."""
+    return _trial(capture, _pair_materials(pairs, range(len(pairs))), seq_window)
 
 
 def trial_decrypt_blocks(
     capture: SessionCapture,
     blocks: Sequence[CandidateKeyBlock],
     seq_window: int = 2,
-    clock: Callable[[], float] = time.perf_counter,
 ) -> TrialResult:
     """Key-block trial loop. Each block is tried in both orientations, since a
     block recovered under the wrong hypothesis holds the true material in its
@@ -216,7 +203,7 @@ def trial_decrypt_blocks(
             (block.server_key, block.server_iv, block_index, True),
         )
     )
-    return _trial(capture, materials, seq_window, clock, "block_index")
+    return _trial(capture, materials, seq_window)
 
 
 @dataclass(frozen=True)
@@ -249,13 +236,11 @@ def decrypt_session(
     Client material comes from the winning trial. Server material comes from
     the winning block's opposite slots, or, for pair-based wins, from a second
     trial over the pairs against the first server record, outward from the
-    winning pair. Records that do not authenticate are marked and flip the
-    partial flag.
+    winning pair. ``result.index`` points into ``blocks`` when they are given,
+    else into ``pairs``. Records that do not authenticate are marked and flip
+    the partial flag.
     """
-    if result.validation is Validation.FAILED:
-        raise ValueError("cannot expand a failed trial into a session")
-
-    _, first_record = _first_app_data(capture, Direction.CLIENT_TO_SERVER)
+    first_record = _first_client_record(capture)
     deltas: dict[Direction, int] = {Direction.CLIENT_TO_SERVER: result.seq_used - first_record.seq}
     material: dict[Direction, tuple[bytes, bytes] | None] = {
         Direction.CLIENT_TO_SERVER: (result.key, result.implicit_iv),
@@ -266,14 +251,14 @@ def decrypt_session(
     if server_records:
         _, probe_record = server_records[0]
         opposite = []
-        if result.block_index is not None and blocks is not None:
-            block = blocks[result.block_index]
+        if blocks is not None:
+            block = blocks[result.index]
             if result.orientation_swapped:
-                opposite.append((block.client_key, block.client_iv, result.block_index, False))
+                opposite.append((block.client_key, block.client_iv, result.index, False))
             else:
-                opposite.append((block.server_key, block.server_iv, result.block_index, True))
+                opposite.append((block.server_key, block.server_iv, result.index, True))
         pairs = pairs or ()
-        materials = chain(opposite, _pair_materials(pairs, _probe_order(len(pairs), result.pair_index)))
+        materials = chain(opposite, _pair_materials(pairs, _probe_order(len(pairs), result.index)))
         _, found = _first_opening(probe_record, materials, seq_window)
         if found is not None:
             (key, implicit_iv, _, _), seq, _ = found

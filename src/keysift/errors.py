@@ -51,10 +51,9 @@ class AuthFailure(KeysiftError):
 class NoValidDecrypt(KeysiftError):
     """Every candidate pair was exhausted without a verified decrypt."""
 
-    def __init__(self, trials, elapsed):
-        super().__init__(f"no valid decrypt after {trials} trials ({elapsed:.3f}s)")
+    def __init__(self, trials):
+        super().__init__(f"no valid decrypt after {trials} trials")
         self.trials = trials
-        self.elapsed = elapsed
 
 
 class SpecInvalid(KeysiftError):

@@ -248,7 +248,7 @@ def _nonce_for(style: NonceStyle, seq: int, rng: random.Random, bound: int = 256
 
 def _build_session(spec: FixtureSpec, truth: FixtureGroundTruth, rng: random.Random) -> SessionCapture:
     suite = _SUITE_FOR_KEY_LEN[spec.key_len_bytes]
-    summary = HandshakeSummary(tls_version=TLS_1_2, cipher_suite=suite, key_len_bytes=spec.key_len_bytes)
+    summary = HandshakeSummary(cipher_suite=suite, key_len_bytes=spec.key_len_bytes)
     records = []
     for direction, key, implicit_iv, app_plain in (
         (Direction.CLIENT_TO_SERVER, truth.client_key, truth.client_iv, truth.plaintext_client),

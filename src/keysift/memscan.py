@@ -36,7 +36,6 @@ class MemoryExtract:
     id: int
     name: str
     data: bytes
-    size_bytes: int
 
 
 @dataclass(frozen=True)
@@ -49,7 +48,7 @@ class ExtractSet:
 
     @property
     def total_bytes(self) -> int:
-        return sum(e.size_bytes for e in self.extracts)
+        return sum(len(e.data) for e in self.extracts)
 
 
 def band_for_size(size_bytes: int) -> int:
@@ -65,7 +64,7 @@ def band_for_size(size_bytes: int) -> int:
 def _make_extract_set(extracts: list[MemoryExtract]) -> ExtractSet:
     bands: dict[int, list[int]] = {1: [], 2: [], 3: []}
     for extract in extracts:
-        bands[band_for_size(extract.size_bytes)].append(extract.id)
+        bands[band_for_size(len(extract.data))].append(extract.id)
     return ExtractSet(
         extracts=tuple(extracts),
         bands={b: tuple(ids) for b, ids in bands.items()},
@@ -88,7 +87,7 @@ def load_extracts(directory) -> ExtractSet:
             raise UnreadableFile(base / name, exc) from exc
         if not data:
             continue
-        extracts.append(MemoryExtract(id=len(extracts), name=name, data=data, size_bytes=len(data)))
+        extracts.append(MemoryExtract(id=len(extracts), name=name, data=data))
     if not extracts:
         raise EmptyDirectory(f"no loadable extract files in {base}")
     return _make_extract_set(extracts)
@@ -97,7 +96,7 @@ def load_extracts(directory) -> ExtractSet:
 def extract_set_from_buffers(named_buffers: list[tuple[str, bytes]]) -> ExtractSet:
     """Build an ExtractSet directly from in-memory buffers (test convenience)."""
     extracts = [
-        MemoryExtract(id=i, name=name, data=bytes(data), size_bytes=len(data))
+        MemoryExtract(id=i, name=name, data=bytes(data))
         for i, (name, data) in enumerate(named_buffers)
     ]
     if not extracts:
@@ -139,10 +138,6 @@ class Candidate:
     extract_id: int
     offset: int
     entropy: float
-
-
-CandidateKey = Candidate
-CandidateIv = Candidate
 
 
 class BlockHypothesis(Enum):
@@ -270,33 +265,25 @@ def scan_standard(
     """Explicit-nonce scan: nonce occurrences -> candidate implicit IVs ->
     key-block hypotheses wherever an IV value recurs.
 
-    The 4 bytes preceding each nonce occurrence are gated on entropy and kept
-    as candidate IV values (the contiguous salt || explicit layout of the GCM
-    nonce buffer). Every later occurrence of a candidate value spawns the two
-    block hypotheses. Hits closer than ``min_artefact_gap`` within one extract
-    collapse onto the lowest offset; the two hypotheses of a single hit are
-    alternatives, not separate artefacts, so they never prune each other.
+    The 4 bytes preceding each nonce occurrence are candidate IV values (the
+    contiguous salt || explicit layout of the GCM nonce buffer); each distinct
+    value is gated on entropy once. Every occurrence of a candidate value
+    spawns the two block hypotheses. Hits closer than ``min_artefact_gap``
+    within one extract collapse onto the lowest offset; the two hypotheses of
+    a single hit are alternatives, not separate artefacts, so they never prune
+    each other.
     """
     nonce = capture.first_explicit_nonce
     ordered = sorted(extracts.extracts, key=lambda e: e.id)
 
-    iv_values: list[bytes] = []
-    seen_values: set[bytes] = set()
-    for extract in ordered:
-        for off in find_all(extract.data, nonce):
-            if off < IV_LEN:
-                continue
-            segment = extract.data[off - IV_LEN : off]
-            if shannon_entropy(segment) <= cfg.iv_entropy_threshold:
-                continue
-            value = bytes(segment)
-            if value not in seen_values:
-                seen_values.add(value)
-                iv_values.append(value)
-
-    if not iv_values:
-        return []
-
+    # occurrences are sorted per extract below, so the set's order is irrelevant
+    preceding = {
+        extract.data[off - IV_LEN : off]
+        for extract in ordered
+        for off in find_all(extract.data, nonce)
+        if off >= IV_LEN
+    }
+    iv_values = [value for value in preceding if shannon_entropy(value) > cfg.iv_entropy_threshold]
     key_gate = lambda seg: shannon_entropy(seg) > cfg.key_entropy_threshold
 
     def _scan_one(extract: MemoryExtract) -> list[CandidateKeyBlock]:

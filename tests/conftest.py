@@ -170,6 +170,49 @@ def oracle_windows_scan(extract_set, cfg):
     return key_list, iv_list
 
 
+def oracle_standard_scan(extract_set, capture, cfg):
+    """Standard scan recounted with the quadratic search and Counter-based
+    entropy: gate the 4 bytes in front of every nonce hit, hypothesise both
+    key-block layouts at every recurrence of a gated value, keep a hypothesis
+    when both key windows clear the key gate, then prune hits greedily per
+    extract. Returns (extract_id, offset, hypothesis, client_key, server_key,
+    client_iv, server_iv, hit offset) tuples in the scanner's order."""
+    nonce = capture.first_explicit_nonce
+    k = cfg.key_len_bytes
+    gated = set()
+    for extract in extract_set.extracts:
+        for off in naive_find_all(extract.data, nonce):
+            if off < IV_LEN:
+                continue
+            segment = extract.data[off - IV_LEN : off]
+            if naive_entropy(segment) > cfg.iv_entropy_threshold:
+                gated.add(segment)
+
+    found = []
+    for extract in extract_set.extracts:
+        data = extract.data
+        per_hit: dict[int, list[tuple]] = {}
+        for value in gated:
+            for hit in naive_find_all(data, value):
+                for shift, hypothesis in ((0, "iv_was_client"), (IV_LEN, "iv_was_server")):
+                    start = hit - 2 * k - shift
+                    ivs = start + 2 * k
+                    if start < 0 or ivs + 2 * IV_LEN > len(data):
+                        continue
+                    client_key, server_key = data[start : start + k], data[start + k : ivs]
+                    if min(naive_entropy(client_key), naive_entropy(server_key)) > cfg.key_entropy_threshold:
+                        per_hit.setdefault(hit, []).append((
+                            extract.id, start, hypothesis, client_key, server_key,
+                            data[ivs : ivs + IV_LEN], data[ivs + IV_LEN : ivs + 2 * IV_LEN], hit,
+                        ))
+        last_kept = None
+        for hit in sorted(per_hit):
+            if last_kept is None or hit - last_kept >= cfg.min_artefact_gap:
+                last_kept = hit
+                found += per_hit[hit]
+    return sorted(found, key=lambda t: t[:3])
+
+
 # ---------------------------------------------------------------------------
 # acceptance reporting
 

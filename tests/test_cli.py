@@ -282,6 +282,7 @@ def test_console_entry_point(windows_fixture_16):
     _, paths, _ = windows_fixture_16
     proc = subprocess.run(
         [sys.executable, "-m", "keysift.cli", "parse-capture", "--capture", str(paths.root)],
+        env=_subprocess_env(),
         capture_output=True,
         text=True,
     )
@@ -371,6 +372,17 @@ def test_auto_fallback_report_keeps_windows_counts(tmp_path):
     assert auto.candidates["ivs"] == windows.candidates["ivs"]
     assert auto.candidates["key_blocks"] == 0
     assert auto.trials["attempted"] == windows.trials["attempted"]
+
+
+def test_run_pipeline_rejects_negative_seq_window(windows_fixture_16, tmp_path):
+    # rejected up front, also when no scanner finds a candidate to trial
+    _, paths, _ = windows_fixture_16
+    zeros = tmp_path / "zeros"
+    zeros.mkdir()
+    (zeros / "zeros.bin").write_bytes(bytes(2 * MB))
+    for extract_dir in (paths.extract_dir, zeros):
+        with pytest.raises(ValueError):
+            run_pipeline(extract_dir, paths.root, seq_window=-1)
 
 
 def test_cli_import_does_not_load_numpy():

@@ -1,17 +1,18 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import keysift.memscan as memscan
 from keysift.capture import NonceStyle, parse_capture
 from keysift.entropy import shannon_entropy
 from keysift.errors import EmptyDirectory, NoCandidates
 from keysift.fixtures import FixtureLayout, Filler, FixtureSpec, generate_fixture
 from keysift.memscan import (
+    IV_LEN,
     IV_MARKER,
     KEY_MARKER,
     MB,
     BlockHypothesis,
-    CandidateIv,
-    CandidateKey,
+    Candidate,
     ScanConfig,
     _prune_hits,
     band_for_size,
@@ -23,7 +24,7 @@ from keysift.memscan import (
     scan_windows,
 )
 
-from conftest import naive_find_all, oracle_windows_scan
+from conftest import naive_find_all, oracle_standard_scan, oracle_windows_scan
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +56,6 @@ def test_load_extracts_lexicographic_ids(tmp_path):
     assert [e.name for e in extract_set.extracts] == ["aaa.bin", "bbb.bin"]
     assert [e.id for e in extract_set.extracts] == [0, 1]
     assert extract_set.bands == {1: (0,), 2: (1,), 3: ()}
-    assert all(e.size_bytes == len(e.data) for e in extract_set.extracts)
 
 
 def test_load_extracts_empty_dir(tmp_path):
@@ -322,6 +322,59 @@ def test_scan_standard_counter_pruning(tmp_path):
     assert counts == sorted(counts, reverse=True)
 
 
+# counter-rich memory: the counter-like nonce recurs all through the filler
+_COUNTER_BLOCKS = dict(
+    rng_seed=9, key_len_bytes=16, filler=Filler.COUNTERS, explicit_nonce_style=NonceStyle.COUNTER_LIKE,
+    keyblock_copies=5, keyblock_copy_gap=200,
+)
+
+
+@pytest.mark.parametrize("spec_kwargs,gap", [
+    (dict(_COUNTER_BLOCKS, extract_sizes=(512 * 1024, 2 * MB)), 1000),
+    (_COUNTER_BLOCKS, 0),
+    (dict(rng_seed=3, key_len_bytes=16, filler=Filler.ZERO, explicit_nonce_style=NonceStyle.RANDOM_LIKE), 1000),
+    (dict(rng_seed=17, key_len_bytes=32, filler=Filler.RANDOM, explicit_nonce_style=NonceStyle.RANDOM_LIKE), 1000),
+    (dict(rng_seed=5, key_len_bytes=32, generic_hypothesis=BlockHypothesis.IV_WAS_SERVER, keyblock_copies=3), 1000),
+], ids=["counter-copies", "counter-unpruned", "random-nonce-16", "random-filler-32", "iv-was-server-32"])
+def test_scan_standard_matches_independent_oracle(tmp_path, spec_kwargs, gap):
+    spec = FixtureSpec(**{"layout": FixtureLayout.GENERIC_KEY_BLOCK, "extract_sizes": (2 * MB,), **spec_kwargs})
+    paths, _ = generate_fixture(spec, tmp_path)
+    capture = parse_capture(paths.root)
+    extract_set = load_extracts(paths.extract_dir)
+    cfg = ScanConfig(key_len_bytes=spec.key_len_bytes, min_artefact_gap=gap)
+    blocks = scan_standard(extract_set, capture, cfg)
+    assert blocks
+    assert [
+        (b.extract_id, b.offset, b.hypothesis.value, b.client_key, b.server_key, b.client_iv, b.server_iv,
+         b.iv_hit_offset)
+        for b in blocks
+    ] == oracle_standard_scan(extract_set, capture, cfg)
+
+
+def test_scan_standard_gates_each_iv_value_once(tmp_path, monkeypatch):
+    # nearly every nonce hit in counter filler has the same 4 bytes in front
+    spec = FixtureSpec(layout=FixtureLayout.GENERIC_KEY_BLOCK, extract_sizes=(2 * MB,), **_COUNTER_BLOCKS)
+    paths, _ = generate_fixture(spec, tmp_path)
+    capture = parse_capture(paths.root)
+    extract_set = load_extracts(paths.extract_dir)
+    nonce = capture.first_explicit_nonce
+    hits = [(e.data, off) for e in extract_set.extracts for off in find_all(e.data, nonce) if off >= IV_LEN]
+    distinct = {data[off - IV_LEN : off] for data, off in hits}
+    assert len(hits) > 10 * len(distinct)
+
+    iv_gate_calls = []
+    real_entropy = memscan.shannon_entropy
+
+    def counting_entropy(segment):
+        if len(segment) == IV_LEN:
+            iv_gate_calls.append(segment)
+        return real_entropy(segment)
+
+    monkeypatch.setattr(memscan, "shannon_entropy", counting_entropy)
+    assert scan_standard(extract_set, capture, ScanConfig(key_len_bytes=16))
+    assert len(iv_gate_calls) <= len(distinct)
+
+
 @given(
     offsets=st.lists(st.integers(0, 100_000), max_size=40),
     gaps=st.tuples(st.integers(0, 5000), st.integers(0, 5000)),
@@ -344,11 +397,11 @@ def test_scan_standard_deterministic(tmp_path):
 
 
 def _cand_key(i, extract=0, offset=0):
-    return CandidateKey(bytes([i] * 4), extract, offset, 2.0)
+    return Candidate(bytes([i] * 4), extract, offset, 2.0)
 
 
 def _cand_iv(i, extract=0, offset=0):
-    return CandidateIv(bytes([i] * 4), extract, offset, 2.0)
+    return Candidate(bytes([i] * 4), extract, offset, 2.0)
 
 
 def test_pair_cardinality():
