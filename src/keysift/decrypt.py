@@ -143,11 +143,15 @@ def _first_opening(
 ) -> tuple[int, tuple[_Material, int, bytes] | None]:
     """Try each material against ``record`` at every sequence number of the
     window, nearest first. Returns the trial count and the first
-    (material, seq, plaintext) whose tag verifies, or None."""
+    (material, seq, plaintext) whose tag verifies, or None. One cipher is built
+    per distinct key, since the same key recurs across many materials."""
     seqs = _seq_candidates(record.seq, seq_window)
+    ciphers: dict[bytes, AESGCM] = {}
     trials = 0
     for material in materials:
-        aead = _cipher_for(material[0])
+        aead = ciphers.get(material[0])
+        if aead is None:
+            aead = ciphers[material[0]] = _cipher_for(material[0])
         for seq in seqs:
             trials += 1
             plaintext = _open_record(aead, record, material[1], seq)
@@ -183,7 +187,10 @@ def trial_decrypt(
 ) -> TrialResult:
     """Try (key, IV) pairs in order against the first client ApplicationData
     record until a tag verifies; raises NoValidDecrypt with the trial count
-    when every pair is exhausted."""
+    when every pair is exhausted. ``pairs`` may be the lazy order from
+    ``pair_candidates``: it is read by index, front to back, so only the
+    prefix up to the winner is generated; ``TrialResult.index`` is a position
+    in that order."""
     return _trial(capture, _pair_materials(pairs, range(len(pairs))), seq_window)
 
 
@@ -237,8 +244,9 @@ def decrypt_session(
     the winning block's opposite slots, or, for pair-based wins, from a second
     trial over the pairs against the first server record, outward from the
     winning pair. ``result.index`` points into ``blocks`` when they are given,
-    else into ``pairs``. Records that do not authenticate are marked and flip
-    the partial flag.
+    else into ``pairs``. A lazy pair order is read only as far out from the
+    winner as the probe walks. Records that do not authenticate are marked and
+    flip the partial flag.
     """
     first_record = _first_client_record(capture)
     deltas: dict[Direction, int] = {Direction.CLIENT_TO_SERVER: result.seq_used - first_record.seq}

@@ -14,8 +14,12 @@ after another in a fixed order, so repeat runs are byte-for-byte identical.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heapify, heappop, heapreplace
+from itertools import islice
 from pathlib import Path
 
 from .capture import SessionCapture
@@ -301,20 +305,94 @@ def scan_standard(
     return merged
 
 
-def pair_candidates(
-    keys: list[Candidate], ivs: list[Candidate]
-) -> list[tuple[Candidate, Candidate]]:
-    """Cross product of candidates as an ordered trial list.
+def _merged_pairs(keys: list[Candidate], ivs: list[Candidate]) -> Iterator[tuple[Candidate, Candidate]]:
+    """Every (key, IV) pair ordered by (other extract, |offset delta|, key
+    index, IV index), merged lazily from two frontiers per key and IV extract.
+
+    The right frontier walks the extract's IVs at or past the key's offset by
+    ascending (offset, index); the left one walks the rest by descending offset,
+    then ascending index. Along either, the sort key never decreases, so a heap
+    over the frontier heads yields the total order while holding O(keys x
+    extracts) entries. A head is (flag, dist, ki, vi, pos, order, offs, base):
+    ``order`` lists IV indices in walk order, ``offs[pos] + base`` is the
+    distance at ``pos`` (left offsets are stored negated), and (ki, vi) is
+    unique, so comparisons never reach the walk state.
+    """
+    lanes: dict[int, list[int]] = {}
+    for vi, iv in enumerate(ivs):
+        lanes.setdefault(iv.extract_id, []).append(vi)
+    walks = []
+    for extract_id, members in lanes.items():
+        right = sorted(members, key=lambda vi: (ivs[vi].offset, vi))
+        left = sorted(members, key=lambda vi: (-ivs[vi].offset, vi))
+        walks.append((
+            extract_id,
+            right, [ivs[vi].offset for vi in right],
+            left, [-ivs[vi].offset for vi in left],
+        ))
+
+    heap = []
+    for ki, key in enumerate(keys):
+        for extract_id, right, right_offs, left, left_offs in walks:
+            flag = 0 if extract_id == key.extract_id else 1
+            split = bisect_left(right_offs, key.offset)  # IVs before it lie left of the key
+            if split < len(right):
+                heap.append((flag, right_offs[split] - key.offset, ki, right[split], split,
+                             right, right_offs, -key.offset))
+            start = len(right) - split  # the left walk starts below the key's offset
+            if start < len(left):
+                heap.append((flag, left_offs[start] + key.offset, ki, left[start], start,
+                             left, left_offs, key.offset))
+    heapify(heap)
+
+    while heap:
+        flag, _, ki, vi, pos, order, offs, base = heap[0]
+        yield keys[ki], ivs[vi]
+        pos += 1
+        if pos < len(order):
+            heapreplace(heap, (flag, offs[pos] + base, ki, order[pos], pos, order, offs, base))
+        else:
+            heappop(heap)
+
+
+# Pairs merged per prefix extension: amortises the call overhead of sequential reads.
+_PAIR_CHUNK = 256
+
+
+class PairOrder(Sequence):
+    """The key x IV trial order as a read-only sequence, generated on demand.
+
+    ``len`` is known up front; indexing extends a cached prefix of the merge,
+    so memory grows with the furthest index read, not with the product.
+    """
+
+    def __init__(self, keys: list[Candidate], ivs: list[Candidate]):
+        self._len = len(keys) * len(ivs)
+        self._stream = _merged_pairs(keys, ivs)
+        self._prefix: list[tuple[Candidate, Candidate]] = []
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index: int) -> tuple[Candidate, Candidate]:
+        if index < 0:
+            index += self._len
+        if not 0 <= index < self._len:
+            raise IndexError("pair index out of range")
+        prefix = self._prefix
+        if index >= len(prefix):
+            prefix.extend(islice(self._stream, max(index + 1 - len(prefix), _PAIR_CHUNK)))
+        return prefix[index]
+
+
+def pair_candidates(keys: list[Candidate], ivs: list[Candidate]) -> PairOrder:
+    """Cross product of candidates as an ordered trial sequence.
 
     Same-extract pairs come first, then closer key/IV offsets; list positions
-    break remaining ties so the ordering is total and reproducible.
+    break remaining ties so the ordering is total and reproducible. The order
+    is generated lazily as positions are read, so the product is never built
+    up front; an index means the same pair it would in the fully sorted list.
     """
     if not keys or not ivs:
         raise NoCandidates("cannot pair an empty candidate list")
-    pairs = [
-        (0 if k.extract_id == v.extract_id else 1, abs(k.offset - v.offset), ki, vi)
-        for ki, k in enumerate(keys)
-        for vi, v in enumerate(ivs)
-    ]
-    pairs.sort()
-    return [(keys[ki], ivs[vi]) for _, _, ki, vi in pairs]
+    return PairOrder(keys, ivs)

@@ -213,6 +213,18 @@ def oracle_standard_scan(extract_set, capture, cfg):
     return sorted(found, key=lambda t: t[:3])
 
 
+def naive_pair_order(keys, ivs):
+    """The eagerly sorted key x IV cross product: same-extract pairs first, then
+    |offset delta|, then key index, then IV index."""
+    pairs = [
+        (0 if k.extract_id == v.extract_id else 1, abs(k.offset - v.offset), ki, vi)
+        for ki, k in enumerate(keys)
+        for vi, v in enumerate(ivs)
+    ]
+    pairs.sort()
+    return [(keys[ki], ivs[vi]) for _, _, ki, vi in pairs]
+
+
 # ---------------------------------------------------------------------------
 # acceptance reporting
 

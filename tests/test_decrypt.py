@@ -183,6 +183,24 @@ def test_trial_decrypt_correct_pair_last(session_capture):
     assert result.trials == 50 * 5 + 1
 
 
+def test_trial_decrypt_builds_one_cipher_per_key(session_capture, monkeypatch):
+    capture, truth = session_capture
+    pairs = [_cand(bytes([k]) * 32, bytes([v, v, v, v])) for k in range(10) for v in range(6)]
+    pairs.append(_cand(truth.client_key, truth.client_iv))
+    built = []
+    real_aesgcm = decrypt_module.AESGCM
+
+    def counting_aesgcm(key):
+        built.append(key)
+        return real_aesgcm(key)
+
+    monkeypatch.setattr(decrypt_module, "AESGCM", counting_aesgcm)
+    result = trial_decrypt(capture, pairs)
+    assert result.index == 60
+    assert result.trials == 60 * 5 + 1
+    assert len(built) == len(set(built)) == 11
+
+
 def test_trial_decrypt_deterministic(session_capture):
     capture, truth = session_capture
     pairs = [_cand(bytes(32), bytes(4)), _cand(truth.client_key, truth.client_iv)]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,7 +26,7 @@ from keysift.memscan import (
     scan_windows,
 )
 
-from conftest import naive_find_all, oracle_standard_scan, oracle_windows_scan
+from conftest import naive_find_all, naive_pair_order, oracle_standard_scan, oracle_windows_scan
 
 
 # ---------------------------------------------------------------------------
@@ -446,3 +448,69 @@ def test_pair_ties_break_on_list_position():
     assert [(k.value[0], v.value[0]) for k, v in pairs] == [
         (1, 3), (1, 4), (2, 3), (2, 4),
     ]
+
+
+# Few extracts and a narrow offset range, so equal offsets, keys and IVs at the
+# same offset, and equal distances on both sides of a key are common.
+_placed = st.tuples(st.integers(0, 3), st.integers(0, 40))
+
+
+@given(st.lists(_placed, min_size=1, max_size=12), st.lists(_placed, min_size=1, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_pair_order_matches_naive_sort(key_places, iv_places):
+    keys = [_cand_key(i, extract=e, offset=o) for i, (e, o) in enumerate(key_places)]
+    ivs = [_cand_iv(100 + i, extract=e, offset=o) for i, (e, o) in enumerate(iv_places)]
+    assert list(pair_candidates(keys, ivs)) == naive_pair_order(keys, ivs)
+
+
+def _tie_heavy_pairs():
+    # more pairs than one prefix extension generates, so reads can outrun the cache
+    keys = [_cand_key(i, extract=i % 2, offset=(i * 7) % 30) for i in range(25)]
+    ivs = [_cand_iv(100 + i, extract=i % 3, offset=(i * 11) % 30) for i in range(24)]
+    return pair_candidates(keys, ivs), naive_pair_order(keys, ivs)
+
+
+def test_pair_order_negative_index_resolves_against_len():
+    pairs, expected = _tie_heavy_pairs()
+    pairs[3]  # the cached prefix is now partial and must not answer for a negative index
+    assert [pairs[-i] for i in range(1, len(pairs) + 1)] == [expected[-i] for i in range(1, len(expected) + 1)]
+
+
+def test_pair_order_index_past_len_raises():
+    pairs, expected = _tie_heavy_pairs()
+    assert pairs[len(pairs) - 1] == expected[-1]
+    for index in (len(pairs), len(pairs) + 5, -len(pairs) - 1):
+        with pytest.raises(IndexError):
+            pairs[index]
+
+
+def test_pair_order_iterates_the_same_twice():
+    pairs, expected = _tie_heavy_pairs()
+    assert list(pairs) == expected
+    assert list(pairs) == expected
+
+
+def test_pair_order_is_truthy():
+    pairs, _ = _tie_heavy_pairs()
+    assert pairs
+    assert bool(pair_candidates([_cand_key(1)], [_cand_iv(2)]))
+
+
+def test_pair_order_does_not_build_the_product():
+    keys = [_cand_key(i % 250, extract=i % 3, offset=i * 97 % 65_536) for i in range(1000)]
+    ivs = [_cand_iv(i % 250, extract=i % 3, offset=i * 61 % 65_536) for i in range(600)]
+    tracemalloc.start()
+    try:
+        pairs = pair_candidates(keys, ivs)
+        first = pairs[0]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    assert len(pairs) == 600_000
+    _, _, ki, vi = min(
+        (k.extract_id != v.extract_id, abs(k.offset - v.offset), ki, vi)
+        for ki, k in enumerate(keys)
+        for vi, v in enumerate(ivs)
+    )
+    assert first == (keys[ki], ivs[vi])
