@@ -10,7 +10,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
+from itertools import islice, zip_longest
 from typing import Iterable, Iterator, Sequence
 
 from cryptography.exceptions import InvalidTag
@@ -117,25 +117,21 @@ def _first_client_record(capture: SessionCapture) -> EncryptedRecord:
 _Material = tuple[bytes, bytes, int, bool]
 
 
-def _pair_materials(pairs: Sequence[tuple[Candidate, Candidate]], order: Iterable[int]) -> Iterator[_Material]:
-    for pair_index in order:
-        cand_key, cand_iv = pairs[pair_index]
-        yield cand_key.value, cand_iv.value, pair_index, False
-
-
-def _probe_order(count: int, winner: int | None) -> Iterator[int]:
-    """Server-probe pair order: nearest the winning client pair first (lower
-    index on ties), the winner itself last; list order without a winner. The
-    server's key and IV lie about as far apart as the client's, so their pair
-    sorts close to the winner."""
-    if winner is None or not 0 <= winner < count:
-        yield from range(count)
+def _probe_materials(pairs: Iterable[tuple[Candidate, Candidate]], winner: int) -> Iterator[_Material]:
+    """Server-probe materials from one walk over ``pairs``: nearest the winning
+    client pair first (lower index on ties), the winner itself last; walk order
+    if the winner lies past the end. Only the pairs before the winner are held.
+    The server's key and IV lie about as far apart as the client's, so their
+    pair sorts close to the winner."""
+    walk = ((key.value, iv.value, index, False) for index, (key, iv) in enumerate(pairs))
+    before = list(islice(walk, winner))
+    won = next(walk, None)
+    if won is None:
+        yield from before
         return
-    for dist in range(1, max(winner, count - 1 - winner) + 1):
-        for index in (winner - dist, winner + dist):
-            if 0 <= index < count:
-                yield index
-    yield winner
+    for nearer in zip_longest(reversed(before), walk):
+        yield from (material for material in nearer if material is not None)
+    yield won
 
 
 def _first_opening(
@@ -182,16 +178,17 @@ def _trial(capture: SessionCapture, materials: Iterable[_Material], seq_window: 
 
 def trial_decrypt(
     capture: SessionCapture,
-    pairs: Sequence[tuple[Candidate, Candidate]],
+    pairs: Iterable[tuple[Candidate, Candidate]],
     seq_window: int = 2,
 ) -> TrialResult:
     """Try (key, IV) pairs in order against the first client ApplicationData
     record until a tag verifies; raises NoValidDecrypt with the trial count
     when every pair is exhausted. ``pairs`` may be the lazy order from
-    ``pair_candidates``: it is read by index, front to back, so only the
-    prefix up to the winner is generated; ``TrialResult.index`` is a position
-    in that order."""
-    return _trial(capture, _pair_materials(pairs, range(len(pairs))), seq_window)
+    ``pair_candidates``: it is walked once, front to back, so only the pairs
+    up to the winner are generated; ``TrialResult.index`` is the winner's
+    position in that walk."""
+    materials = ((key.value, iv.value, index, False) for index, (key, iv) in enumerate(pairs))
+    return _trial(capture, materials, seq_window)
 
 
 def trial_decrypt_blocks(
@@ -235,18 +232,18 @@ def decrypt_session(
     capture: SessionCapture,
     result: TrialResult,
     blocks: Sequence[CandidateKeyBlock] | None = None,
-    pairs: Sequence[tuple[Candidate, Candidate]] | None = None,
+    pairs: Iterable[tuple[Candidate, Candidate]] | None = None,
     seq_window: int = 2,
 ) -> DecryptedSession:
     """Decrypt every ApplicationData record both ways with confirmed material.
 
     Client material comes from the winning trial. Server material comes from
-    the winning block's opposite slots, or, for pair-based wins, from a second
-    trial over the pairs against the first server record, outward from the
-    winning pair. ``result.index`` points into ``blocks`` when they are given,
-    else into ``pairs``. A lazy pair order is read only as far out from the
-    winner as the probe walks. Records that do not authenticate are marked and
-    flip the partial flag.
+    the winning block's opposite slots when ``blocks`` are given, or else from
+    a second trial over ``pairs`` against the first server record, outward
+    from the winning pair; with neither, no server material is tried.
+    ``result.index`` points into whichever of the two is given. The probe
+    walks the pair order once more and holds only the pairs before the winner.
+    Records that do not authenticate are marked and flip the partial flag.
     """
     first_record = _first_client_record(capture)
     deltas: dict[Direction, int] = {Direction.CLIENT_TO_SERVER: result.seq_used - first_record.seq}
@@ -258,15 +255,15 @@ def decrypt_session(
     server_records = capture.app_data(Direction.SERVER_TO_CLIENT)
     if server_records:
         _, probe_record = server_records[0]
-        opposite = []
+        materials: Iterable[_Material] = ()
         if blocks is not None:
             block = blocks[result.index]
             if result.orientation_swapped:
-                opposite.append((block.client_key, block.client_iv, result.index, False))
+                materials = [(block.client_key, block.client_iv, result.index, False)]
             else:
-                opposite.append((block.server_key, block.server_iv, result.index, True))
-        pairs = pairs or ()
-        materials = chain(opposite, _pair_materials(pairs, _probe_order(len(pairs), result.index)))
+                materials = [(block.server_key, block.server_iv, result.index, True)]
+        elif pairs is not None:
+            materials = _probe_materials(pairs, result.index)
         _, found = _first_opening(probe_record, materials, seq_window)
         if found is not None:
             (key, implicit_iv, _, _), seq, _ = found

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heapify, heappop, heapreplace
-from itertools import islice
 from pathlib import Path
 
 from .capture import SessionCapture
@@ -355,43 +354,31 @@ def _merged_pairs(keys: list[Candidate], ivs: list[Candidate]) -> Iterator[tuple
             heappop(heap)
 
 
-# Pairs merged per prefix extension: amortises the call overhead of sequential reads.
-_PAIR_CHUNK = 256
+class PairOrder:
+    """The key x IV trial order, generated on demand and readable front to back.
 
-
-class PairOrder(Sequence):
-    """The key x IV trial order as a read-only sequence, generated on demand.
-
-    ``len`` is known up front; indexing extends a cached prefix of the merge,
-    so memory grows with the furthest index read, not with the product.
+    ``len`` is K x V without generating anything; each iteration runs a fresh
+    merge, so memory stays O(keys x extracts) however far a reader gets.
     """
 
     def __init__(self, keys: list[Candidate], ivs: list[Candidate]):
-        self._len = len(keys) * len(ivs)
-        self._stream = _merged_pairs(keys, ivs)
-        self._prefix: list[tuple[Candidate, Candidate]] = []
+        self._keys = keys
+        self._ivs = ivs
 
     def __len__(self) -> int:
-        return self._len
+        return len(self._keys) * len(self._ivs)
 
-    def __getitem__(self, index: int) -> tuple[Candidate, Candidate]:
-        if index < 0:
-            index += self._len
-        if not 0 <= index < self._len:
-            raise IndexError("pair index out of range")
-        prefix = self._prefix
-        if index >= len(prefix):
-            prefix.extend(islice(self._stream, max(index + 1 - len(prefix), _PAIR_CHUNK)))
-        return prefix[index]
+    def __iter__(self) -> Iterator[tuple[Candidate, Candidate]]:
+        return _merged_pairs(self._keys, self._ivs)
 
 
 def pair_candidates(keys: list[Candidate], ivs: list[Candidate]) -> PairOrder:
-    """Cross product of candidates as an ordered trial sequence.
+    """Cross product of candidates, in trial order.
 
     Same-extract pairs come first, then closer key/IV offsets; list positions
-    break remaining ties so the ordering is total and reproducible. The order
-    is generated lazily as positions are read, so the product is never built
-    up front; an index means the same pair it would in the fully sorted list.
+    break remaining ties so the ordering is total and reproducible. Each walk
+    over the order generates it afresh, so the product is never built; the
+    n-th pair walked is the n-th pair of the fully sorted list.
     """
     if not keys or not ivs:
         raise NoCandidates("cannot pair an empty candidate list")

@@ -7,6 +7,7 @@ import math
 import re
 import struct
 from collections import Counter
+from collections.abc import Iterator
 
 import pytest
 
@@ -223,6 +224,21 @@ def naive_pair_order(keys, ivs):
     ]
     pairs.sort()
     return [(keys[ki], ivs[vi]) for _, _, ki, vi in pairs]
+
+
+def naive_probe_order(count: int, winner: int | None) -> Iterator[int]:
+    """Server-probe pair order: nearest the winning client pair first (lower
+    index on ties), the winner itself last; list order without a winner. The
+    server's key and IV lie about as far apart as the client's, so their pair
+    sorts close to the winner."""
+    if winner is None or not 0 <= winner < count:
+        yield from range(count)
+        return
+    for dist in range(1, max(winner, count - 1 - winner) + 1):
+        for index in (winner - dist, winner + dist):
+            if 0 <= index < count:
+                yield index
+    yield winner
 
 
 # ---------------------------------------------------------------------------

@@ -407,4 +407,7 @@ def test_benchmark_tracer_sees_every_layer(windows_fixture_16, tmp_path):
     recorded = json.loads(trace.read_text())
     names = {span[0] for span in recorded["spans"]}
     assert {"run_pipeline", "scan_windows", "pair_candidates", "trial_decrypt", "decrypt_session"} <= names
-    assert recorded["counts"]["trials"] == json.loads(out.read_text())["trials"]["attempted"]
+    report = json.loads(out.read_text())
+    assert recorded["counts"]["trials"] == report["trials"]["attempted"]
+    # the tracer reads len() of the pair order, which must stay K x V
+    assert recorded["counts"]["pairs"] == report["candidates"]["keys"] * report["candidates"]["ivs"] > 0

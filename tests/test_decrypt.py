@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -34,6 +36,8 @@ from keysift.memscan import (
     scan_standard,
     scan_windows,
 )
+
+from conftest import naive_probe_order
 
 KEY16 = bytes(range(16))
 KEY32 = bytes(range(32))
@@ -356,6 +360,66 @@ def test_decrypt_session_server_unknown_is_partial(session_capture):
     for entry in session.transcript:
         if entry.direction is Direction.SERVER_TO_CLIENT:
             assert not entry.ok and entry.plaintext is None
+
+
+def test_server_probe_order_matches_outward_walk(session_capture, monkeypatch):
+    # no pair opens the server record, so the probe tries every pair once (at
+    # seq_window=0) and the keys it tries show its whole order
+    capture, truth = session_capture
+    client_opens = len(capture.app_data(Direction.CLIENT_TO_SERVER))
+    tried = []
+    real_aesgcm = decrypt_module.AESGCM
+
+    class RecordingAESGCM:
+        def __init__(self, key):
+            self._key, self._aead = key, real_aesgcm(key)
+
+        def decrypt(self, nonce, data, aad):
+            tried.append(self._key)
+            return self._aead.decrypt(nonce, data, aad)
+
+    monkeypatch.setattr(decrypt_module, "AESGCM", RecordingAESGCM)
+    for count in (1, 2, 3, 4, 7):
+        for winner in range(count):
+            pairs = [_cand(bytes([i + 1]) * 32, bytes([i, i, i, i])) for i in range(count)]
+            pairs[winner] = _cand(truth.client_key, truth.client_iv)
+            result = trial_decrypt(capture, pairs, seq_window=0)
+            assert result.index == winner
+            tried.clear()
+            session = decrypt_session(capture, result, pairs=pairs, seq_window=0)
+            assert session.server_key is None
+            expected = [pairs[index][0].value for index in naive_probe_order(count, winner)]
+            assert tried == expected + [truth.client_key] * client_opens, (count, winner)
+
+
+def test_decrypt_session_without_pairs_or_blocks_is_partial(session_capture):
+    capture, truth = session_capture
+    pairs = [_cand(bytes(32), bytes(4)), _cand(truth.client_key, truth.client_iv)]
+    result = trial_decrypt(capture, pairs)
+    session = decrypt_session(capture, result)
+    assert session.partial
+    assert session.client_key == truth.client_key and session.server_key is None
+    assert [e.ok for e in session.transcript] == [
+        e.direction is Direction.CLIENT_TO_SERVER for e in session.transcript
+    ]
+
+
+def test_exhausting_pair_walk_does_not_keep_the_pairs(session_capture):
+    # an exhausting walk must not end up holding all K x V pair tuples
+    # (about 64 bytes each with the list slot)
+    capture, _ = session_capture
+    keys = [Candidate(bytes([i]) * 32, i % 3, i * 97 % 65_536, 4.0) for i in range(200)]
+    ivs = [Candidate(bytes([i]) * 4, i % 3, i * 61 % 65_536, 2.0) for i in range(150)]
+    pairs = pair_candidates(keys, ivs)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NoValidDecrypt) as info:
+            trial_decrypt(capture, pairs, seq_window=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert info.value.trials == len(pairs) == 30_000
+    assert peak < len(pairs) * 64 // 4
 
 
 def test_decrypt_session_truncated_capture_not_partial(tmp_path):
