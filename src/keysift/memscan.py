@@ -14,7 +14,7 @@ after another in a fixed order, so repeat runs are byte-for-byte identical.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
@@ -304,7 +304,21 @@ def scan_standard(
     return merged
 
 
-def _merged_pairs(keys: list[Candidate], ivs: list[Candidate]) -> Iterator[tuple[Candidate, Candidate]]:
+def _iv_lanes(ivs: list[Candidate]) -> list[tuple[int, list[int], list[int]]]:
+    """The IVs of each extract as (extract id, IV indices, their offsets),
+    sorted by (offset, index)."""
+    lanes: dict[int, list[int]] = {}
+    for vi, iv in enumerate(ivs):
+        lanes.setdefault(iv.extract_id, []).append(vi)
+    sorted_lanes = []
+    for extract_id, members in lanes.items():
+        members.sort(key=lambda vi: ivs[vi].offset)  # stable: equal offsets keep index order
+        sorted_lanes.append((extract_id, members, [ivs[vi].offset for vi in members]))
+    return sorted_lanes
+
+
+def _merged_pairs(keys: list[Candidate], ivs: list[Candidate],
+                  lanes: list[tuple[int, list[int], list[int]]]) -> Iterator[tuple[Candidate, Candidate]]:
     """Every (key, IV) pair ordered by (other extract, |offset delta|, key
     index, IV index), merged lazily from two frontiers per key and IV extract.
 
@@ -317,18 +331,10 @@ def _merged_pairs(keys: list[Candidate], ivs: list[Candidate]) -> Iterator[tuple
     distance at ``pos`` (left offsets are stored negated), and (ki, vi) is
     unique, so comparisons never reach the walk state.
     """
-    lanes: dict[int, list[int]] = {}
-    for vi, iv in enumerate(ivs):
-        lanes.setdefault(iv.extract_id, []).append(vi)
     walks = []
-    for extract_id, members in lanes.items():
-        right = sorted(members, key=lambda vi: (ivs[vi].offset, vi))
-        left = sorted(members, key=lambda vi: (-ivs[vi].offset, vi))
-        walks.append((
-            extract_id,
-            right, [ivs[vi].offset for vi in right],
-            left, [-ivs[vi].offset for vi in left],
-        ))
+    for extract_id, right, right_offs in lanes:
+        left = sorted(right, key=lambda vi: (-ivs[vi].offset, vi))
+        walks.append((extract_id, right, right_offs, left, [-ivs[vi].offset for vi in left]))
 
     heap = []
     for ki, key in enumerate(keys):
@@ -359,17 +365,49 @@ class PairOrder:
 
     ``len`` is K x V without generating anything; each iteration runs a fresh
     merge, so memory stays O(keys x extracts) however far a reader gets.
+    ``rank`` gives one pair's position without walking the order, so a reader
+    that finds its pair by other means (the trial screen in ``decrypt``) never
+    iterates at all.
     """
 
     def __init__(self, keys: list[Candidate], ivs: list[Candidate]):
-        self._keys = keys
-        self._ivs = ivs
+        self.keys = keys
+        self.ivs = ivs
+        self._lanes = _iv_lanes(ivs)
 
     def __len__(self) -> int:
-        return len(self._keys) * len(self._ivs)
+        return len(self.keys) * len(self.ivs)
 
     def __iter__(self) -> Iterator[tuple[Candidate, Candidate]]:
-        return _merged_pairs(self._keys, self._ivs)
+        return _merged_pairs(self.keys, self.ivs, self._lanes)
+
+    def rank(self, ki: int, vi: int) -> int:
+        """Position of the pair (keys[ki], ivs[vi]) in the order, by counting.
+
+        For each key and IV extract, bisecting the extract's sorted IV offsets
+        counts the pairs that sort before this one: all of a lower flag, none
+        of a higher one, and within the same flag those strictly closer, plus
+        the ties at the same distance by key index, then IV index.
+        O(K x E x log V) for E extracts holding IVs.
+        """
+        target = self.keys[ki]
+        flag = self.ivs[vi].extract_id != target.extract_id
+        dist = abs(self.ivs[vi].offset - target.offset)
+        before = 0
+        for kj, key in enumerate(self.keys):
+            o = key.offset
+            for extract_id, members, offs in self._lanes:
+                other = extract_id != key.extract_id
+                if other != flag:
+                    before += len(offs) if other < flag else 0
+                elif kj < ki:  # every IV up to and at the distance
+                    before += bisect_right(offs, o + dist) - bisect_left(offs, o - dist)
+                elif kj > ki:  # only IVs strictly closer; none at distance 0
+                    before += max(0, bisect_left(offs, o + dist) - bisect_right(offs, o - dist))
+                else:
+                    lo, hi = bisect_left(offs, o - dist), bisect_right(offs, o + dist)
+                    before += sum((abs(offs[p] - o), members[p]) < (dist, vi) for p in range(lo, hi))
+        return before
 
 
 def pair_candidates(keys: list[Candidate], ivs: list[Candidate]) -> PairOrder:

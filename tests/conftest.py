@@ -7,10 +7,11 @@ import math
 import re
 import struct
 from collections import Counter
-from collections.abc import Iterator
 
 import pytest
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
+from keysift.decrypt import _cipher_for, _open_record, _seq_candidates
 from keysift.fixtures import FixtureSpec, generate_fixture
 from keysift.memscan import IV_MARKER, KEY_MARKER, IV_LEN
 
@@ -226,19 +227,24 @@ def naive_pair_order(keys, ivs):
     return [(keys[ki], ivs[vi]) for _, _, ki, vi in pairs]
 
 
-def naive_probe_order(count: int, winner: int | None) -> Iterator[int]:
-    """Server-probe pair order: nearest the winning client pair first (lower
-    index on ties), the winner itself last; list order without a winner. The
-    server's key and IV lie about as far apart as the client's, so their pair
-    sorts close to the winner."""
-    if winner is None or not 0 <= winner < count:
-        yield from range(count)
-        return
-    for dist in range(1, max(winner, count - 1 - winner) + 1):
-        for index in (winner - dist, winner + dist):
-            if 0 <= index < count:
-                yield index
-    yield winner
+def naive_first_opening(record, materials, seq_window):
+    """The per-pair trial loop: try each (key, iv, index, swapped) material
+    against ``record`` at every sequence number of the window, nearest first,
+    with one ``AESGCM.decrypt`` per trial. Returns the trial count and the
+    first (material, seq, plaintext) whose tag verifies, or None."""
+    seqs = _seq_candidates(record.seq, seq_window)
+    ciphers: dict[bytes, AESGCM] = {}
+    trials = 0
+    for material in materials:
+        aead = ciphers.get(material[0])
+        if aead is None:
+            aead = ciphers[material[0]] = _cipher_for(material[0])
+        for seq in seqs:
+            trials += 1
+            plaintext = _open_record(aead, record, material[1], seq)
+            if plaintext is not None:
+                return trials, (material, seq, plaintext)
+    return trials, None
 
 
 # ---------------------------------------------------------------------------

@@ -411,3 +411,7 @@ def test_benchmark_tracer_sees_every_layer(windows_fixture_16, tmp_path):
     assert recorded["counts"]["trials"] == report["trials"]["attempted"]
     # the tracer reads len() of the pair order, which must stay K x V
     assert recorded["counts"]["pairs"] == report["candidates"]["keys"] * report["candidates"]["ivs"] > 0
+    # the tracer's AESGCM proxy has only decrypt: the screen must seal through
+    # another binding, and open only its confirmations (client and server)
+    # besides the transcript
+    assert recorded["counts"]["aead_opens"] <= len(report["session"]["records"]) + 2

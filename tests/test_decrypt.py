@@ -1,6 +1,8 @@
 import tracemalloc
+from dataclasses import replace
 
 import pytest
+from cryptography.exceptions import InvalidTag
 from hypothesis import given, settings, strategies as st
 
 import keysift.decrypt as decrypt_module
@@ -9,6 +11,7 @@ from keysift.capture import (
     NonceStyle,
     parse_capture,
 )
+from keysift.cli import run_pipeline
 from keysift.decrypt import (
     Validation,
     _seq_candidates,
@@ -37,7 +40,7 @@ from keysift.memscan import (
     scan_windows,
 )
 
-from conftest import naive_probe_order
+from conftest import naive_first_opening
 
 KEY16 = bytes(range(16))
 KEY32 = bytes(range(32))
@@ -187,22 +190,69 @@ def test_trial_decrypt_correct_pair_last(session_capture):
     assert result.trials == 50 * 5 + 1
 
 
-def test_trial_decrypt_builds_one_cipher_per_key(session_capture, monkeypatch):
+def _count_opens(monkeypatch):
+    """Route decrypt's AESGCM through a proxy that records every open's key."""
+    opened = []
+    real_aesgcm = decrypt_module.AESGCM
+
+    class CountingAESGCM:
+        def __init__(self, key):
+            self._key, self._aead = key, real_aesgcm(key)
+
+        def decrypt(self, nonce, data, aad):
+            opened.append(self._key)
+            return self._aead.decrypt(nonce, data, aad)
+
+    monkeypatch.setattr(decrypt_module, "AESGCM", CountingAESGCM)
+    return opened
+
+
+def test_trial_decrypt_screens_each_key_once(session_capture, monkeypatch):
+    # one block cipher per distinct key, and one real open: the confirmation
     capture, truth = session_capture
     pairs = [_cand(bytes([k]) * 32, bytes([v, v, v, v])) for k in range(10) for v in range(6)]
     pairs.append(_cand(truth.client_key, truth.client_iv))
     built = []
-    real_aesgcm = decrypt_module.AESGCM
+    real_cipher = decrypt_module.Cipher
 
-    def counting_aesgcm(key):
-        built.append(key)
-        return real_aesgcm(key)
+    def counting_cipher(algorithm, mode):
+        built.append(algorithm.key)
+        return real_cipher(algorithm, mode)
 
-    monkeypatch.setattr(decrypt_module, "AESGCM", counting_aesgcm)
+    monkeypatch.setattr(decrypt_module, "Cipher", counting_cipher)
+    opened = _count_opens(monkeypatch)
     result = trial_decrypt(capture, pairs)
     assert result.index == 60
     assert result.trials == 60 * 5 + 1
     assert len(built) == len(set(built)) == 11
+    assert opened == [truth.client_key]
+
+
+def test_reported_decrypt_needs_a_verified_open(session_capture, monkeypatch):
+    # the screen matches the true pair, but only a real open may report it
+    capture, truth = session_capture
+
+    class RefusingAESGCM:
+        def __init__(self, key):
+            pass
+
+        def decrypt(self, nonce, data, aad):
+            raise InvalidTag()
+
+    monkeypatch.setattr(decrypt_module, "AESGCM", RefusingAESGCM)
+    pairs = [_cand(bytes(32), bytes(4)), _cand(truth.client_key, truth.client_iv)]
+    with pytest.raises(NoValidDecrypt) as info:
+        trial_decrypt(capture, pairs)
+    assert info.value.trials == 2 * 5
+    with pytest.raises(NoValidDecrypt):
+        trial_decrypt_blocks(capture, [_block_for(truth)])
+
+
+def test_trial_decrypt_rejects_iv_not_4_bytes(session_capture):
+    # J0 blocks are laid end to end, so one short IV would shift every IV after it
+    capture, truth = session_capture
+    with pytest.raises(ValueError):
+        trial_decrypt(capture, [_cand(bytes(32), b"\x01\x02\x03"), _cand(truth.client_key, truth.client_iv)])
 
 
 def test_trial_decrypt_deterministic(session_capture):
@@ -322,32 +372,25 @@ def test_decrypt_session_pairs_recover_server_direction(session_capture):
     assert session.server_key == truth.server_key
 
 
-def test_server_probe_starts_next_to_the_winning_pair(session_capture, monkeypatch):
-    # the server pair sorts right before the client pair; the probe must not
-    # first retry the 50 junk pairs in front of them
+def test_server_probe_finds_the_server_pair_anywhere(session_capture, monkeypatch):
+    # before, after, next to or far from the winner: one screen finds the
+    # server pair, and its confirmation is the probe's only open
     capture, truth = session_capture
-    pairs = [_cand(bytes([i]) * 32, bytes([i, i + 1, i + 2, i + 3])) for i in range(50)]
-    pairs += [_cand(truth.server_key, truth.server_iv), _cand(truth.client_key, truth.client_iv)]
+    junk = [_cand(bytes([i + 1]) * 32, bytes([i, i + 1, i + 2, i + 3])) for i in range(20)]
+    client, server = _cand(truth.client_key, truth.client_iv), _cand(truth.server_key, truth.server_iv)
     window = 2
-    result = trial_decrypt(capture, pairs, seq_window=window)
-    assert result.index == 51
-
-    opens = []
-    real_aesgcm = decrypt_module.AESGCM
-
-    class CountingAESGCM:
-        def __init__(self, key):
-            self._aead = real_aesgcm(key)
-
-        def decrypt(self, nonce, data, aad):
-            opens.append(nonce)
-            return self._aead.decrypt(nonce, data, aad)
-
-    monkeypatch.setattr(decrypt_module, "AESGCM", CountingAESGCM)
-    session = decrypt_session(capture, result, pairs=pairs, seq_window=window)
-    assert session.server_key == truth.server_key and not session.partial
-    probe_opens = len(opens) - len(session.transcript)  # one open per transcript record
-    assert probe_opens <= 2 * window + 1
+    for winner in (0, 1, 10, 20):
+        for where in range(22):
+            pairs = list(junk)
+            pairs.insert(winner, client)
+            pairs.insert(where, server)
+            result = trial_decrypt(capture, pairs, seq_window=window)
+            assert result.index == pairs.index(client)
+            opened = _count_opens(monkeypatch)
+            session = decrypt_session(capture, result, pairs=pairs, seq_window=window)
+            monkeypatch.undo()
+            assert session.server_key == truth.server_key and not session.partial, (winner, where)
+            assert len(opened) - len(session.transcript) == 1  # one open per transcript record
 
 
 def test_decrypt_session_server_unknown_is_partial(session_capture):
@@ -362,34 +405,22 @@ def test_decrypt_session_server_unknown_is_partial(session_capture):
             assert not entry.ok and entry.plaintext is None
 
 
-def test_server_probe_order_matches_outward_walk(session_capture, monkeypatch):
-    # no pair opens the server record, so the probe tries every pair once (at
-    # seq_window=0) and the keys it tries show its whole order
+def test_server_probe_without_a_server_pair_makes_no_opens(session_capture, monkeypatch):
+    # no pair opens the server record, so the screen finds nothing to confirm
+    # and the only opens are the client transcript's
     capture, truth = session_capture
     client_opens = len(capture.app_data(Direction.CLIENT_TO_SERVER))
-    tried = []
-    real_aesgcm = decrypt_module.AESGCM
-
-    class RecordingAESGCM:
-        def __init__(self, key):
-            self._key, self._aead = key, real_aesgcm(key)
-
-        def decrypt(self, nonce, data, aad):
-            tried.append(self._key)
-            return self._aead.decrypt(nonce, data, aad)
-
-    monkeypatch.setattr(decrypt_module, "AESGCM", RecordingAESGCM)
-    for count in (1, 2, 3, 4, 7):
+    for count in (1, 2, 7):
         for winner in range(count):
             pairs = [_cand(bytes([i + 1]) * 32, bytes([i, i, i, i])) for i in range(count)]
             pairs[winner] = _cand(truth.client_key, truth.client_iv)
             result = trial_decrypt(capture, pairs, seq_window=0)
             assert result.index == winner
-            tried.clear()
+            opened = _count_opens(monkeypatch)
             session = decrypt_session(capture, result, pairs=pairs, seq_window=0)
-            assert session.server_key is None
-            expected = [pairs[index][0].value for index in naive_probe_order(count, winner)]
-            assert tried == expected + [truth.client_key] * client_opens, (count, winner)
+            monkeypatch.undo()
+            assert session.server_key is None and session.partial
+            assert opened == [truth.client_key] * client_opens, (count, winner)
 
 
 def test_decrypt_session_without_pairs_or_blocks_is_partial(session_capture):
@@ -402,6 +433,125 @@ def test_decrypt_session_without_pairs_or_blocks_is_partial(session_capture):
     assert [e.ok for e in session.transcript] == [
         e.direction is Direction.CLIENT_TO_SERVER for e in session.transcript
     ]
+
+
+# ---------------------------------------------------------------------------
+# the screen against the per-pair loop
+
+
+@pytest.fixture(scope="module")
+def captures(session_capture, tmp_path_factory):
+    """Sessions under 32- and 16-byte keys, and one whose records all claim a
+    seq two past the one they were sealed under, so its winner sits at the
+    fourth seq of a window of 2."""
+    capture, truth = session_capture
+    spec = FixtureSpec(rng_seed=78, key_len_bytes=16, extract_sizes=(2 * (1 << 20),))
+    paths, truth16 = generate_fixture(spec, tmp_path_factory.mktemp("trialfix16"))
+    shifted = replace(capture, records=tuple(replace(r, seq=r.seq + 2) for r in capture.records))
+    return [(capture, truth), (parse_capture(paths.root), truth16), (shifted, truth)]
+
+
+def _first_record(capture, direction):
+    return capture.app_data(direction)[0][1]
+
+
+def _agrees_with_loop(capture, trial, materials, probe_materials, seq_window, **session_args):
+    """``trial()`` and ``decrypt_session`` must report what the per-pair loop
+    finds: the same winner, seq, trial count, plaintext and server material."""
+    trials, won = naive_first_opening(_first_record(capture, Direction.CLIENT_TO_SERVER), materials, seq_window)
+    if won is None:
+        with pytest.raises(NoValidDecrypt) as info:
+            trial()
+        assert info.value.trials == trials
+        return None
+    (_, _, index, swapped), seq, plaintext = won
+    result = trial()
+    assert (result.index, result.orientation_swapped, result.seq_used, result.trials, result.plaintext) == (
+        index, swapped, seq, trials, plaintext)
+    _, server = naive_first_opening(
+        _first_record(capture, Direction.SERVER_TO_CLIENT), probe_materials(index, swapped), seq_window)
+    session = decrypt_session(capture, result, seq_window=seq_window, **session_args)
+    assert (session.server_key, session.server_iv) == (server[0][:2] if server else (None, None))
+    return result
+
+
+def _check_pairs(capture, pairs, seq_window):
+    materials = [(key.value, iv.value, index, False) for index, (key, iv) in enumerate(pairs)]
+
+    def outward(winner, _):
+        return sorted(materials, key=lambda m: (m[2] == winner, abs(m[2] - winner), m[2]))
+
+    return _agrees_with_loop(capture, lambda: trial_decrypt(capture, pairs, seq_window=seq_window),
+                             materials, outward, seq_window, pairs=pairs)
+
+
+def _check_blocks(capture, blocks, seq_window):
+    materials = [
+        material
+        for index, b in enumerate(blocks)
+        for material in ((b.client_key, b.client_iv, index, False), (b.server_key, b.server_iv, index, True))
+    ]
+
+    def opposite(winner, swapped):
+        return [materials[2 * winner + (not swapped)]]
+
+    return _agrees_with_loop(capture, lambda: trial_decrypt_blocks(capture, blocks, seq_window=seq_window),
+                             materials, opposite, seq_window, blocks=blocks)
+
+
+def _junk_block(i, key_len):
+    return CandidateKeyBlock(
+        client_key=bytes([i]) * key_len, server_key=bytes([i + 1]) * key_len,
+        client_iv=bytes([i, 1, 2, 3]), server_iv=bytes([i, 4, 5, 6]),
+        extract_id=0, offset=0, hypothesis=BlockHypothesis.IV_WAS_CLIENT, iv_hit_offset=0,
+    )
+
+
+@pytest.mark.parametrize("seq_window", [0, 2])
+def test_screen_agrees_with_per_pair_loop_on_lists(captures, seq_window):
+    wins = 0
+    for capture, truth in captures:
+        n = len(truth.client_key)
+        junk = [_cand(bytes([i + 1]) * n, bytes([i, 9, i, 9])) for i in range(12)]
+        client, server = _cand(truth.client_key, truth.client_iv), _cand(truth.server_key, truth.server_iv)
+        wrong_iv = _cand(truth.client_key, truth.server_iv)
+        pair_lists = [
+            junk[:5] + [wrong_iv, client] + junk[5:9] + [server] + junk[9:],
+            junk[:3] + [server, junk[0], wrong_iv] + junk[3:] + [client, junk[1], client, server],  # duplicates
+            [client, server],
+            junk + [wrong_iv, server, junk[2]],  # exhausting
+        ]
+        for pairs in pair_lists:
+            wins += _check_pairs(capture, pairs, seq_window) is not None
+        blocks = [_junk_block(i, n) for i in range(6)]
+        block_lists = [
+            blocks[:3] + [_block_for(truth, swapped=True)] + blocks[3:],
+            [_block_for(truth)] + blocks + [_block_for(truth, swapped=True)],
+            blocks + blocks[:2],  # exhausting
+        ]
+        for block_list in block_lists:
+            wins += _check_blocks(capture, block_list, seq_window) is not None
+    assert wins == (15 if seq_window else 10)  # the shifted capture needs the window
+
+
+@pytest.mark.parametrize("fixture_name", ["windows_fixture_16", "windows_fixture_32"])
+def test_screen_agrees_with_per_pair_loop_on_pair_orders(fixture_name, request):
+    _, paths, truth = request.getfixturevalue(fixture_name)
+    capture = parse_capture(paths.root)
+    keys, ivs = scan_windows(load_extracts(paths.extract_dir), ScanConfig(key_len_bytes=len(truth.client_key)))
+    pairs = pair_candidates(keys, ivs)
+    result = _check_pairs(capture, pairs, 2)
+    assert result is not None and result.key == truth.client_key
+    # with the true key dropped, every pair of the order is tried and fails
+    _check_pairs(capture, pair_candidates([k for k in keys if k.value != truth.client_key], ivs), 2)
+
+
+def test_screen_agrees_with_per_pair_loop_at_seq_other_than_the_records(captures):
+    capture, truth = captures[2]
+    result = _check_pairs(capture, [_cand(bytes(32), bytes(4)), _cand(truth.client_key, truth.client_iv)], 2)
+    record = _first_record(capture, Direction.CLIENT_TO_SERVER)
+    assert result.seq_used == record.seq - 2
+    assert result.trials == 5 + _seq_candidates(record.seq, 2).index(result.seq_used) + 1
 
 
 def test_exhausting_pair_walk_does_not_keep_the_pairs(session_capture):
@@ -491,3 +641,23 @@ def test_standard_scan_feeds_trial(tmp_path):
     assert result.key == truth.client_key
     assert not session.partial
     assert session.server_key == truth.server_key
+
+
+def test_probe_miss_reports_partial_without_probe_opens(tmp_path, monkeypatch):
+    # the server key is overwritten in the dump, so no candidate pair opens
+    # the server record: the probe is one screen that confirms nothing
+    spec = FixtureSpec(rng_seed=41, key_len_bytes=32, filler=Filler.RANDOM, decoy_markers=3,
+                       extract_sizes=(2 * (1 << 20),))
+    paths, truth = generate_fixture(spec, tmp_path)
+    planted = truth.find("server_key")
+    dump = paths.extract_dir / planted.extract_name
+    data = bytearray(dump.read_bytes())
+    data[planted.offset : planted.offset + len(planted.value)] = bytes(len(planted.value))
+    dump.write_bytes(bytes(data))
+    opened = _count_opens(monkeypatch)
+    report = run_pipeline(paths.extract_dir, paths.root, mode="windows")
+    assert report.outcome == "decrypted_partial"
+    records = report.session["records"]
+    assert [r["ok"] for r in records] == [r["direction"] == "client_to_server" for r in records]
+    client_records = sum(r["direction"] == "client_to_server" for r in records)
+    assert opened == [truth.client_key] * (1 + client_records)  # the confirmation, then the transcript

@@ -463,6 +463,18 @@ def test_pair_order_matches_naive_sort(key_places, iv_places):
     assert list(pair_candidates(keys, ivs)) == naive_pair_order(keys, ivs)
 
 
+@given(st.lists(_placed, min_size=1, max_size=12), st.lists(_placed, min_size=1, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_pair_order_rank_matches_naive_position(key_places, iv_places):
+    keys = [_cand_key(i, extract=e, offset=o) for i, (e, o) in enumerate(key_places)]
+    ivs = [_cand_iv(100 + i, extract=e, offset=o) for i, (e, o) in enumerate(iv_places)]
+    position = {pair: n for n, pair in enumerate(naive_pair_order(keys, ivs))}
+    pairs = pair_candidates(keys, ivs)
+    for ki, key in enumerate(keys):
+        for vi, iv in enumerate(ivs):
+            assert pairs.rank(ki, vi) == position[key, iv]
+
+
 def _tie_heavy_pairs():
     # enough pairs and ties that a second walk has real work to repeat
     keys = [_cand_key(i, extract=i % 2, offset=(i * 7) % 30) for i in range(25)]
