@@ -218,6 +218,13 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive: {value}")
+    return value
+
+
 def _parse_filter(text: str) -> tuple:
     try:
         left, right = text.split(",")
@@ -378,9 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     ep = sub.add_parser("entropy-profile", help="per-region high-entropy window counts as CSV")
     ep.add_argument("--extracts", required=True)
-    ep.add_argument("--window", type=int, default=32)
+    ep.add_argument("--window", type=_positive_int, default=32)
     ep.add_argument("--threshold", type=float, default=4.5)
-    ep.add_argument("--region-windows", type=int, default=256,
+    ep.add_argument("--region-windows", type=_positive_int, default=256,
                     help="windows aggregated per CSV row (default 256)")
     ep.add_argument("--output", default=None)
     ep.set_defaults(func=_cmd_entropy_profile)

@@ -8,7 +8,8 @@ Candidate (key, IV, seq) trials are not opened one by one. A tag screen
 derived from GCM's structure tests every IV under a key with one AES-ECB call,
 and only its hits are opened with ``AESGCM``, earliest trial first, so a
 reported decrypt always means a tag verified and the trial count is still the
-one a per-trial loop would have reached.
+one a per-trial loop would have reached. The server-direction probe takes its
+hits in the same trial order.
 """
 
 from __future__ import annotations
@@ -202,9 +203,9 @@ def _list_groups(materials: Iterable[tuple[bytes, bytes]]) -> tuple[int, list[_G
     return count, [(key, list(ivs), list(ivs.values()).__getitem__) for key, ivs in by_key.items()]
 
 
-def _pair_groups(pairs: Iterable[tuple[Candidate, Candidate]]) -> tuple[int, list[_Group]]:
-    """Screen groups of a pair order or of any iterable of pairs. A ``PairOrder``
-    is never walked: every key is paired with every IV and positions come from
+def _pair_groups(pairs: PairOrder | Iterable[tuple[Candidate, Candidate]]) -> tuple[int, list[_Group]]:
+    """Screen groups of a pair order or of any iterable of pairs. For a
+    ``PairOrder`` every key is paired with every IV and positions come from
     ``PairOrder.rank``."""
     if not isinstance(pairs, PairOrder):
         return _list_groups((key.value, iv.value) for key, iv in pairs)
@@ -219,13 +220,12 @@ def _pair_groups(pairs: Iterable[tuple[Candidate, Candidate]]) -> tuple[int, lis
 
 
 def _first_verified(
-    record: EncryptedRecord, groups: Iterable[_Group], seq_window: int, near: int | None = None
+    record: EncryptedRecord, groups: Iterable[_Group], seq_window: int
 ) -> tuple[int, int, int, bytes, bytes, bytes] | None:
     """Screen every group against ``record`` and return the first screen hit
     whose tag really verifies, as (position, seq index, seq, key, IV,
-    plaintext), or None. Hits are taken in trial order (position, then seq
-    nearest the record's) or, given ``near``, nearest that position first, the
-    lower on a tie and ``near`` itself last."""
+    plaintext), or None. Hits are taken in trial order: position, then seq
+    nearest the record's."""
     screen = _TagScreen(record, seq_window)
     hits = []
     built_for, blocks = None, b""
@@ -233,10 +233,7 @@ def _first_verified(
         if ivs is not built_for:  # a pair order shares one IV list across keys
             built_for, blocks = ivs, screen.blocks(ivs)
         hits += [(position(vi), seq_index, key, ivs[vi]) for vi, seq_index in screen.hits(key, blocks)]
-    if near is None:
-        hits.sort(key=lambda hit: hit[:2])
-    else:
-        hits.sort(key=lambda hit: (hit[0] == near, abs(hit[0] - near), hit[0], hit[1]))
+    hits.sort(key=lambda hit: hit[:2])
     for position, seq_index, key, iv in hits:
         seq = screen.seqs[seq_index]
         plaintext = _open_record(_cipher_for(key), record, iv, seq)
@@ -269,7 +266,7 @@ def _trial(capture: SessionCapture, count: int, groups: Iterable[_Group], seq_wi
 
 def trial_decrypt(
     capture: SessionCapture,
-    pairs: Iterable[tuple[Candidate, Candidate]],
+    pairs: PairOrder | Iterable[tuple[Candidate, Candidate]],
     seq_window: int = 2,
 ) -> TrialResult:
     """The first (key, IV) pair, in order, whose tag verifies on the first
@@ -278,9 +275,9 @@ def trial_decrypt(
     Every pair is screened at once (one AES-ECB call per distinct key) and only
     screen hits are opened, the earliest first; a reported decrypt always
     passed a real ``AESGCM`` open. ``TrialResult.index`` is the winner's
-    position in ``pairs``, counted by ``PairOrder.rank`` for the lazy order
-    from ``pair_candidates``, which is never walked. ``trials`` counts the
-    trials a loop over the pairs would have made up to the winner; when no pair
+    position in ``pairs``, counted by ``PairOrder.rank`` for the order from
+    ``pair_candidates``, which is never generated. ``trials`` counts the trials
+    a loop over the pairs would have made up to the winner; when no pair
     verifies, NoValidDecrypt carries pairs x (2 * seq_window + 1)."""
     count, groups = _pair_groups(pairs)
     return _trial(capture, count, groups, seq_window)
@@ -326,19 +323,20 @@ def decrypt_session(
     capture: SessionCapture,
     result: TrialResult,
     blocks: Sequence[CandidateKeyBlock] | None = None,
-    pairs: Iterable[tuple[Candidate, Candidate]] | None = None,
+    pairs: PairOrder | Iterable[tuple[Candidate, Candidate]] | None = None,
     seq_window: int = 2,
 ) -> DecryptedSession:
     """Decrypt every ApplicationData record both ways with confirmed material.
 
     Client material comes from the winning trial. Server material comes from
     one screen of the first server record: over the winning block's opposite
-    slots when ``blocks`` are given, or else over every pair of ``pairs``,
-    taking the verified hit nearest the winning pair (the lower position on a
-    tie, the winner itself last); with neither, no server material is tried.
-    ``result.index`` points into whichever of the two is given. A probe that
-    finds nothing costs that one screen and no opens. Records that do not
-    authenticate are marked and flip the partial flag.
+    slots when ``blocks`` are given (``result.index`` names the block), or else
+    over every pair of ``pairs``, taking the first verified hit in trial order;
+    with neither, no server material is tried. Keys and IVs are distinct values
+    and the additional data binds seq, so every hit that verifies carries the
+    same (key, IV, seq) and the order only decides how many hits are opened. A
+    probe that finds nothing costs that one screen and no opens. Records that
+    do not authenticate are marked and flip the partial flag.
     """
     first_record = _first_client_record(capture)
     deltas: dict[Direction, int] = {Direction.CLIENT_TO_SERVER: result.seq_used - first_record.seq}
@@ -354,9 +352,10 @@ def decrypt_session(
             block = blocks[result.index]
             opposite = (block.client_key, block.client_iv) if result.orientation_swapped else (
                 block.server_key, block.server_iv)
-            found = _first_verified(probe_record, _list_groups([opposite])[1], seq_window)
+            groups = _list_groups([opposite])[1]
         else:
-            found = _first_verified(probe_record, _pair_groups(pairs)[1], seq_window, near=result.index)
+            groups = _pair_groups(pairs)[1]
+        found = _first_verified(probe_record, groups, seq_window)
         if found is not None:
             _, _, seq, key, implicit_iv, _ = found
             material[Direction.SERVER_TO_CLIENT] = (key, implicit_iv)

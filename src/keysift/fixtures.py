@@ -510,7 +510,12 @@ def spec_from_json(path_or_dict) -> FixtureSpec:
     if isinstance(path_or_dict, dict):
         raw = dict(path_or_dict)
     else:
-        raw = json.loads(Path(path_or_dict).read_text())
+        try:
+            raw = json.loads(Path(path_or_dict).read_text())
+        except json.JSONDecodeError as exc:
+            raise SpecInvalid(f"fixture spec is not valid JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise SpecInvalid(f"fixture spec must be a JSON object, got {type(raw).__name__}")
     known = set(FixtureSpec.__dataclass_fields__)
     unknown = set(raw) - known
     if unknown:
@@ -531,7 +536,10 @@ def spec_from_json(path_or_dict) -> FixtureSpec:
         if key in raw and isinstance(raw[key], str):
             raw[key] = raw[key].encode()
     if "extract_sizes" in raw:
-        raw["extract_sizes"] = tuple(int(s) for s in raw["extract_sizes"])
+        sizes = raw["extract_sizes"]
+        if not isinstance(sizes, (list, tuple)) or not all(type(size) is int for size in sizes):
+            raise SpecInvalid(f"extract_sizes must be a list of integers, got {sizes!r}")
+        raw["extract_sizes"] = tuple(sizes)
     try:
         return FixtureSpec(**raw)
     except TypeError as exc:

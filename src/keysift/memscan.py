@@ -15,10 +15,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
-from heapq import heapify, heappop, heapreplace
 from pathlib import Path
 
 from .capture import SessionCapture
@@ -304,82 +302,29 @@ def scan_standard(
     return merged
 
 
-def _iv_lanes(ivs: list[Candidate]) -> list[tuple[int, list[int], list[int]]]:
-    """The IVs of each extract as (extract id, IV indices, their offsets),
-    sorted by (offset, index)."""
-    lanes: dict[int, list[int]] = {}
-    for vi, iv in enumerate(ivs):
-        lanes.setdefault(iv.extract_id, []).append(vi)
-    sorted_lanes = []
-    for extract_id, members in lanes.items():
-        members.sort(key=lambda vi: ivs[vi].offset)  # stable: equal offsets keep index order
-        sorted_lanes.append((extract_id, members, [ivs[vi].offset for vi in members]))
-    return sorted_lanes
-
-
-def _merged_pairs(keys: list[Candidate], ivs: list[Candidate],
-                  lanes: list[tuple[int, list[int], list[int]]]) -> Iterator[tuple[Candidate, Candidate]]:
-    """Every (key, IV) pair ordered by (other extract, |offset delta|, key
-    index, IV index), merged lazily from two frontiers per key and IV extract.
-
-    The right frontier walks the extract's IVs at or past the key's offset by
-    ascending (offset, index); the left one walks the rest by descending offset,
-    then ascending index. Along either, the sort key never decreases, so a heap
-    over the frontier heads yields the total order while holding O(keys x
-    extracts) entries. A head is (flag, dist, ki, vi, pos, order, offs, base):
-    ``order`` lists IV indices in walk order, ``offs[pos] + base`` is the
-    distance at ``pos`` (left offsets are stored negated), and (ki, vi) is
-    unique, so comparisons never reach the walk state.
-    """
-    walks = []
-    for extract_id, right, right_offs in lanes:
-        left = sorted(right, key=lambda vi: (-ivs[vi].offset, vi))
-        walks.append((extract_id, right, right_offs, left, [-ivs[vi].offset for vi in left]))
-
-    heap = []
-    for ki, key in enumerate(keys):
-        for extract_id, right, right_offs, left, left_offs in walks:
-            flag = 0 if extract_id == key.extract_id else 1
-            split = bisect_left(right_offs, key.offset)  # IVs before it lie left of the key
-            if split < len(right):
-                heap.append((flag, right_offs[split] - key.offset, ki, right[split], split,
-                             right, right_offs, -key.offset))
-            start = len(right) - split  # the left walk starts below the key's offset
-            if start < len(left):
-                heap.append((flag, left_offs[start] + key.offset, ki, left[start], start,
-                             left, left_offs, key.offset))
-    heapify(heap)
-
-    while heap:
-        flag, _, ki, vi, pos, order, offs, base = heap[0]
-        yield keys[ki], ivs[vi]
-        pos += 1
-        if pos < len(order):
-            heapreplace(heap, (flag, offs[pos] + base, ki, order[pos], pos, order, offs, base))
-        else:
-            heappop(heap)
-
-
 class PairOrder:
-    """The key x IV trial order, generated on demand and readable front to back.
+    """The key x IV trial order as a ranked product that is never generated.
 
-    ``len`` is K x V without generating anything; each iteration runs a fresh
-    merge, so memory stays O(keys x extracts) however far a reader gets.
-    ``rank`` gives one pair's position without walking the order, so a reader
-    that finds its pair by other means (the trial screen in ``decrypt``) never
-    iterates at all.
+    ``len`` is K x V and ``rank`` gives one pair's position by counting, so a
+    reader that finds its pair by other means (the trial screen in
+    ``decrypt``) never builds or walks the K x V pairs.
     """
 
     def __init__(self, keys: list[Candidate], ivs: list[Candidate]):
         self.keys = keys
         self.ivs = ivs
-        self._lanes = _iv_lanes(ivs)
+        # per extract: (extract id, IV indices, their offsets), sorted by
+        # (offset, index); the sort is stable, so equal offsets keep index order
+        lanes: dict[int, list[int]] = {}
+        for vi, iv in enumerate(ivs):
+            lanes.setdefault(iv.extract_id, []).append(vi)
+        self._lanes = []
+        for extract_id, members in lanes.items():
+            members.sort(key=lambda vi: ivs[vi].offset)
+            self._lanes.append((extract_id, members, [ivs[vi].offset for vi in members]))
 
     def __len__(self) -> int:
         return len(self.keys) * len(self.ivs)
-
-    def __iter__(self) -> Iterator[tuple[Candidate, Candidate]]:
-        return _merged_pairs(self.keys, self.ivs, self._lanes)
 
     def rank(self, ki: int, vi: int) -> int:
         """Position of the pair (keys[ki], ivs[vi]) in the order, by counting.
@@ -414,9 +359,8 @@ def pair_candidates(keys: list[Candidate], ivs: list[Candidate]) -> PairOrder:
     """Cross product of candidates, in trial order.
 
     Same-extract pairs come first, then closer key/IV offsets; list positions
-    break remaining ties so the ordering is total and reproducible. Each walk
-    over the order generates it afresh, so the product is never built; the
-    n-th pair walked is the n-th pair of the fully sorted list.
+    break remaining ties so the ordering is total and reproducible. The
+    product is never built: ``PairOrder.rank`` counts a pair's position.
     """
     if not keys or not ivs:
         raise NoCandidates("cannot pair an empty candidate list")

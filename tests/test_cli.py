@@ -127,7 +127,11 @@ _DECRYPT = ("decrypt", "--extracts", "{extracts}", "--capture", "{capture}")
     _DECRYPT + ("--filter", "bogus"),
     _DECRYPT + ("--seq-window", "-1"),
     ("scan", "--extracts", "{extracts}", "--step", "0"),
-], ids=["missing-capture", "workers", "step-0", "negative-gap", "bad-filter", "negative-seq-window", "scan-step-0"])
+    ("entropy-profile", "--extracts", "{extracts}", "--window", "0"),
+    ("entropy-profile", "--extracts", "{extracts}", "--window", "-4"),
+    ("entropy-profile", "--extracts", "{extracts}", "--region-windows", "0"),
+], ids=["missing-capture", "workers", "step-0", "negative-gap", "bad-filter", "negative-seq-window", "scan-step-0",
+        "profile-window-0", "profile-negative-window", "profile-region-windows-0"])
 def test_usage_errors_exit_1_with_one_error_line(windows_fixture_16, capsys, argv):
     _, paths, _ = windows_fixture_16
     code = _run([arg.format(extracts=paths.extract_dir, capture=paths.root) for arg in argv])
@@ -226,6 +230,17 @@ def test_gen_fixture_invalid_spec(tmp_path):
     recipe = tmp_path / "spec.json"
     recipe.write_text(json.dumps({"key_len_bytes": 7}))
     assert _run(["gen-fixture", "--spec", str(recipe), "--out", str(tmp_path / "fix")]) == EXIT_ERROR
+
+
+@pytest.mark.parametrize("text", ['{"rng_seed": 3,', "5", '{"extract_sizes": 3}', '{"extract_sizes": ["x"]}'],
+                         ids=["malformed-json", "not-an-object", "sizes-not-a-list", "sizes-not-integers"])
+def test_gen_fixture_bad_spec_exits_1_with_one_error_line(tmp_path, capsys, text):
+    recipe = tmp_path / "spec.json"
+    recipe.write_text(text)
+    code = _run(["gen-fixture", "--spec", str(recipe), "--out", str(tmp_path / "fix")])
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_gen_fixture_default_recipe(tmp_path, capsys):

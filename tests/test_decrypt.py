@@ -33,6 +33,7 @@ from keysift.memscan import (
     BlockHypothesis,
     Candidate,
     CandidateKeyBlock,
+    PairOrder,
     ScanConfig,
     load_extracts,
     pair_candidates,
@@ -40,7 +41,7 @@ from keysift.memscan import (
     scan_windows,
 )
 
-from conftest import naive_first_opening
+from conftest import naive_first_opening, naive_pair_order
 
 KEY16 = bytes(range(16))
 KEY32 = bytes(range(32))
@@ -476,13 +477,10 @@ def _agrees_with_loop(capture, trial, materials, probe_materials, seq_window, **
 
 
 def _check_pairs(capture, pairs, seq_window):
-    materials = [(key.value, iv.value, index, False) for index, (key, iv) in enumerate(pairs)]
-
-    def outward(winner, _):
-        return sorted(materials, key=lambda m: (m[2] == winner, abs(m[2] - winner), m[2]))
-
+    ordered = naive_pair_order(pairs.keys, pairs.ivs) if isinstance(pairs, PairOrder) else pairs
+    materials = [(key.value, iv.value, index, False) for index, (key, iv) in enumerate(ordered)]
     return _agrees_with_loop(capture, lambda: trial_decrypt(capture, pairs, seq_window=seq_window),
-                             materials, outward, seq_window, pairs=pairs)
+                             materials, lambda *_: materials, seq_window, pairs=pairs)
 
 
 def _check_blocks(capture, blocks, seq_window):
@@ -555,7 +553,7 @@ def test_screen_agrees_with_per_pair_loop_at_seq_other_than_the_records(captures
 
 
 def test_exhausting_pair_walk_does_not_keep_the_pairs(session_capture):
-    # an exhausting walk must not end up holding all K x V pair tuples
+    # an exhausting trial must not end up holding all K x V pair tuples
     # (about 64 bytes each with the list slot)
     capture, _ = session_capture
     keys = [Candidate(bytes([i]) * 32, i % 3, i * 97 % 65_536, 4.0) for i in range(200)]

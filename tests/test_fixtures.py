@@ -181,6 +181,22 @@ def test_spec_from_json_bad_enum():
         spec_from_json({"layout": "exotic"})
 
 
+_BAD_SPEC_TEXTS = {
+    "malformed-json": '{"rng_seed": 3,',
+    "not-an-object": "5",
+    "sizes-not-a-list": '{"extract_sizes": 3}',
+    "sizes-not-integers": '{"extract_sizes": ["x"]}',
+}
+
+
+@pytest.mark.parametrize("text", _BAD_SPEC_TEXTS.values(), ids=_BAD_SPEC_TEXTS.keys())
+def test_spec_from_json_rejects_bad_recipes(tmp_path, text):
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    with pytest.raises(SpecInvalid):
+        spec_from_json(path)
+
+
 def test_decoy_flood_still_recovers(tmp_path):
     # 50 decoy marker pairs: every decoy window either fails an entropy gate
     # or fails tag verification, and the ground truth still wins the trial
