@@ -21,10 +21,16 @@ from .decrypt import (
     trial_decrypt_blocks,
 )
 from .entropy import entropy_profile
-from .errors import KeysiftError, NoCandidates, NoValidDecrypt
+from .errors import KeysiftError, NoValidDecrypt
 from .fixtures import FixtureSpec, generate_fixture, spec_from_json
 from .memscan import (
+    BANDS,
+    Candidate,
+    CandidateKeyBlock,
+    ExtractSet,
+    PairOrder,
     ScanConfig,
+    StandardScanState,
     load_extracts,
     pair_candidates,
     scan_standard,
@@ -93,6 +99,46 @@ def _material_dict(result: TrialResult, session: DecryptedSession, hypothesis: s
     }
 
 
+class _BandSearch:
+    """The candidates a band-by-band search has found so far, and the scans
+    that add one band at a time. Each scan returns only what no earlier band
+    gave, so every key x IV pair and every key block is tried once."""
+
+    def __init__(self, extracts: ExtractSet, capture: SessionCapture, cfg: ScanConfig, report: RunReport, clock):
+        self.extracts, self.capture, self.cfg, self.report, self.clock = extracts, capture, cfg, report, clock
+        self.seen: set[bytes] = set()
+        self.keys: list[Candidate] = []
+        self.ivs: list[Candidate] = []
+        self.standard_state = StandardScanState()
+
+    def windows(self, band: int) -> list[PairOrder]:
+        """Scan ``band``'s marker windows; the orders of the new pairs: new
+        keys x every IV so far, then earlier keys x new IVs."""
+        start = self.clock()
+        new_keys, new_ivs = scan_windows(self.extracts, self.cfg, (band,), self.seen)
+        old_keys, self.keys, self.ivs = self.keys, self.keys + new_keys, self.ivs + new_ivs
+        new_pairs = ((new_keys, self.ivs), (old_keys, new_ivs))
+        orders = [pair_candidates(keys, ivs) for keys, ivs in new_pairs if keys and ivs]
+        self.report.candidates.update(keys=len(self.keys), ivs=len(self.ivs))
+        self.report.timings["memory_analysis_secs"] += self.clock() - start
+        return orders
+
+    def standard(self, band: int) -> list[CandidateKeyBlock]:
+        """Scan for ``band``'s key blocks; the blocks no earlier band gave."""
+        start = self.clock()
+        blocks = scan_standard(self.extracts, self.capture, self.cfg, (band,), self.standard_state)
+        self.report.candidates["key_blocks"] = len(self.standard_state.returned)
+        self.report.timings["memory_analysis_secs"] += self.clock() - start
+        return blocks
+
+    def later_windows(self, bands):
+        """The new pair orders of ``bands``, each band scanned only when the
+        orders before it have been drawn."""
+        for band in bands:
+            self.report.candidates["bands_scanned"].append(band)
+            yield from self.windows(band)
+
+
 def run_pipeline(
     extract_dir,
     capture_source,
@@ -103,15 +149,27 @@ def run_pipeline(
     session_filter: tuple | None = None,
     clock=time.perf_counter,
 ) -> RunReport:
-    """Load extracts, pick a scanner, scan, trial-decrypt, decrypt the session.
+    """Load extracts, search band by band, decrypt the session at the first win.
 
     ``capture_source`` is an already parsed SessionCapture or anything
     ``parse_capture`` accepts. In auto mode a counter-like explicit nonce
     selects the marker scanner first, with the standard scanner as fall-back;
-    random-like nonces go straight to the standard scanner. Candidate counts
-    are kept per scanner and trials are summed over every attempt. Scan and
-    decrypt phases are timed separately. ``clock`` is injectable so reports
-    can be made byte-stable.
+    random-like nonces go straight to the standard scanner.
+
+    The search runs in stages, band 1, then 2, then 3; a stage runs the mode's
+    scanners in that order over its band's extracts only, and the run returns
+    at the first trial that verifies. A stage tries only new material: new
+    keys x every IV so far, then earlier keys x new IVs, then key blocks no
+    earlier stage gave. An extract is read when its band's stage begins, so
+    bands after a win are never read. If a marker-scan win has no server pair
+    among the pairs found so far, the server probe scans the later bands'
+    windows before it settles for a partial session.
+
+    The report's candidate counts cover the bands scanned (listed in
+    ``bands_scanned``), ``winner_index`` is the winner's position among the
+    winning scanner's materials over the stages that ran, and ``attempted``
+    sums the trials of every stage. Scan and decrypt phases are timed
+    separately. ``clock`` is injectable so reports can be made byte-stable.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -136,46 +194,53 @@ def run_pipeline(
         mode_used=None,
         nonce_style=style.value,
         timings={"memory_analysis_secs": 0.0, "decrypt_analysis_secs": 0.0},
-        candidates={"keys": None, "ivs": None, "key_blocks": None},
+        candidates={"keys": None, "ivs": None, "key_blocks": None, "bands_scanned": []},
     )
-
+    timings = report.timings
+    search = _BandSearch(extracts, capture, cfg, report, clock)
+    screens: dict = {}  # the client record's tag screen, shared by every stage
+    tried = dict.fromkeys(attempt_modes, 0)  # materials each scanner tried before this trial
     attempted = 0
-    for attempt in attempt_modes:
-        scan_start = clock()
-        blocks = pairs = None
-        if attempt == "windows":
-            keys, ivs = scan_windows(extracts, cfg)
-            report.candidates.update(keys=len(keys), ivs=len(ivs))
-        else:
-            blocks = scan_standard(extracts, capture, cfg)
-            report.candidates["key_blocks"] = len(blocks)
-        report.timings["memory_analysis_secs"] += clock() - scan_start
-        decrypt_start = clock()
-        try:
-            if blocks is None:
-                pairs = pair_candidates(keys, ivs)
-                result = trial_decrypt(capture, pairs, seq_window=seq_window)
+    for stage, band in enumerate(BANDS):
+        report.candidates["bands_scanned"].append(band)
+        for attempt in attempt_modes:
+            if attempt == "windows":
+                trials = [(trial_decrypt, pairs) for pairs in search.windows(band)]
             else:
-                result = trial_decrypt_blocks(capture, blocks, seq_window=seq_window)
-            session = decrypt_session(capture, result, blocks=blocks, pairs=pairs, seq_window=seq_window)
-        except (NoCandidates, NoValidDecrypt) as exc:
-            attempted += getattr(exc, "trials", 0)
-            continue
-        finally:
-            report.timings["decrypt_analysis_secs"] += clock() - decrypt_start
+                blocks = search.standard(band)
+                trials = [(trial_decrypt_blocks, blocks)] if blocks else []
+            for trial, materials in trials:
+                # a probe into later bands scans inside decrypt_session; that time is memory analysis
+                decrypt_start, scanned = clock(), timings["memory_analysis_secs"]
+                try:
+                    result = trial(capture, materials, seq_window=seq_window, screens=screens)
+                    if attempt == "windows":
+                        session = decrypt_session(
+                            capture, result, pairs=PairOrder(search.keys, search.ivs), seq_window=seq_window,
+                            later_pairs=search.later_windows(BANDS[stage + 1 :]),
+                        )
+                    else:
+                        session = decrypt_session(capture, result, blocks=materials, seq_window=seq_window)
+                except NoValidDecrypt as exc:
+                    attempted += exc.trials
+                    tried[attempt] += len(materials)
+                    continue
+                finally:
+                    timings["decrypt_analysis_secs"] += clock() - decrypt_start - (
+                        timings["memory_analysis_secs"] - scanned)
 
-        hypothesis = blocks[result.index].hypothesis.value if blocks is not None else None
-        report.mode_used = attempt
-        report.outcome = "decrypted_partial" if session.partial else "decrypted"
-        report.trials = {
-            "attempted": attempted + result.trials,
-            "winner_index": result.index,
-            "seq_used": result.seq_used,
-            "validation": result.validation.value,
-        }
-        report.material = _material_dict(result, session, hypothesis)
-        report.session = _session_dict(session)
-        return report
+                hypothesis = materials[result.index].hypothesis.value if attempt == "standard" else None
+                report.mode_used = attempt
+                report.outcome = "decrypted_partial" if session.partial else "decrypted"
+                report.trials = {
+                    "attempted": attempted + result.trials,
+                    "winner_index": tried[attempt] + result.index,
+                    "seq_used": result.seq_used,
+                    "validation": result.validation.value,
+                }
+                report.material = _material_dict(result, session, hypothesis)
+                report.session = _session_dict(session)
+                return report
 
     report.trials = {"attempted": attempted, "winner_index": None, "seq_used": None, "validation": None}
     return report

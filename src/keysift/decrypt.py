@@ -9,7 +9,8 @@ derived from GCM's structure tests every IV under a key with one AES-ECB call,
 and only its hits are opened with ``AESGCM``, earliest trial first, so a
 reported decrypt always means a tag verified and the trial count is still the
 one a per-trial loop would have reached. The server-direction probe takes its
-hits in the same trial order.
+hits in the same trial order. A caller that trials material in stages can keep
+each record's screen across calls, so no key is sealed twice.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 from cryptography.exceptions import InvalidTag
@@ -137,7 +139,11 @@ class _TagScreen:
     reference nonce gives it, and one AES-ECB call over the J0 blocks of all IVs
     tests every IV at once. The sealed plaintext is the ciphertext body under the
     reference keystream, so sealing reproduces C exactly; that keystream comes
-    from counter blocks appended to the same ECB call.
+    from the reference nonce's counter blocks, encrypted by the same ECB cipher.
+
+    A key's targets (the E_K(J0) that each seq needs) do not depend on the IVs,
+    so a screen keeps each key's ECB cipher and targets, and a later call for
+    the same key only encrypts the new IVs' J0 blocks.
 
     Sealing and the ECB cipher go through ``aead.AESGCM`` and ``Cipher``, never
     through the module's ``AESGCM``, which opens records and counts as their
@@ -157,34 +163,58 @@ class _TagScreen:
         self._aads = [
             record_aad(seq, record.content_type, record.record_version, self._body_len) for seq in self.seqs
         ]
+        self._keys: dict[bytes, tuple] = {}  # key -> (ECB encryptor, target per seq)
 
     def blocks(self, ivs: Sequence[bytes]) -> bytes:
-        """The ECB input for ``ivs``: one J0 block per IV, then the reference blocks."""
+        """The ECB input for ``ivs``: one J0 block per IV."""
         if any(len(iv) != IV_LEN for iv in ivs):
             raise ValueError(f"implicit IVs must be {IV_LEN} bytes")
-        return b"".join(iv + self._explicit + _J0_COUNTER for iv in ivs) + self._reference
+        return b"".join(iv + self._explicit + _J0_COUNTER for iv in ivs)
+
+    def _key_state(self, key: bytes):
+        """The ECB encryptor of ``key`` and, per seq, the E_K(J0) an IV must give
+        for the tag to match."""
+        state = self._keys.get(key)
+        if state is None:
+            encryptor = Cipher(algorithms.AES(_checked_key(key)), _ECB).encryptor()
+            stream = encryptor.update(self._reference)
+            body_len = self._body_len
+            # T xor E_K(J0_ref); xored with the reference tag it leaves E_K(J0) of a matching IV
+            mask = self._tag ^ int.from_bytes(stream[:16], "big")
+            keystream = int.from_bytes(stream[16 : 16 + body_len], "big")
+            plaintext = (self._body ^ keystream).to_bytes(body_len, "big")
+            sealer = aead.AESGCM(key)
+            targets = []
+            for aad in self._aads:
+                reference_tag = int.from_bytes(sealer.encrypt(self._nonce, plaintext, aad)[body_len:], "big")
+                targets.append((reference_tag ^ mask).to_bytes(16, "big"))
+            state = self._keys[key] = (encryptor, targets)
+        return state
 
     def hits(self, key: bytes, blocks: bytes) -> list[tuple[int, int]]:
         """(IV index, seq index) of every trial under ``key`` whose tag matches,
         for the IVs ``blocks`` was built from."""
-        stream = Cipher(algorithms.AES(_checked_key(key)), _ECB).encryptor().update(blocks)
-        split = len(blocks) - len(self._reference)
-        body_len = self._body_len
-        # T xor E_K(J0_ref); xored with the reference tag it leaves E_K(J0) of a matching IV
-        mask = self._tag ^ int.from_bytes(stream[split : split + 16], "big")
-        keystream = int.from_bytes(stream[split + 16 : split + 16 + body_len], "big")
-        plaintext = (self._body ^ keystream).to_bytes(body_len, "big")
-        sealer = aead.AESGCM(key)
+        encryptor, targets = self._key_state(key)
+        stream = encryptor.update(blocks)
         found = []
-        for seq_index, aad in enumerate(self._aads):
-            reference_tag = int.from_bytes(sealer.encrypt(self._nonce, plaintext, aad)[body_len:], "big")
-            target = (reference_tag ^ mask).to_bytes(16, "big")
-            pos = stream.find(target, 0, split)
+        for seq_index, target in enumerate(targets):
+            pos = stream.find(target)
             while pos != -1:
                 if pos % 16 == 0:
                     found.append((pos // 16, seq_index))
-                pos = stream.find(target, pos + 1, split)
+                pos = stream.find(target, pos + 1)
         return found
+
+
+def _screen_for(record: EncryptedRecord, seq_window: int, screens: dict | None) -> _TagScreen:
+    """The screen of ``record``, kept in ``screens`` when the caller passes one
+    so that later calls reuse it and its per-key state."""
+    if screens is None:
+        return _TagScreen(record, seq_window)
+    screen = screens.get((record, seq_window))
+    if screen is None:
+        screen = screens[record, seq_window] = _TagScreen(record, seq_window)
+    return screen
 
 
 # One screen group: a key, the IVs tried with it, and the trial position of the
@@ -220,13 +250,12 @@ def _pair_groups(pairs: PairOrder | Iterable[tuple[Candidate, Candidate]]) -> tu
 
 
 def _first_verified(
-    record: EncryptedRecord, groups: Iterable[_Group], seq_window: int
+    screen: _TagScreen, record: EncryptedRecord, groups: Iterable[_Group]
 ) -> tuple[int, int, int, bytes, bytes, bytes] | None:
     """Screen every group against ``record`` and return the first screen hit
     whose tag really verifies, as (position, seq index, seq, key, IV,
     plaintext), or None. Hits are taken in trial order: position, then seq
     nearest the record's."""
-    screen = _TagScreen(record, seq_window)
     hits = []
     built_for, blocks = None, b""
     for key, ivs, position in groups:
@@ -242,12 +271,14 @@ def _first_verified(
     return None
 
 
-def _trial(capture: SessionCapture, count: int, groups: Iterable[_Group], seq_window: int) -> TrialResult:
+def _trial(
+    capture: SessionCapture, count: int, groups: Iterable[_Group], seq_window: int, screens: dict | None
+) -> TrialResult:
     """Screen ``count`` materials against the first client ApplicationData
     record. ``index`` is the winner's position; trials count as if each
     material were opened at each seq in turn until the winner verified."""
     record = _first_client_record(capture)
-    winner = _first_verified(record, groups, seq_window)
+    winner = _first_verified(_screen_for(record, seq_window, screens), record, groups)
     per_material = 2 * seq_window + 1
     if winner is None:
         raise NoValidDecrypt(count * per_material)
@@ -268,6 +299,7 @@ def trial_decrypt(
     capture: SessionCapture,
     pairs: PairOrder | Iterable[tuple[Candidate, Candidate]],
     seq_window: int = 2,
+    screens: dict | None = None,
 ) -> TrialResult:
     """The first (key, IV) pair, in order, whose tag verifies on the first
     client ApplicationData record at some seq of the window, nearest first.
@@ -278,15 +310,20 @@ def trial_decrypt(
     position in ``pairs``, counted by ``PairOrder.rank`` for the order from
     ``pair_candidates``, which is never generated. ``trials`` counts the trials
     a loop over the pairs would have made up to the winner; when no pair
-    verifies, NoValidDecrypt carries pairs x (2 * seq_window + 1)."""
+    verifies, NoValidDecrypt carries pairs x (2 * seq_window + 1).
+
+    ``screens`` is an optional dict the caller keeps across calls: the record's
+    screen is kept there, so a key screened by an earlier call against the
+    same record is not sealed again."""
     count, groups = _pair_groups(pairs)
-    return _trial(capture, count, groups, seq_window)
+    return _trial(capture, count, groups, seq_window, screens)
 
 
 def trial_decrypt_blocks(
     capture: SessionCapture,
     blocks: Sequence[CandidateKeyBlock],
     seq_window: int = 2,
+    screens: dict | None = None,
 ) -> TrialResult:
     """Key-block trials through the same screen as ``trial_decrypt``. Each
     block is tried in both orientations, as two one-IV materials at positions
@@ -297,7 +334,7 @@ def trial_decrypt_blocks(
         for block in blocks
         for material in ((block.client_key, block.client_iv), (block.server_key, block.server_iv))
     )
-    result = _trial(capture, *_list_groups(materials), seq_window)
+    result = _trial(capture, *_list_groups(materials), seq_window, screens)
     return replace(result, index=result.index // 2, orientation_swapped=result.index % 2 == 1)
 
 
@@ -325,6 +362,7 @@ def decrypt_session(
     blocks: Sequence[CandidateKeyBlock] | None = None,
     pairs: PairOrder | Iterable[tuple[Candidate, Candidate]] | None = None,
     seq_window: int = 2,
+    later_pairs: Iterable[PairOrder] = (),
 ) -> DecryptedSession:
     """Decrypt every ApplicationData record both ways with confirmed material.
 
@@ -335,8 +373,13 @@ def decrypt_session(
     with neither, no server material is tried. Keys and IVs are distinct values
     and the additional data binds seq, so every hit that verifies carries the
     same (key, IV, seq) and the order only decides how many hits are opened. A
-    probe that finds nothing costs that one screen and no opens. Records that
-    do not authenticate are marked and flip the partial flag.
+    probe that finds nothing costs that one screen and no opens.
+
+    When ``pairs`` hold no server pair, the probe goes on through
+    ``later_pairs``, screening one order after another and stopping at the
+    first verified hit, so a lazy iterable is drawn only as far as the probe
+    needs; the pipeline passes one that scans a further band for its orders.
+    Records that do not authenticate are marked and flip the partial flag.
     """
     first_record = _first_client_record(capture)
     deltas: dict[Direction, int] = {Direction.CLIENT_TO_SERVER: result.seq_used - first_record.seq}
@@ -352,14 +395,17 @@ def decrypt_session(
             block = blocks[result.index]
             opposite = (block.client_key, block.client_iv) if result.orientation_swapped else (
                 block.server_key, block.server_iv)
-            groups = _list_groups([opposite])[1]
+            candidates = [_list_groups([opposite])[1]]
         else:
-            groups = _pair_groups(pairs)[1]
-        found = _first_verified(probe_record, groups, seq_window)
-        if found is not None:
-            _, _, seq, key, implicit_iv, _ = found
-            material[Direction.SERVER_TO_CLIENT] = (key, implicit_iv)
-            deltas[Direction.SERVER_TO_CLIENT] = seq - probe_record.seq
+            candidates = (_pair_groups(order)[1] for order in chain([pairs], later_pairs))
+        screen = _TagScreen(probe_record, seq_window)
+        for groups in candidates:
+            found = _first_verified(screen, probe_record, groups)
+            if found is not None:
+                _, _, seq, key, implicit_iv, _ = found
+                material[Direction.SERVER_TO_CLIENT] = (key, implicit_iv)
+                deltas[Direction.SERVER_TO_CLIENT] = seq - probe_record.seq
+                break
 
     transcript = []
     partial = False

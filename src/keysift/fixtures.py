@@ -17,7 +17,7 @@ import json
 import random
 import string
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 
@@ -520,27 +520,26 @@ def spec_from_json(path_or_dict) -> FixtureSpec:
     unknown = set(raw) - known
     if unknown:
         raise SpecInvalid(f"unknown fixture spec fields: {sorted(unknown)}")
-    converters = {
-        "layout": FixtureLayout,
-        "filler": Filler,
-        "explicit_nonce_style": NonceStyle,
-        "generic_hypothesis": BlockHypothesis,
-    }
-    for key, enum_type in converters.items():
-        if key in raw and isinstance(raw[key], str):
+    # every field's type is checked here, so FixtureSpec(**raw) gets only well-typed values
+    for spec_field in fields(FixtureSpec):
+        name = spec_field.name
+        if name not in raw:
+            continue
+        value, default = raw[name], spec_field.default
+        if isinstance(default, Enum):
             try:
-                raw[key] = enum_type(raw[key])
-            except ValueError as exc:
-                raise SpecInvalid(f"bad value for {key}: {raw[key]}") from exc
-    for key in ("plaintext_client", "plaintext_server"):
-        if key in raw and isinstance(raw[key], str):
-            raw[key] = raw[key].encode()
-    if "extract_sizes" in raw:
-        sizes = raw["extract_sizes"]
-        if not isinstance(sizes, (list, tuple)) or not all(type(size) is int for size in sizes):
-            raise SpecInvalid(f"extract_sizes must be a list of integers, got {sizes!r}")
-        raw["extract_sizes"] = tuple(sizes)
-    try:
-        return FixtureSpec(**raw)
-    except TypeError as exc:
-        raise SpecInvalid(str(exc)) from exc
+                raw[name] = type(default)(value)
+            except (ValueError, TypeError) as exc:
+                raise SpecInvalid(f"bad value for {name}: {value!r}") from exc
+        elif type(default) is int:
+            if type(value) is not int:
+                raise SpecInvalid(f"{name} must be an integer, got {value!r}")
+        elif name in ("plaintext_client", "plaintext_server"):
+            if not isinstance(value, str):
+                raise SpecInvalid(f"{name} must be a string, got {value!r}")
+            raw[name] = value.encode()
+        elif name == "extract_sizes":
+            if not isinstance(value, (list, tuple)) or not all(type(size) is int for size in value):
+                raise SpecInvalid(f"extract_sizes must be a list of integers, got {value!r}")
+            raw[name] = tuple(value)
+    return FixtureSpec(**raw)

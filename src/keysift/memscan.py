@@ -7,16 +7,21 @@ The standard scan instead anchors on the captured explicit nonce: wherever it
 occurs, the 4 bytes in front of it are a candidate implicit IV, and wherever
 that IV value recurs a TLS 1.2 key-block layout is hypothesised around it.
 
-Scanners are pure functions of immutable inputs. Extracts are scanned one
-after another in a fixed order, so repeat runs are byte-for-byte identical.
+Extracts are grouped into size bands, and both scanners take the bands to
+scan, so a caller can search band by band; the state that carries from one
+band to the next (values already seen, ``StandardScanState``) is passed in
+explicitly. An extract file is read only when a scan first reaches it.
+Extracts are scanned one after another in a fixed order, so repeat runs are
+byte-for-byte identical.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 from .capture import SessionCapture
@@ -34,22 +39,41 @@ _METADATA_NAMES = {"manifest.json", "groundtruth.json"}
 
 @dataclass(frozen=True)
 class MemoryExtract:
+    """One memory extract. ``source`` is the file to read or the bytes
+    themselves; a file is read on the first access to ``data``, not before."""
+
     id: int
     name: str
-    data: bytes
+    size: int
+    source: Path | bytes
+
+    @cached_property
+    def data(self) -> bytes:
+        if isinstance(self.source, bytes):
+            return self.source
+        try:
+            data = self.source.read_bytes()
+        except OSError as exc:
+            raise UnreadableFile(self.source, exc) from exc
+        if len(data) != self.size:
+            raise UnreadableFile(self.source, f"size changed from {self.size} to {len(data)} bytes since listing")
+        return data
 
 
 @dataclass(frozen=True)
 class ExtractSet:
+    """Extracts with their size bands. Bands come from sizes alone, so building
+    the set reads no extract; ``total_bytes`` is known before any read."""
+
     extracts: tuple[MemoryExtract, ...]
     bands: dict[int, tuple[int, ...]]
 
-    def in_band_order(self) -> list[MemoryExtract]:
-        return [self.extracts[i] for band in (1, 2, 3) for i in self.bands[band]]
-
     @property
     def total_bytes(self) -> int:
-        return sum(len(e.data) for e in self.extracts)
+        return sum(e.size for e in self.extracts)
+
+
+BANDS = (1, 2, 3)
 
 
 def band_for_size(size_bytes: int) -> int:
@@ -63,32 +87,38 @@ def band_for_size(size_bytes: int) -> int:
 
 
 def _make_extract_set(extracts: list[MemoryExtract]) -> ExtractSet:
-    bands: dict[int, list[int]] = {1: [], 2: [], 3: []}
+    bands: dict[int, list[int]] = {band: [] for band in BANDS}
     for extract in extracts:
-        bands[band_for_size(len(extract.data))].append(extract.id)
+        bands[band_for_size(extract.size)].append(extract.id)
     return ExtractSet(
         extracts=tuple(extracts),
         bands={b: tuple(ids) for b, ids in bands.items()},
     )
 
 
+def _in_bands(extracts: ExtractSet, bands) -> list[MemoryExtract]:
+    """The extracts of ``bands``, band by band in the order given."""
+    return [extracts.extracts[i] for band in bands for i in extracts.bands[band]]
+
+
 def load_extracts(directory) -> ExtractSet:
-    """Load every regular file in ``directory`` as a memory extract.
+    """List every regular file in ``directory`` as a memory extract.
 
     Ids follow lexicographic filename order so repeat runs are identical.
-    Metadata files (manifest.json) and empty files are skipped.
+    Metadata files (manifest.json) and empty files are skipped. Only sizes are
+    read here: bands come from ``stat``, and a file's bytes are read when a
+    scan first reaches it, so a band the search never reaches is never read.
     """
     base = Path(directory)
     names = sorted(p.name for p in base.iterdir() if p.is_file() and p.name not in _METADATA_NAMES)
     extracts = []
     for name in names:
         try:
-            data = (base / name).read_bytes()
+            size = (base / name).stat().st_size
         except OSError as exc:
             raise UnreadableFile(base / name, exc) from exc
-        if not data:
-            continue
-        extracts.append(MemoryExtract(id=len(extracts), name=name, data=data))
+        if size:
+            extracts.append(MemoryExtract(id=len(extracts), name=name, size=size, source=base / name))
     if not extracts:
         raise EmptyDirectory(f"no loadable extract files in {base}")
     return _make_extract_set(extracts)
@@ -97,7 +127,7 @@ def load_extracts(directory) -> ExtractSet:
 def extract_set_from_buffers(named_buffers: list[tuple[str, bytes]]) -> ExtractSet:
     """Build an ExtractSet directly from in-memory buffers (test convenience)."""
     extracts = [
-        MemoryExtract(id=i, name=name, data=bytes(data))
+        MemoryExtract(id=i, name=name, size=len(data), source=bytes(data))
         for i, (name, data) in enumerate(named_buffers)
     ]
     if not extracts:
@@ -195,24 +225,32 @@ def _scan_windows_one(extract: MemoryExtract, cfg: ScanConfig):
     return keys, ivs
 
 
-def scan_windows(extracts: ExtractSet, cfg: ScanConfig) -> tuple[list[Candidate], list[Candidate]]:
-    """Marker scan over all extracts in band order 1, 2, 3.
+def scan_windows(
+    extracts: ExtractSet, cfg: ScanConfig, bands=BANDS, seen: set[bytes] | None = None
+) -> tuple[list[Candidate], list[Candidate]]:
+    """Marker scan over the extracts of ``bands``, band by band in that order.
 
     An extract only participates when the key marker occurs in it at all.
     Candidates are deduplicated by value, keeping the first sighting in band
-    order, then sorted by (extract_id, offset).
+    order, then sorted by (extract_id, offset). A value already in ``seen`` is
+    left out and every value returned is added to it, so a caller that scans
+    one band at a time with one ``seen`` gets each value once, at its first
+    sighting in band order. (Key and IV values differ in length, so one set
+    holds both.)
     """
-    seen_keys: dict[bytes, Candidate] = {}
-    seen_ivs: dict[bytes, Candidate] = {}
-    for extract in extracts.in_band_order():
-        keys, ivs = _scan_windows_one(extract, cfg)
-        for cand in keys:
-            seen_keys.setdefault(cand.value, cand)
-        for cand in ivs:
-            seen_ivs.setdefault(cand.value, cand)
+    seen = set() if seen is None else seen
+    keys: list[Candidate] = []
+    ivs: list[Candidate] = []
+    for extract in _in_bands(extracts, bands):
+        found_keys, found_ivs = _scan_windows_one(extract, cfg)
+        for found, kept in ((found_keys, keys), (found_ivs, ivs)):
+            for cand in found:
+                if cand.value not in seen:
+                    seen.add(cand.value)
+                    kept.append(cand)
 
     order = lambda c: (c.extract_id, c.offset)
-    return sorted(seen_keys.values(), key=order), sorted(seen_ivs.values(), key=order)
+    return sorted(keys, key=order), sorted(ivs, key=order)
 
 
 def _prune_hits(offsets: list[int], gap: int) -> list[int]:
@@ -258,10 +296,23 @@ def _blocks_at_hit(data: bytes, extract_id: int, p: int, cfg: ScanConfig,
     return blocks
 
 
+@dataclass
+class StandardScanState:
+    """What a band-by-band standard scan carries from one band to the next."""
+
+    gated: set[bytes] = field(default_factory=set)  # every candidate IV value whose entropy was gated
+    values: list[bytes] = field(default_factory=list)  # those that cleared the gate
+    scanned: list[MemoryExtract] = field(default_factory=list)
+    hits: dict[int, dict[int, list[CandidateKeyBlock]]] = field(default_factory=dict)  # extract id -> IV hit -> blocks
+    returned: set[CandidateKeyBlock] = field(default_factory=set)
+
+
 def scan_standard(
     extracts: ExtractSet,
     capture: SessionCapture,
     cfg: ScanConfig,
+    bands=BANDS,
+    state: StandardScanState | None = None,
 ) -> list[CandidateKeyBlock]:
     """Explicit-nonce scan: nonce occurrences -> candidate implicit IVs ->
     key-block hypotheses wherever an IV value recurs.
@@ -273,33 +324,52 @@ def scan_standard(
     within one extract collapse onto the lowest offset; the two hypotheses of
     a single hit are alternatives, not separate artefacts, so they never prune
     each other.
-    """
-    nonce = capture.first_explicit_nonce
-    ordered = sorted(extracts.extracts, key=lambda e: e.id)
 
-    # occurrences are sorted per extract below, so the set's order is irrelevant
-    preceding = {
-        extract.data[off - IV_LEN : off]
-        for extract in ordered
-        for off in find_all(extract.data, nonce)
-        if off >= IV_LEN
-    }
-    iv_values = [value for value in preceding if shannon_entropy(value) > cfg.iv_entropy_threshold]
+    Nonce occurrences come from the extracts of ``bands``. A ``state`` kept
+    across calls makes the scan band by band: the new extracts are searched
+    for every IV value so far and the extracts of earlier calls for the new
+    values only, pruning runs over each extract's hits from all calls, and only
+    blocks no earlier call returned come back. Without a state, or on the first
+    call, every block of the scanned extracts is returned.
+    """
+    state = StandardScanState() if state is None else state
+    nonce = capture.first_explicit_nonce
+    fresh = sorted(_in_bands(extracts, bands), key=lambda e: e.id)
+
+    new_values = []
+    for extract in fresh:
+        for off in find_all(extract.data, nonce):
+            if off < IV_LEN:
+                continue
+            value = extract.data[off - IV_LEN : off]
+            if value not in state.gated:
+                state.gated.add(value)
+                if shannon_entropy(value) > cfg.iv_entropy_threshold:
+                    new_values.append(value)
     key_gate = lambda seg: shannon_entropy(seg) > cfg.key_entropy_threshold
 
-    def _scan_one(extract: MemoryExtract) -> list[CandidateKeyBlock]:
-        occurrences = sorted(p for value in iv_values for p in find_all(extract.data, value))
-        per_hit: dict[int, list[CandidateKeyBlock]] = {}
-        for p in occurrences:
-            blocks = _blocks_at_hit(extract.data, extract.id, p, cfg, key_gate)
-            if blocks:
-                per_hit.setdefault(p, []).extend(blocks)
-        kept = _prune_hits(list(per_hit), cfg.min_artefact_gap)
-        return [block for p in kept for block in per_hit[p]]
+    searches = [(extract, new_values) for extract in state.scanned]
+    state.values += new_values
+    searches += [(extract, state.values) for extract in fresh]
+    for extract, values in searches:
+        per_hit = state.hits.setdefault(extract.id, {})
+        for value in values:
+            for p in find_all(extract.data, value):
+                blocks = _blocks_at_hit(extract.data, extract.id, p, cfg, key_gate)
+                if blocks:
+                    per_hit[p] = blocks
+    state.scanned += fresh
 
-    merged = [block for extract in ordered for block in _scan_one(extract)]
-    merged.sort(key=lambda b: (b.extract_id, b.offset, b.hypothesis.value))
-    return merged
+    kept = [
+        block
+        for per_hit in state.hits.values()
+        for p in _prune_hits(list(per_hit), cfg.min_artefact_gap)
+        for block in per_hit[p]
+    ]
+    new = [block for block in kept if block not in state.returned]
+    state.returned.update(new)
+    new.sort(key=lambda b: (b.extract_id, b.offset, b.hypothesis.value))
+    return new
 
 
 class PairOrder:

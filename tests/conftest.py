@@ -141,7 +141,7 @@ def oracle_windows_scan(extract_set, cfg):
     entropy, mirroring the production semantics window for window."""
     keys: dict[bytes, tuple] = {}
     ivs: dict[bytes, tuple] = {}
-    for extract in extract_set.in_band_order():
+    for extract in [extract_set.extracts[i] for band in (1, 2, 3) for i in extract_set.bands[band]]:
         data = extract.data
         if not _regex_find_all(data, KEY_MARKER):
             continue

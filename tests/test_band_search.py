@@ -1,0 +1,282 @@
+"""The band-by-band search on hand-built extract directories.
+
+Each directory holds zero-filled (sparse) files whose sizes put them in chosen
+size bands, with key material written at known offsets. The capture and the
+material come from ``generate_fixture``; only its extracts are replaced.
+"""
+
+from __future__ import annotations
+
+import pathlib
+import tempfile
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from keysift.capture import Direction, NonceStyle, parse_capture
+from keysift.cli import EXIT_ERROR, EXIT_OK, main, run_pipeline
+from keysift.decrypt import _seq_candidates, decrypt_session, trial_decrypt, trial_decrypt_blocks
+from keysift.errors import NoCandidates, NoValidDecrypt
+from keysift.fixtures import FixtureLayout, Filler, FixtureSpec, generate_fixture
+from keysift.memscan import (
+    IV_MARKER,
+    KEY_MARKER,
+    MB,
+    ScanConfig,
+    StandardScanState,
+    load_extracts,
+    pair_candidates,
+    scan_standard,
+    scan_windows,
+)
+
+from conftest import naive_pair_order
+
+# one file per band; names sort against band order, so ids and bands differ
+BAND_FILES = {1: ("b_band1.bin", 2 * MB), 2: ("c_band2.bin", 256 * 1024), 3: ("a_band3.bin", 8 * MB)}
+SLOT = 16 * 1024  # artefacts sit SLOT bytes apart, beyond the pruning gap and search distances
+
+
+def _write_extracts(directory: pathlib.Path, plants: dict[int, list[bytes]]) -> pathlib.Path:
+    """One sparse file per band in ``plants``, each artefact in its own slot."""
+    directory.mkdir(parents=True, exist_ok=True)
+    for band, artefacts in plants.items():
+        name, size = BAND_FILES[band]
+        with open(directory / name, "wb") as fh:
+            fh.truncate(size)
+            for slot, artefact in enumerate(artefacts, start=1):
+                fh.seek(slot * SLOT)
+                fh.write(artefact)
+    return directory
+
+
+def _key_window(key: bytes) -> bytes:
+    return KEY_MARKER + bytes(28) + key
+
+
+def _iv_window(iv: bytes) -> bytes:
+    return IV_MARKER + bytes(20) + iv
+
+
+def _key_block(truth) -> bytes:
+    return truth.client_key + truth.server_key + truth.client_iv + truth.server_iv
+
+
+def _nonce_hit(iv: bytes, capture) -> bytes:
+    return iv + capture.first_explicit_nonce
+
+
+@pytest.fixture(scope="module")
+def windows_session(tmp_path_factory):
+    spec = FixtureSpec(rng_seed=2201, key_len_bytes=32, extract_sizes=(2 * MB,))
+    paths, truth = generate_fixture(spec, tmp_path_factory.mktemp("band_windows"))
+    return paths.root, parse_capture(paths.root), truth
+
+
+@pytest.fixture(scope="module")
+def standard_session(tmp_path_factory):
+    spec = FixtureSpec(
+        rng_seed=2202, key_len_bytes=16, layout=FixtureLayout.GENERIC_KEY_BLOCK, filler=Filler.ZERO,
+        explicit_nonce_style=NonceStyle.RANDOM_LIKE, extract_sizes=(2 * MB,),
+    )
+    paths, truth = generate_fixture(spec, tmp_path_factory.mktemp("band_standard"))
+    return paths.root, parse_capture(paths.root), truth
+
+
+def _record_reads(monkeypatch, refuse=()):
+    """Names of the files read through pathlib; reading a name in ``refuse`` fails."""
+    read = []
+    real_read_bytes = pathlib.Path.read_bytes
+
+    def read_bytes(path):
+        read.append(path.name)
+        if path.name in refuse:
+            raise PermissionError(13, "Permission denied", str(path))
+        return real_read_bytes(path)
+
+    monkeypatch.setattr(pathlib.Path, "read_bytes", read_bytes)
+    return read
+
+
+def _material(report) -> tuple:
+    material = report.material or {}
+    records = (report.session or {}).get("records", [])
+    return (
+        tuple(material.get(name) for name in ("client_key", "client_iv", "server_key", "server_iv")),
+        [(r["direction"], r["seq"], r["ok"], r["plaintext_hex"]) for r in records],
+    )
+
+
+def test_server_key_only_in_band_3_still_decrypts_fully(tmp_path, windows_session):
+    # the client pair wins in band 1; the server probe goes on into band 3
+    root, _, truth = windows_session
+    extracts = _write_extracts(tmp_path / "extracts", {
+        1: [_key_window(truth.client_key), _iv_window(truth.client_iv)],
+        3: [_key_window(truth.server_key), _iv_window(truth.server_iv)],
+    })
+    report = run_pipeline(extracts, root, mode="windows")
+    assert report.outcome == "decrypted"
+    assert report.candidates["bands_scanned"] == [1, 2, 3]
+    assert report.material["client_key"] == truth.client_key.hex()
+    assert report.material["server_key"] == truth.server_key.hex()
+    assert report.material["server_iv"] == truth.server_iv.hex()
+    assert all(record["ok"] for record in report.session["records"])
+    # the counts cover every band the probe scanned
+    keys, ivs = scan_windows(load_extracts(extracts), ScanConfig(key_len_bytes=32))
+    assert (report.candidates["keys"], report.candidates["ivs"]) == (len(keys), len(ivs))
+
+
+def test_winner_index_and_attempted_count_the_staged_order(tmp_path, windows_session):
+    # the client IV only turns up in band 2, so the winner is an earlier key
+    # paired with a new IV, after band 1's pairs and band 2's new keys x all IVs
+    root, capture, truth = windows_session
+    extracts = _write_extracts(tmp_path / "extracts", {
+        1: [_key_window(truth.client_key), _iv_window(b"\x01\x02\x03\x04"), _key_window(bytes(range(50, 82))),
+            _key_window(truth.server_key), _iv_window(truth.server_iv)],
+        2: [_iv_window(b"\x05\x06\x07\x08"), _iv_window(truth.client_iv), _key_window(bytes(range(90, 122)))],
+    })
+    report = run_pipeline(extracts, capture, mode="windows")
+    assert report.outcome == "decrypted" and report.candidates["bands_scanned"] == [1, 2]
+
+    extract_set, cfg, seen = load_extracts(extracts), ScanConfig(key_len_bytes=32), set()
+    keys_1, ivs_1 = scan_windows(extract_set, cfg, (1,), seen)
+    keys_2, ivs_2 = scan_windows(extract_set, cfg, (2,), seen)
+    order = (naive_pair_order(keys_1, ivs_1) + naive_pair_order(keys_2, ivs_1 + ivs_2)
+             + naive_pair_order(keys_1, ivs_2))
+    index = [(k.value, v.value) for k, v in order].index((truth.client_key, truth.client_iv))
+    assert index >= len(keys_1) * len(ivs_1) + len(keys_2) * len(ivs_1 + ivs_2)
+    record = capture.app_data(Direction.CLIENT_TO_SERVER)[0][1]
+    seq_position = _seq_candidates(record.seq, 2).index(report.trials["seq_used"])
+    assert report.trials["winner_index"] == index
+    assert report.trials["attempted"] == index * 5 + seq_position + 1
+    assert (report.candidates["keys"], report.candidates["ivs"]) == (
+        len(keys_1 + keys_2), len(ivs_1 + ivs_2))
+
+
+def test_server_probe_misses_in_every_band_reports_partial(tmp_path, windows_session):
+    root, _, truth = windows_session
+    extracts = _write_extracts(tmp_path / "extracts", {
+        1: [_key_window(truth.client_key), _iv_window(truth.client_iv)],
+        3: [_key_window(bytes(range(7, 39))), _iv_window(truth.server_iv)],
+    })
+    report = run_pipeline(extracts, root, mode="windows")
+    assert report.outcome == "decrypted_partial"
+    assert report.candidates["bands_scanned"] == [1, 2, 3]
+    assert report.material["client_key"] == truth.client_key.hex() and report.material["server_key"] is None
+
+
+def test_standard_scan_finds_a_band_1_block_through_a_band_2_nonce_hit(tmp_path, monkeypatch, standard_session):
+    # the IV value is only seen in front of the nonce in band 2, and it recurs
+    # in band 1's key block, which band 1's own stage could not yet find
+    root, capture, truth = standard_session
+    extracts = _write_extracts(tmp_path / "extracts", {
+        1: [_key_block(truth)],
+        2: [_nonce_hit(truth.client_iv, capture)],
+        3: [_key_block(truth)],
+    })
+    cfg = ScanConfig(key_len_bytes=16)
+    extract_set = load_extracts(extracts)
+    state = StandardScanState()
+    assert scan_standard(extract_set, capture, cfg, (1,), state) == []
+    found = scan_standard(extract_set, capture, cfg, (2,), state)
+    band_1_id = extract_set.bands[1][0]
+    assert {(b.extract_id, b.client_key, b.client_iv) for b in found} == {
+        (band_1_id, truth.client_key, truth.client_iv)}
+
+    read = _record_reads(monkeypatch)
+    report = run_pipeline(extracts, root, mode="standard")
+    assert report.outcome == "decrypted"
+    assert report.candidates["bands_scanned"] == [1, 2]
+    assert report.material["client_key"] == truth.client_key.hex()
+    assert report.material["server_key"] == truth.server_key.hex()
+    assert report.material["hypothesis"] == "iv_was_client"
+    assert BAND_FILES[3][0] not in read
+
+
+def test_band_1_win_never_opens_later_bands(tmp_path, monkeypatch, windows_session):
+    root, _, truth = windows_session
+    later = [_key_window(bytes(range(40, 72))), _iv_window(b"\x09\x08\x07\x06")]
+    extracts = _write_extracts(tmp_path / "extracts", {
+        1: [_key_window(truth.client_key), _iv_window(truth.client_iv),
+            _key_window(truth.server_key), _iv_window(truth.server_iv)],
+        2: later,
+        3: later,
+    })
+    read = _record_reads(monkeypatch, refuse={BAND_FILES[2][0], BAND_FILES[3][0]})
+    out = tmp_path / "report.json"
+    code = main(["decrypt", "--extracts", str(extracts), "--capture", str(root), "--output", str(out)])
+    assert code == EXIT_OK
+    assert [name for name in read if name.endswith(".bin")] == [BAND_FILES[1][0]]
+
+
+def test_unreadable_band_1_extract_exits_1_with_one_error_line(tmp_path, monkeypatch, capsys, windows_session):
+    root, _, truth = windows_session
+    extracts = _write_extracts(tmp_path / "extracts", {
+        1: [_key_window(truth.client_key), _iv_window(truth.client_iv)],
+    })
+    _record_reads(monkeypatch, refuse={BAND_FILES[1][0]})
+    code = main(["decrypt", "--extracts", str(extracts), "--capture", str(root)])
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR
+    assert len(err.splitlines()) == 1 and err.startswith("error: cannot read extract ")
+
+
+def _reference(extract_dir, capture, mode):
+    """The whole ExtractSet scanned at once, then trialled: the search before bands were staged."""
+    extracts, cfg = load_extracts(extract_dir), ScanConfig(key_len_bytes=capture.handshake.key_len_bytes)
+    try:
+        if mode == "windows":
+            pairs = pair_candidates(*scan_windows(extracts, cfg))
+            return decrypt_session(capture, trial_decrypt(capture, pairs), pairs=pairs)
+        blocks = scan_standard(extracts, capture, cfg)
+        return decrypt_session(capture, trial_decrypt_blocks(capture, blocks), blocks=blocks)
+    except (NoCandidates, NoValidDecrypt):
+        return None
+
+
+def _session_material(session) -> tuple:
+    if session is None:
+        return (None, None, None, None), []
+    hexed = lambda value: value.hex() if value is not None else None
+    return (
+        tuple(hexed(v) for v in (session.client_key, session.client_iv, session.server_key, session.server_iv)),
+        [(e.direction.value, e.seq, e.ok, hexed(e.plaintext)) for e in session.transcript],
+    )
+
+
+_bands = st.sampled_from((1, 2, 3))
+_decoys = st.lists(st.tuples(_bands, st.binary(min_size=4, max_size=4), st.binary(min_size=32, max_size=32)),
+                   max_size=3)
+
+
+@settings(max_examples=20, deadline=None)
+@given(places=st.tuples(_bands, _bands, _bands, _bands), decoys=_decoys)
+def test_staged_windows_winner_matches_a_whole_set_scan(windows_session, places, decoys):
+    root, capture, truth = windows_session
+    plants: dict[int, list[bytes]] = {1: []}  # band 1 always holds a file, as real dumps do
+    artefacts = (_key_window(truth.client_key), _iv_window(truth.client_iv),
+                 _key_window(truth.server_key), _iv_window(truth.server_iv))
+    for band, artefact in zip(places, artefacts):
+        plants.setdefault(band, []).append(artefact)
+    for band, iv, key in decoys:
+        plants.setdefault(band, []).extend([_iv_window(iv), _key_window(key)])
+    with tempfile.TemporaryDirectory() as tmp:
+        extracts = _write_extracts(pathlib.Path(tmp), plants)
+        report = run_pipeline(extracts, capture, mode="windows")
+        assert _material(report) == _session_material(_reference(extracts, capture, "windows"))
+
+
+@settings(max_examples=20, deadline=None)
+@given(block_bands=st.lists(_bands, min_size=1, max_size=2), nonce_band=_bands, decoy_keys=_decoys)
+def test_staged_standard_winner_matches_a_whole_set_scan(standard_session, block_bands, nonce_band, decoy_keys):
+    root, capture, truth = standard_session
+    plants: dict[int, list[bytes]] = {1: []}
+    for band in block_bands:
+        plants.setdefault(band, []).append(_key_block(truth))
+    plants.setdefault(nonce_band, []).append(_nonce_hit(truth.client_iv, capture))
+    for band, _, key in decoy_keys:  # blocks of other keys around the same IV value
+        plants.setdefault(band, []).append(key + truth.client_iv + truth.server_iv)
+    with tempfile.TemporaryDirectory() as tmp:
+        extracts = _write_extracts(pathlib.Path(tmp), plants)
+        report = run_pipeline(extracts, capture, mode="standard")
+        assert _material(report) == _session_material(_reference(extracts, capture, "standard"))

@@ -49,9 +49,12 @@ def test_report_counts_match_scanner(windows_fixture_32, tmp_path):
     assert code == EXIT_OK
     report = json.loads(out.read_text())
     capture = parse_capture(paths.root)
+    # the counts cover the bands the staged search reached, not every band
+    bands = report["candidates"]["bands_scanned"]
     keys, ivs = scan_windows(
-        load_extracts(paths.extract_dir), ScanConfig(key_len_bytes=capture.handshake.key_len_bytes)
+        load_extracts(paths.extract_dir), ScanConfig(key_len_bytes=capture.handshake.key_len_bytes), bands
     )
+    assert bands == [1]
     assert report["candidates"]["keys"] == len(keys)
     assert report["candidates"]["ivs"] == len(ivs)
 
@@ -232,8 +235,11 @@ def test_gen_fixture_invalid_spec(tmp_path):
     assert _run(["gen-fixture", "--spec", str(recipe), "--out", str(tmp_path / "fix")]) == EXIT_ERROR
 
 
-@pytest.mark.parametrize("text", ['{"rng_seed": 3,', "5", '{"extract_sizes": 3}', '{"extract_sizes": ["x"]}'],
-                         ids=["malformed-json", "not-an-object", "sizes-not-a-list", "sizes-not-integers"])
+@pytest.mark.parametrize("text", ['{"rng_seed": 3,', "5", '{"extract_sizes": 3}', '{"extract_sizes": ["x"]}',
+                                  '{"decoy_markers": "3"}', '{"plaintext_client": 5}', '{"keyblock_copies": 2.5}',
+                                  '{"rng_seed": "x"}'],
+                         ids=["malformed-json", "not-an-object", "sizes-not-a-list", "sizes-not-integers",
+                              "decoy-markers-string", "plaintext-not-a-string", "copies-float", "seed-string"])
 def test_gen_fixture_bad_spec_exits_1_with_one_error_line(tmp_path, capsys, text):
     recipe = tmp_path / "spec.json"
     recipe.write_text(text)
@@ -424,7 +430,8 @@ def test_benchmark_tracer_sees_every_layer(windows_fixture_16, tmp_path):
     assert {"run_pipeline", "scan_windows", "pair_candidates", "trial_decrypt", "decrypt_session"} <= names
     report = json.loads(out.read_text())
     assert recorded["counts"]["trials"] == report["trials"]["attempted"]
-    # the tracer reads len() of the pair order, which must stay K x V
+    # the tracer sums len() over the pair orders; each stage's orders hold only its
+    # new pairs, so over the stages that ran they add up to K x V
     assert recorded["counts"]["pairs"] == report["candidates"]["keys"] * report["candidates"]["ivs"] > 0
     # the tracer's AESGCM proxy has only decrypt: the screen must seal through
     # another binding, and open only its confirmations (client and server)

@@ -186,6 +186,12 @@ _BAD_SPEC_TEXTS = {
     "not-an-object": "5",
     "sizes-not-a-list": '{"extract_sizes": 3}',
     "sizes-not-integers": '{"extract_sizes": ["x"]}',
+    "int-field-string": '{"decoy_markers": "3"}',
+    "int-field-float": '{"keyblock_copies": 2.5}',
+    "int-field-bool": '{"keyblock_copy_gap": true}',
+    "seed-string": '{"rng_seed": "x"}',
+    "plaintext-not-a-string": '{"plaintext_client": 5}',
+    "enum-not-a-string": '{"filler": 5}',
 }
 
 
