@@ -1,71 +1,67 @@
 """keysift: recover TLS 1.2 AES-GCM session material from process-memory
-extracts and use it to decrypt captured traffic."""
+extracts and use it to decrypt captured traffic.
+
+Public names resolve lazily (PEP 562): ``import keysift`` loads no submodule,
+and ``keysift.generate_fixture`` imports ``keysift.fixtures`` on first use.
+So a ``keysift decrypt`` run never loads the fixture generator or the
+reference encryptor.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .capture import (
-    CaptureFormat,
-    Direction,
-    HandshakeSummary,
-    NonceStyle,
-    SessionCapture,
-    explicit_nonce_style,
-    parse_capture,
-)
-from .decrypt import (
-    DecryptedSession,
-    TrialResult,
-    Validation,
-    decrypt_record,
-    decrypt_session,
-    trial_decrypt,
-    trial_decrypt_blocks,
-    validate_plaintext,
-)
-from .entropy import entropy_profile, shannon_entropy
-from .fixtures import FixtureSpec, generate_fixture, reference_encrypt
-from .memscan import (
-    BlockHypothesis,
-    Candidate,
-    CandidateKeyBlock,
-    ExtractSet,
-    MemoryExtract,
-    ScanConfig,
-    load_extracts,
-    pair_candidates,
-    scan_standard,
-    scan_windows,
-)
+# home submodule -> the public names it provides
+_EXPORTS = {
+    "capture": (
+        "CaptureFormat",
+        "Direction",
+        "HandshakeSummary",
+        "NonceStyle",
+        "SessionCapture",
+        "explicit_nonce_style",
+        "parse_capture",
+    ),
+    "decrypt": (
+        "DecryptedSession",
+        "TrialResult",
+        "Validation",
+        "decrypt_record",
+        "decrypt_session",
+        "trial_decrypt",
+        "trial_decrypt_blocks",
+        "validate_plaintext",
+    ),
+    "entropy": ("entropy_profile", "shannon_entropy"),
+    "fixtures": ("FixtureSpec", "generate_fixture", "reference_encrypt"),
+    "memscan": (
+        "BlockHypothesis",
+        "Candidate",
+        "CandidateKeyBlock",
+        "ExtractSet",
+        "MemoryExtract",
+        "ScanConfig",
+        "load_extracts",
+        "pair_candidates",
+        "scan_standard",
+        "scan_windows",
+    ),
+}
 
-__all__ = [
-    "BlockHypothesis",
-    "Candidate",
-    "CandidateKeyBlock",
-    "CaptureFormat",
-    "DecryptedSession",
-    "Direction",
-    "ExtractSet",
-    "FixtureSpec",
-    "HandshakeSummary",
-    "MemoryExtract",
-    "NonceStyle",
-    "ScanConfig",
-    "SessionCapture",
-    "TrialResult",
-    "Validation",
-    "decrypt_record",
-    "decrypt_session",
-    "entropy_profile",
-    "explicit_nonce_style",
-    "generate_fixture",
-    "load_extracts",
-    "pair_candidates",
-    "parse_capture",
-    "reference_encrypt",
-    "scan_standard",
-    "scan_windows",
-    "shannon_entropy",
-    "trial_decrypt",
-    "trial_decrypt_blocks",
-    "validate_plaintext",
-]
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    try:
+        module = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | _HOME.keys())

@@ -22,7 +22,6 @@ from .decrypt import (
 )
 from .entropy import entropy_profile
 from .errors import KeysiftError, NoValidDecrypt
-from .fixtures import FixtureSpec, generate_fixture, spec_from_json
 from .memscan import (
     BANDS,
     Candidate,
@@ -392,6 +391,9 @@ def _cmd_entropy_profile(args) -> int:
 
 
 def _cmd_gen_fixture(args) -> int:
+    # imported here so the other commands never load the fixture generator
+    from .fixtures import FixtureSpec, generate_fixture, spec_from_json
+
     spec = spec_from_json(args.spec) if args.spec else FixtureSpec()
     if args.seed is not None:
         spec.rng_seed = args.seed

@@ -406,11 +406,61 @@ def test_run_pipeline_rejects_negative_seq_window(windows_fixture_16, tmp_path):
             run_pipeline(extract_dir, paths.root, seq_window=-1)
 
 
-def test_cli_import_does_not_load_numpy():
-    probe = "import sys, keysift.cli; print(*[m for m in ('numpy', 'concurrent.futures') if m in sys.modules])"
-    done = subprocess.run([sys.executable, "-c", probe], env=_subprocess_env(), capture_output=True, text=True)
+def test_cli_import_does_not_load_numpy(windows_fixture_16, tmp_path):
+    # neither importing the CLI nor a whole decrypt run may load what only
+    # entropy-profile (numpy) or gen-fixture (fixtures, gcm_ref) needs
+    _, paths, _ = windows_fixture_16
+    unused = ("numpy", "concurrent.futures", "keysift.fixtures", "keysift.gcm_ref")
+    show = f"print(*[m for m in {unused!r} if m in sys.modules])"
+    decrypt = ["decrypt", "--extracts", str(paths.extract_dir), "--capture", str(paths.root),
+               "--output", str(tmp_path / "report.json")]
+    for probe, argv in ((f"import sys, keysift.cli; {show}", []),
+                        (f"import sys, keysift.cli; assert keysift.cli.main(sys.argv[1:]) == 0; {show}", decrypt)):
+        done = subprocess.run([sys.executable, "-c", probe, *argv], env=_subprocess_env(),
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == [], f"imported: {done.stdout}"
+    assert json.loads((tmp_path / "report.json").read_text())["outcome"] == "decrypted"
+
+
+_NAMESPACE_PROBE = """
+import sys
+import keysift
+assert [m for m in sys.modules if m.startswith("keysift.")] == [], "import keysift loaded a submodule"
+assert set(keysift.__all__) <= set(dir(keysift))
+star = {}
+exec("from keysift import *", star)
+assert set(keysift.__all__) <= star.keys()
+for name in keysift.__all__:
+    value = getattr(keysift, name)
+    assert value is star[name] and name in vars(keysift), name
+    assert getattr(sys.modules[value.__module__], name) is value, name
+try:
+    keysift.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("unknown attribute resolved")
+from keysift import gcm_ref
+assert gcm_ref is sys.modules["keysift.gcm_ref"]
+"""
+
+
+def test_package_namespace_resolves_lazily():
+    # a fresh interpreter, so the imports this test process already made cannot mask a gap
+    done = subprocess.run([sys.executable, "-c", _NAMESPACE_PROBE], env=_subprocess_env(),
+                          capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == [], f"imported: {done.stdout}"
+
+
+def test_gen_fixture_as_main(tmp_path):
+    # `python -m keysift.cli` runs cli.py as __main__; its on-demand fixtures import must still resolve
+    out = tmp_path / "fix"
+    done = subprocess.run([sys.executable, "-m", "keysift.cli", "gen-fixture", "--out", str(out), "--seed", "2"],
+                          env=_subprocess_env(), capture_output=True, text=True)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert json.loads(done.stdout)["groundtruth"] == str(out / "groundtruth.json")
+    assert (out / "groundtruth.json").is_file()
 
 
 def test_benchmark_tracer_sees_every_layer(windows_fixture_16, tmp_path):
