@@ -9,9 +9,9 @@ recovers the same two byte streams first.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import (
     MalformedRecord,
@@ -71,15 +71,13 @@ class CaptureFormat(Enum):
     RAW_RECORDS = "raw_records"
 
 
-@dataclass(frozen=True)
-class TlsRecord:
+class TlsRecord(NamedTuple):
     content_type: int
     legacy_version: int
     payload: bytes
 
 
-@dataclass(frozen=True)
-class HandshakeSummary:
+class HandshakeSummary(NamedTuple):
     cipher_suite: int
     key_len_bytes: int
 
@@ -88,8 +86,7 @@ class HandshakeSummary:
         return GCM_SUITES[self.cipher_suite][0]
 
 
-@dataclass(frozen=True)
-class EncryptedRecord:
+class EncryptedRecord(NamedTuple):
     direction: Direction
     seq: int
     explicit_nonce: bytes
@@ -98,8 +95,7 @@ class EncryptedRecord:
     content_type: int
 
 
-@dataclass(frozen=True)
-class SessionCapture:
+class SessionCapture(NamedTuple):
     handshake: HandshakeSummary
     records: tuple[EncryptedRecord, ...]
     first_explicit_nonce: bytes

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .capture import CaptureFormat, NonceStyle, SessionCapture, explicit_nonce_style, parse_capture
@@ -55,20 +54,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
 class RunReport:
-    mode_requested: str
-    mode_used: str | None
-    nonce_style: str
-    candidates: dict = field(default_factory=dict)
-    timings: dict = field(default_factory=dict)
-    outcome: str = "no_valid_decrypt"
-    trials: dict | None = None
-    material: dict | None = None
-    session: dict | None = None
+    """What a pipeline run found; ``to_dict`` is the report's JSON shape."""
+
+    def __init__(self, mode_requested: str, mode_used: str | None, nonce_style: str,
+                 candidates: dict, timings: dict):
+        self.mode_requested = mode_requested
+        self.mode_used = mode_used
+        self.nonce_style = nonce_style
+        self.candidates = candidates
+        self.timings = timings
+        self.outcome = "no_valid_decrypt"
+        self.trials: dict | None = None
+        self.material: dict | None = None
+        self.session: dict | None = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def _session_dict(session: DecryptedSession) -> dict:
@@ -266,7 +268,7 @@ def _add_scan_flags(parser: argparse.ArgumentParser) -> None:
 
 def _config_from_args(args, key_len: int) -> ScanConfig:
     """ScanConfig from the scanner flags given; ``key_len`` unless --key-size is."""
-    given = {f.name: getattr(args, f.name, None) for f in fields(ScanConfig)}
+    given = {name: getattr(args, name, None) for name in ScanConfig._fields}
     kwargs = {name: value for name, value in given.items() if value is not None}
     kwargs.setdefault("key_len_bytes", key_len)
     try:

@@ -16,10 +16,9 @@ each record's screen across calls, so no key is sealed twice.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import chain
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers import Cipher, aead, algorithms, modes
@@ -105,8 +104,7 @@ def _seq_candidates(reconstructed: int, window: int) -> list[int]:
     return candidates
 
 
-@dataclass(frozen=True)
-class TrialResult:
+class TrialResult(NamedTuple):
     """The first material whose tag verified; ``index`` is its position in the
     list handed to the trial function (a pair index or a key-block index)."""
 
@@ -335,19 +333,17 @@ def trial_decrypt_blocks(
         for material in ((block.client_key, block.client_iv), (block.server_key, block.server_iv))
     )
     result = _trial(capture, *_list_groups(materials), seq_window, screens)
-    return replace(result, index=result.index // 2, orientation_swapped=result.index % 2 == 1)
+    return result._replace(index=result.index // 2, orientation_swapped=result.index % 2 == 1)
 
 
-@dataclass(frozen=True)
-class TranscriptEntry:
+class TranscriptEntry(NamedTuple):
     direction: Direction
     seq: int
     plaintext: bytes | None
     ok: bool
 
 
-@dataclass(frozen=True)
-class DecryptedSession:
+class DecryptedSession(NamedTuple):
     client_key: bytes
     client_iv: bytes
     server_key: bytes | None

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 from .capture import SessionCapture
 from .entropy import shannon_entropy
@@ -37,15 +37,12 @@ IV_LEN = 4
 _METADATA_NAMES = {"manifest.json", "groundtruth.json"}
 
 
-@dataclass(frozen=True)
 class MemoryExtract:
     """One memory extract. ``source`` is the file to read or the bytes
     themselves; a file is read on the first access to ``data``, not before."""
 
-    id: int
-    name: str
-    size: int
-    source: Path | bytes
+    def __init__(self, id: int, name: str, size: int, source: Path | bytes):
+        self.id, self.name, self.size, self.source = id, name, size, source
 
     @cached_property
     def data(self) -> bytes:
@@ -60,8 +57,7 @@ class MemoryExtract:
         return data
 
 
-@dataclass(frozen=True)
-class ExtractSet:
+class ExtractSet(NamedTuple):
     """Extracts with their size bands. Bands come from sizes alone, so building
     the set reads no extract; ``total_bytes`` is known before any read."""
 
@@ -135,8 +131,10 @@ def extract_set_from_buffers(named_buffers: list[tuple[str, bytes]]) -> ExtractS
     return _make_extract_set(extracts)
 
 
-@dataclass(frozen=True)
-class ScanConfig:
+class _ScanFields(NamedTuple):
+    """ScanConfig's fields. A NamedTuple body may not define ``__new__``, so
+    the validation lives in the subclass."""
+
     key_len_bytes: int = 32
     iv_entropy_threshold: float = 1.5
     key_entropy_threshold: float | None = None  # defaults to 0.9 * log2(key length)
@@ -146,23 +144,34 @@ class ScanConfig:
     min_artefact_gap: int = 1000
     counter_nonce_bound: int = 256
 
-    def __post_init__(self):
-        if self.key_len_bytes not in (16, 32):
+
+class ScanConfig(_ScanFields):
+    """Scanner settings. Building one validates them and fills in the default
+    key-entropy gate; ``_replace`` does neither."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        cfg = super().__new__(cls, *args, **kwargs)
+        if cfg.key_len_bytes not in (16, 32):
             raise ValueError("key_len_bytes must be 16 or 32")
-        if self.step <= 0:
+        if cfg.step <= 0:
             raise ValueError("step must be positive")
-        if self.max_iv_distance < self.step or self.max_key_distance < self.step:
+        if cfg.max_iv_distance < cfg.step or cfg.max_key_distance < cfg.step:
             raise ValueError("search distances must be at least one step")
-        if self.key_entropy_threshold is None:
-            object.__setattr__(self, "key_entropy_threshold", 0.9 * math.log2(self.key_len_bytes))
-        if self.iv_entropy_threshold < 0 or self.key_entropy_threshold < 0:
-            raise ValueError("entropy thresholds must be non-negative")
-        if self.min_artefact_gap < 0:
+        if cfg.key_entropy_threshold is None:
+            cfg = cfg._replace(key_entropy_threshold=0.9 * math.log2(cfg.key_len_bytes))
+        for gate in (cfg.iv_entropy_threshold, cfg.key_entropy_threshold):
+            if not (math.isfinite(gate) and gate >= 0):
+                raise ValueError("entropy thresholds must be finite and non-negative")
+        if cfg.min_artefact_gap < 0:
             raise ValueError("min_artefact_gap must be non-negative")
+        if cfg.counter_nonce_bound < 0:
+            raise ValueError("counter_nonce_bound must be non-negative")
+        return cfg
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     """A key or implicit-IV window that cleared its entropy gate."""
 
     value: bytes
@@ -176,8 +185,7 @@ class BlockHypothesis(Enum):
     IV_WAS_SERVER = "iv_was_server"
 
 
-@dataclass(frozen=True)
-class CandidateKeyBlock:
+class CandidateKeyBlock(NamedTuple):
     client_key: bytes
     server_key: bytes
     client_iv: bytes
@@ -296,15 +304,15 @@ def _blocks_at_hit(data: bytes, extract_id: int, p: int, cfg: ScanConfig,
     return blocks
 
 
-@dataclass
 class StandardScanState:
     """What a band-by-band standard scan carries from one band to the next."""
 
-    gated: set[bytes] = field(default_factory=set)  # every candidate IV value whose entropy was gated
-    values: list[bytes] = field(default_factory=list)  # those that cleared the gate
-    scanned: list[MemoryExtract] = field(default_factory=list)
-    hits: dict[int, dict[int, list[CandidateKeyBlock]]] = field(default_factory=dict)  # extract id -> IV hit -> blocks
-    returned: set[CandidateKeyBlock] = field(default_factory=set)
+    def __init__(self):
+        self.gated: set[bytes] = set()  # every candidate IV value whose entropy was gated
+        self.values: list[bytes] = []  # those that cleared the gate
+        self.scanned: list[MemoryExtract] = []
+        self.hits: dict[int, dict[int, list[CandidateKeyBlock]]] = {}  # extract id -> IV hit -> blocks
+        self.returned: set[CandidateKeyBlock] = set()
 
 
 def scan_standard(

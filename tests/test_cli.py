@@ -6,10 +6,28 @@ from pathlib import Path
 
 import pytest
 
-from keysift.capture import NonceStyle, parse_capture
-from keysift.cli import EXIT_ERROR, EXIT_NO_DECRYPT, EXIT_OK, main, run_pipeline
+from keysift.capture import (
+    Direction,
+    EncryptedRecord,
+    HandshakeSummary,
+    NonceStyle,
+    SessionCapture,
+    TlsRecord,
+    parse_capture,
+)
+from keysift.cli import EXIT_ERROR, EXIT_NO_DECRYPT, EXIT_OK, _config_from_args, build_parser, main, run_pipeline
+from keysift.decrypt import DecryptedSession, TranscriptEntry, TrialResult, Validation
 from keysift.fixtures import FixtureLayout, Filler, FixtureSpec, generate_fixture
-from keysift.memscan import MB, ScanConfig, load_extracts, scan_windows
+from keysift.memscan import (
+    MB,
+    BlockHypothesis,
+    Candidate,
+    CandidateKeyBlock,
+    ExtractSet,
+    ScanConfig,
+    load_extracts,
+    scan_windows,
+)
 
 
 def _run(argv):
@@ -129,12 +147,15 @@ _DECRYPT = ("decrypt", "--extracts", "{extracts}", "--capture", "{capture}")
     _DECRYPT + ("--min-gap", "-1"),
     _DECRYPT + ("--filter", "bogus"),
     _DECRYPT + ("--seq-window", "-1"),
+    _DECRYPT + ("--iv-entropy", "nan"),
+    _DECRYPT + ("--counter-bound", "-5"),
     ("scan", "--extracts", "{extracts}", "--step", "0"),
     ("entropy-profile", "--extracts", "{extracts}", "--window", "0"),
     ("entropy-profile", "--extracts", "{extracts}", "--window", "-4"),
     ("entropy-profile", "--extracts", "{extracts}", "--region-windows", "0"),
-], ids=["missing-capture", "workers", "step-0", "negative-gap", "bad-filter", "negative-seq-window", "scan-step-0",
-        "profile-window-0", "profile-negative-window", "profile-region-windows-0"])
+], ids=["missing-capture", "workers", "step-0", "negative-gap", "bad-filter", "negative-seq-window",
+        "iv-entropy-nan", "negative-counter-bound", "scan-step-0", "profile-window-0", "profile-negative-window",
+        "profile-region-windows-0"])
 def test_usage_errors_exit_1_with_one_error_line(windows_fixture_16, capsys, argv):
     _, paths, _ = windows_fixture_16
     code = _run([arg.format(extracts=paths.extract_dir, capture=paths.root) for arg in argv])
@@ -149,6 +170,37 @@ def test_help_exits_0(capsys):
         _run(["decrypt", "--help"])
     assert info.value.code == 0
     assert "--extracts" in capsys.readouterr().out
+
+
+_SCAN_FLAGS = ("--key-size", "16", "--iv-entropy", "1.25", "--key-entropy", "3.5", "--max-iv-distance", "40",
+               "--max-key-distance", "96", "--step", "8", "--min-gap", "500", "--counter-bound", "7")
+
+
+def test_scanner_flags_are_scan_config_fields_and_records_stay_frozen():
+    # _config_from_args reads the scanner flags by ScanConfig field name
+    parser = build_parser()
+    for command in (("decrypt", "--extracts", "e", "--capture", "c"), ("scan", "--extracts", "e")):
+        bare = vars(parser.parse_args(command))
+        args = parser.parse_args(command + _SCAN_FLAGS)
+        assert {dest for dest, value in vars(args).items() if value != bare[dest]} == set(ScanConfig._fields)
+        assert _config_from_args(args, 32) == ScanConfig(16, 1.25, 3.5, 40, 96, 8, 500, 7)
+
+    block = CandidateKeyBlock(bytes(16), bytes(16), bytes(4), bytes(4), 0, 0, BlockHypothesis.IV_WAS_CLIENT, 32)
+    record = EncryptedRecord(Direction.CLIENT_TO_SERVER, 0, bytes(8), bytes(32), 0x0303, 23)
+    summary = HandshakeSummary(0x009C, 16)
+    result = TrialResult(bytes(16), bytes(4), 1, b"GET /", Validation.TAG_VERIFIED, 0)
+    entry = TranscriptEntry(Direction.CLIENT_TO_SERVER, 0, b"GET /", True)
+    records = [
+        TlsRecord(23, 0x0303, b""), summary, record, SessionCapture(summary, (record,), bytes(8)),
+        result, entry, DecryptedSession(bytes(16), bytes(4), None, None, (entry,), True),
+        ExtractSet((), {}), Candidate(bytes(4), 0, 0, 2.0), block, ScanConfig(),
+    ]
+    for rec in records:
+        with pytest.raises(AttributeError):
+            setattr(rec, rec._fields[0], None)
+    # key blocks key StandardScanState.returned, records key the tag screens
+    assert {block: 1, block._replace(offset=0): 2} == {block: 2}
+    assert {(record, 2): 1}[record._replace(seq=0), 2] == 1
 
 
 def test_scan_windows_command(windows_fixture_16, capsys):
@@ -408,9 +460,9 @@ def test_run_pipeline_rejects_negative_seq_window(windows_fixture_16, tmp_path):
 
 def test_cli_import_does_not_load_numpy(windows_fixture_16, tmp_path):
     # neither importing the CLI nor a whole decrypt run may load what only
-    # entropy-profile (numpy) or gen-fixture (fixtures, gcm_ref) needs
+    # entropy-profile (numpy) or gen-fixture (fixtures, gcm_ref, dataclasses) needs
     _, paths, _ = windows_fixture_16
-    unused = ("numpy", "concurrent.futures", "keysift.fixtures", "keysift.gcm_ref")
+    unused = ("numpy", "concurrent.futures", "keysift.fixtures", "keysift.gcm_ref", "dataclasses", "inspect")
     show = f"print(*[m for m in {unused!r} if m in sys.modules])"
     decrypt = ["decrypt", "--extracts", str(paths.extract_dir), "--capture", str(paths.root),
                "--output", str(tmp_path / "report.json")]

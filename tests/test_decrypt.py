@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 from cryptography.exceptions import InvalidTag
@@ -448,7 +447,7 @@ def captures(session_capture, tmp_path_factory):
     capture, truth = session_capture
     spec = FixtureSpec(rng_seed=78, key_len_bytes=16, extract_sizes=(2 * (1 << 20),))
     paths, truth16 = generate_fixture(spec, tmp_path_factory.mktemp("trialfix16"))
-    shifted = replace(capture, records=tuple(replace(r, seq=r.seq + 2) for r in capture.records))
+    shifted = capture._replace(records=tuple(r._replace(seq=r.seq + 2) for r in capture.records))
     return [(capture, truth), (parse_capture(paths.root), truth16), (shifted, truth)]
 
 

@@ -95,7 +95,12 @@ def test_key_threshold_defaults():
         {"step": 0},
         {"max_iv_distance": 2},
         {"iv_entropy_threshold": -1.0},
+        {"iv_entropy_threshold": float("nan")},
+        {"iv_entropy_threshold": float("inf")},
+        {"key_entropy_threshold": float("nan")},
+        {"key_entropy_threshold": float("-inf")},
         {"min_artefact_gap": -5},
+        {"counter_nonce_bound": -5},
     ],
 )
 def test_config_validation(kwargs):
