@@ -7,6 +7,7 @@ but nothing decrypted, 1 for operational and usage errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -291,6 +292,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite: {value}")
+    return value
+
+
 def _parse_filter(text: str) -> tuple:
     try:
         left, right = text.split(",")
@@ -455,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     ep = sub.add_parser("entropy-profile", help="per-region high-entropy window counts as CSV")
     ep.add_argument("--extracts", required=True)
     ep.add_argument("--window", type=_positive_int, default=32)
-    ep.add_argument("--threshold", type=float, default=4.5)
+    ep.add_argument("--threshold", type=_finite_float, default=4.5)
     ep.add_argument("--region-windows", type=_positive_int, default=256,
                     help="windows aggregated per CSV row (default 256)")
     ep.add_argument("--output", default=None)

@@ -5,8 +5,9 @@ oracle than any plaintext heuristic. HTTP/1.1 shape is kept as a secondary
 label on successful decrypts.
 
 Candidate (key, IV, seq) trials are not opened one by one. A tag screen
-derived from GCM's structure tests every IV under a key with one AES-ECB call,
-and only its hits are opened with ``AESGCM``, earliest trial first, so a
+derived from GCM's structure names, per key and seq, the one IV that would
+verify, at a cost that does not grow with the IV count; only the candidate
+pairings it names are opened with ``AESGCM``, earliest trial first, so a
 reported decrypt always means a tag verified and the trial count is still the
 one a per-trial loop would have reached. The server-direction probe takes its
 hits in the same trial order. A caller that trials material in stages can keep
@@ -134,14 +135,16 @@ class _TagScreen:
     The GCM tag is T = GHASH_H(A, C) xor E_K(J0), with J0 = IV || explicit ||
     0x00000001 for a 12-byte nonce (NIST SP 800-38D, RFC 5288). For a fixed key
     and seq the GHASH term is the same for every IV, so sealing once under a
-    reference nonce gives it, and one AES-ECB call over the J0 blocks of all IVs
-    tests every IV at once. The sealed plaintext is the ciphertext body under the
-    reference keystream, so sealing reproduces C exactly; that keystream comes
-    from the reference nonce's counter blocks, encrypted by the same ECB cipher.
+    reference nonce gives the E_K(J0) a matching IV must produce. AES is a
+    permutation, so one AES-ECB decryption of those 2w+1 targets gives the J0,
+    and with it the one IV, that can match at each seq: a key costs the same
+    whatever the number of candidate IVs. The sealed plaintext is the
+    ciphertext body under the reference keystream, so sealing reproduces C
+    exactly; that keystream comes from the reference nonce's counter blocks,
+    encrypted by the key's same ECB cipher.
 
-    A key's targets (the E_K(J0) that each seq needs) do not depend on the IVs,
-    so a screen keeps each key's ECB cipher and targets, and a later call for
-    the same key only encrypts the new IVs' J0 blocks.
+    A key's needed IVs do not depend on the candidate IVs, so a screen keeps
+    them and a later call for the same key seals nothing.
 
     Sealing and the ECB cipher go through ``aead.AESGCM`` and ``Cipher``, never
     through the module's ``AESGCM``, which opens records and counts as their
@@ -153,7 +156,7 @@ class _TagScreen:
         self._body_len = len(record.ciphertext) - GCM_TAG_LEN
         self._body = int.from_bytes(record.ciphertext[: self._body_len], "big")
         self._tag = int.from_bytes(record.ciphertext[self._body_len :], "big")
-        self._explicit = record.explicit_nonce
+        self._j0_tail = record.explicit_nonce + _J0_COUNTER
         self._nonce = bytes(IV_LEN) + record.explicit_nonce
         blocks = -(-self._body_len // 16)
         # E_K(J0) of the reference nonce, then its keystream blocks 2, 3, ...
@@ -161,21 +164,15 @@ class _TagScreen:
         self._aads = [
             record_aad(seq, record.content_type, record.record_version, self._body_len) for seq in self.seqs
         ]
-        self._keys: dict[bytes, tuple] = {}  # key -> (ECB encryptor, target per seq)
+        self._keys: dict[bytes, list[bytes | None]] = {}  # key -> needed IV per seq
 
-    def blocks(self, ivs: Sequence[bytes]) -> bytes:
-        """The ECB input for ``ivs``: one J0 block per IV."""
-        if any(len(iv) != IV_LEN for iv in ivs):
-            raise ValueError(f"implicit IVs must be {IV_LEN} bytes")
-        return b"".join(iv + self._explicit + _J0_COUNTER for iv in ivs)
-
-    def _key_state(self, key: bytes):
-        """The ECB encryptor of ``key`` and, per seq, the E_K(J0) an IV must give
-        for the tag to match."""
-        state = self._keys.get(key)
-        if state is None:
-            encryptor = Cipher(algorithms.AES(_checked_key(key)), _ECB).encryptor()
-            stream = encryptor.update(self._reference)
+    def needed_ivs(self, key: bytes) -> list[bytes | None]:
+        """Per seq, the implicit IV under which ``key`` would verify the tag,
+        or None when no IV can (the J0 does not end in explicit || 1)."""
+        needed = self._keys.get(key)
+        if needed is None:
+            cipher = Cipher(algorithms.AES(_checked_key(key)), _ECB)
+            stream = cipher.encryptor().update(self._reference)
             body_len = self._body_len
             # T xor E_K(J0_ref); xored with the reference tag it leaves E_K(J0) of a matching IV
             mask = self._tag ^ int.from_bytes(stream[:16], "big")
@@ -186,22 +183,12 @@ class _TagScreen:
             for aad in self._aads:
                 reference_tag = int.from_bytes(sealer.encrypt(self._nonce, plaintext, aad)[body_len:], "big")
                 targets.append((reference_tag ^ mask).to_bytes(16, "big"))
-            state = self._keys[key] = (encryptor, targets)
-        return state
-
-    def hits(self, key: bytes, blocks: bytes) -> list[tuple[int, int]]:
-        """(IV index, seq index) of every trial under ``key`` whose tag matches,
-        for the IVs ``blocks`` was built from."""
-        encryptor, targets = self._key_state(key)
-        stream = encryptor.update(blocks)
-        found = []
-        for seq_index, target in enumerate(targets):
-            pos = stream.find(target)
-            while pos != -1:
-                if pos % 16 == 0:
-                    found.append((pos // 16, seq_index))
-                pos = stream.find(target, pos + 1)
-        return found
+            j0s = cipher.decryptor().update(b"".join(targets))
+            needed = self._keys[key] = [
+                j0s[i : i + IV_LEN] if j0s[i + IV_LEN : i + 16] == self._j0_tail else None
+                for i in range(0, len(j0s), 16)
+            ]
+        return needed
 
 
 def _screen_for(record: EncryptedRecord, seq_window: int, screens: dict | None) -> _TagScreen:
@@ -215,51 +202,65 @@ def _screen_for(record: EncryptedRecord, seq_window: int, screens: dict | None) 
     return screen
 
 
-# One screen group: a key, the IVs tried with it, and the trial position of the
-# pairing with the IV at each index.
-_Group = tuple[bytes, Sequence[bytes], Callable[[int], int]]
+class _Trials(NamedTuple):
+    """A trial set: its material count, its distinct keys, and the trial
+    position of a (key, IV), or None when the set does not pair them."""
+
+    count: int
+    keys: Iterable[bytes]
+    position: Callable[[bytes, bytes], int | None]
 
 
-def _list_groups(materials: Iterable[tuple[bytes, bytes]]) -> tuple[int, list[_Group]]:
-    """The count of ``materials`` and their groups by key; a (key, IV) listed
-    more than once keeps its first position, where its first trial falls."""
-    by_key: dict[bytes, dict[bytes, int]] = {}
+def _checked_iv(iv: bytes) -> bytes:
+    if len(iv) != IV_LEN:
+        raise ValueError(f"implicit IVs must be {IV_LEN} bytes")
+    return iv
+
+
+def _list_trials(materials: Iterable[tuple[bytes, bytes]]) -> _Trials:
+    """The trial set of a (key, IV) list; a (key, IV) listed more than once
+    keeps its first position, where its first trial falls."""
+    first: dict[tuple[bytes, bytes], int] = {}
     count = 0
     for key, iv in materials:
-        by_key.setdefault(key, {}).setdefault(iv, count)
+        first.setdefault((key, _checked_iv(iv)), count)
         count += 1
-    return count, [(key, list(ivs), list(ivs.values()).__getitem__) for key, ivs in by_key.items()]
+    return _Trials(count, dict.fromkeys(key for key, _ in first), lambda key, iv: first.get((key, iv)))
 
 
-def _pair_groups(pairs: PairOrder | Iterable[tuple[Candidate, Candidate]]) -> tuple[int, list[_Group]]:
-    """Screen groups of a pair order or of any iterable of pairs. For a
-    ``PairOrder`` every key is paired with every IV and positions come from
-    ``PairOrder.rank``."""
+def _pair_trials(pairs: PairOrder | Iterable[tuple[Candidate, Candidate]]) -> _Trials:
+    """The trial set of a pair order or of any iterable of pairs. A
+    ``PairOrder`` pairs every key with every IV; a value held at several
+    indices takes the lowest ``PairOrder.rank`` over them."""
     if not isinstance(pairs, PairOrder):
-        return _list_groups((key.value, iv.value) for key, iv in pairs)
-    ivs = [iv.value for iv in pairs.ivs]
-    indices: dict[bytes, list[int]] = {}
+        return _list_trials((key.value, iv.value) for key, iv in pairs)
+    key_indices: dict[bytes, list[int]] = {}
+    iv_indices: dict[bytes, list[int]] = {}
     for ki, key in enumerate(pairs.keys):
-        indices.setdefault(key.value, []).append(ki)
-    groups = [
-        (key, ivs, lambda vi, kis=kis: min(pairs.rank(ki, vi) for ki in kis)) for key, kis in indices.items()
-    ]
-    return len(pairs), groups
+        key_indices.setdefault(key.value, []).append(ki)
+    for vi, iv in enumerate(pairs.ivs):
+        iv_indices.setdefault(_checked_iv(iv.value), []).append(vi)
+
+    def position(key: bytes, iv: bytes) -> int | None:
+        vis = iv_indices.get(iv)
+        return None if vis is None else min(pairs.rank(ki, vi) for ki in key_indices[key] for vi in vis)
+
+    return _Trials(len(pairs), key_indices, position)
 
 
 def _first_verified(
-    screen: _TagScreen, record: EncryptedRecord, groups: Iterable[_Group]
+    screen: _TagScreen, record: EncryptedRecord, trials: _Trials
 ) -> tuple[int, int, int, bytes, bytes, bytes] | None:
-    """Screen every group against ``record`` and return the first screen hit
-    whose tag really verifies, as (position, seq index, seq, key, IV,
-    plaintext), or None. Hits are taken in trial order: position, then seq
+    """Screen every key of ``trials`` against ``record`` and return the first
+    screen hit whose tag really verifies, as (position, seq index, seq, key,
+    IV, plaintext), or None. Hits are taken in trial order: position, then seq
     nearest the record's."""
     hits = []
-    built_for, blocks = None, b""
-    for key, ivs, position in groups:
-        if ivs is not built_for:  # a pair order shares one IV list across keys
-            built_for, blocks = ivs, screen.blocks(ivs)
-        hits += [(position(vi), seq_index, key, ivs[vi]) for vi, seq_index in screen.hits(key, blocks)]
+    for key in trials.keys:
+        for seq_index, iv in enumerate(screen.needed_ivs(key)):
+            position = None if iv is None else trials.position(key, iv)
+            if position is not None:
+                hits.append((position, seq_index, key, iv))
     hits.sort(key=lambda hit: hit[:2])
     for position, seq_index, key, iv in hits:
         seq = screen.seqs[seq_index]
@@ -269,17 +270,15 @@ def _first_verified(
     return None
 
 
-def _trial(
-    capture: SessionCapture, count: int, groups: Iterable[_Group], seq_window: int, screens: dict | None
-) -> TrialResult:
-    """Screen ``count`` materials against the first client ApplicationData
-    record. ``index`` is the winner's position; trials count as if each
-    material were opened at each seq in turn until the winner verified."""
+def _trial(capture: SessionCapture, trials: _Trials, seq_window: int, screens: dict | None) -> TrialResult:
+    """Screen ``trials`` against the first client ApplicationData record.
+    ``index`` is the winner's position; trials count as if each material were
+    opened at each seq in turn until the winner verified."""
     record = _first_client_record(capture)
-    winner = _first_verified(_screen_for(record, seq_window, screens), record, groups)
+    winner = _first_verified(_screen_for(record, seq_window, screens), record, trials)
     per_material = 2 * seq_window + 1
     if winner is None:
-        raise NoValidDecrypt(count * per_material)
+        raise NoValidDecrypt(trials.count * per_material)
     position, seq_index, seq, key, implicit_iv, plaintext = winner
     validation = Validation.TAG_AND_PROTOCOL_VALID if validate_plaintext(plaintext) else Validation.TAG_VERIFIED
     return TrialResult(
@@ -302,10 +301,11 @@ def trial_decrypt(
     """The first (key, IV) pair, in order, whose tag verifies on the first
     client ApplicationData record at some seq of the window, nearest first.
 
-    Every pair is screened at once (one AES-ECB call per distinct key) and only
-    screen hits are opened, the earliest first; a reported decrypt always
-    passed a real ``AESGCM`` open. ``TrialResult.index`` is the winner's
-    position in ``pairs``, counted by ``PairOrder.rank`` for the order from
+    Every pair is screened at once (one AES-ECB decryption per distinct key
+    names the IV each seq needs, whatever the IV count) and only screen hits
+    are opened, the earliest first; a reported decrypt always passed a real
+    ``AESGCM`` open. ``TrialResult.index`` is the winner's position in
+    ``pairs``, counted by ``PairOrder.rank`` for the order from
     ``pair_candidates``, which is never generated. ``trials`` counts the trials
     a loop over the pairs would have made up to the winner; when no pair
     verifies, NoValidDecrypt carries pairs x (2 * seq_window + 1).
@@ -313,8 +313,7 @@ def trial_decrypt(
     ``screens`` is an optional dict the caller keeps across calls: the record's
     screen is kept there, so a key screened by an earlier call against the
     same record is not sealed again."""
-    count, groups = _pair_groups(pairs)
-    return _trial(capture, count, groups, seq_window, screens)
+    return _trial(capture, _pair_trials(pairs), seq_window, screens)
 
 
 def trial_decrypt_blocks(
@@ -332,7 +331,7 @@ def trial_decrypt_blocks(
         for block in blocks
         for material in ((block.client_key, block.client_iv), (block.server_key, block.server_iv))
     )
-    result = _trial(capture, *_list_groups(materials), seq_window, screens)
+    result = _trial(capture, _list_trials(materials), seq_window, screens)
     return result._replace(index=result.index // 2, orientation_swapped=result.index % 2 == 1)
 
 
@@ -391,12 +390,12 @@ def decrypt_session(
             block = blocks[result.index]
             opposite = (block.client_key, block.client_iv) if result.orientation_swapped else (
                 block.server_key, block.server_iv)
-            candidates = [_list_groups([opposite])[1]]
+            candidates = [_list_trials([opposite])]
         else:
-            candidates = (_pair_groups(order)[1] for order in chain([pairs], later_pairs))
+            candidates = (_pair_trials(order) for order in chain([pairs], later_pairs))
         screen = _TagScreen(probe_record, seq_window)
-        for groups in candidates:
-            found = _first_verified(screen, probe_record, groups)
+        for trials in candidates:
+            found = _first_verified(screen, probe_record, trials)
             if found is not None:
                 _, _, seq, key, implicit_iv, _ = found
                 material[Direction.SERVER_TO_CLIENT] = (key, implicit_iv)

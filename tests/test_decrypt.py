@@ -207,25 +207,55 @@ def _count_opens(monkeypatch):
     return opened
 
 
-def test_trial_decrypt_screens_each_key_once(session_capture, monkeypatch):
-    # one block cipher per distinct key, and one real open: the confirmation
-    capture, truth = session_capture
-    pairs = [_cand(bytes([k]) * 32, bytes([v, v, v, v])) for k in range(10) for v in range(6)]
-    pairs.append(_cand(truth.client_key, truth.client_iv))
-    built = []
+def _count_ciphers(monkeypatch):
+    """Wrap ``decrypt.Cipher``: the keys it is built for, and the bytes its
+    encryptors' and decryptors' ``update`` calls receive, as ``fed[0]``."""
+    built, fed = [], [0]
     real_cipher = decrypt_module.Cipher
 
-    def counting_cipher(algorithm, mode):
-        built.append(algorithm.key)
-        return real_cipher(algorithm, mode)
+    class CountingContext:
+        def __init__(self, context):
+            self._context = context
 
-    monkeypatch.setattr(decrypt_module, "Cipher", counting_cipher)
+        def update(self, data):
+            fed[0] += len(data)
+            return self._context.update(data)
+
+    class CountingCipher:
+        def __init__(self, algorithm, mode):
+            built.append(algorithm.key)
+            self._cipher = real_cipher(algorithm, mode)
+
+        def encryptor(self):
+            return CountingContext(self._cipher.encryptor())
+
+        def decryptor(self):
+            return CountingContext(self._cipher.decryptor())
+
+    monkeypatch.setattr(decrypt_module, "Cipher", CountingCipher)
+    return built, fed
+
+
+def test_trial_decrypt_screens_each_key_once(session_capture, monkeypatch):
+    # one block cipher per distinct key, fed the same bytes against 10 IVs as
+    # against 2 000, and one real open: the confirmation
+    capture, truth = session_capture
+    built, fed = _count_ciphers(monkeypatch)
     opened = _count_opens(monkeypatch)
-    result = trial_decrypt(capture, pairs)
-    assert result.index == 60
-    assert result.trials == 60 * 5 + 1
-    assert len(built) == len(set(built)) == 11
-    assert opened == [truth.client_key]
+    fed_per_count = []
+    for iv_count in (10, 2_000):
+        built.clear()
+        opened.clear()
+        fed[0] = 0
+        pairs = [_cand(bytes([k]) * 32, b"\xee" + v.to_bytes(3, "big")) for k in range(10) for v in range(iv_count)]
+        pairs.append(_cand(truth.client_key, truth.client_iv))
+        result = trial_decrypt(capture, pairs)
+        assert result.index == 10 * iv_count
+        assert result.trials == 10 * iv_count * 5 + 1
+        assert len(built) == len(set(built)) == 11
+        assert opened == [truth.client_key]
+        fed_per_count.append(fed[0])
+    assert fed_per_count[0] == fed_per_count[1]
 
 
 def test_reported_decrypt_needs_a_verified_open(session_capture, monkeypatch):
@@ -249,7 +279,7 @@ def test_reported_decrypt_needs_a_verified_open(session_capture, monkeypatch):
 
 
 def test_trial_decrypt_rejects_iv_not_4_bytes(session_capture):
-    # J0 blocks are laid end to end, so one short IV would shift every IV after it
+    # an implicit IV is 4 bytes (RFC 5288); any other length is a caller's error, not a failed trial
     capture, truth = session_capture
     with pytest.raises(ValueError):
         trial_decrypt(capture, [_cand(bytes(32), b"\x01\x02\x03"), _cand(truth.client_key, truth.client_iv)])
@@ -541,6 +571,20 @@ def test_screen_agrees_with_per_pair_loop_on_pair_orders(fixture_name, request):
     assert result is not None and result.key == truth.client_key
     # with the true key dropped, every pair of the order is tried and fails
     _check_pairs(capture, pair_candidates([k for k in keys if k.value != truth.client_key], ivs), 2)
+    # a hand-built order may hold a value at several indices: the true key and a
+    # decoy key twice, and each true IV again in another extract and right next to
+    # the true key, so the earliest pairing of a value is not at its first index
+    client = next(k for k in keys if k.value == truth.client_key)
+    true_ivs = [iv for iv in ivs if iv.value in (truth.client_iv, truth.server_iv)]
+    assert true_ivs
+    repeated_keys = keys + [client._replace(offset=client.offset + 7), keys[0]._replace(extract_id=9)]
+    repeated_ivs = (
+        [iv._replace(extract_id=9) for iv in true_ivs]
+        + ivs
+        + [iv._replace(extract_id=client.extract_id, offset=client.offset + 40) for iv in true_ivs]
+    )
+    result = _check_pairs(capture, PairOrder(repeated_keys, repeated_ivs), 2)
+    assert result is not None and result.key == truth.client_key
 
 
 def test_screen_agrees_with_per_pair_loop_at_seq_other_than_the_records(captures):
