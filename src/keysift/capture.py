@@ -100,13 +100,9 @@ class SessionCapture(NamedTuple):
     records: tuple[EncryptedRecord, ...]
     first_explicit_nonce: bytes
 
-    def app_data(self, direction: Direction) -> list[tuple[int, EncryptedRecord]]:
-        """ApplicationData records of one direction with their capture indices."""
-        return [
-            (i, r)
-            for i, r in enumerate(self.records)
-            if r.direction is direction and r.content_type == CONTENT_APPLICATION_DATA
-        ]
+    def app_data(self, direction: Direction) -> list[EncryptedRecord]:
+        """ApplicationData records of one direction, in capture order."""
+        return [r for r in self.records if r.direction is direction and r.content_type == CONTENT_APPLICATION_DATA]
 
 
 def suite_key_len(cipher_suite: int) -> int:

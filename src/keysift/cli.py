@@ -309,6 +309,14 @@ def _parse_filter(text: str) -> tuple:
         raise argparse.ArgumentTypeError("filter must look like IP:PORT,IP:PORT")
 
 
+def _capture_from_args(args) -> SessionCapture:
+    """The capture ``--capture`` names. ``--filter`` picks one TCP stream of a
+    pcap, so it is refused for raw records rather than ignored."""
+    if args.filter is not None and args.capture_format != "pcap":
+        raise UsageError("--filter selects a pcap session; it needs --capture-format pcap")
+    return parse_capture(args.capture, args.capture_format, args.filter)
+
+
 def _emit(args, text: str) -> None:
     if getattr(args, "output", None):
         Path(args.output).write_text(text)
@@ -317,7 +325,7 @@ def _emit(args, text: str) -> None:
 
 
 def _cmd_decrypt(args) -> int:
-    capture = parse_capture(args.capture, args.capture_format, args.filter)
+    capture = _capture_from_args(args)
     cfg = _config_from_args(args, capture.handshake.key_len_bytes)
     clock = (lambda: 0.0) if args.no_timings else time.perf_counter
     report = run_pipeline(
@@ -338,7 +346,7 @@ def _cmd_scan(args) -> int:
     if args.mode == "standard" or (args.mode == "auto" and args.capture):
         if not args.capture:
             raise UsageError("standard scan needs --capture for the explicit nonce")
-        capture = parse_capture(args.capture, args.capture_format, args.filter)
+        capture = _capture_from_args(args)
         cfg = _config_from_args(args, capture.handshake.key_len_bytes)
         blocks = scan_standard(extracts, capture, cfg)
         payload = {
@@ -369,7 +377,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_parse_capture(args) -> int:
-    capture = parse_capture(args.capture, args.capture_format, args.filter)
+    capture = _capture_from_args(args)
     payload = {
         "cipher_suite": f"0x{capture.handshake.cipher_suite:04X}",
         "suite_name": capture.handshake.suite_name,

@@ -6,7 +6,8 @@ label on successful decrypts.
 
 Candidate (key, IV, seq) trials are not opened one by one. A tag screen
 derived from GCM's structure names, per key and seq, the one IV that would
-verify, at a cost that does not grow with the IV count; only the candidate
+verify, at a cost that does not grow with the IV count: a few seals under one
+reference nonce and one AES-ECB decryption per key. Only the candidate
 pairings it names are opened with ``AESGCM``, earliest trial first, so a
 reported decrypt always means a tag verified and the trial count is still the
 one a per-trial loop would have reached. The server-direction probe takes its
@@ -120,7 +121,7 @@ class TrialResult(NamedTuple):
 
 
 def _first_client_record(capture: SessionCapture) -> EncryptedRecord:
-    for _, record in capture.app_data(Direction.CLIENT_TO_SERVER):
+    for record in capture.app_data(Direction.CLIENT_TO_SERVER):
         return record
     raise NoValidDecrypt(0)
 
@@ -138,29 +139,26 @@ class _TagScreen:
     reference nonce gives the E_K(J0) a matching IV must produce. AES is a
     permutation, so one AES-ECB decryption of those 2w+1 targets gives the J0,
     and with it the one IV, that can match at each seq: a key costs the same
-    whatever the number of candidate IVs. The sealed plaintext is the
-    ciphertext body under the reference keystream, so sealing reproduces C
-    exactly; that keystream comes from the reference nonce's counter blocks,
-    encrypted by the key's same ECB cipher.
+    whatever the number of candidate IVs. The sealer gives the reference
+    itself: sealing C under the reference nonce returns C xor its keystream,
+    the plaintext that seals back to C, and sealing nothing returns E_K(J0)
+    of the reference nonce, since GHASH of no data is 0.
 
     A key's needed IVs do not depend on the candidate IVs, so a screen keeps
     them and a later call for the same key seals nothing.
 
-    Sealing and the ECB cipher go through ``aead.AESGCM`` and ``Cipher``, never
-    through the module's ``AESGCM``, which opens records and counts as their
-    only verifier: a screen hit is a candidate, not a decrypt.
+    Sealing and the ECB decryption go through ``aead.AESGCM`` and ``Cipher``,
+    never through the module's ``AESGCM``, which opens records and counts as
+    their only verifier: a screen hit is a candidate, not a decrypt.
     """
 
     def __init__(self, record: EncryptedRecord, seq_window: int):
         self.seqs = _seq_candidates(record.seq, seq_window)
         self._body_len = len(record.ciphertext) - GCM_TAG_LEN
-        self._body = int.from_bytes(record.ciphertext[: self._body_len], "big")
+        self._body = record.ciphertext[: self._body_len]
         self._tag = int.from_bytes(record.ciphertext[self._body_len :], "big")
         self._j0_tail = record.explicit_nonce + _J0_COUNTER
         self._nonce = bytes(IV_LEN) + record.explicit_nonce
-        blocks = -(-self._body_len // 16)
-        # E_K(J0) of the reference nonce, then its keystream blocks 2, 3, ...
-        self._reference = b"".join(self._nonce + ctr.to_bytes(4, "big") for ctr in range(1, blocks + 2))
         self._aads = [
             record_aad(seq, record.content_type, record.record_version, self._body_len) for seq in self.seqs
         ]
@@ -171,19 +169,17 @@ class _TagScreen:
         or None when no IV can (the J0 does not end in explicit || 1)."""
         needed = self._keys.get(key)
         if needed is None:
-            cipher = Cipher(algorithms.AES(_checked_key(key)), _ECB)
-            stream = cipher.encryptor().update(self._reference)
+            sealer = aead.AESGCM(_checked_key(key))
             body_len = self._body_len
-            # T xor E_K(J0_ref); xored with the reference tag it leaves E_K(J0) of a matching IV
-            mask = self._tag ^ int.from_bytes(stream[:16], "big")
-            keystream = int.from_bytes(stream[16 : 16 + body_len], "big")
-            plaintext = (self._body ^ keystream).to_bytes(body_len, "big")
-            sealer = aead.AESGCM(key)
+            # sealing C gives C xor keystream: the plaintext that seals back to C
+            plaintext = sealer.encrypt(self._nonce, self._body, None)[:body_len]
+            # the tag of nothing is E_K(J0_ref); T xor it, xored with a reference tag, is E_K(J0) of a matching IV
+            mask = self._tag ^ int.from_bytes(sealer.encrypt(self._nonce, b"", None), "big")
             targets = []
             for aad in self._aads:
                 reference_tag = int.from_bytes(sealer.encrypt(self._nonce, plaintext, aad)[body_len:], "big")
                 targets.append((reference_tag ^ mask).to_bytes(16, "big"))
-            j0s = cipher.decryptor().update(b"".join(targets))
+            j0s = Cipher(algorithms.AES(key), _ECB).decryptor().update(b"".join(targets))
             needed = self._keys[key] = [
                 j0s[i : i + IV_LEN] if j0s[i + IV_LEN : i + 16] == self._j0_tail else None
                 for i in range(0, len(j0s), 16)
@@ -385,7 +381,7 @@ def decrypt_session(
 
     server_records = capture.app_data(Direction.SERVER_TO_CLIENT)
     if server_records and (blocks is not None or pairs is not None):
-        _, probe_record = server_records[0]
+        probe_record = server_records[0]
         if blocks is not None:
             block = blocks[result.index]
             opposite = (block.client_key, block.client_iv) if result.orientation_swapped else (

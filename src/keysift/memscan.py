@@ -193,7 +193,7 @@ class CandidateKeyBlock(NamedTuple):
     extract_id: int
     offset: int  # of the client key slot
     hypothesis: BlockHypothesis
-    iv_hit_offset: int  # where the matched IV value sat; pruning clusters on this
+    iv_hit_offset: int  # where the matched IV value sat; pruning reads the keys of StandardScanState.hits
 
 
 def find_all(data: bytes, pattern: bytes) -> list[int]:

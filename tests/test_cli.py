@@ -146,6 +146,7 @@ _DECRYPT = ("decrypt", "--extracts", "{extracts}", "--capture", "{capture}")
     _DECRYPT + ("--step", "0"),
     _DECRYPT + ("--min-gap", "-1"),
     _DECRYPT + ("--filter", "bogus"),
+    _DECRYPT + ("--filter", "1.2.3.4:1,5.6.7.8:2"),
     _DECRYPT + ("--seq-window", "-1"),
     _DECRYPT + ("--iv-entropy", "nan"),
     _DECRYPT + ("--counter-bound", "-5"),
@@ -155,9 +156,9 @@ _DECRYPT = ("decrypt", "--extracts", "{extracts}", "--capture", "{capture}")
     ("entropy-profile", "--extracts", "{extracts}", "--region-windows", "0"),
     ("entropy-profile", "--extracts", "{extracts}", "--threshold", "nan"),
     ("entropy-profile", "--extracts", "{extracts}", "--threshold", "inf"),
-], ids=["missing-capture", "workers", "step-0", "negative-gap", "bad-filter", "negative-seq-window",
-        "iv-entropy-nan", "negative-counter-bound", "scan-step-0", "profile-window-0", "profile-negative-window",
-        "profile-region-windows-0", "profile-threshold-nan", "profile-threshold-inf"])
+], ids=["missing-capture", "workers", "step-0", "negative-gap", "bad-filter", "filter-without-pcap",
+        "negative-seq-window", "iv-entropy-nan", "negative-counter-bound", "scan-step-0", "profile-window-0",
+        "profile-negative-window", "profile-region-windows-0", "profile-threshold-nan", "profile-threshold-inf"])
 def test_usage_errors_exit_1_with_one_error_line(windows_fixture_16, capsys, argv):
     _, paths, _ = windows_fixture_16
     code = _run([arg.format(extracts=paths.extract_dir, capture=paths.root) for arg in argv])

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 import keysift.decrypt as decrypt_module
 from keysift.capture import (
     Direction,
+    HandshakeSummary,
     NonceStyle,
+    assemble_session,
     parse_capture,
 )
 from keysift.cli import run_pipeline
@@ -22,6 +25,7 @@ from keysift.decrypt import (
 )
 from keysift.errors import AuthFailure, BadKeyLength, NoValidDecrypt
 from keysift.fixtures import (
+    FixtureGroundTruth,
     FixtureLayout,
     Filler,
     FixtureSpec,
@@ -208,17 +212,18 @@ def _count_opens(monkeypatch):
 
 
 def _count_ciphers(monkeypatch):
-    """Wrap ``decrypt.Cipher``: the keys it is built for, and the bytes its
-    encryptors' and decryptors' ``update`` calls receive, as ``fed[0]``."""
-    built, fed = [], [0]
+    """Wrap ``decrypt.Cipher``: the keys it is built for, and the bytes the
+    ``update`` calls of its encryptors and of its decryptors receive, by
+    direction in ``fed``."""
+    built, fed = [], {"encryptor": 0, "decryptor": 0}
     real_cipher = decrypt_module.Cipher
 
     class CountingContext:
-        def __init__(self, context):
-            self._context = context
+        def __init__(self, context, direction):
+            self._context, self._direction = context, direction
 
         def update(self, data):
-            fed[0] += len(data)
+            fed[self._direction] += len(data)
             return self._context.update(data)
 
     class CountingCipher:
@@ -227,26 +232,25 @@ def _count_ciphers(monkeypatch):
             self._cipher = real_cipher(algorithm, mode)
 
         def encryptor(self):
-            return CountingContext(self._cipher.encryptor())
+            return CountingContext(self._cipher.encryptor(), "encryptor")
 
         def decryptor(self):
-            return CountingContext(self._cipher.decryptor())
+            return CountingContext(self._cipher.decryptor(), "decryptor")
 
     monkeypatch.setattr(decrypt_module, "Cipher", CountingCipher)
     return built, fed
 
 
 def test_trial_decrypt_screens_each_key_once(session_capture, monkeypatch):
-    # one block cipher per distinct key, fed the same bytes against 10 IVs as
-    # against 2 000, and one real open: the confirmation
+    # one block cipher per distinct key, used only to decrypt its 2w+1 targets,
+    # the same against 10 IVs as against 2 000, and one real open: the confirmation
     capture, truth = session_capture
     built, fed = _count_ciphers(monkeypatch)
     opened = _count_opens(monkeypatch)
-    fed_per_count = []
     for iv_count in (10, 2_000):
         built.clear()
         opened.clear()
-        fed[0] = 0
+        fed.update(encryptor=0, decryptor=0)
         pairs = [_cand(bytes([k]) * 32, b"\xee" + v.to_bytes(3, "big")) for k in range(10) for v in range(iv_count)]
         pairs.append(_cand(truth.client_key, truth.client_iv))
         result = trial_decrypt(capture, pairs)
@@ -254,8 +258,7 @@ def test_trial_decrypt_screens_each_key_once(session_capture, monkeypatch):
         assert result.trials == 10 * iv_count * 5 + 1
         assert len(built) == len(set(built)) == 11
         assert opened == [truth.client_key]
-        fed_per_count.append(fed[0])
-    assert fed_per_count[0] == fed_per_count[1]
+        assert fed == {"encryptor": 0, "decryptor": 11 * 5 * 16}
 
 
 def test_reported_decrypt_needs_a_verified_open(session_capture, monkeypatch):
@@ -469,20 +472,43 @@ def test_decrypt_session_without_pairs_or_blocks_is_partial(session_capture):
 # the screen against the per-pair loop
 
 
+def _hand_built_session(key_len, body_len):
+    """A session whose first ApplicationData record each way carries
+    ``body_len`` plaintext bytes, sealed by the reference encryptor:
+    ``FixtureSpec`` would turn an empty plaintext into its default request."""
+    def material(label):
+        seed = b"%s %d %d" % (label, key_len, body_len)
+        return hashlib.sha256(b"key " + seed).digest()[:key_len], hashlib.sha256(b"iv " + seed).digest()[:4]
+
+    (client_key, client_iv), (server_key, server_iv) = material(b"client"), material(b"server")
+    plaintext = bytes(range(body_len))
+    records = [
+        reference_encrypt(plaintext, key, iv, (1).to_bytes(8, "big"), seq=1, direction=direction)
+        for key, iv, direction in (
+            (client_key, client_iv, Direction.CLIENT_TO_SERVER), (server_key, server_iv, Direction.SERVER_TO_CLIENT))
+    ]
+    capture = assemble_session(HandshakeSummary(0x009C if key_len == 16 else 0x009D, key_len), records)
+    truth = FixtureGroundTruth(
+        client_key, server_key, client_iv, server_iv, plaintext, plaintext, records[0].explicit_nonce)
+    return capture, truth
+
+
 @pytest.fixture(scope="module")
 def captures(session_capture, tmp_path_factory):
-    """Sessions under 32- and 16-byte keys, and one whose records all claim a
-    seq two past the one they were sealed under, so its winner sits at the
-    fourth seq of a window of 2."""
+    """Sessions under 32- and 16-byte keys, one whose records all claim a seq
+    two past the one they were sealed under, so its winner sits at the fourth
+    seq of a window of 2, and hand-built sessions whose record bodies sit at
+    the keystream's edges: empty, one byte, and around the block size."""
     capture, truth = session_capture
     spec = FixtureSpec(rng_seed=78, key_len_bytes=16, extract_sizes=(2 * (1 << 20),))
     paths, truth16 = generate_fixture(spec, tmp_path_factory.mktemp("trialfix16"))
     shifted = capture._replace(records=tuple(r._replace(seq=r.seq + 2) for r in capture.records))
-    return [(capture, truth), (parse_capture(paths.root), truth16), (shifted, truth)]
+    edges = [_hand_built_session(key_len, n) for key_len in (16, 32) for n in (0, 1, 15, 16, 17, 32)]
+    return [(capture, truth), (parse_capture(paths.root), truth16), (shifted, truth)] + edges
 
 
 def _first_record(capture, direction):
-    return capture.app_data(direction)[0][1]
+    return capture.app_data(direction)[0]
 
 
 def _agrees_with_loop(capture, trial, materials, probe_materials, seq_window, **session_args):
@@ -558,7 +584,8 @@ def test_screen_agrees_with_per_pair_loop_on_lists(captures, seq_window):
         ]
         for block_list in block_lists:
             wins += _check_blocks(capture, block_list, seq_window) is not None
-    assert wins == (15 if seq_window else 10)  # the shifted capture needs the window
+    # five lists win per capture; the shifted capture needs the window
+    assert wins == 5 * (len(captures) if seq_window else len(captures) - 1)
 
 
 @pytest.mark.parametrize("fixture_name", ["windows_fixture_16", "windows_fixture_32"])
