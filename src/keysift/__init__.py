@@ -24,6 +24,7 @@ _EXPORTS = {
     ),
     "decrypt": (
         "DecryptedSession",
+        "TagScreens",
         "TrialResult",
         "Validation",
         "decrypt_record",

@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import (
+    FilterNeedsPcap,
     MalformedRecord,
     NoApplicationData,
     UnsupportedCipherSuite,
@@ -311,10 +312,13 @@ def parse_capture(
     raw_records: ``source`` is a directory holding ``client.tls`` and
     ``server.tls``, or a ``(client_bytes, server_bytes)`` pair.
     pcap: ``source`` is a pcap path or its bytes; ``session_filter`` is an
-    optional ``(ip, port, ip, port)`` tuple selecting one TCP stream.
+    optional ``(ip, port, ip, port)`` tuple selecting one TCP stream. A filter
+    given with raw records raises FilterNeedsPcap rather than being ignored.
     """
     fmt = CaptureFormat(capture_format) if not isinstance(capture_format, CaptureFormat) else capture_format
     if fmt is CaptureFormat.RAW_RECORDS:
+        if session_filter is not None:
+            raise FilterNeedsPcap("a session filter selects a pcap session; it needs the pcap capture format")
         if isinstance(source, tuple):
             client_data, server_data = source
         else:

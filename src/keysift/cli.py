@@ -15,6 +15,7 @@ from pathlib import Path
 from .capture import CaptureFormat, NonceStyle, SessionCapture, explicit_nonce_style, parse_capture
 from .decrypt import (
     DecryptedSession,
+    TagScreens,
     TrialResult,
     decrypt_session,
     trial_decrypt,
@@ -200,7 +201,7 @@ def run_pipeline(
     )
     timings = report.timings
     search = _BandSearch(extracts, capture, cfg, report, clock)
-    screens: dict = {}  # the client record's tag screen, shared by every stage
+    screens = TagScreens()  # every stage's client screen and the server probe's, sharing per-key decryptors
     tried = dict.fromkeys(attempt_modes, 0)  # materials each scanner tried before this trial
     attempted = 0
     for stage, band in enumerate(BANDS):
@@ -219,10 +220,11 @@ def run_pipeline(
                     if attempt == "windows":
                         session = decrypt_session(
                             capture, result, pairs=PairOrder(search.keys, search.ivs), seq_window=seq_window,
-                            later_pairs=search.later_windows(BANDS[stage + 1 :]),
+                            later_pairs=search.later_windows(BANDS[stage + 1 :]), screens=screens,
                         )
                     else:
-                        session = decrypt_session(capture, result, blocks=materials, seq_window=seq_window)
+                        session = decrypt_session(
+                            capture, result, blocks=materials, seq_window=seq_window, screens=screens)
                 except NoValidDecrypt as exc:
                     attempted += exc.trials
                     tried[attempt] += len(materials)
@@ -310,10 +312,7 @@ def _parse_filter(text: str) -> tuple:
 
 
 def _capture_from_args(args) -> SessionCapture:
-    """The capture ``--capture`` names. ``--filter`` picks one TCP stream of a
-    pcap, so it is refused for raw records rather than ignored."""
-    if args.filter is not None and args.capture_format != "pcap":
-        raise UsageError("--filter selects a pcap session; it needs --capture-format pcap")
+    """The capture ``--capture`` names; ``--filter`` picks one TCP stream of a pcap."""
     return parse_capture(args.capture, args.capture_format, args.filter)
 
 
@@ -365,7 +364,11 @@ def _cmd_scan(args) -> int:
             ],
         }
     else:
-        cfg = _config_from_args(args, 32)
+        # the marker scan reads no record, but a capture still sets the key size
+        if args.filter is not None and not args.capture:
+            raise UsageError("--filter selects a session of --capture; it needs --capture")
+        key_len = _capture_from_args(args).handshake.key_len_bytes if args.capture else 32
+        cfg = _config_from_args(args, key_len)
         keys, ivs = scan_windows(extracts, cfg)
         rows = lambda cands: [
             {"extract_id": c.extract_id, "offset": c.offset, "entropy": round(c.entropy, 6), "value": c.value.hex()}
@@ -453,7 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     scan = sub.add_parser("scan", help="run a scanner and list candidates without decrypting")
     scan.add_argument("--extracts", required=True)
-    scan.add_argument("--capture", default=None, help="needed for the standard scan")
+    scan.add_argument("--capture", default=None,
+                      help="needed for the standard scan; sets the key size of the windows scan")
     scan.add_argument("--capture-format", choices=("raw_records", "pcap"), default="raw_records")
     scan.add_argument("--mode", choices=MODES, default="windows")
     scan.add_argument("--filter", type=_parse_filter, default=None)

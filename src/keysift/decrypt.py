@@ -7,17 +7,21 @@ label on successful decrypts.
 Candidate (key, IV, seq) trials are not opened one by one. A tag screen
 derived from GCM's structure names, per key and seq, the one IV that would
 verify, at a cost that does not grow with the IV count: a few seals under one
-reference nonce and one AES-ECB decryption per key. Only the candidate
-pairings it names are opened with ``AESGCM``, earliest trial first, so a
-reported decrypt always means a tag verified and the trial count is still the
-one a per-trial loop would have reached. The server-direction probe takes its
-hits in the same trial order. A caller that trials material in stages can keep
-each record's screen across calls, so no key is sealed twice.
+reference nonce and one AES-ECB decryption per key. Keys are screened in the
+order of their earliest possible trial, and screening stops once no
+unscreened key can pair before a hit that verified. Only the candidate
+pairings the screen names are opened with ``AESGCM``, earliest trial first,
+so a reported decrypt always means a tag verified and the trial count is
+still the one a per-trial loop would have reached. The server-direction probe
+walks its record the same way. A caller that trials material in stages keeps
+one ``TagScreens`` across calls, so no key is sealed twice against a record
+and no key's ECB decryptor is built twice.
 """
 
 from __future__ import annotations
 
 import struct
+from bisect import insort
 from enum import Enum
 from itertools import chain
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -145,14 +149,16 @@ class _TagScreen:
     of the reference nonce, since GHASH of no data is 0.
 
     A key's needed IVs do not depend on the candidate IVs, so a screen keeps
-    them and a later call for the same key seals nothing.
+    them and a later call for the same key seals nothing. The ECB decryptors
+    come from ``decryptors``, a key -> decryptor dict that screens of other
+    records may share.
 
     Sealing and the ECB decryption go through ``aead.AESGCM`` and ``Cipher``,
     never through the module's ``AESGCM``, which opens records and counts as
     their only verifier: a screen hit is a candidate, not a decrypt.
     """
 
-    def __init__(self, record: EncryptedRecord, seq_window: int):
+    def __init__(self, record: EncryptedRecord, seq_window: int, decryptors: dict):
         self.seqs = _seq_candidates(record.seq, seq_window)
         self._body_len = len(record.ciphertext) - GCM_TAG_LEN
         self._body = record.ciphertext[: self._body_len]
@@ -163,6 +169,7 @@ class _TagScreen:
             record_aad(seq, record.content_type, record.record_version, self._body_len) for seq in self.seqs
         ]
         self._keys: dict[bytes, list[bytes | None]] = {}  # key -> needed IV per seq
+        self._decryptors = decryptors
 
     def needed_ivs(self, key: bytes) -> list[bytes | None]:
         """Per seq, the implicit IV under which ``key`` would verify the tag,
@@ -179,7 +186,10 @@ class _TagScreen:
             for aad in self._aads:
                 reference_tag = int.from_bytes(sealer.encrypt(self._nonce, plaintext, aad)[body_len:], "big")
                 targets.append((reference_tag ^ mask).to_bytes(16, "big"))
-            j0s = Cipher(algorithms.AES(key), _ECB).decryptor().update(b"".join(targets))
+            decryptor = self._decryptors.get(key)
+            if decryptor is None:
+                decryptor = self._decryptors[key] = Cipher(algorithms.AES(key), _ECB).decryptor()
+            j0s = decryptor.update(b"".join(targets))
             needed = self._keys[key] = [
                 j0s[i : i + IV_LEN] if j0s[i + IV_LEN : i + 16] == self._j0_tail else None
                 for i in range(0, len(j0s), 16)
@@ -187,24 +197,36 @@ class _TagScreen:
         return needed
 
 
-def _screen_for(record: EncryptedRecord, seq_window: int, screens: dict | None) -> _TagScreen:
-    """The screen of ``record``, kept in ``screens`` when the caller passes one
-    so that later calls reuse it and its per-key state."""
-    if screens is None:
-        return _TagScreen(record, seq_window)
-    screen = screens.get((record, seq_window))
-    if screen is None:
-        screen = screens[record, seq_window] = _TagScreen(record, seq_window)
-    return screen
+class TagScreens:
+    """The tag screens of a run: one per (record, seq window), all sharing one
+    AES-ECB decryptor per key, so a key the client trial screened costs the
+    server probe no second ``Cipher``. A caller that trials material in
+    stages passes one ``TagScreens`` to every trial and to ``decrypt_session``.
+    Screens and decryptors are built when first needed. No sealer is kept:
+    one costs little to build, and a thousand of them would raise the peak
+    resident set."""
+
+    def __init__(self):
+        self._screens: dict[tuple[EncryptedRecord, int], _TagScreen] = {}
+        self._decryptors: dict = {}
+
+    def screen(self, record: EncryptedRecord, seq_window: int) -> _TagScreen:
+        screen = self._screens.get((record, seq_window))
+        if screen is None:
+            screen = self._screens[record, seq_window] = _TagScreen(record, seq_window, self._decryptors)
+        return screen
 
 
 class _Trials(NamedTuple):
-    """A trial set: its material count, its distinct keys, and the trial
-    position of a (key, IV), or None when the set does not pair them."""
+    """A trial set: its material count; its distinct keys in floor order, each
+    as (key, floor) with the floor below the order of every trial of the key;
+    ``order`` of a (key, IV), comparable with the floors, or None when the set
+    does not pair them; and ``position``, an order's index among the trials."""
 
     count: int
-    keys: Iterable[bytes]
-    position: Callable[[bytes, bytes], int | None]
+    by_floor: Iterable[tuple[bytes, object]]
+    order: Callable[[bytes, bytes], object | None]
+    position: Callable[[object], int]
 
 
 def _checked_iv(iv: bytes) -> bytes:
@@ -214,68 +236,91 @@ def _checked_iv(iv: bytes) -> bytes:
 
 
 def _list_trials(materials: Iterable[tuple[bytes, bytes]]) -> _Trials:
-    """The trial set of a (key, IV) list; a (key, IV) listed more than once
-    keeps its first position, where its first trial falls."""
+    """The trial set of a (key, IV) list. A (key, IV) listed more than once
+    keeps its first position, where its first trial falls; a key's floor is
+    the position of its first material."""
     first: dict[tuple[bytes, bytes], int] = {}
+    floors: dict[bytes, int] = {}
     count = 0
     for key, iv in materials:
         first.setdefault((key, _checked_iv(iv)), count)
+        floors.setdefault(key, count)
         count += 1
-    return _Trials(count, dict.fromkeys(key for key, _ in first), lambda key, iv: first.get((key, iv)))
+    return _Trials(count, floors.items(), lambda key, iv: first.get((key, iv)), lambda order: order)
 
 
 def _pair_trials(pairs: PairOrder | Iterable[tuple[Candidate, Candidate]]) -> _Trials:
     """The trial set of a pair order or of any iterable of pairs. A
     ``PairOrder`` pairs every key with every IV; a value held at several
-    indices takes the lowest ``PairOrder.rank`` over them."""
+    indices takes the lowest ``PairOrder.sort_key`` and floor over them,
+    and only a winner's position is counted by ``PairOrder.rank``."""
     if not isinstance(pairs, PairOrder):
         return _list_trials((key.value, iv.value) for key, iv in pairs)
-    key_indices: dict[bytes, list[int]] = {}
+    floors = pairs.floors()
+    key_indices: dict[bytes, list[int]] = {}  # by lowest floor, each value's indices lowest floor first
+    for _, _, ki in sorted(floors):
+        key_indices.setdefault(pairs.keys[ki].value, []).append(ki)
     iv_indices: dict[bytes, list[int]] = {}
-    for ki, key in enumerate(pairs.keys):
-        key_indices.setdefault(key.value, []).append(ki)
     for vi, iv in enumerate(pairs.ivs):
         iv_indices.setdefault(_checked_iv(iv.value), []).append(vi)
 
-    def position(key: bytes, iv: bytes) -> int | None:
+    def order(key: bytes, iv: bytes) -> tuple | None:
         vis = iv_indices.get(iv)
-        return None if vis is None else min(pairs.rank(ki, vi) for ki in key_indices[key] for vi in vis)
+        return None if vis is None else min(pairs.sort_key(ki, vi) for ki in key_indices[key] for vi in vis)
 
-    return _Trials(len(pairs), key_indices, position)
+    by_floor = [(key, floors[kis[0]]) for key, kis in key_indices.items()]
+    return _Trials(len(pairs), by_floor, order, lambda order: pairs.rank(order[2], order[3]))
 
 
 def _first_verified(
     screen: _TagScreen, record: EncryptedRecord, trials: _Trials
-) -> tuple[int, int, int, bytes, bytes, bytes] | None:
-    """Screen every key of ``trials`` against ``record`` and return the first
-    screen hit whose tag really verifies, as (position, seq index, seq, key,
-    IV, plaintext), or None. Hits are taken in trial order: position, then seq
-    nearest the record's."""
-    hits = []
-    for key in trials.keys:
+) -> tuple[object, int, int, bytes, bytes, bytes] | None:
+    """The first screen hit of ``trials`` whose tag really verifies on
+    ``record``, as (order, seq index, seq, key, IV, plaintext), or None.
+    ``trials.position`` turns the order into a position.
+
+    Hits are opened in trial order: position, then seq nearest the record's.
+    Keys are screened in floor order, and a hit is opened once the next key's
+    floor lies past it, since no key screened later can have an earlier
+    trial; the walk stops at the first hit that verifies. So the keys screened
+    are those whose floor comes before the winner, every key when nothing
+    verifies, and the opens are those a full screen would make."""
+    pending: list = []  # screen hits not yet opened, as sorted (order, seq index, key, IV)
+
+    def verified_below(floor) -> tuple | None:
+        """Open the pending hits before ``floor`` (all when None), earliest first."""
+        while pending and (floor is None or pending[0][0] < floor):
+            order, seq_index, key, iv = pending.pop(0)
+            seq = screen.seqs[seq_index]
+            plaintext = _open_record(_cipher_for(key), record, iv, seq)
+            if plaintext is not None:
+                return order, seq_index, seq, key, iv, plaintext
+        return None
+
+    for key, floor in trials.by_floor:
+        if pending:
+            found = verified_below(floor)
+            if found is not None:
+                return found
         for seq_index, iv in enumerate(screen.needed_ivs(key)):
-            position = None if iv is None else trials.position(key, iv)
-            if position is not None:
-                hits.append((position, seq_index, key, iv))
-    hits.sort(key=lambda hit: hit[:2])
-    for position, seq_index, key, iv in hits:
-        seq = screen.seqs[seq_index]
-        plaintext = _open_record(_cipher_for(key), record, iv, seq)
-        if plaintext is not None:
-            return position, seq_index, seq, key, iv, plaintext
-    return None
+            order = None if iv is None else trials.order(key, iv)
+            if order is not None:
+                insort(pending, (order, seq_index, key, iv))
+    return verified_below(None)
 
 
-def _trial(capture: SessionCapture, trials: _Trials, seq_window: int, screens: dict | None) -> TrialResult:
+def _trial(capture: SessionCapture, trials: _Trials, seq_window: int, screens: TagScreens | None) -> TrialResult:
     """Screen ``trials`` against the first client ApplicationData record.
     ``index`` is the winner's position; trials count as if each material were
     opened at each seq in turn until the winner verified."""
     record = _first_client_record(capture)
-    winner = _first_verified(_screen_for(record, seq_window, screens), record, trials)
+    screens = TagScreens() if screens is None else screens
+    winner = _first_verified(screens.screen(record, seq_window), record, trials)
     per_material = 2 * seq_window + 1
     if winner is None:
         raise NoValidDecrypt(trials.count * per_material)
-    position, seq_index, seq, key, implicit_iv, plaintext = winner
+    order, seq_index, seq, key, implicit_iv, plaintext = winner
+    position = trials.position(order)
     validation = Validation.TAG_AND_PROTOCOL_VALID if validate_plaintext(plaintext) else Validation.TAG_VERIFIED
     return TrialResult(
         key=key,
@@ -292,23 +337,26 @@ def trial_decrypt(
     capture: SessionCapture,
     pairs: PairOrder | Iterable[tuple[Candidate, Candidate]],
     seq_window: int = 2,
-    screens: dict | None = None,
+    screens: TagScreens | None = None,
 ) -> TrialResult:
     """The first (key, IV) pair, in order, whose tag verifies on the first
     client ApplicationData record at some seq of the window, nearest first.
 
-    Every pair is screened at once (one AES-ECB decryption per distinct key
-    names the IV each seq needs, whatever the IV count) and only screen hits
-    are opened, the earliest first; a reported decrypt always passed a real
-    ``AESGCM`` open. ``TrialResult.index`` is the winner's position in
-    ``pairs``, counted by ``PairOrder.rank`` for the order from
+    Keys are screened in the order of their earliest pair (one AES-ECB
+    decryption per distinct key names the IV each seq needs, whatever the IV
+    count) until no unscreened key can pair earlier than a verified hit, and
+    only screen hits are opened, the earliest first; a reported decrypt always
+    passed a real ``AESGCM`` open. ``TrialResult.index`` is the winner's
+    position in ``pairs``, counted by ``PairOrder.rank`` for the order from
     ``pair_candidates``, which is never generated. ``trials`` counts the trials
     a loop over the pairs would have made up to the winner; when no pair
-    verifies, NoValidDecrypt carries pairs x (2 * seq_window + 1).
+    verifies, every key is screened and NoValidDecrypt carries pairs x
+    (2 * seq_window + 1).
 
-    ``screens`` is an optional dict the caller keeps across calls: the record's
-    screen is kept there, so a key screened by an earlier call against the
-    same record is not sealed again."""
+    ``screens`` is an optional ``TagScreens`` the caller keeps across calls,
+    so a key screened by an earlier call against the same record is not
+    sealed again, and its ECB decryptor serves the screens of other records.
+    """
     return _trial(capture, _pair_trials(pairs), seq_window, screens)
 
 
@@ -316,7 +364,7 @@ def trial_decrypt_blocks(
     capture: SessionCapture,
     blocks: Sequence[CandidateKeyBlock],
     seq_window: int = 2,
-    screens: dict | None = None,
+    screens: TagScreens | None = None,
 ) -> TrialResult:
     """Key-block trials through the same screen as ``trial_decrypt``. Each
     block is tried in both orientations, as two one-IV materials at positions
@@ -354,17 +402,22 @@ def decrypt_session(
     pairs: PairOrder | Iterable[tuple[Candidate, Candidate]] | None = None,
     seq_window: int = 2,
     later_pairs: Iterable[PairOrder] = (),
+    screens: TagScreens | None = None,
 ) -> DecryptedSession:
     """Decrypt every ApplicationData record both ways with confirmed material.
 
     Client material comes from the winning trial. Server material comes from
-    one screen of the first server record: over the winning block's opposite
+    a screen of the first server record: over the winning block's opposite
     slots when ``blocks`` are given (``result.index`` names the block), or else
-    over every pair of ``pairs``, taking the first verified hit in trial order;
-    with neither, no server material is tried. Keys and IVs are distinct values
-    and the additional data binds seq, so every hit that verifies carries the
-    same (key, IV, seq) and the order only decides how many hits are opened. A
-    probe that finds nothing costs that one screen and no opens.
+    over the pairs of ``pairs``, taking the first verified hit in trial order
+    as ``trial_decrypt`` does, so keys are screened only until no unscreened
+    key can pair earlier; with neither, no server material is tried. Keys and
+    IVs are distinct values and the additional data binds seq, so every hit
+    that verifies carries the same (key, IV, seq) and the order only decides
+    how many keys are screened and hits opened. A probe that finds nothing
+    screens every key and makes no opens. ``screens`` is the ``TagScreens``
+    the trials used, if the caller kept one: a key they screened costs the
+    probe no second ECB decryptor.
 
     When ``pairs`` hold no server pair, the probe goes on through
     ``later_pairs``, screening one order after another and stopping at the
@@ -389,7 +442,7 @@ def decrypt_session(
             candidates = [_list_trials([opposite])]
         else:
             candidates = (_pair_trials(order) for order in chain([pairs], later_pairs))
-        screen = _TagScreen(probe_record, seq_window)
+        screen = (TagScreens() if screens is None else screens).screen(probe_record, seq_window)
         for trials in candidates:
             found = _first_verified(screen, probe_record, trials)
             if found is not None:

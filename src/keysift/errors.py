@@ -21,6 +21,10 @@ class AmbiguousStream(KeysiftError):
     """The pcap holds more than one TLS stream and no session filter was given."""
 
 
+class FilterNeedsPcap(KeysiftError):
+    """A session filter selects one TCP stream of a pcap; raw records hold a single session."""
+
+
 class EmptyDirectory(KeysiftError):
     """Extract directory contains no loadable files."""
 

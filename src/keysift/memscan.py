@@ -206,12 +206,13 @@ def find_all(data: bytes, pattern: bytes) -> list[int]:
     return hits
 
 
-def _marker_windows(extract: MemoryExtract, marker: bytes, width: int, max_distance: int,
+def _marker_windows(extract: MemoryExtract, marker: bytes, hits: list[int], width: int, max_distance: int,
                     gate: float, step: int) -> list[Candidate]:
-    """Every ``width``-byte window up to ``max_distance`` past a marker whose entropy clears ``gate``."""
+    """Every ``width``-byte window up to ``max_distance`` past ``marker`` at
+    one of its ``hits`` whose entropy clears ``gate``."""
     data = extract.data
     found = []
-    for hit in find_all(data, marker):
+    for hit in hits:
         base = hit + len(marker)
         for dist in range(0, max_distance + 1, step):
             start = base + dist
@@ -225,10 +226,14 @@ def _marker_windows(extract: MemoryExtract, marker: bytes, width: int, max_dista
 
 
 def _scan_windows_one(extract: MemoryExtract, cfg: ScanConfig):
-    if extract.data.find(KEY_MARKER) == -1:
+    """The key and IV windows of one extract; none when it holds no key
+    marker, but its IVs even when no key window clears the gate."""
+    key_hits = find_all(extract.data, KEY_MARKER)
+    if not key_hits:
         return [], []
-    ivs = _marker_windows(extract, IV_MARKER, IV_LEN, cfg.max_iv_distance, cfg.iv_entropy_threshold, cfg.step)
-    keys = _marker_windows(extract, KEY_MARKER, cfg.key_len_bytes, cfg.max_key_distance,
+    ivs = _marker_windows(extract, IV_MARKER, find_all(extract.data, IV_MARKER), IV_LEN, cfg.max_iv_distance,
+                          cfg.iv_entropy_threshold, cfg.step)
+    keys = _marker_windows(extract, KEY_MARKER, key_hits, cfg.key_len_bytes, cfg.max_key_distance,
                            cfg.key_entropy_threshold, cfg.step)
     return keys, ivs
 
@@ -383,26 +388,56 @@ def scan_standard(
 class PairOrder:
     """The key x IV trial order as a ranked product that is never generated.
 
-    ``len`` is K x V and ``rank`` gives one pair's position by counting, so a
-    reader that finds its pair by other means (the trial screen in
+    Pairs sort by ``sort_key``: (cross-extract flag, |key offset - IV offset|,
+    key index, IV index). ``len`` is K x V, ``rank`` gives one pair's position
+    by counting and ``floors`` bound each key's pairs from below, so a
+    reader that finds its pairs by other means (the trial screen in
     ``decrypt``) never builds or walks the K x V pairs.
     """
 
     def __init__(self, keys: list[Candidate], ivs: list[Candidate]):
         self.keys = keys
         self.ivs = ivs
-        # per extract: (extract id, IV indices, their offsets), sorted by
-        # (offset, index); the sort is stable, so equal offsets keep index order
+        # per extract id: (IV indices, their offsets), sorted by (offset,
+        # index); the sort is stable, so equal offsets keep index order
         lanes: dict[int, list[int]] = {}
         for vi, iv in enumerate(ivs):
             lanes.setdefault(iv.extract_id, []).append(vi)
-        self._lanes = []
+        self._lanes: dict[int, tuple[list[int], list[int]]] = {}
         for extract_id, members in lanes.items():
             members.sort(key=lambda vi: ivs[vi].offset)
-            self._lanes.append((extract_id, members, [ivs[vi].offset for vi in members]))
+            self._lanes[extract_id] = members, [ivs[vi].offset for vi in members]
 
     def __len__(self) -> int:
         return len(self.keys) * len(self.ivs)
+
+    def sort_key(self, ki: int, vi: int) -> tuple[bool, int, int, int]:
+        """Where the pair (keys[ki], ivs[vi]) sorts: pairs in one extract
+        first, then closer offsets, then key index, then IV index."""
+        key, iv = self.keys[ki], self.ivs[vi]
+        return iv.extract_id != key.extract_id, abs(iv.offset - key.offset), ki, vi
+
+    def floors(self) -> list[tuple[bool, int, int]]:
+        """Per key index ki, a bound below the ``sort_key`` of every pair of
+        keys[ki]: (False, distance to the nearest IV of its own extract, ki),
+        found by one bisect, or (True, 0, ki) when its extract holds no IV."""
+        floors = []
+        for ki, key in enumerate(self.keys):
+            lane = self._lanes.get(key.extract_id)
+            if lane is None:
+                floors.append((True, 0, ki))
+                continue
+            offs = lane[1]
+            o = key.offset
+            at = bisect_left(offs, o)
+            if at == len(offs):
+                nearest = o - offs[-1]
+            elif at == 0:
+                nearest = offs[0] - o
+            else:
+                nearest = min(offs[at] - o, o - offs[at - 1])
+            floors.append((False, nearest, ki))
+        return floors
 
     def rank(self, ki: int, vi: int) -> int:
         """Position of the pair (keys[ki], ivs[vi]) in the order, by counting.
@@ -413,13 +448,11 @@ class PairOrder:
         the ties at the same distance by key index, then IV index.
         O(K x E x log V) for E extracts holding IVs.
         """
-        target = self.keys[ki]
-        flag = self.ivs[vi].extract_id != target.extract_id
-        dist = abs(self.ivs[vi].offset - target.offset)
+        flag, dist, _, _ = self.sort_key(ki, vi)
         before = 0
         for kj, key in enumerate(self.keys):
             o = key.offset
-            for extract_id, members, offs in self._lanes:
+            for extract_id, (members, offs) in self._lanes.items():
                 other = extract_id != key.extract_id
                 if other != flag:
                     before += len(offs) if other < flag else 0

@@ -23,6 +23,7 @@ from keysift.capture import (
 )
 from keysift.errors import (
     AmbiguousStream,
+    FilterNeedsPcap,
     MalformedRecord,
     NoApplicationData,
     UnsupportedCipherSuite,
@@ -265,6 +266,16 @@ def test_pcap_filter_selects_stream(windows_fixture_32):
     pcap = build_pcap(client, server, extra_stream=(client, server))
     capture = parse_capture(pcap, "pcap", session_filter=("10.0.0.2", 49152, "10.0.0.1", 443))
     assert capture == parse_raw_streams(client, server)
+
+
+def test_session_filter_on_raw_records_is_refused(windows_fixture_32):
+    # raw records hold one session, so a filter would be silently ignored
+    _, paths, _ = windows_fixture_32
+    session_filter = ("1.2.3.4", 1, "5.6.7.8", 2)
+    with pytest.raises(FilterNeedsPcap):
+        parse_capture(paths.root, "raw_records", session_filter)
+    with pytest.raises(FilterNeedsPcap):
+        parse_capture(_fixture_streams(windows_fixture_32), session_filter=session_filter)
 
 
 def test_pcap_garbage_rejected():

@@ -237,6 +237,26 @@ def test_scan_standard_command(tmp_path, capsys):
     assert any(b["client_key"] == truth.client_key.hex() for b in payload["key_blocks"])
 
 
+def test_scan_windows_takes_the_key_size_from_the_capture(windows_fixture_16, capsys):
+    _, paths, truth = windows_fixture_16
+    scan = ["scan", "--extracts", str(paths.extract_dir), "--mode", "windows"]
+    assert _run(scan + ["--key-size", "16"]) == EXIT_OK
+    sized = json.loads(capsys.readouterr().out)
+    assert _run(scan + ["--capture", str(paths.root)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == sized
+    assert truth.client_key.hex() in {entry["value"] for entry in sized["keys"]}
+
+
+@pytest.mark.parametrize("capture", [True, False], ids=["raw-records", "no-capture"])
+def test_scan_windows_refuses_a_filter_it_cannot_apply(windows_fixture_16, capsys, capture):
+    _, paths, _ = windows_fixture_16
+    argv = ["scan", "--extracts", str(paths.extract_dir), "--mode", "windows", "--filter", "1.2.3.4:1,5.6.7.8:2"]
+    code = _run(argv + (["--capture", str(paths.root)] if capture else []))
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_scan_standard_requires_capture(windows_fixture_16):
     _, paths, _ = windows_fixture_16
     assert _run(["scan", "--extracts", str(paths.extract_dir), "--mode", "standard"]) == EXIT_ERROR

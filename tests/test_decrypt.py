@@ -1,4 +1,5 @@
 import hashlib
+import random
 import tracemalloc
 
 import pytest
@@ -7,7 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 import keysift.decrypt as decrypt_module
 from keysift.capture import (
+    CONTENT_APPLICATION_DATA,
+    TLS_1_2,
     Direction,
+    EncryptedRecord,
     HandshakeSummary,
     NonceStyle,
     assemble_session,
@@ -15,10 +19,12 @@ from keysift.capture import (
 )
 from keysift.cli import run_pipeline
 from keysift.decrypt import (
+    TagScreens,
     Validation,
     _seq_candidates,
     decrypt_record,
     decrypt_session,
+    record_aad,
     trial_decrypt,
     trial_decrypt_blocks,
     validate_plaintext,
@@ -32,6 +38,7 @@ from keysift.fixtures import (
     generate_fixture,
     reference_encrypt,
 )
+from keysift.gcm_ref import _encrypt_block, _expand_key, _gmult
 from keysift.memscan import (
     BlockHypothesis,
     Candidate,
@@ -259,6 +266,35 @@ def test_trial_decrypt_screens_each_key_once(session_capture, monkeypatch):
         assert len(built) == len(set(built)) == 11
         assert opened == [truth.client_key]
         assert fed == {"encryptor": 0, "decryptor": 11 * 5 * 16}
+
+
+def test_trial_decrypt_stops_at_an_early_winner(session_capture, monkeypatch):
+    # a winner at position 0 among 10 junk keys: the next key's floor lies past
+    # it, so one key is screened and one record opened, however many follow
+    capture, truth = session_capture
+    built, _ = _count_ciphers(monkeypatch)
+    opened = _count_opens(monkeypatch)
+    junk = [_cand(bytes([k + 1]) * 32, b"\xee" + v.to_bytes(3, "big")) for k in range(10) for v in range(3)]
+    result = trial_decrypt(capture, [_cand(truth.client_key, truth.client_iv)] + junk)
+    assert (result.index, result.trials) == (0, 1)
+    assert built == [truth.client_key]
+    assert opened == [truth.client_key]
+
+
+def test_trial_and_probe_share_each_keys_cipher(windows_fixture_32, monkeypatch):
+    # the probe screens the server record with the decryptors the client
+    # trial built, so no key gets a second Cipher
+    _, paths, truth = windows_fixture_32
+    capture = parse_capture(paths.root)
+    keys, ivs = scan_windows(load_extracts(paths.extract_dir), ScanConfig(key_len_bytes=32))
+    pairs = pair_candidates(keys, ivs)
+    built, _ = _count_ciphers(monkeypatch)
+    screens = TagScreens()
+    result = trial_decrypt(capture, pairs, screens=screens)
+    session = decrypt_session(capture, result, pairs=pairs, screens=screens)
+    assert session.server_key == truth.server_key and not session.partial
+    assert len(built) == len(set(built))
+    assert truth.server_key in built
 
 
 def test_reported_decrypt_needs_a_verified_open(session_capture, monkeypatch):
@@ -620,6 +656,104 @@ def test_screen_agrees_with_per_pair_loop_at_seq_other_than_the_records(captures
     record = _first_record(capture, Direction.CLIENT_TO_SERVER)
     assert result.seq_used == record.seq - 2
     assert result.trials == 5 + _seq_candidates(record.seq, 2).index(result.seq_used) + 1
+
+
+# ---------------------------------------------------------------------------
+# two materials that verify one record
+
+
+def _gf_inverse(x):
+    """x^(2^128 - 2), the inverse of a nonzero x in GCM's field."""
+    result, power, exponent = 1 << 127, x, (1 << 128) - 2  # 1 << 127 is the field's one
+    while exponent:
+        if exponent & 1:
+            result = _gmult(result, power)
+        power = _gmult(power, power)
+        exponent >>= 1
+    return result
+
+
+def _record_both_open(first, second, explicit, seq):
+    """A one-block client ApplicationData record whose tag verifies under both
+    (key, IV) materials at ``seq``. Its tag under a key is C·H^2 xor the rest
+    of GHASH and E_K(J0), so C·(H_a^2 xor H_b^2) = rest_a xor rest_b fixes the
+    one ciphertext block C that gives both keys the same tag."""
+    aad = record_aad(seq, CONTENT_APPLICATION_DATA, TLS_1_2, 16)
+    aad_block = int.from_bytes(aad.ljust(16, b"\x00"), "big")
+    lengths = (len(aad) * 8 << 64) | 128
+    terms = []
+    for key, iv in (first, second):
+        round_keys = _expand_key(key)
+        h = int.from_bytes(_encrypt_block(round_keys, bytes(16)), "big")
+        mask = int.from_bytes(_encrypt_block(round_keys, iv + explicit + (1).to_bytes(4, "big")), "big")
+        h2 = _gmult(h, h)
+        terms.append((h2, mask ^ _gmult(aad_block, _gmult(h2, h)) ^ _gmult(lengths, h)))
+    (h2_a, rest_a), (h2_b, rest_b) = terms
+    block = _gmult(rest_a ^ rest_b, _gf_inverse(h2_a ^ h2_b))
+    tag = _gmult(block, h2_a) ^ rest_a
+    ciphertext = block.to_bytes(16, "big") + tag.to_bytes(16, "big")
+    return EncryptedRecord(Direction.CLIENT_TO_SERVER, seq, explicit, ciphertext, TLS_1_2, CONTENT_APPLICATION_DATA)
+
+
+@pytest.fixture(scope="module")
+def colliding():
+    """A session whose first client record opens under two materials, and
+    whose server record opens under the second."""
+    first = (hashlib.sha256(b"first key").digest(), b"\x11\x12\x13\x14")
+    second = (hashlib.sha256(b"second key").digest(), b"\x21\x22\x23\x24")
+    explicit = (1).to_bytes(8, "big")
+    server = reference_encrypt(b"HTTP/1.1 200 OK\r\n\r\n", *second, explicit, seq=1,
+                               direction=Direction.SERVER_TO_CLIENT)
+    capture = assemble_session(HandshakeSummary(0x009D, 32), [_record_both_open(first, second, explicit, 1), server])
+    return capture, first, second
+
+
+def test_record_opens_under_both_materials(colliding):
+    capture, first, second = colliding
+    record = _first_record(capture, Direction.CLIENT_TO_SERVER)
+    for key, iv in (first, second):
+        assert len(decrypt_record(record, key, iv, seq=1)) == 16  # AuthFailure unless the tag verifies
+    with pytest.raises(AuthFailure):
+        decrypt_record(record, first[0], second[1], seq=1)
+
+
+def test_key_screened_first_does_not_win_with_a_later_trial(colliding):
+    # the first key's floor comes first, but its verifying pair comes after
+    # the second key's: the walk must screen the second key before opening
+    capture, first, second = colliding
+    for a, b in ((first, second), (second, first)):
+        pairs = [_cand(a[0], b"\x99\x99\x99\x99"), _cand(*b), _cand(*a)]
+        result = _check_pairs(capture, pairs, 2)
+        assert (result.index, result.key) == (1, b[0])
+
+
+def test_key_value_takes_its_lowest_floor_over_its_indices(colliding, monkeypatch):
+    # the first key sits alone in an extract without IVs at index 0, and again
+    # next to its IV at index 2: its lower floor is at the later index, and
+    # its pair there sorts before the second key's
+    capture, first, second = colliding
+    keys = [Candidate(first[0], 5, 0, 4.0), Candidate(second[0], 0, 100, 4.0), Candidate(first[0], 0, 1000, 4.0)]
+    ivs = [Candidate(second[1], 0, 140, 2.0), Candidate(first[1], 0, 1004, 2.0)]
+    built, _ = _count_ciphers(monkeypatch)
+    result = trial_decrypt(capture, PairOrder(keys, ivs))
+    assert (result.index, result.key) == (0, first[0])
+    assert built == [first[0]]  # the second key's floor lies past the winner
+    monkeypatch.undo()
+    assert _check_pairs(capture, PairOrder(keys, ivs), 2).key == first[0]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_two_verifying_keys_agree_with_per_pair_loop(colliding, seed):
+    # random orders of both keys, each at one to three indices, among decoys
+    capture, first, second = colliding
+    rng = random.Random(seed)
+    key_values = [first[0], second[0]] * rng.randint(1, 3) + [bytes([i]) * 32 for i in range(1, 5)]
+    iv_values = [first[1], second[1]] * rng.randint(1, 2) + [bytes([i, 0, 0, 1]) for i in range(1, 5)]
+    place = lambda value: Candidate(value, rng.randrange(3), rng.randrange(0, 2000, 4), 2.0)
+    keys, ivs = [place(v) for v in key_values], [place(v) for v in iv_values]
+    rng.shuffle(keys)
+    rng.shuffle(ivs)
+    assert _check_pairs(capture, PairOrder(keys, ivs), 2) is not None
 
 
 def test_exhausting_pair_walk_does_not_keep_the_pairs(session_capture):

@@ -182,6 +182,19 @@ def test_scan_windows_requires_key_marker():
     assert keys == [] and ivs == []
 
 
+def test_scan_windows_keeps_ivs_of_an_extract_whose_keys_fail_the_gate():
+    # a key marker with no window clearing the key gate still admits the
+    # extract: its IVs are candidates for keys found in other extracts
+    buf = bytearray(4096)
+    buf[100:104] = IV_MARKER
+    buf[104 + 20 : 104 + 24] = bytes([1, 2, 3, 4])
+    buf[1000:1004] = KEY_MARKER
+    extract_set = extract_set_from_buffers([("x.bin", bytes(buf))])
+    keys, ivs = scan_windows(extract_set, ScanConfig(key_len_bytes=16))
+    assert keys == []
+    assert [(v.value, v.offset) for v in ivs] == [(bytes([1, 2, 3, 4]), 104 + 20)]
+
+
 def test_scan_windows_gate_soundness(windows_fixture_32):
     _, paths, _ = windows_fixture_32
     extract_set = load_extracts(paths.extract_dir)
@@ -461,11 +474,17 @@ _placed = st.tuples(st.integers(0, 3), st.integers(0, 40))
 @given(st.lists(_placed, min_size=1, max_size=12), st.lists(_placed, min_size=1, max_size=12))
 @settings(max_examples=300, deadline=None)
 def test_pair_order_rank_matches_naive_position(key_places, iv_places):
+    # rank and sort_key agree with the sorted product, and each key's floor
+    # is at most its nearest pair, exactly so when its extract holds an IV
     keys = [_cand_key(i, extract=e, offset=o) for i, (e, o) in enumerate(key_places)]
     ivs = [_cand_iv(100 + i, extract=e, offset=o) for i, (e, o) in enumerate(iv_places)]
     position = {pair: n for n, pair in enumerate(naive_pair_order(keys, ivs))}
     pairs = pair_candidates(keys, ivs)
-    for ki, key in enumerate(keys):
+    by_sort_key = sorted((pairs.sort_key(ki, vi), ki, vi) for ki in range(len(keys)) for vi in range(len(ivs)))
+    assert [(keys[ki], ivs[vi]) for _, ki, vi in by_sort_key] == naive_pair_order(keys, ivs)
+    for ki, (key, floor) in enumerate(zip(keys, pairs.floors())):
+        nearest = min(pairs.sort_key(ki, vi) for vi in range(len(ivs)))
+        assert floor < nearest and (floor == nearest[:3] or floor == (True, 0, ki))
         for vi, iv in enumerate(ivs):
             assert pairs.rank(ki, vi) == position[key, iv]
 
