@@ -103,15 +103,16 @@ def _material_dict(result: TrialResult, session: DecryptedSession, hypothesis: s
 
 
 class _BandSearch:
-    """The candidates a band-by-band search has found so far, and the scans
-    that add one band at a time. Each scan returns only what no earlier band
-    gave, so every key x IV pair and every key block is tried once."""
+    """The candidates and pair orders a band-by-band search has so far, and
+    the scans that add one band at a time. Each scan returns only what no
+    earlier band gave, so every key x IV pair and every key block is tried once."""
 
     def __init__(self, extracts: ExtractSet, capture: SessionCapture, cfg: ScanConfig, report: RunReport, clock):
         self.extracts, self.capture, self.cfg, self.report, self.clock = extracts, capture, cfg, report, clock
         self.seen: set[bytes] = set()
         self.keys: list[Candidate] = []
         self.ivs: list[Candidate] = []
+        self.orders: list[PairOrder] = []  # as the windows stages built them
         self.standard_state = StandardScanState()
 
     def windows(self, band: int) -> list[PairOrder]:
@@ -122,6 +123,7 @@ class _BandSearch:
         old_keys, self.keys, self.ivs = self.keys, self.keys + new_keys, self.ivs + new_ivs
         new_pairs = ((new_keys, self.ivs), (old_keys, new_ivs))
         orders = [pair_candidates(keys, ivs) for keys, ivs in new_pairs if keys and ivs]
+        self.orders += orders
         self.report.candidates.update(keys=len(self.keys), ivs=len(self.ivs))
         self.report.timings["memory_analysis_secs"] += self.clock() - start
         return orders
@@ -134,10 +136,11 @@ class _BandSearch:
         self.report.timings["memory_analysis_secs"] += self.clock() - start
         return blocks
 
-    def later_windows(self, bands):
-        """The new pair orders of ``bands``, each band scanned only when the
-        orders before it have been drawn."""
-        for band in bands:
+    def pair_orders(self, later_bands):
+        """The pair orders built so far, then each of ``later_bands``' new
+        orders, a band scanned only once the orders before it are drawn."""
+        yield from self.orders
+        for band in later_bands:
             self.report.candidates["bands_scanned"].append(band)
             yield from self.windows(band)
 
@@ -164,15 +167,18 @@ def run_pipeline(
     at the first trial that verifies. A stage tries only new material: new
     keys x every IV so far, then earlier keys x new IVs, then key blocks no
     earlier stage gave. An extract is read when its band's stage begins, so
-    bands after a win are never read. If a marker-scan win has no server pair
-    among the pairs found so far, the server probe scans the later bands'
-    windows before it settles for a partial session.
+    bands after a win are never read. After a marker-scan win the server
+    probe walks the pair orders the stages built, in the order they were
+    built, then scans each later band for its new orders, until a server pair
+    verifies or it settles for a partial session.
 
     The report's candidate counts cover the bands scanned (listed in
     ``bands_scanned``), ``winner_index`` is the winner's position among the
     winning scanner's materials over the stages that ran, and ``attempted``
-    sums the trials of every stage. Scan and decrypt phases are timed
-    separately. ``clock`` is injectable so reports can be made byte-stable.
+    sums the trials of every stage. ``memory_analysis_secs`` sums the scans
+    and pair-order builds; ``decrypt_analysis_secs`` is the rest of the
+    search's wall time, set when the run ends. ``clock`` is injectable so
+    reports can be made byte-stable.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -199,8 +205,16 @@ def run_pipeline(
         timings={"memory_analysis_secs": 0.0, "decrypt_analysis_secs": 0.0},
         candidates={"keys": None, "ivs": None, "key_blocks": None, "bands_scanned": []},
     )
-    timings = report.timings
     search = _BandSearch(extracts, capture, cfg, report, clock)
+    started = clock()
+    _run_stages(search, attempt_modes, seq_window)
+    report.timings["decrypt_analysis_secs"] = clock() - started - report.timings["memory_analysis_secs"]
+    return report
+
+
+def _run_stages(search: _BandSearch, attempt_modes: list[str], seq_window: int) -> None:
+    """Trial each stage's new material until a tag verifies and decrypt the session into the report."""
+    report, capture = search.report, search.capture
     screens = TagScreens()  # every stage's client screen and the server probe's, sharing per-key decryptors
     tried = dict.fromkeys(attempt_modes, 0)  # materials each scanner tried before this trial
     attempted = 0
@@ -213,25 +227,18 @@ def run_pipeline(
                 blocks = search.standard(band)
                 trials = [(trial_decrypt_blocks, blocks)] if blocks else []
             for trial, materials in trials:
-                # a probe into later bands scans inside decrypt_session; that time is memory analysis
-                decrypt_start, scanned = clock(), timings["memory_analysis_secs"]
                 try:
                     result = trial(capture, materials, seq_window=seq_window, screens=screens)
-                    if attempt == "windows":
-                        session = decrypt_session(
-                            capture, result, pairs=PairOrder(search.keys, search.ivs), seq_window=seq_window,
-                            later_pairs=search.later_windows(BANDS[stage + 1 :]), screens=screens,
-                        )
-                    else:
-                        session = decrypt_session(
-                            capture, result, blocks=materials, seq_window=seq_window, screens=screens)
                 except NoValidDecrypt as exc:
                     attempted += exc.trials
                     tried[attempt] += len(materials)
                     continue
-                finally:
-                    timings["decrypt_analysis_secs"] += clock() - decrypt_start - (
-                        timings["memory_analysis_secs"] - scanned)
+                if attempt == "windows":
+                    session = decrypt_session(capture, result, pair_sets=search.pair_orders(BANDS[stage + 1 :]),
+                                              seq_window=seq_window, screens=screens)
+                else:
+                    session = decrypt_session(capture, result, blocks=materials, seq_window=seq_window,
+                                              screens=screens)
 
                 hypothesis = materials[result.index].hypothesis.value if attempt == "standard" else None
                 report.mode_used = attempt
@@ -244,10 +251,9 @@ def run_pipeline(
                 }
                 report.material = _material_dict(result, session, hypothesis)
                 report.session = _session_dict(session)
-                return report
+                return
 
     report.trials = {"attempted": attempted, "winner_index": None, "seq_used": None, "validation": None}
-    return report
 
 
 def _add_scan_flags(parser: argparse.ArgumentParser) -> None:
@@ -342,7 +348,7 @@ def _cmd_decrypt(args) -> int:
 
 def _cmd_scan(args) -> int:
     extracts = load_extracts(args.extracts)
-    if args.mode == "standard" or (args.mode == "auto" and args.capture):
+    if args.mode == "standard":
         if not args.capture:
             raise UsageError("standard scan needs --capture for the explicit nonce")
         capture = _capture_from_args(args)
@@ -459,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--capture", default=None,
                       help="needed for the standard scan; sets the key size of the windows scan")
     scan.add_argument("--capture-format", choices=("raw_records", "pcap"), default="raw_records")
-    scan.add_argument("--mode", choices=MODES, default="windows")
+    scan.add_argument("--mode", choices=("windows", "standard"), default="windows")
     scan.add_argument("--filter", type=_parse_filter, default=None)
     scan.add_argument("--output", default=None)
     _add_scan_flags(scan)

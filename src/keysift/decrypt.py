@@ -12,10 +12,11 @@ order of their earliest possible trial, and screening stops once no
 unscreened key can pair before a hit that verified. Only the candidate
 pairings the screen names are opened with ``AESGCM``, earliest trial first,
 so a reported decrypt always means a tag verified and the trial count is
-still the one a per-trial loop would have reached. The server-direction probe
-walks its record the same way. A caller that trials material in stages keeps
-one ``TagScreens`` across calls, so no key is sealed twice against a record
-and no key's ECB decryptor is built twice.
+still the one a per-trial loop would have reached. A trial set is a
+``PairOrder`` or a (key, IV) list, and the server-direction probe walks the
+pair orders of the client trials as they are. A caller that trials material
+in stages keeps one ``TagScreens`` across calls, so no key is sealed twice
+against a record and no key's ECB decryptor is built twice.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from __future__ import annotations
 import struct
 from bisect import insort
 from enum import Enum
-from itertools import chain
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers import Cipher, aead, algorithms, modes
@@ -217,63 +217,40 @@ class TagScreens:
         return screen
 
 
-class _Trials(NamedTuple):
-    """A trial set: its material count; its distinct keys in floor order, each
-    as (key, floor) with the floor below the order of every trial of the key;
-    ``order`` of a (key, IV), comparable with the floors, or None when the set
-    does not pair them; and ``position``, an order's index among the trials."""
+class _MaterialList:
+    """A (key, IV) list as a trial set, with the members a ``PairOrder`` has.
+    A (key, IV) listed more than once keeps its first position, where its
+    first trial falls; a key's floor is the position of its first material,
+    and an order is its own position."""
 
-    count: int
-    by_floor: Iterable[tuple[bytes, object]]
-    order: Callable[[bytes, bytes], object | None]
-    position: Callable[[object], int]
+    def __init__(self, materials: Iterable[tuple[bytes, bytes]]):
+        self._materials = list(materials)
+        self._first: dict[tuple[bytes, bytes], int] = {}
+        floors: dict[bytes, int] = {}
+        for position, (key, iv) in enumerate(self._materials):
+            if len(iv) != IV_LEN:
+                raise ValueError(f"implicit IVs must be {IV_LEN} bytes")
+            self._first.setdefault((key, iv), position)
+            floors.setdefault(key, position)
+        self.by_floor = list(floors.items())
 
+    def __len__(self) -> int:
+        return len(self._materials)
 
-def _checked_iv(iv: bytes) -> bytes:
-    if len(iv) != IV_LEN:
-        raise ValueError(f"implicit IVs must be {IV_LEN} bytes")
-    return iv
+    def order(self, key: bytes, iv: bytes) -> int | None:
+        return self._first.get((key, iv))
 
-
-def _list_trials(materials: Iterable[tuple[bytes, bytes]]) -> _Trials:
-    """The trial set of a (key, IV) list. A (key, IV) listed more than once
-    keeps its first position, where its first trial falls; a key's floor is
-    the position of its first material."""
-    first: dict[tuple[bytes, bytes], int] = {}
-    floors: dict[bytes, int] = {}
-    count = 0
-    for key, iv in materials:
-        first.setdefault((key, _checked_iv(iv)), count)
-        floors.setdefault(key, count)
-        count += 1
-    return _Trials(count, floors.items(), lambda key, iv: first.get((key, iv)), lambda order: order)
+    def position(self, order: int) -> int:
+        return order
 
 
-def _pair_trials(pairs: PairOrder | Iterable[tuple[Candidate, Candidate]]) -> _Trials:
-    """The trial set of a pair order or of any iterable of pairs. A
-    ``PairOrder`` pairs every key with every IV; a value held at several
-    indices takes the lowest ``PairOrder.sort_key`` and floor over them,
-    and only a winner's position is counted by ``PairOrder.rank``."""
-    if not isinstance(pairs, PairOrder):
-        return _list_trials((key.value, iv.value) for key, iv in pairs)
-    floors = pairs.floors()
-    key_indices: dict[bytes, list[int]] = {}  # by lowest floor, each value's indices lowest floor first
-    for _, _, ki in sorted(floors):
-        key_indices.setdefault(pairs.keys[ki].value, []).append(ki)
-    iv_indices: dict[bytes, list[int]] = {}
-    for vi, iv in enumerate(pairs.ivs):
-        iv_indices.setdefault(_checked_iv(iv.value), []).append(vi)
-
-    def order(key: bytes, iv: bytes) -> tuple | None:
-        vis = iv_indices.get(iv)
-        return None if vis is None else min(pairs.sort_key(ki, vi) for ki in key_indices[key] for vi in vis)
-
-    by_floor = [(key, floors[kis[0]]) for key, kis in key_indices.items()]
-    return _Trials(len(pairs), by_floor, order, lambda order: pairs.rank(order[2], order[3]))
+def _trial_set(pairs: PairOrder | Iterable[tuple[Candidate, Candidate]]) -> PairOrder | _MaterialList:
+    """A pair order is its own trial set; any other iterable of pairs is a (key, IV) list."""
+    return pairs if isinstance(pairs, PairOrder) else _MaterialList((key.value, iv.value) for key, iv in pairs)
 
 
 def _first_verified(
-    screen: _TagScreen, record: EncryptedRecord, trials: _Trials
+    screen: _TagScreen, record: EncryptedRecord, trials: PairOrder | _MaterialList
 ) -> tuple[object, int, int, bytes, bytes, bytes] | None:
     """The first screen hit of ``trials`` whose tag really verifies on
     ``record``, as (order, seq index, seq, key, IV, plaintext), or None.
@@ -309,7 +286,9 @@ def _first_verified(
     return verified_below(None)
 
 
-def _trial(capture: SessionCapture, trials: _Trials, seq_window: int, screens: TagScreens | None) -> TrialResult:
+def _trial(
+    capture: SessionCapture, trials: PairOrder | _MaterialList, seq_window: int, screens: TagScreens | None
+) -> TrialResult:
     """Screen ``trials`` against the first client ApplicationData record.
     ``index`` is the winner's position; trials count as if each material were
     opened at each seq in turn until the winner verified."""
@@ -318,7 +297,7 @@ def _trial(capture: SessionCapture, trials: _Trials, seq_window: int, screens: T
     winner = _first_verified(screens.screen(record, seq_window), record, trials)
     per_material = 2 * seq_window + 1
     if winner is None:
-        raise NoValidDecrypt(trials.count * per_material)
+        raise NoValidDecrypt(len(trials) * per_material)
     order, seq_index, seq, key, implicit_iv, plaintext = winner
     position = trials.position(order)
     validation = Validation.TAG_AND_PROTOCOL_VALID if validate_plaintext(plaintext) else Validation.TAG_VERIFIED
@@ -357,7 +336,7 @@ def trial_decrypt(
     so a key screened by an earlier call against the same record is not
     sealed again, and its ECB decryptor serves the screens of other records.
     """
-    return _trial(capture, _pair_trials(pairs), seq_window, screens)
+    return _trial(capture, _trial_set(pairs), seq_window, screens)
 
 
 def trial_decrypt_blocks(
@@ -375,7 +354,7 @@ def trial_decrypt_blocks(
         for block in blocks
         for material in ((block.client_key, block.client_iv), (block.server_key, block.server_iv))
     )
-    result = _trial(capture, _list_trials(materials), seq_window, screens)
+    result = _trial(capture, _MaterialList(materials), seq_window, screens)
     return result._replace(index=result.index // 2, orientation_swapped=result.index % 2 == 1)
 
 
@@ -399,9 +378,8 @@ def decrypt_session(
     capture: SessionCapture,
     result: TrialResult,
     blocks: Sequence[CandidateKeyBlock] | None = None,
-    pairs: PairOrder | Iterable[tuple[Candidate, Candidate]] | None = None,
+    pair_sets: Iterable[PairOrder | Iterable[tuple[Candidate, Candidate]]] = (),
     seq_window: int = 2,
-    later_pairs: Iterable[PairOrder] = (),
     screens: TagScreens | None = None,
 ) -> DecryptedSession:
     """Decrypt every ApplicationData record both ways with confirmed material.
@@ -409,20 +387,20 @@ def decrypt_session(
     Client material comes from the winning trial. Server material comes from
     a screen of the first server record: over the winning block's opposite
     slots when ``blocks`` are given (``result.index`` names the block), or else
-    over the pairs of ``pairs``, taking the first verified hit in trial order
-    as ``trial_decrypt`` does, so keys are screened only until no unscreened
-    key can pair earlier; with neither, no server material is tried. Keys and
-    IVs are distinct values and the additional data binds seq, so every hit
-    that verifies carries the same (key, IV, seq) and the order only decides
-    how many keys are screened and hits opened. A probe that finds nothing
+    over ``pair_sets``, the pair orders or pair lists to probe, one after
+    another. Each set is walked as ``trial_decrypt`` walks it, keys screened
+    only until no unscreened key can pair earlier than a verified hit, and the
+    probe stops at the first set with a verified hit, so a lazy iterable is
+    drawn only as far as the probe needs; the pipeline passes the pair orders
+    its stages built, then those of each later band, scanned as they are
+    drawn. With neither, no server material is tried. Keys and IVs are
+    distinct values and the additional data binds seq, so every hit that
+    verifies carries the same (key, IV, seq) and the order only decides how
+    many keys are screened and hits opened. A probe that finds nothing
     screens every key and makes no opens. ``screens`` is the ``TagScreens``
     the trials used, if the caller kept one: a key they screened costs the
-    probe no second ECB decryptor.
+    probe no second ECB decryptor, and a key in several sets is sealed once.
 
-    When ``pairs`` hold no server pair, the probe goes on through
-    ``later_pairs``, screening one order after another and stopping at the
-    first verified hit, so a lazy iterable is drawn only as far as the probe
-    needs; the pipeline passes one that scans a further band for its orders.
     Records that do not authenticate are marked and flip the partial flag.
     """
     first_record = _first_client_record(capture)
@@ -433,17 +411,17 @@ def decrypt_session(
     }
 
     server_records = capture.app_data(Direction.SERVER_TO_CLIENT)
-    if server_records and (blocks is not None or pairs is not None):
+    if server_records:
         probe_record = server_records[0]
         if blocks is not None:
             block = blocks[result.index]
             opposite = (block.client_key, block.client_iv) if result.orientation_swapped else (
                 block.server_key, block.server_iv)
-            candidates = [_list_trials([opposite])]
+            trial_sets = [_MaterialList([opposite])]
         else:
-            candidates = (_pair_trials(order) for order in chain([pairs], later_pairs))
+            trial_sets = map(_trial_set, pair_sets)
         screen = (TagScreens() if screens is None else screens).screen(probe_record, seq_window)
-        for trials in candidates:
+        for trials in trial_sets:
             found = _first_verified(screen, probe_record, trials)
             if found is not None:
                 _, _, seq, key, implicit_iv, _ = found

@@ -193,7 +193,6 @@ class CandidateKeyBlock(NamedTuple):
     extract_id: int
     offset: int  # of the client key slot
     hypothesis: BlockHypothesis
-    iv_hit_offset: int  # where the matched IV value sat; pruning reads the keys of StandardScanState.hits
 
 
 def find_all(data: bytes, pattern: bytes) -> list[int]:
@@ -303,7 +302,6 @@ def _blocks_at_hit(data: bytes, extract_id: int, p: int, cfg: ScanConfig,
                     extract_id=extract_id,
                     offset=start,
                     hypothesis=hypothesis,
-                    iv_hit_offset=p,
                 )
             )
     return blocks
@@ -386,13 +384,15 @@ def scan_standard(
 
 
 class PairOrder:
-    """The key x IV trial order as a ranked product that is never generated.
+    """The key x IV trial order as a ranked product that is never generated:
+    the trial set the tag screen in ``decrypt`` walks.
 
     Pairs sort by ``sort_key``: (cross-extract flag, |key offset - IV offset|,
-    key index, IV index). ``len`` is K x V, ``rank`` gives one pair's position
-    by counting and ``floors`` bound each key's pairs from below, so a
-    reader that finds its pairs by other means (the trial screen in
-    ``decrypt``) never builds or walks the K x V pairs.
+    key index, IV index), and ``len`` is K x V. ``by_floor`` lists each
+    distinct key value, lowest floor first, with a floor below the
+    ``sort_key`` of its every pair; ``order`` gives the earliest ``sort_key``
+    of a (key, IV) value pairing, and ``position`` its index, counted by
+    ``rank``. A value held at several indices takes its lowest floor and order.
     """
 
     def __init__(self, keys: list[Candidate], ivs: list[Candidate]):
@@ -401,28 +401,20 @@ class PairOrder:
         # per extract id: (IV indices, their offsets), sorted by (offset,
         # index); the sort is stable, so equal offsets keep index order
         lanes: dict[int, list[int]] = {}
+        self._iv_indices: dict[bytes, list[int]] = {}
         for vi, iv in enumerate(ivs):
+            if len(iv.value) != IV_LEN:
+                raise ValueError(f"implicit IVs must be {IV_LEN} bytes")
             lanes.setdefault(iv.extract_id, []).append(vi)
+            self._iv_indices.setdefault(iv.value, []).append(vi)
         self._lanes: dict[int, tuple[list[int], list[int]]] = {}
         for extract_id, members in lanes.items():
             members.sort(key=lambda vi: ivs[vi].offset)
             self._lanes[extract_id] = members, [ivs[vi].offset for vi in members]
-
-    def __len__(self) -> int:
-        return len(self.keys) * len(self.ivs)
-
-    def sort_key(self, ki: int, vi: int) -> tuple[bool, int, int, int]:
-        """Where the pair (keys[ki], ivs[vi]) sorts: pairs in one extract
-        first, then closer offsets, then key index, then IV index."""
-        key, iv = self.keys[ki], self.ivs[vi]
-        return iv.extract_id != key.extract_id, abs(iv.offset - key.offset), ki, vi
-
-    def floors(self) -> list[tuple[bool, int, int]]:
-        """Per key index ki, a bound below the ``sort_key`` of every pair of
-        keys[ki]: (False, distance to the nearest IV of its own extract, ki),
-        found by one bisect, or (True, 0, ki) when its extract holds no IV."""
+        # a key's floor: (False, distance to the nearest IV of its own extract,
+        # ki), found by one bisect, or (True, 0, ki) when its extract holds no IV
         floors = []
-        for ki, key in enumerate(self.keys):
+        for ki, key in enumerate(keys):
             lane = self._lanes.get(key.extract_id)
             if lane is None:
                 floors.append((True, 0, ki))
@@ -437,7 +429,29 @@ class PairOrder:
             else:
                 nearest = min(offs[at] - o, o - offs[at - 1])
             floors.append((False, nearest, ki))
-        return floors
+        self._key_indices: dict[bytes, list[int]] = {}  # each value's indices, values by lowest floor
+        for _, _, ki in sorted(floors):
+            self._key_indices.setdefault(keys[ki].value, []).append(ki)
+        self.by_floor = [(value, floors[kis[0]]) for value, kis in self._key_indices.items()]
+
+    def __len__(self) -> int:
+        return len(self.keys) * len(self.ivs)
+
+    def sort_key(self, ki: int, vi: int) -> tuple[bool, int, int, int]:
+        """Where the pair (keys[ki], ivs[vi]) sorts: pairs in one extract
+        first, then closer offsets, then key index, then IV index."""
+        key, iv = self.keys[ki], self.ivs[vi]
+        return iv.extract_id != key.extract_id, abs(iv.offset - key.offset), ki, vi
+
+    def order(self, key: bytes, iv: bytes) -> tuple[bool, int, int, int] | None:
+        """The lowest ``sort_key`` over the pairs holding the value ``key``, one
+        of ``by_floor``, and the value ``iv``, or None when no IV holds it."""
+        vis = self._iv_indices.get(iv)
+        return None if vis is None else min(self.sort_key(ki, vi) for ki in self._key_indices[key] for vi in vis)
+
+    def position(self, order: tuple[bool, int, int, int]) -> int:
+        """The index of the pair whose ``sort_key`` is ``order``."""
+        return self.rank(order[2], order[3])
 
     def rank(self, ki: int, vi: int) -> int:
         """Position of the pair (keys[ki], ivs[vi]) in the order, by counting.

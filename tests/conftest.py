@@ -3,6 +3,7 @@ reimplementations of the scanners used as oracles."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 import re
 import struct
@@ -11,9 +12,20 @@ from collections import Counter
 import pytest
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from keysift.decrypt import _cipher_for, _open_record, _seq_candidates
-from keysift.fixtures import FixtureSpec, generate_fixture
-from keysift.memscan import IV_MARKER, KEY_MARKER, IV_LEN
+from keysift.capture import (
+    CONTENT_APPLICATION_DATA,
+    TLS_1_2,
+    Direction,
+    EncryptedRecord,
+    HandshakeSummary,
+    NonceStyle,
+    assemble_session,
+)
+from keysift.decrypt import _cipher_for, _open_record, _seq_candidates, record_aad, validate_plaintext
+from keysift.fixtures import FixtureSpec, generate_fixture, reference_encrypt
+from keysift.gcm_ref import _encrypt_block, _expand_key, _gmult
+from keysift.memscan import BANDS, IV_MARKER, KEY_MARKER, IV_LEN, Candidate, ScanConfig, load_extracts
+from keysift.report import printable
 
 MB = 1 << 20
 
@@ -132,16 +144,23 @@ def naive_find_all(data: bytes, pattern: bytes) -> list[int]:
 
 
 def _regex_find_all(data: bytes, pattern: bytes) -> list[int]:
-    # lookahead keeps overlapping matches; markers do not self-overlap anyway
-    return [m.start() for m in re.finditer(b"(?=" + re.escape(pattern) + b")", data)]
+    # each search restarts one byte past the last match, so overlapping matches are kept
+    compiled = re.compile(re.escape(pattern))
+    hits = []
+    match = compiled.search(data)
+    while match:
+        hits.append(match.start())
+        match = compiled.search(data, match.start() + 1)
+    return hits
 
 
-def oracle_windows_scan(extract_set, cfg):
-    """Marker scan recounted through the regex engine and a Counter-based
-    entropy, mirroring the production semantics window for window."""
+def oracle_windows_scan(extract_set, cfg, bands=BANDS):
+    """Marker scan over the extracts of ``bands`` recounted through the regex
+    engine and a Counter-based entropy, mirroring the production semantics
+    window for window."""
     keys: dict[bytes, tuple] = {}
     ivs: dict[bytes, tuple] = {}
-    for extract in [extract_set.extracts[i] for band in (1, 2, 3) for i in extract_set.bands[band]]:
+    for extract in [extract_set.extracts[i] for band in bands for i in extract_set.bands[band]]:
         data = extract.data
         if not _regex_find_all(data, KEY_MARKER):
             continue
@@ -172,18 +191,20 @@ def oracle_windows_scan(extract_set, cfg):
     return key_list, iv_list
 
 
-def oracle_standard_scan(extract_set, capture, cfg):
-    """Standard scan recounted with the quadratic search and Counter-based
-    entropy: gate the 4 bytes in front of every nonce hit, hypothesise both
-    key-block layouts at every recurrence of a gated value, keep a hypothesis
-    when both key windows clear the key gate, then prune hits greedily per
-    extract. Returns (extract_id, offset, hypothesis, client_key, server_key,
-    client_iv, server_iv, hit offset) tuples in the scanner's order."""
+def oracle_standard_scan(extract_set, capture, cfg, bands=BANDS, find_all=naive_find_all):
+    """Standard scan over the extracts of ``bands`` recounted with the
+    quadratic search (or ``find_all``) and Counter-based entropy: gate the 4
+    bytes in front of every nonce hit, hypothesise both key-block layouts at
+    every recurrence of a gated value, keep a hypothesis when both key windows
+    clear the key gate, then prune hits greedily per extract. Returns
+    (extract_id, offset, hypothesis, client_key, server_key, client_iv,
+    server_iv) tuples in the scanner's order."""
     nonce = capture.first_explicit_nonce
     k = cfg.key_len_bytes
+    extracts = [extract_set.extracts[i] for band in bands for i in extract_set.bands[band]]
     gated = set()
-    for extract in extract_set.extracts:
-        for off in naive_find_all(extract.data, nonce):
+    for extract in extracts:
+        for off in find_all(extract.data, nonce):
             if off < IV_LEN:
                 continue
             segment = extract.data[off - IV_LEN : off]
@@ -191,11 +212,11 @@ def oracle_standard_scan(extract_set, capture, cfg):
                 gated.add(segment)
 
     found = []
-    for extract in extract_set.extracts:
+    for extract in extracts:
         data = extract.data
         per_hit: dict[int, list[tuple]] = {}
         for value in gated:
-            for hit in naive_find_all(data, value):
+            for hit in find_all(data, value):
                 for shift, hypothesis in ((0, "iv_was_client"), (IV_LEN, "iv_was_server")):
                     start = hit - 2 * k - shift
                     ivs = start + 2 * k
@@ -205,7 +226,7 @@ def oracle_standard_scan(extract_set, capture, cfg):
                     if min(naive_entropy(client_key), naive_entropy(server_key)) > cfg.key_entropy_threshold:
                         per_hit.setdefault(hit, []).append((
                             extract.id, start, hypothesis, client_key, server_key,
-                            data[ivs : ivs + IV_LEN], data[ivs + IV_LEN : ivs + 2 * IV_LEN], hit,
+                            data[ivs : ivs + IV_LEN], data[ivs + IV_LEN : ivs + 2 * IV_LEN],
                         ))
         last_kept = None
         for hit in sorted(per_hit):
@@ -245,6 +266,189 @@ def naive_first_opening(record, materials, seq_window):
             if plaintext is not None:
                 return trials, (material, seq, plaintext)
     return trials, None
+
+
+def oracle_pipeline(extract_dir, capture, mode, seq_window=2):
+    """The ``--no-timings`` report dict of ``run_pipeline``, recomputed with
+    the oracles above: each stage's candidates from the scan oracles over the
+    bands so far, minus what earlier stages found; each stage's new pairs
+    sorted eagerly (new keys x every IV so far, then earlier keys x new IVs);
+    and every trial, server probe and transcript record opened one by one.
+    After a pair win the probe tries each stage's pairs in the order they
+    were sorted, then scans each later band for its new pairs."""
+    cfg = ScanConfig(key_len_bytes=capture.handshake.key_len_bytes)
+    extract_set = load_extracts(extract_dir)
+    counter_like = int.from_bytes(capture.first_explicit_nonce, "big") < cfg.counter_nonce_bound
+    if mode == "auto":
+        attempts = ["windows", "standard"] if counter_like else ["standard"]
+    else:
+        attempts = [mode]
+    candidates = {"keys": None, "ivs": None, "key_blocks": None, "bands_scanned": []}
+    report = {
+        "mode_requested": mode,
+        "mode_used": None,
+        "nonce_style": (NonceStyle.COUNTER_LIKE if counter_like else NonceStyle.RANDOM_LIKE).value,
+        "candidates": candidates,
+        "timings": {"memory_analysis_secs": 0.0, "decrypt_analysis_secs": 0.0},
+        "outcome": "no_valid_decrypt",
+        "trials": None,
+        "material": None,
+        "session": None,
+    }
+    keys, ivs, pair_lists, returned = [], [], [], set()
+
+    def new_pair_lists(band):
+        found_keys, found_ivs = oracle_windows_scan(extract_set, cfg, BANDS[:band])
+        known = {c.value for c in keys + ivs}
+        new_keys = [Candidate(*t) for t in found_keys if t[0] not in known]
+        new_ivs = [Candidate(*t) for t in found_ivs if t[0] not in known]
+        old_keys = list(keys)
+        keys.extend(new_keys)
+        ivs.extend(new_ivs)
+        candidates.update(keys=len(keys), ivs=len(ivs))
+        new = [
+            [(k.value, v.value, i, False) for i, (k, v) in enumerate(naive_pair_order(some_keys, some_ivs))]
+            for some_keys, some_ivs in ((new_keys, ivs), (old_keys, new_ivs))
+            if some_keys and some_ivs
+        ]
+        pair_lists.extend(new)
+        return new
+
+    def new_blocks(band):
+        new = [b for b in oracle_standard_scan(extract_set, capture, cfg, BANDS[:band], _regex_find_all)
+               if b not in returned]
+        returned.update(new)
+        candidates["key_blocks"] = len(returned)
+        return new
+
+    def probe_pair_lists(band):
+        yield from list(pair_lists)
+        for later in BANDS[band:]:
+            candidates["bands_scanned"].append(later)
+            yield from new_pair_lists(later)
+
+    client_record = capture.app_data(Direction.CLIENT_TO_SERVER)[0]
+    server_records = capture.app_data(Direction.SERVER_TO_CLIENT)
+    tried = dict.fromkeys(attempts, 0)
+    attempted = 0
+    for band in BANDS:
+        candidates["bands_scanned"].append(band)
+        for attempt in attempts:
+            if attempt == "windows":
+                stage = new_pair_lists(band)
+            else:
+                blocks = new_blocks(band)
+                stage = [[m for i, b in enumerate(blocks) for m in ((b[3], b[5], i, False), (b[4], b[6], i, True))]]
+                stage = stage if blocks else []
+            for materials in stage:
+                trials, won = naive_first_opening(client_record, materials, seq_window)
+                if won is None:
+                    attempted += trials
+                    tried[attempt] += len(blocks) if attempt == "standard" else len(materials)
+                    continue
+                (key, iv, index, swapped), seq, plaintext = won
+                if attempt == "windows":
+                    probe_sets = probe_pair_lists(band)
+                else:
+                    block = blocks[index]
+                    probe_sets = [[(block[3], block[5], index, True) if swapped else (block[4], block[6], index, True)]]
+                material = {Direction.CLIENT_TO_SERVER: (key, iv, seq - client_record.seq),
+                            Direction.SERVER_TO_CLIENT: None}
+                for probe_materials in probe_sets if server_records else ():
+                    _, server = naive_first_opening(server_records[0], probe_materials, seq_window)
+                    if server is not None:
+                        (server_key, server_iv, _, _), server_seq, _ = server
+                        material[Direction.SERVER_TO_CLIENT] = (server_key, server_iv,
+                                                                server_seq - server_records[0].seq)
+                        break
+                records = []
+                for record in capture.records:
+                    if record.content_type != CONTENT_APPLICATION_DATA:
+                        continue
+                    mat = material[record.direction]
+                    opened = None if mat is None else _open_record(
+                        _cipher_for(mat[0]), record, mat[1], record.seq + mat[2])
+                    records.append({
+                        "direction": record.direction.value,
+                        "seq": record.seq,
+                        "ok": opened is not None,
+                        "plaintext_hex": None if opened is None else opened.hex(),
+                        "plaintext_printable": None if opened is None else printable(opened),
+                    })
+                partial = not all(r["ok"] for r in records)
+                server_material = material[Direction.SERVER_TO_CLIENT] or (None, None)
+                report.update(
+                    mode_used=attempt,
+                    outcome="decrypted_partial" if partial else "decrypted",
+                    trials={
+                        "attempted": attempted + trials,
+                        "winner_index": tried[attempt] + index,
+                        "seq_used": seq,
+                        "validation": "tag_and_protocol_valid" if validate_plaintext(plaintext) else "tag_verified",
+                    },
+                    material={
+                        "client_key": key.hex(),
+                        "client_iv": iv.hex(),
+                        "server_key": server_material[0] and server_material[0].hex(),
+                        "server_iv": server_material[1] and server_material[1].hex(),
+                        "hypothesis": blocks[index][2] if attempt == "standard" else None,
+                        "orientation_swapped": swapped,
+                    },
+                    session={"partial": partial, "records": records},
+                )
+                return report
+    report["trials"] = {"attempted": attempted, "winner_index": None, "seq_used": None, "validation": None}
+    return report
+
+
+# ---------------------------------------------------------------------------
+# two materials that verify one record
+
+
+def _gf_inverse(x):
+    """x^(2^128 - 2), the inverse of a nonzero x in GCM's field."""
+    result, power, exponent = 1 << 127, x, (1 << 128) - 2  # 1 << 127 is the field's one
+    while exponent:
+        if exponent & 1:
+            result = _gmult(result, power)
+        power = _gmult(power, power)
+        exponent >>= 1
+    return result
+
+
+def record_both_open(first, second, explicit, seq):
+    """A one-block client ApplicationData record whose tag verifies under both
+    (key, IV) materials at ``seq``. Its tag under a key is C·H^2 xor the rest
+    of GHASH and E_K(J0), so C·(H_a^2 xor H_b^2) = rest_a xor rest_b fixes the
+    one ciphertext block C that gives both keys the same tag."""
+    aad = record_aad(seq, CONTENT_APPLICATION_DATA, TLS_1_2, 16)
+    aad_block = int.from_bytes(aad.ljust(16, b"\x00"), "big")
+    lengths = (len(aad) * 8 << 64) | 128
+    terms = []
+    for key, iv in (first, second):
+        round_keys = _expand_key(key)
+        h = int.from_bytes(_encrypt_block(round_keys, bytes(16)), "big")
+        mask = int.from_bytes(_encrypt_block(round_keys, iv + explicit + (1).to_bytes(4, "big")), "big")
+        h2 = _gmult(h, h)
+        terms.append((h2, mask ^ _gmult(aad_block, _gmult(h2, h)) ^ _gmult(lengths, h)))
+    (h2_a, rest_a), (h2_b, rest_b) = terms
+    block = _gmult(rest_a ^ rest_b, _gf_inverse(h2_a ^ h2_b))
+    tag = _gmult(block, h2_a) ^ rest_a
+    ciphertext = block.to_bytes(16, "big") + tag.to_bytes(16, "big")
+    return EncryptedRecord(Direction.CLIENT_TO_SERVER, seq, explicit, ciphertext, TLS_1_2, CONTENT_APPLICATION_DATA)
+
+
+@pytest.fixture(scope="session")
+def colliding():
+    """A session whose first client record opens under two materials, and
+    whose server record opens under the second."""
+    first = (hashlib.sha256(b"first key").digest(), b"\x11\x12\x13\x14")
+    second = (hashlib.sha256(b"second key").digest(), b"\x21\x22\x23\x24")
+    explicit = (1).to_bytes(8, "big")
+    server = reference_encrypt(b"HTTP/1.1 200 OK\r\n\r\n", *second, explicit, seq=1,
+                               direction=Direction.SERVER_TO_CLIENT)
+    capture = assemble_session(HandshakeSummary(0x009D, 32), [record_both_open(first, second, explicit, 1), server])
+    return capture, first, second
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@ import pathlib
 import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import keysift.cli as cli
+import keysift.memscan as memscan
 from keysift.capture import Direction, NonceStyle, parse_capture
 from keysift.cli import EXIT_ERROR, EXIT_OK, main, run_pipeline
 from keysift.decrypt import _seq_candidates, decrypt_session, trial_decrypt, trial_decrypt_blocks
@@ -30,7 +32,7 @@ from keysift.memscan import (
     scan_windows,
 )
 
-from conftest import naive_pair_order
+from conftest import naive_pair_order, oracle_pipeline
 
 # one file per band; names sort against band order, so ids and bands differ
 BAND_FILES = {1: ("b_band1.bin", 2 * MB), 2: ("c_band2.bin", 256 * 1024), 3: ("a_band3.bin", 8 * MB)}
@@ -227,7 +229,7 @@ def _reference(extract_dir, capture, mode):
     try:
         if mode == "windows":
             pairs = pair_candidates(*scan_windows(extracts, cfg))
-            return decrypt_session(capture, trial_decrypt(capture, pairs), pairs=pairs)
+            return decrypt_session(capture, trial_decrypt(capture, pairs), pair_sets=[pairs])
         blocks = scan_standard(extracts, capture, cfg)
         return decrypt_session(capture, trial_decrypt_blocks(capture, blocks), blocks=blocks)
     except (NoCandidates, NoValidDecrypt):
@@ -280,3 +282,120 @@ def test_staged_standard_winner_matches_a_whole_set_scan(standard_session, block
         extracts = _write_extracts(pathlib.Path(tmp), plants)
         report = run_pipeline(extracts, capture, mode="standard")
         assert _material(report) == _session_material(_reference(extracts, capture, "standard"))
+
+
+def _band_3_server_scene(directory, truth):
+    return _write_extracts(directory, {
+        1: [_key_window(truth.client_key), _iv_window(truth.client_iv)],
+        3: [_key_window(truth.server_key), _iv_window(truth.server_iv)],
+    })
+
+
+def test_timings_split_the_search_into_scans_and_the_rest(tmp_path, windows_session):
+    # a clock that ticks once per call: the three windows scans, the probe's
+    # two among them, are memory analysis, and the rest of the search is decrypt
+    root, _, truth = windows_session
+    ticks = []
+
+    def clock():
+        ticks.append(float(len(ticks)))
+        return ticks[-1]
+
+    report = run_pipeline(_band_3_server_scene(tmp_path / "extracts", truth), root, mode="windows", clock=clock)
+    assert report.outcome == "decrypted" and report.candidates["bands_scanned"] == [1, 2, 3]
+    memory, decrypt = report.timings["memory_analysis_secs"], report.timings["decrypt_analysis_secs"]
+    assert memory == 3 and decrypt >= 0
+    assert memory + decrypt == ticks[-1] - ticks[0]
+
+
+@pytest.mark.parametrize("client_iv_band", [1, 2])
+def test_windows_win_builds_only_the_stages_pair_orders(tmp_path, monkeypatch, windows_session, client_iv_band):
+    # the server probe walks the orders pair_candidates returned to the stages
+    root, _, truth = windows_session
+    plants = {1: [_key_window(truth.client_key), _key_window(truth.server_key), _iv_window(truth.server_iv)]}
+    # a band takes part only when it holds a key marker
+    plants.setdefault(client_iv_band, [_key_window(bytes(range(90, 122)))]).append(_iv_window(truth.client_iv))
+    built, returned = [], []
+    real_init, real_pair_candidates = memscan.PairOrder.__init__, cli.pair_candidates
+
+    def init(self, keys, ivs):
+        built.append(self)
+        real_init(self, keys, ivs)
+
+    def pair_candidates(keys, ivs):
+        returned.append(real_pair_candidates(keys, ivs))
+        return returned[-1]
+
+    monkeypatch.setattr(memscan.PairOrder, "__init__", init)
+    monkeypatch.setattr(cli, "pair_candidates", pair_candidates)
+    report = run_pipeline(_write_extracts(tmp_path / "extracts", plants), root, mode="windows")
+    assert report.outcome == "decrypted" and report.candidates["bands_scanned"] == list(range(1, client_iv_band + 1))
+    assert len(built) == len(returned) == (1 if client_iv_band == 1 else 3)
+    assert all(a is b for a, b in zip(built, returned))
+
+
+# ---------------------------------------------------------------------------
+# the whole report against the reference pipeline
+
+
+def _named_session(name, windows_session, standard_session, colliding):
+    """(capture, client key, client IV, server key, server IV) of a named session."""
+    if name == "colliding":
+        capture, first, second = colliding
+        return (capture,) + first + second
+    _, capture, truth = windows_session if name == "counter" else standard_session
+    return capture, truth.client_key, truth.client_iv, truth.server_key, truth.server_iv
+
+
+_scenes = st.fixed_dictionaries({
+    "session": st.sampled_from(("counter", "random", "colliding")),
+    "layout": st.sampled_from(("markers", "blocks")),
+    "places": st.tuples(_bands, _bands, _bands, _bands),  # client key, client IV, server key, server IV
+    "block_bands": st.lists(_bands, min_size=1, max_size=2),
+    "nonce_band": _bands,
+    "decoys": st.lists(st.tuples(_bands, st.binary(min_size=4, max_size=4), st.binary(min_size=64, max_size=64)),
+                       max_size=3),
+    "slots": st.lists(st.integers(0, 9), min_size=10, max_size=10),  # each artefact's rank within its file
+    "mode": st.sampled_from(("auto", "windows", "standard")),
+    "decrypts": st.sampled_from((True, True, False)),
+})
+
+
+def _scene(**overrides):
+    scene = {"session": "counter", "layout": "markers", "places": (1, 1, 1, 1), "block_bands": [1], "nonce_band": 1,
+             "decoys": [], "slots": [0] * 10, "mode": "auto", "decrypts": True}
+    return {**scene, **overrides}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(scene=_scenes)
+# a client win in band 2 after a band-1 stage that fails, with the server key only in band 3
+@example(scene=_scene(places=(2, 2, 3, 3), decoys=[(1, b"\x01\x02\x03\x04", bytes(range(64)))]))
+# both keys open the client record; the first is screened first, next to the second's IV, but
+# the second's own pair sorts first
+@example(scene=_scene(session="colliding", slots=[0, 3, 2, 1] + [0] * 6))
+# a key block in bands 1 and 3 found through a band-2 nonce hit, after a decoy block
+@example(scene=_scene(layout="blocks", block_bands=[1, 3], nonce_band=2, decoys=[(1, bytes(4), bytes(range(64)))]))
+def test_report_matches_the_reference_pipeline(windows_session, standard_session, colliding, scene):
+    capture, client_key, client_iv, server_key, server_iv = _named_session(
+        scene["session"], windows_session, standard_session, colliding)
+    k = capture.handshake.key_len_bytes
+    if not scene["decrypts"]:  # in the colliding session both keys open the client record
+        client_key, server_key = bytes(range(1, k + 1)), bytes(range(100, 100 + k))
+    placed: list[tuple[int, bytes]] = []
+    if scene["layout"] == "markers":
+        placed += zip(scene["places"], (_key_window(client_key), _iv_window(client_iv),
+                                        _key_window(server_key), _iv_window(server_iv)))
+        for band, iv, key in scene["decoys"]:
+            placed += [(band, _iv_window(iv)), (band, _key_window(key[:k]))]
+    else:
+        placed += [(band, client_key + server_key + client_iv + server_iv) for band in scene["block_bands"]]
+        placed.append((scene["nonce_band"], _nonce_hit(client_iv, capture)))
+        placed += [(band, key[: 2 * k] + client_iv + server_iv) for band, _, key in scene["decoys"]]
+    plants: dict[int, list[bytes]] = {1: []}  # band 1 always holds a file, as real dumps do
+    for _, _, (band, artefact) in sorted((scene["slots"][i], i, p) for i, p in enumerate(placed)):
+        plants.setdefault(band, []).append(artefact)
+    with tempfile.TemporaryDirectory() as tmp:
+        extracts = _write_extracts(pathlib.Path(tmp), plants)
+        report = run_pipeline(extracts, capture, mode=scene["mode"], clock=lambda: 0.0)
+        assert report.to_dict() == oracle_pipeline(extracts, capture, scene["mode"])

@@ -151,14 +151,16 @@ _DECRYPT = ("decrypt", "--extracts", "{extracts}", "--capture", "{capture}")
     _DECRYPT + ("--iv-entropy", "nan"),
     _DECRYPT + ("--counter-bound", "-5"),
     ("scan", "--extracts", "{extracts}", "--step", "0"),
+    ("scan", "--extracts", "{extracts}", "--mode", "auto", "--capture", "{capture}"),
     ("entropy-profile", "--extracts", "{extracts}", "--window", "0"),
     ("entropy-profile", "--extracts", "{extracts}", "--window", "-4"),
     ("entropy-profile", "--extracts", "{extracts}", "--region-windows", "0"),
     ("entropy-profile", "--extracts", "{extracts}", "--threshold", "nan"),
     ("entropy-profile", "--extracts", "{extracts}", "--threshold", "inf"),
 ], ids=["missing-capture", "workers", "step-0", "negative-gap", "bad-filter", "filter-without-pcap",
-        "negative-seq-window", "iv-entropy-nan", "negative-counter-bound", "scan-step-0", "profile-window-0",
-        "profile-negative-window", "profile-region-windows-0", "profile-threshold-nan", "profile-threshold-inf"])
+        "negative-seq-window", "iv-entropy-nan", "negative-counter-bound", "scan-step-0", "scan-auto",
+        "profile-window-0", "profile-negative-window", "profile-region-windows-0", "profile-threshold-nan",
+        "profile-threshold-inf"])
 def test_usage_errors_exit_1_with_one_error_line(windows_fixture_16, capsys, argv):
     _, paths, _ = windows_fixture_16
     code = _run([arg.format(extracts=paths.extract_dir, capture=paths.root) for arg in argv])
@@ -188,7 +190,7 @@ def test_scanner_flags_are_scan_config_fields_and_records_stay_frozen():
         assert {dest for dest, value in vars(args).items() if value != bare[dest]} == set(ScanConfig._fields)
         assert _config_from_args(args, 32) == ScanConfig(16, 1.25, 3.5, 40, 96, 8, 500, 7)
 
-    block = CandidateKeyBlock(bytes(16), bytes(16), bytes(4), bytes(4), 0, 0, BlockHypothesis.IV_WAS_CLIENT, 32)
+    block = CandidateKeyBlock(bytes(16), bytes(16), bytes(4), bytes(4), 0, 0, BlockHypothesis.IV_WAS_CLIENT)
     record = EncryptedRecord(Direction.CLIENT_TO_SERVER, 0, bytes(8), bytes(32), 0x0303, 23)
     summary = HandshakeSummary(0x009C, 16)
     result = TrialResult(bytes(16), bytes(4), 1, b"GET /", Validation.TAG_VERIFIED, 0)

@@ -8,10 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import keysift.decrypt as decrypt_module
 from keysift.capture import (
-    CONTENT_APPLICATION_DATA,
-    TLS_1_2,
     Direction,
-    EncryptedRecord,
     HandshakeSummary,
     NonceStyle,
     assemble_session,
@@ -24,7 +21,6 @@ from keysift.decrypt import (
     _seq_candidates,
     decrypt_record,
     decrypt_session,
-    record_aad,
     trial_decrypt,
     trial_decrypt_blocks,
     validate_plaintext,
@@ -38,7 +34,6 @@ from keysift.fixtures import (
     generate_fixture,
     reference_encrypt,
 )
-from keysift.gcm_ref import _encrypt_block, _expand_key, _gmult
 from keysift.memscan import (
     BlockHypothesis,
     Candidate,
@@ -291,7 +286,7 @@ def test_trial_and_probe_share_each_keys_cipher(windows_fixture_32, monkeypatch)
     built, _ = _count_ciphers(monkeypatch)
     screens = TagScreens()
     result = trial_decrypt(capture, pairs, screens=screens)
-    session = decrypt_session(capture, result, pairs=pairs, screens=screens)
+    session = decrypt_session(capture, result, pair_sets=[pairs], screens=screens)
     assert session.server_key == truth.server_key and not session.partial
     assert len(built) == len(set(built))
     assert truth.server_key in built
@@ -347,7 +342,6 @@ def _block_for(truth, swapped=False):
             extract_id=0,
             offset=0,
             hypothesis=BlockHypothesis.IV_WAS_SERVER,
-            iv_hit_offset=0,
         )
     return CandidateKeyBlock(
         client_key=truth.client_key,
@@ -357,7 +351,6 @@ def _block_for(truth, swapped=False):
         extract_id=0,
         offset=0,
         hypothesis=BlockHypothesis.IV_WAS_CLIENT,
-        iv_hit_offset=0,
     )
 
 
@@ -423,7 +416,7 @@ def test_decrypt_session_soundness_whole_direction(session_capture):
     capture, truth = session_capture
     pairs = [_cand(truth.client_key, truth.client_iv)]
     result = trial_decrypt(capture, pairs)
-    session = decrypt_session(capture, result, pairs=pairs)
+    session = decrypt_session(capture, result, pair_sets=[pairs])
     for entry in session.transcript:
         if entry.direction is Direction.CLIENT_TO_SERVER:
             assert entry.ok
@@ -436,7 +429,7 @@ def test_decrypt_session_pairs_recover_server_direction(session_capture):
         _cand(truth.server_key, truth.server_iv),
     ]
     result = trial_decrypt(capture, pairs)
-    session = decrypt_session(capture, result, pairs=pairs)
+    session = decrypt_session(capture, result, pair_sets=[pairs])
     assert not session.partial
     assert session.server_key == truth.server_key
 
@@ -456,7 +449,7 @@ def test_server_probe_finds_the_server_pair_anywhere(session_capture, monkeypatc
             result = trial_decrypt(capture, pairs, seq_window=window)
             assert result.index == pairs.index(client)
             opened = _count_opens(monkeypatch)
-            session = decrypt_session(capture, result, pairs=pairs, seq_window=window)
+            session = decrypt_session(capture, result, pair_sets=[pairs], seq_window=window)
             monkeypatch.undo()
             assert session.server_key == truth.server_key and not session.partial, (winner, where)
             assert len(opened) - len(session.transcript) == 1  # one open per transcript record
@@ -466,7 +459,7 @@ def test_decrypt_session_server_unknown_is_partial(session_capture):
     capture, truth = session_capture
     pairs = [_cand(truth.client_key, truth.client_iv)]
     result = trial_decrypt(capture, pairs)
-    session = decrypt_session(capture, result, pairs=pairs)
+    session = decrypt_session(capture, result, pair_sets=[pairs])
     assert session.partial
     assert session.server_key is None
     for entry in session.transcript:
@@ -486,7 +479,7 @@ def test_server_probe_without_a_server_pair_makes_no_opens(session_capture, monk
             result = trial_decrypt(capture, pairs, seq_window=0)
             assert result.index == winner
             opened = _count_opens(monkeypatch)
-            session = decrypt_session(capture, result, pairs=pairs, seq_window=0)
+            session = decrypt_session(capture, result, pair_sets=[pairs], seq_window=0)
             monkeypatch.undo()
             assert session.server_key is None and session.partial
             assert opened == [truth.client_key] * client_opens, (count, winner)
@@ -571,7 +564,7 @@ def _check_pairs(capture, pairs, seq_window):
     ordered = naive_pair_order(pairs.keys, pairs.ivs) if isinstance(pairs, PairOrder) else pairs
     materials = [(key.value, iv.value, index, False) for index, (key, iv) in enumerate(ordered)]
     return _agrees_with_loop(capture, lambda: trial_decrypt(capture, pairs, seq_window=seq_window),
-                             materials, lambda *_: materials, seq_window, pairs=pairs)
+                             materials, lambda *_: materials, seq_window, pair_sets=[pairs])
 
 
 def _check_blocks(capture, blocks, seq_window):
@@ -592,7 +585,7 @@ def _junk_block(i, key_len):
     return CandidateKeyBlock(
         client_key=bytes([i]) * key_len, server_key=bytes([i + 1]) * key_len,
         client_iv=bytes([i, 1, 2, 3]), server_iv=bytes([i, 4, 5, 6]),
-        extract_id=0, offset=0, hypothesis=BlockHypothesis.IV_WAS_CLIENT, iv_hit_offset=0,
+        extract_id=0, offset=0, hypothesis=BlockHypothesis.IV_WAS_CLIENT,
     )
 
 
@@ -659,53 +652,7 @@ def test_screen_agrees_with_per_pair_loop_at_seq_other_than_the_records(captures
 
 
 # ---------------------------------------------------------------------------
-# two materials that verify one record
-
-
-def _gf_inverse(x):
-    """x^(2^128 - 2), the inverse of a nonzero x in GCM's field."""
-    result, power, exponent = 1 << 127, x, (1 << 128) - 2  # 1 << 127 is the field's one
-    while exponent:
-        if exponent & 1:
-            result = _gmult(result, power)
-        power = _gmult(power, power)
-        exponent >>= 1
-    return result
-
-
-def _record_both_open(first, second, explicit, seq):
-    """A one-block client ApplicationData record whose tag verifies under both
-    (key, IV) materials at ``seq``. Its tag under a key is C·H^2 xor the rest
-    of GHASH and E_K(J0), so C·(H_a^2 xor H_b^2) = rest_a xor rest_b fixes the
-    one ciphertext block C that gives both keys the same tag."""
-    aad = record_aad(seq, CONTENT_APPLICATION_DATA, TLS_1_2, 16)
-    aad_block = int.from_bytes(aad.ljust(16, b"\x00"), "big")
-    lengths = (len(aad) * 8 << 64) | 128
-    terms = []
-    for key, iv in (first, second):
-        round_keys = _expand_key(key)
-        h = int.from_bytes(_encrypt_block(round_keys, bytes(16)), "big")
-        mask = int.from_bytes(_encrypt_block(round_keys, iv + explicit + (1).to_bytes(4, "big")), "big")
-        h2 = _gmult(h, h)
-        terms.append((h2, mask ^ _gmult(aad_block, _gmult(h2, h)) ^ _gmult(lengths, h)))
-    (h2_a, rest_a), (h2_b, rest_b) = terms
-    block = _gmult(rest_a ^ rest_b, _gf_inverse(h2_a ^ h2_b))
-    tag = _gmult(block, h2_a) ^ rest_a
-    ciphertext = block.to_bytes(16, "big") + tag.to_bytes(16, "big")
-    return EncryptedRecord(Direction.CLIENT_TO_SERVER, seq, explicit, ciphertext, TLS_1_2, CONTENT_APPLICATION_DATA)
-
-
-@pytest.fixture(scope="module")
-def colliding():
-    """A session whose first client record opens under two materials, and
-    whose server record opens under the second."""
-    first = (hashlib.sha256(b"first key").digest(), b"\x11\x12\x13\x14")
-    second = (hashlib.sha256(b"second key").digest(), b"\x21\x22\x23\x24")
-    explicit = (1).to_bytes(8, "big")
-    server = reference_encrypt(b"HTTP/1.1 200 OK\r\n\r\n", *second, explicit, seq=1,
-                               direction=Direction.SERVER_TO_CLIENT)
-    capture = assemble_session(HandshakeSummary(0x009D, 32), [_record_both_open(first, second, explicit, 1), server])
-    return capture, first, second
+# two materials that verify one record (the ``colliding`` session is built in conftest)
 
 
 def test_record_opens_under_both_materials(colliding):
@@ -788,7 +735,7 @@ def test_decrypt_session_truncated_capture_not_partial(tmp_path):
     capture = parse_capture((client, truncated))
     pairs = [_cand(truth.client_key, truth.client_iv)]
     result = trial_decrypt(capture, pairs)
-    session = decrypt_session(capture, result, pairs=pairs)
+    session = decrypt_session(capture, result, pair_sets=[pairs])
     assert not session.partial
     assert [e.direction for e in session.transcript] == [Direction.CLIENT_TO_SERVER]
 
@@ -803,7 +750,7 @@ def test_negative_seq_window_is_rejected(session_capture):
     with pytest.raises(ValueError):
         trial_decrypt_blocks(capture, blocks, seq_window=-1)
     with pytest.raises(ValueError):
-        decrypt_session(capture, trial_decrypt(capture, pairs), pairs=pairs, seq_window=-1)
+        decrypt_session(capture, trial_decrypt(capture, pairs), pair_sets=[pairs], seq_window=-1)
     with pytest.raises(ValueError):
         decrypt_session(capture, trial_decrypt_blocks(capture, blocks), blocks=blocks, seq_window=-1)
 
@@ -819,7 +766,7 @@ def test_windows_scan_feeds_trial(windows_fixture_16):
     keys, ivs = scan_windows(extract_set, ScanConfig(key_len_bytes=16))
     pairs = pair_candidates(keys, ivs)
     result = trial_decrypt(capture, pairs)
-    session = decrypt_session(capture, result, pairs=pairs)
+    session = decrypt_session(capture, result, pair_sets=[pairs])
     assert result.key == truth.client_key
     assert result.implicit_iv == truth.client_iv
     assert not session.partial

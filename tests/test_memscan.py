@@ -365,8 +365,7 @@ def test_scan_standard_matches_independent_oracle(tmp_path, spec_kwargs, gap):
     blocks = scan_standard(extract_set, capture, cfg)
     assert blocks
     assert [
-        (b.extract_id, b.offset, b.hypothesis.value, b.client_key, b.server_key, b.client_iv, b.server_iv,
-         b.iv_hit_offset)
+        (b.extract_id, b.offset, b.hypothesis.value, b.client_key, b.server_key, b.client_iv, b.server_iv)
         for b in blocks
     ] == oracle_standard_scan(extract_set, capture, cfg)
 
@@ -482,7 +481,9 @@ def test_pair_order_rank_matches_naive_position(key_places, iv_places):
     pairs = pair_candidates(keys, ivs)
     by_sort_key = sorted((pairs.sort_key(ki, vi), ki, vi) for ki in range(len(keys)) for vi in range(len(ivs)))
     assert [(keys[ki], ivs[vi]) for _, ki, vi in by_sort_key] == naive_pair_order(keys, ivs)
-    for ki, (key, floor) in enumerate(zip(keys, pairs.floors())):
+    floors = dict(pairs.by_floor)  # the key values are distinct
+    for ki, key in enumerate(keys):
+        floor = floors[key.value]
         nearest = min(pairs.sort_key(ki, vi) for vi in range(len(ivs)))
         assert floor < nearest and (floor == nearest[:3] or floor == (True, 0, ki))
         for vi, iv in enumerate(ivs):
