@@ -307,31 +307,25 @@ def parse_capture(
     capture_format: CaptureFormat | str = CaptureFormat.RAW_RECORDS,
     session_filter: tuple | None = None,
 ) -> SessionCapture:
-    """Parse captured traffic into a SessionCapture.
+    """Parse the captured traffic at path ``source`` into a SessionCapture.
 
     raw_records: ``source`` is a directory holding ``client.tls`` and
-    ``server.tls``, or a ``(client_bytes, server_bytes)`` pair.
-    pcap: ``source`` is a pcap path or its bytes; ``session_filter`` is an
+    ``server.tls``. pcap: ``source`` is a pcap file; ``session_filter`` is an
     optional ``(ip, port, ip, port)`` tuple selecting one TCP stream. A filter
     given with raw records raises FilterNeedsPcap rather than being ignored.
+    Callers holding the bytes parse them with ``parse_raw_streams``, after
+    ``pcap.tls_streams_from_pcap`` for a pcap.
     """
     fmt = CaptureFormat(capture_format) if not isinstance(capture_format, CaptureFormat) else capture_format
+    base = Path(source)
     if fmt is CaptureFormat.RAW_RECORDS:
         if session_filter is not None:
             raise FilterNeedsPcap("a session filter selects a pcap session; it needs the pcap capture format")
-        if isinstance(source, tuple):
-            client_data, server_data = source
-        else:
-            base = Path(source)
-            client_data = (base / "client.tls").read_bytes()
-            server_data = (base / "server.tls").read_bytes()
-        return parse_raw_streams(client_data, server_data)
+        return parse_raw_streams((base / "client.tls").read_bytes(), (base / "server.tls").read_bytes())
 
     from .pcap import tls_streams_from_pcap
 
-    data = source if isinstance(source, (bytes, bytearray)) else Path(source).read_bytes()
-    client_data, server_data = tls_streams_from_pcap(bytes(data), session_filter)
-    return parse_raw_streams(client_data, server_data)
+    return parse_raw_streams(*tls_streams_from_pcap(base.read_bytes(), session_filter))
 
 
 def explicit_nonce_style(capture: SessionCapture, counter_bound: int = 256) -> NonceStyle:

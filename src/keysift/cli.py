@@ -12,7 +12,7 @@ import sys
 import time
 from pathlib import Path
 
-from .capture import CaptureFormat, NonceStyle, SessionCapture, explicit_nonce_style, parse_capture
+from .capture import NonceStyle, SessionCapture, explicit_nonce_style, parse_capture
 from .decrypt import (
     DecryptedSession,
     TagScreens,
@@ -147,20 +147,18 @@ class _BandSearch:
 
 def run_pipeline(
     extract_dir,
-    capture_source,
-    capture_format: CaptureFormat | str = CaptureFormat.RAW_RECORDS,
+    capture: SessionCapture,
     mode: str = "auto",
     config: ScanConfig | None = None,
     seq_window: int = 2,
-    session_filter: tuple | None = None,
     clock=time.perf_counter,
 ) -> RunReport:
     """Load extracts, search band by band, decrypt the session at the first win.
 
-    ``capture_source`` is an already parsed SessionCapture or anything
-    ``parse_capture`` accepts. In auto mode a counter-like explicit nonce
-    selects the marker scanner first, with the standard scanner as fall-back;
-    random-like nonces go straight to the standard scanner.
+    ``capture`` is the parsed session, as ``parse_capture`` returns it. In
+    auto mode a counter-like explicit nonce selects the marker scanner first,
+    with the standard scanner as fall-back; random-like nonces go straight to
+    the standard scanner.
 
     The search runs in stages, band 1, then 2, then 3; a stage runs the mode's
     scanners in that order over its band's extracts only, and the run returns
@@ -185,10 +183,6 @@ def run_pipeline(
     if seq_window < 0:
         raise ValueError(f"seq_window must not be negative, got {seq_window}")
 
-    if isinstance(capture_source, SessionCapture):
-        capture = capture_source
-    else:
-        capture = parse_capture(capture_source, capture_format, session_filter)
     cfg = config or ScanConfig(key_len_bytes=capture.handshake.key_len_bytes)
     extracts = load_extracts(extract_dir)
     style = explicit_nonce_style(capture, cfg.counter_nonce_bound)
@@ -413,6 +407,7 @@ def _cmd_entropy_profile(args) -> int:
     for extract in extracts.extracts:
         for offset, count in entropy_profile(extract.data, args.window, args.threshold, args.region_windows):
             rows.append((extract.name, offset, count))
+        del extract.data  # profiled: free its bytes before the next extract is read
     _emit(args, entropy_profile_csv(rows))
     return EXIT_OK
 

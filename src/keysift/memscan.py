@@ -38,16 +38,14 @@ _METADATA_NAMES = {"manifest.json", "groundtruth.json"}
 
 
 class MemoryExtract:
-    """One memory extract. ``source`` is the file to read or the bytes
-    themselves; a file is read on the first access to ``data``, not before."""
+    """One memory extract file, ``size`` bytes long when listed. The file is
+    read on the first access to ``data``, not before."""
 
-    def __init__(self, id: int, name: str, size: int, source: Path | bytes):
+    def __init__(self, id: int, name: str, size: int, source: Path):
         self.id, self.name, self.size, self.source = id, name, size, source
 
     @cached_property
     def data(self) -> bytes:
-        if isinstance(self.source, bytes):
-            return self.source
         try:
             data = self.source.read_bytes()
         except OSError as exc:
@@ -82,16 +80,6 @@ def band_for_size(size_bytes: int) -> int:
     return 3
 
 
-def _make_extract_set(extracts: list[MemoryExtract]) -> ExtractSet:
-    bands: dict[int, list[int]] = {band: [] for band in BANDS}
-    for extract in extracts:
-        bands[band_for_size(extract.size)].append(extract.id)
-    return ExtractSet(
-        extracts=tuple(extracts),
-        bands={b: tuple(ids) for b, ids in bands.items()},
-    )
-
-
 def _in_bands(extracts: ExtractSet, bands) -> list[MemoryExtract]:
     """The extracts of ``bands``, band by band in the order given."""
     return [extracts.extracts[i] for band in bands for i in extracts.bands[band]]
@@ -117,18 +105,10 @@ def load_extracts(directory) -> ExtractSet:
             extracts.append(MemoryExtract(id=len(extracts), name=name, size=size, source=base / name))
     if not extracts:
         raise EmptyDirectory(f"no loadable extract files in {base}")
-    return _make_extract_set(extracts)
-
-
-def extract_set_from_buffers(named_buffers: list[tuple[str, bytes]]) -> ExtractSet:
-    """Build an ExtractSet directly from in-memory buffers (test convenience)."""
-    extracts = [
-        MemoryExtract(id=i, name=name, size=len(data), source=bytes(data))
-        for i, (name, data) in enumerate(named_buffers)
-    ]
-    if not extracts:
-        raise EmptyDirectory("no buffers supplied")
-    return _make_extract_set(extracts)
+    bands: dict[int, list[int]] = {band: [] for band in BANDS}
+    for extract in extracts:
+        bands[band_for_size(extract.size)].append(extract.id)
+    return ExtractSet(extracts=tuple(extracts), bands={b: tuple(ids) for b, ids in bands.items()})
 
 
 class _ScanFields(NamedTuple):

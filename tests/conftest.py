@@ -57,12 +57,14 @@ def windows_fixture_16(tmp_path_factory):
 # ---------------------------------------------------------------------------
 # pcap construction
 
-def _tcp_packet(src, dst, seq, payload: bytes) -> bytes:
-    eth = b"\x02" * 6 + b"\x04" * 6 + struct.pack(">H", 0x0800)
+def tcp_frame(src, dst, seq, payload: bytes, vlan: bool = False, proto: int = 6, flags_frag: int = 0x4000) -> bytes:
+    """An Ethernet/IPv4/TCP frame; ``vlan`` adds an 802.1Q tag, and ``proto``
+    and ``flags_frag`` set the IPv4 protocol and flags/fragment-offset fields."""
+    eth = b"\x02" * 6 + b"\x04" * 6 + (struct.pack(">HH", 0x8100, 7) if vlan else b"") + struct.pack(">H", 0x0800)
     total_len = 20 + 20 + len(payload)
     ip = struct.pack(
         ">BBHHHBBH4s4s",
-        0x45, 0, total_len, 0, 0x4000, 64, 6, 0,
+        0x45, 0, total_len, 0, flags_frag, 64, proto, 0,
         bytes(int(x) for x in src[0].split(".")),
         bytes(int(x) for x in dst[0].split(".")),
     )
@@ -81,11 +83,15 @@ def build_pcap(
     duplicate_first: bool = False,
     reorder: bool = False,
     extra_stream: tuple[bytes, bytes] | None = None,
+    vlan: bool = False,
+    linktype: int = 1,
+    extra_frames: tuple[bytes, ...] = (),
 ) -> bytes:
-    """Assemble a classic pcap carrying one (or two) TLS-over-TCP streams."""
+    """Assemble a classic pcap carrying one (or two) TLS-over-TCP streams,
+    then ``extra_frames`` as given."""
     order = "<" if little_endian else ">"
     magic = 0xA1B23C4D if nanosecond else 0xA1B2C3D4
-    out = bytearray(struct.pack(order + "IHHiIII", magic, 2, 4, 0, 0, 65535, 1))
+    out = bytearray(struct.pack(order + "IHHiIII", magic, 2, 4, 0, 0, 65535, linktype))
 
     def chunks(data):
         return [data[i : i + chunk] for i in range(0, len(data), chunk)]
@@ -94,7 +100,7 @@ def build_pcap(
         packets = []
         seq = isn
         for part in chunks(stream):
-            packets.append(_tcp_packet(src, dst, seq, part))
+            packets.append(tcp_frame(src, dst, seq, part, vlan=vlan))
             seq = (seq + len(part)) & 0xFFFFFFFF
         return packets
 
@@ -121,7 +127,7 @@ def build_pcap(
         frames += flow_packets(extra_stream[0], c2, s2, 100)
         frames += flow_packets(extra_stream[1], s2, c2, 200)
 
-    for frame in frames:
+    for frame in frames + list(extra_frames):
         out += struct.pack(order + "IIII", 0, 0, len(frame), len(frame))
         out += frame
     return bytes(out)

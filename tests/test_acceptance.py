@@ -130,7 +130,7 @@ def test_criterion_3_timing_envelope(tmp_path):
     assert len(extract_set.extracts) == 265
     assert extract_set.total_bytes == pytest.approx(73.2 * MB, rel=0.02)
 
-    report = run_pipeline(paths.extract_dir, paths.root, mode="windows")
+    report = run_pipeline(paths.extract_dir, parse_capture(paths.root), mode="windows")
     assert report.outcome == "decrypted"
     assert report.material["client_key"] == truth.client_key.hex()
     memory_secs = report.timings["memory_analysis_secs"]
@@ -167,7 +167,7 @@ def test_criterion_4_standard_scan_recovers_plantings(tmp_path):
             {b.client_key, b.server_key} == material for b in blocks
         ), f"seed {seed} ({hypothesis.value}): planted block missing"
 
-        report = run_pipeline(paths.extract_dir, paths.root, mode="standard")
+        report = run_pipeline(paths.extract_dir, parse_capture(paths.root), mode="standard")
         assert report.outcome == "decrypted", f"seed {seed}: {report.outcome}"
         assert report.material["client_key"] == truth.client_key.hex()
 
@@ -296,7 +296,8 @@ def test_criterion_7_byte_identical_reports(windows_fixture_16):
     _, paths, _ = windows_fixture_16
     zero_clock = lambda: 0.0
     for mode in ("windows", "auto"):
-        runs = [run_pipeline(paths.extract_dir, paths.root, mode=mode, clock=zero_clock) for _ in range(2)]
+        runs = [run_pipeline(paths.extract_dir, parse_capture(paths.root), mode=mode, clock=zero_clock)
+                for _ in range(2)]
         rendered = [render_json(r.to_dict()) for r in runs]
         assert len(set(rendered)) == 1, f"mode {mode} reports diverged"
 

@@ -111,12 +111,12 @@ def _material(report) -> tuple:
 
 def test_server_key_only_in_band_3_still_decrypts_fully(tmp_path, windows_session):
     # the client pair wins in band 1; the server probe goes on into band 3
-    root, _, truth = windows_session
+    _, capture, truth = windows_session
     extracts = _write_extracts(tmp_path / "extracts", {
         1: [_key_window(truth.client_key), _iv_window(truth.client_iv)],
         3: [_key_window(truth.server_key), _iv_window(truth.server_iv)],
     })
-    report = run_pipeline(extracts, root, mode="windows")
+    report = run_pipeline(extracts, capture, mode="windows")
     assert report.outcome == "decrypted"
     assert report.candidates["bands_scanned"] == [1, 2, 3]
     assert report.material["client_key"] == truth.client_key.hex()
@@ -156,12 +156,12 @@ def test_winner_index_and_attempted_count_the_staged_order(tmp_path, windows_ses
 
 
 def test_server_probe_misses_in_every_band_reports_partial(tmp_path, windows_session):
-    root, _, truth = windows_session
+    _, capture, truth = windows_session
     extracts = _write_extracts(tmp_path / "extracts", {
         1: [_key_window(truth.client_key), _iv_window(truth.client_iv)],
         3: [_key_window(bytes(range(7, 39))), _iv_window(truth.server_iv)],
     })
-    report = run_pipeline(extracts, root, mode="windows")
+    report = run_pipeline(extracts, capture, mode="windows")
     assert report.outcome == "decrypted_partial"
     assert report.candidates["bands_scanned"] == [1, 2, 3]
     assert report.material["client_key"] == truth.client_key.hex() and report.material["server_key"] is None
@@ -170,7 +170,7 @@ def test_server_probe_misses_in_every_band_reports_partial(tmp_path, windows_ses
 def test_standard_scan_finds_a_band_1_block_through_a_band_2_nonce_hit(tmp_path, monkeypatch, standard_session):
     # the IV value is only seen in front of the nonce in band 2, and it recurs
     # in band 1's key block, which band 1's own stage could not yet find
-    root, capture, truth = standard_session
+    _, capture, truth = standard_session
     extracts = _write_extracts(tmp_path / "extracts", {
         1: [_key_block(truth)],
         2: [_nonce_hit(truth.client_iv, capture)],
@@ -186,7 +186,7 @@ def test_standard_scan_finds_a_band_1_block_through_a_band_2_nonce_hit(tmp_path,
         (band_1_id, truth.client_key, truth.client_iv)}
 
     read = _record_reads(monkeypatch)
-    report = run_pipeline(extracts, root, mode="standard")
+    report = run_pipeline(extracts, capture, mode="standard")
     assert report.outcome == "decrypted"
     assert report.candidates["bands_scanned"] == [1, 2]
     assert report.material["client_key"] == truth.client_key.hex()
@@ -294,14 +294,14 @@ def _band_3_server_scene(directory, truth):
 def test_timings_split_the_search_into_scans_and_the_rest(tmp_path, windows_session):
     # a clock that ticks once per call: the three windows scans, the probe's
     # two among them, are memory analysis, and the rest of the search is decrypt
-    root, _, truth = windows_session
+    _, capture, truth = windows_session
     ticks = []
 
     def clock():
         ticks.append(float(len(ticks)))
         return ticks[-1]
 
-    report = run_pipeline(_band_3_server_scene(tmp_path / "extracts", truth), root, mode="windows", clock=clock)
+    report = run_pipeline(_band_3_server_scene(tmp_path / "extracts", truth), capture, mode="windows", clock=clock)
     assert report.outcome == "decrypted" and report.candidates["bands_scanned"] == [1, 2, 3]
     memory, decrypt = report.timings["memory_analysis_secs"], report.timings["decrypt_analysis_secs"]
     assert memory == 3 and decrypt >= 0
@@ -311,7 +311,7 @@ def test_timings_split_the_search_into_scans_and_the_rest(tmp_path, windows_sess
 @pytest.mark.parametrize("client_iv_band", [1, 2])
 def test_windows_win_builds_only_the_stages_pair_orders(tmp_path, monkeypatch, windows_session, client_iv_band):
     # the server probe walks the orders pair_candidates returned to the stages
-    root, _, truth = windows_session
+    _, capture, truth = windows_session
     plants = {1: [_key_window(truth.client_key), _key_window(truth.server_key), _iv_window(truth.server_iv)]}
     # a band takes part only when it holds a key marker
     plants.setdefault(client_iv_band, [_key_window(bytes(range(90, 122)))]).append(_iv_window(truth.client_iv))
@@ -328,7 +328,7 @@ def test_windows_win_builds_only_the_stages_pair_orders(tmp_path, monkeypatch, w
 
     monkeypatch.setattr(memscan.PairOrder, "__init__", init)
     monkeypatch.setattr(cli, "pair_candidates", pair_candidates)
-    report = run_pipeline(_write_extracts(tmp_path / "extracts", plants), root, mode="windows")
+    report = run_pipeline(_write_extracts(tmp_path / "extracts", plants), capture, mode="windows")
     assert report.outcome == "decrypted" and report.candidates["bands_scanned"] == list(range(1, client_iv_band + 1))
     assert len(built) == len(returned) == (1 if client_iv_band == 1 else 3)
     assert all(a is b for a, b in zip(built, returned))

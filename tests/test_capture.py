@@ -9,7 +9,6 @@ from keysift.capture import (
     CONTENT_HANDSHAKE,
     GCM_SUITES,
     TLS_1_2,
-    CaptureFormat,
     Direction,
     NonceStyle,
     TlsRecord,
@@ -30,7 +29,7 @@ from keysift.errors import (
 )
 from keysift.fixtures import FixtureSpec, generate_fixture, reference_encrypt
 
-from conftest import build_pcap
+from conftest import build_pcap, tcp_frame
 
 
 def _record(content_type, payload, version=TLS_1_2):
@@ -161,6 +160,51 @@ def test_missing_server_hello_rejected():
         parse_raw_streams(client, _ccs())
 
 
+def _handshake_record(msg_type, body, declared_len=None):
+    length = len(body) if declared_len is None else declared_len
+    return _record(CONTENT_HANDSHAKE, bytes([msg_type]) + length.to_bytes(3, "big") + body)
+
+
+def test_truncated_record_header_rejected():
+    with pytest.raises(MalformedRecord, match="truncated record header"):
+        read_records(_ccs() + _ccs()[:3])
+
+
+def test_non_tls_record_version_rejected():
+    with pytest.raises(MalformedRecord, match="is not TLS"):
+        read_records(_record(CONTENT_HANDSHAKE, b"x", version=0x0200))
+
+
+@pytest.mark.parametrize("server_handshake,message", [
+    (_record(CONTENT_HANDSHAKE, b"\x02\x00\x00"), "truncated handshake message header"),
+    (_handshake_record(2, bytes(10), declared_len=40), "truncated handshake message body"),
+    (_handshake_record(2, bytes(37)), "ServerHello too short"),
+    (_handshake_record(2, bytes(34) + b"\x20" + bytes(34)), "ServerHello truncated after session id"),
+], ids=["message-header", "message-body", "hello-short", "hello-after-session-id"])
+def test_truncated_server_handshake_rejected(server_handshake, message):
+    client, _ = _minimal_streams()
+    with pytest.raises(MalformedRecord, match=message):
+        parse_raw_streams(client, server_handshake + _ccs())
+
+
+def test_encrypted_record_shorter_than_nonce_and_tag_rejected():
+    client, server = _minimal_streams()
+    with pytest.raises(MalformedRecord, match="too short for nonce and tag"):
+        parse_raw_streams(client + _record(CONTENT_APPLICATION_DATA, bytes(23)), server)
+
+
+def test_server_hello_extension_walk_passes_other_extensions():
+    # renegotiation_info comes first; the TLS 1.3 selection after it is still found
+    renegotiation_info = struct.pack(">HH", 0xFF01, 1) + b"\x00"
+    client, _ = _minimal_streams()
+    server = _server_hello_record(extensions=renegotiation_info) + _ccs()
+    assert parse_raw_streams(client, server).handshake.cipher_suite == 0x009D
+    tls13 = struct.pack(">HH", 43, 2) + struct.pack(">H", 0x0304)
+    server = _server_hello_record(extensions=renegotiation_info + tls13) + _ccs()
+    with pytest.raises(UnsupportedCipherSuite):
+        parse_raw_streams(client, server)
+
+
 @given(payloads=st.lists(st.binary(min_size=0, max_size=300), max_size=8))
 @settings(max_examples=50, deadline=None)
 def test_record_stream_roundtrip(payloads):
@@ -181,12 +225,6 @@ def test_session_serialize_reparse_roundtrip(tmp_path, key_len, style):
     capture = parse_capture(paths.root)
     reparsed = parse_raw_streams(*serialize_session(capture))
     assert reparsed == capture
-
-
-def test_parse_capture_accepts_byte_pair():
-    client, server = _minimal_streams()
-    capture = parse_capture((client, server), CaptureFormat.RAW_RECORDS)
-    assert capture.handshake.key_len_bytes == 32
 
 
 def test_nonce_style_counter():
@@ -225,46 +263,49 @@ def _fixture_streams(windows_fixture_32):
     return paths.client_records.read_bytes(), paths.server_records.read_bytes()
 
 
-def test_pcap_equals_raw(windows_fixture_32, tmp_path):
-    client, server = _fixture_streams(windows_fixture_32)
-    pcap = build_pcap(client, server)
+def _pcap_file(tmp_path, pcap: bytes):
     path = tmp_path / "session.pcap"
     path.write_bytes(pcap)
-    assert parse_capture(path, "pcap") == parse_raw_streams(client, server)
+    return path
+
+
+def test_pcap_equals_raw(windows_fixture_32, tmp_path):
+    client, server = _fixture_streams(windows_fixture_32)
+    assert parse_capture(_pcap_file(tmp_path, build_pcap(client, server)), "pcap") == parse_raw_streams(client, server)
 
 
 @pytest.mark.parametrize("nanosecond,little_endian", [(True, False), (False, True)])
-def test_pcap_header_variants(windows_fixture_32, nanosecond, little_endian):
+def test_pcap_header_variants(windows_fixture_32, tmp_path, nanosecond, little_endian):
     client, server = _fixture_streams(windows_fixture_32)
     pcap = build_pcap(client, server, nanosecond=nanosecond, little_endian=little_endian)
-    assert parse_capture(pcap, "pcap") == parse_raw_streams(client, server)
+    assert parse_capture(_pcap_file(tmp_path, pcap), "pcap") == parse_raw_streams(client, server)
 
 
-def test_pcap_duplicate_segment_dropped(windows_fixture_32):
+def test_pcap_duplicate_segment_dropped(windows_fixture_32, tmp_path):
     client, server = _fixture_streams(windows_fixture_32)
     pcap = build_pcap(client, server, chunk=100, duplicate_first=True)
-    assert parse_capture(pcap, "pcap") == parse_raw_streams(client, server)
+    assert parse_capture(_pcap_file(tmp_path, pcap), "pcap") == parse_raw_streams(client, server)
 
 
-def test_pcap_out_of_order_rejected(windows_fixture_32):
+def test_pcap_out_of_order_rejected(windows_fixture_32, tmp_path):
     client, server = _fixture_streams(windows_fixture_32)
     assert len(client) > 200  # needs at least two segments for the swap to bite
     pcap = build_pcap(client, server, chunk=100, reorder=True)
     with pytest.raises(MalformedRecord):
-        parse_capture(pcap, "pcap")
+        parse_capture(_pcap_file(tmp_path, pcap), "pcap")
 
 
-def test_pcap_two_streams_ambiguous(windows_fixture_32):
+def test_pcap_two_streams_ambiguous(windows_fixture_32, tmp_path):
     client, server = _fixture_streams(windows_fixture_32)
     pcap = build_pcap(client, server, extra_stream=(client, server))
     with pytest.raises(AmbiguousStream):
-        parse_capture(pcap, "pcap")
+        parse_capture(_pcap_file(tmp_path, pcap), "pcap")
 
 
-def test_pcap_filter_selects_stream(windows_fixture_32):
+def test_pcap_filter_selects_stream(windows_fixture_32, tmp_path):
     client, server = _fixture_streams(windows_fixture_32)
     pcap = build_pcap(client, server, extra_stream=(client, server))
-    capture = parse_capture(pcap, "pcap", session_filter=("10.0.0.2", 49152, "10.0.0.1", 443))
+    capture = parse_capture(_pcap_file(tmp_path, pcap), "pcap", session_filter=("10.0.0.2", 49152, "10.0.0.1", 443))
     assert capture == parse_raw_streams(client, server)
 
 
@@ -275,9 +316,46 @@ def test_session_filter_on_raw_records_is_refused(windows_fixture_32):
     with pytest.raises(FilterNeedsPcap):
         parse_capture(paths.root, "raw_records", session_filter)
     with pytest.raises(FilterNeedsPcap):
-        parse_capture(_fixture_streams(windows_fixture_32), session_filter=session_filter)
+        parse_capture(paths.root, session_filter=session_filter)
 
 
-def test_pcap_garbage_rejected():
+def test_pcap_garbage_rejected(tmp_path):
     with pytest.raises(MalformedRecord):
-        parse_capture(b"\x00" * 40, "pcap")
+        parse_capture(_pcap_file(tmp_path, b"\x00" * 40), "pcap")
+
+
+_CLIENT, _SERVER = ("10.0.0.2", 49152), ("10.0.0.1", 443)
+
+
+@pytest.mark.parametrize("make", [
+    lambda client, server: build_pcap(client, server, vlan=True),
+    lambda client, server: build_pcap(client, server, extra_frames=(
+        b"\xff" * 6 + b"\x04" * 6 + struct.pack(">H", 0x0806) + bytes(28),  # ARP
+        tcp_frame(_CLIENT, _SERVER, 0, client[:40], proto=17),  # UDP
+    )),
+    # the client's first segment again after the whole stream, entirely behind it
+    lambda client, server: build_pcap(client, server, chunk=100,
+                                      extra_frames=(tcp_frame(_CLIENT, _SERVER, 1000, client[:100]),)),
+], ids=["vlan", "non-ipv4-and-non-tcp-skipped", "retransmission-dropped"])
+def test_pcap_frames_that_carry_the_same_session(windows_fixture_32, tmp_path, make):
+    client, server = _fixture_streams(windows_fixture_32)
+    assert len(client) > 100
+    assert parse_capture(_pcap_file(tmp_path, make(client, server)), "pcap") == parse_raw_streams(client, server)
+
+
+@pytest.mark.parametrize("make,session_filter,message", [
+    (lambda client, server: build_pcap(client, server, extra_frames=(
+        tcp_frame(_CLIENT, _SERVER, 1000, client[:100], flags_frag=0x2000),)), None, "fragmented"),
+    (lambda client, server: build_pcap(client, server)[:20], None, "shorter than its global header"),
+    (lambda client, server: build_pcap(client, server)[: 24 + 10], None, "truncated pcap packet header"),
+    (lambda client, server: build_pcap(client, server)[: 24 + 16 + 10], None, "truncated pcap packet data"),
+    (lambda client, server: build_pcap(client, server, linktype=101), None, "link type 101"),
+    (lambda client, server: build_pcap(b"GET / HTTP/1.1\r\n\r\n", b"HTTP/1.1 200 OK\r\n\r\n"), None,
+     "no TLS-over-TCP stream"),
+    (lambda client, server: build_pcap(client, server), ("10.7.7.7", 1, "10.8.8.8", 2),
+     "no TLS stream matches filter"),
+], ids=["ipv4-fragment", "global-header", "packet-header", "packet-data", "link-type", "no-tls", "filter-misses"])
+def test_pcap_input_rejected(windows_fixture_32, tmp_path, make, session_filter, message):
+    pcap = make(*_fixture_streams(windows_fixture_32))
+    with pytest.raises(MalformedRecord, match=message):
+        parse_capture(_pcap_file(tmp_path, pcap), "pcap", session_filter)

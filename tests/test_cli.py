@@ -292,6 +292,32 @@ def test_entropy_profile_command(windows_fixture_16, tmp_path):
     assert int(count) >= 0
 
 
+def test_entropy_profile_frees_each_extract_before_the_next(tmp_path, monkeypatch):
+    # while the k-th extract is profiled, no earlier extract still holds its bytes
+    import keysift.cli as cli
+    import keysift.entropy as entropy
+    import keysift.memscan as memscan
+
+    extract_dir = tmp_path / "extracts"
+    extract_dir.mkdir()
+    for name in ("a.bin", "b.bin", "c.bin"):
+        (extract_dir / name).write_bytes(bytes(range(256)) * 16)
+    loaded, holding = [], []
+
+    def load(directory):
+        loaded.append(memscan.load_extracts(directory))
+        return loaded[-1]
+
+    def profile(data, *args):
+        holding.append([e.name for e in loaded[0].extracts if "data" in vars(e)])
+        return entropy.entropy_profile(data, *args)
+
+    monkeypatch.setattr(cli, "load_extracts", load)
+    monkeypatch.setattr(cli, "entropy_profile", profile)
+    assert _run(["entropy-profile", "--extracts", str(extract_dir), "--output", str(tmp_path / "p.csv")]) == EXIT_OK
+    assert holding == [["a.bin"], ["b.bin"], ["c.bin"]]
+
+
 def test_gen_fixture_command(tmp_path, capsys):
     recipe = tmp_path / "spec.json"
     recipe.write_text(json.dumps({"rng_seed": 3, "key_len_bytes": 16,
@@ -302,7 +328,7 @@ def test_gen_fixture_command(tmp_path, capsys):
     assert (tmp_path / "fix" / "groundtruth.json").exists()
     assert payload["extract_dir"].endswith("extracts")
     # the emitted fixture decrypts with the default pipeline
-    report = run_pipeline(tmp_path / "fix" / "extracts", tmp_path / "fix", mode="auto")
+    report = run_pipeline(tmp_path / "fix" / "extracts", parse_capture(tmp_path / "fix"), mode="auto")
     assert report.outcome == "decrypted"
 
 
@@ -334,7 +360,7 @@ def test_gen_fixture_default_recipe(tmp_path, capsys):
     assert {"extracts", "client.tls", "server.tls", "manifest.json", "groundtruth.json"} <= {
         p.name for p in root.iterdir()
     }
-    report = run_pipeline(root / "extracts", root, mode="auto")
+    report = run_pipeline(root / "extracts", parse_capture(root), mode="auto")
     assert report.outcome == "decrypted"
 
 
@@ -357,7 +383,7 @@ def test_both_layout_serves_either_scanner(tmp_path):
     )
     paths, truth = generate_fixture(spec, tmp_path)
     for mode in ("windows", "standard"):
-        report = run_pipeline(paths.extract_dir, paths.root, mode=mode)
+        report = run_pipeline(paths.extract_dir, parse_capture(paths.root), mode=mode)
         assert report.outcome == "decrypted", mode
         assert report.material["client_key"] == truth.client_key.hex()
 
@@ -462,14 +488,20 @@ def test_auto_fallback_report_keeps_windows_counts(tmp_path):
     )
     memory_paths, _ = generate_fixture(memory, tmp_path / "memory")
     foreign_paths, _ = generate_fixture(foreign, tmp_path / "foreign")
-    auto = run_pipeline(memory_paths.extract_dir, foreign_paths.root, mode="auto")
-    windows = run_pipeline(memory_paths.extract_dir, foreign_paths.root, mode="windows")
+    auto = run_pipeline(memory_paths.extract_dir, parse_capture(foreign_paths.root), mode="auto")
+    windows = run_pipeline(memory_paths.extract_dir, parse_capture(foreign_paths.root), mode="windows")
     assert auto.outcome == windows.outcome == "no_valid_decrypt"
     assert windows.candidates["keys"] > 0 and windows.trials["attempted"] > 0
     assert auto.candidates["keys"] == windows.candidates["keys"]
     assert auto.candidates["ivs"] == windows.candidates["ivs"]
     assert auto.candidates["key_blocks"] == 0
     assert auto.trials["attempted"] == windows.trials["attempted"]
+
+
+def test_run_pipeline_rejects_an_unknown_mode(windows_fixture_16):
+    _, paths, _ = windows_fixture_16
+    with pytest.raises(ValueError):
+        run_pipeline(paths.extract_dir, parse_capture(paths.root), mode="bogus")
 
 
 def test_run_pipeline_rejects_negative_seq_window(windows_fixture_16, tmp_path):
@@ -480,7 +512,7 @@ def test_run_pipeline_rejects_negative_seq_window(windows_fixture_16, tmp_path):
     (zeros / "zeros.bin").write_bytes(bytes(2 * MB))
     for extract_dir in (paths.extract_dir, zeros):
         with pytest.raises(ValueError):
-            run_pipeline(extract_dir, paths.root, seq_window=-1)
+            run_pipeline(extract_dir, parse_capture(paths.root), seq_window=-1)
 
 
 def test_cli_import_does_not_load_numpy(windows_fixture_16, tmp_path):

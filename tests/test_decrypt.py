@@ -13,6 +13,7 @@ from keysift.capture import (
     NonceStyle,
     assemble_session,
     parse_capture,
+    parse_raw_streams,
 )
 from keysift.cli import run_pipeline
 from keysift.decrypt import (
@@ -96,6 +97,12 @@ def test_wrong_iv_fails():
     record = reference_encrypt(b"secret", KEY32, IV, NONCE, seq=1)
     with pytest.raises(AuthFailure):
         decrypt_record(record, KEY32, b"\x00\x00\x00\x01", 1)
+
+
+def test_ciphertext_shorter_than_the_tag_fails():
+    record = reference_encrypt(b"secret", KEY32, IV, NONCE, seq=1)
+    with pytest.raises(AuthFailure):
+        decrypt_record(record._replace(ciphertext=record.ciphertext[:15]), KEY32, IV, 1)
 
 
 def test_bad_key_length():
@@ -732,7 +739,7 @@ def test_decrypt_session_truncated_capture_not_partial(tmp_path):
 
     records = read_records(server)
     truncated = serialize_records(records[:-1])
-    capture = parse_capture((client, truncated))
+    capture = parse_raw_streams(client, truncated)
     pairs = [_cand(truth.client_key, truth.client_iv)]
     result = trial_decrypt(capture, pairs)
     session = decrypt_session(capture, result, pair_sets=[pairs])
@@ -804,7 +811,7 @@ def test_probe_miss_reports_partial_without_probe_opens(tmp_path, monkeypatch):
     data[planted.offset : planted.offset + len(planted.value)] = bytes(len(planted.value))
     dump.write_bytes(bytes(data))
     opened = _count_opens(monkeypatch)
-    report = run_pipeline(paths.extract_dir, paths.root, mode="windows")
+    report = run_pipeline(paths.extract_dir, parse_capture(paths.root), mode="windows")
     assert report.outcome == "decrypted_partial"
     records = report.session["records"]
     assert [r["ok"] for r in records] == [r["direction"] == "client_to_server" for r in records]

@@ -229,7 +229,7 @@ def test_decoy_flood_still_recovers(tmp_path):
             with pytest.raises(AuthFailure):
                 decrypt_record(record, key.value, iv.value, 1)
 
-    report = run_pipeline(paths.extract_dir, paths.root, mode="windows")
+    report = run_pipeline(paths.extract_dir, parse_capture(paths.root), mode="windows")
     assert report.outcome == "decrypted"
     assert report.material["client_key"] == truth.client_key.hex()
 

@@ -18,7 +18,6 @@ from keysift.memscan import (
     ScanConfig,
     _prune_hits,
     band_for_size,
-    extract_set_from_buffers,
     find_all,
     load_extracts,
     pair_candidates,
@@ -27,6 +26,13 @@ from keysift.memscan import (
 )
 
 from conftest import naive_find_all, naive_pair_order, oracle_standard_scan, oracle_windows_scan
+
+
+def _extracts_from(directory, named_buffers):
+    """Write each ``(name, bytes)`` to ``directory`` and load them as an extract set."""
+    for name, data in named_buffers:
+        (directory / name).write_bytes(data)
+    return load_extracts(directory)
 
 
 # ---------------------------------------------------------------------------
@@ -72,9 +78,9 @@ def test_load_extracts_skips_empty_files(tmp_path):
     assert [e.name for e in extract_set.extracts] == ["ok.bin"]
 
 
-def test_band_partition_is_total():
+def test_band_partition_is_total(tmp_path):
     buffers = [("a", bytes(512 * 1024)), ("b", bytes(MB)), ("c", bytes(9 * MB))]
-    extract_set = extract_set_from_buffers(buffers)
+    extract_set = _extracts_from(tmp_path, buffers)
     banded = sorted(i for ids in extract_set.bands.values() for i in ids)
     assert banded == [0, 1, 2]
 
@@ -152,9 +158,9 @@ def _tiny_extract(key_len=16):
     return bytes(buf), iv, key
 
 
-def test_scan_windows_finds_planted_artefacts():
+def test_scan_windows_finds_planted_artefacts(tmp_path):
     data, iv, key = _tiny_extract()
-    extract_set = extract_set_from_buffers([("x.bin", data)])
+    extract_set = _extracts_from(tmp_path, [("x.bin", data)])
     keys, ivs = scan_windows(extract_set, ScanConfig(key_len_bytes=16))
     assert [k.value for k in keys] == [key]
     assert [v.value for v in ivs] == [iv]
@@ -162,34 +168,34 @@ def test_scan_windows_finds_planted_artefacts():
     assert ivs[0].offset == 104 + 20
 
 
-def test_scan_windows_marker_at_extract_tail():
+def test_scan_windows_marker_at_extract_tail(tmp_path):
     # windows that would run past the end of the extract are skipped
     buf = bytearray(4096)
     buf[0:4] = KEY_MARKER
     buf[4 + 28 : 4 + 28 + 16] = bytes(range(100, 116))
     buf[4090:4094] = KEY_MARKER  # only 2 bytes of room after this one
-    extract_set = extract_set_from_buffers([("x.bin", bytes(buf))])
+    extract_set = _extracts_from(tmp_path, [("x.bin", bytes(buf))])
     keys, _ = scan_windows(extract_set, ScanConfig(key_len_bytes=16))
     assert [k.offset for k in keys] == [32]
 
 
-def test_scan_windows_requires_key_marker():
+def test_scan_windows_requires_key_marker(tmp_path):
     buf = bytearray(4096)
     buf[100:104] = IV_MARKER
     buf[104 + 20 : 104 + 24] = bytes([1, 2, 3, 4])
-    extract_set = extract_set_from_buffers([("x.bin", bytes(buf))])
+    extract_set = _extracts_from(tmp_path, [("x.bin", bytes(buf))])
     keys, ivs = scan_windows(extract_set, ScanConfig(key_len_bytes=16))
     assert keys == [] and ivs == []
 
 
-def test_scan_windows_keeps_ivs_of_an_extract_whose_keys_fail_the_gate():
+def test_scan_windows_keeps_ivs_of_an_extract_whose_keys_fail_the_gate(tmp_path):
     # a key marker with no window clearing the key gate still admits the
     # extract: its IVs are candidates for keys found in other extracts
     buf = bytearray(4096)
     buf[100:104] = IV_MARKER
     buf[104 + 20 : 104 + 24] = bytes([1, 2, 3, 4])
     buf[1000:1004] = KEY_MARKER
-    extract_set = extract_set_from_buffers([("x.bin", bytes(buf))])
+    extract_set = _extracts_from(tmp_path, [("x.bin", bytes(buf))])
     keys, ivs = scan_windows(extract_set, ScanConfig(key_len_bytes=16))
     assert keys == []
     assert [(v.value, v.offset) for v in ivs] == [(bytes([1, 2, 3, 4]), 104 + 20)]
@@ -218,13 +224,13 @@ def test_scan_windows_matches_independent_oracle(windows_fixture_16):
     assert [(v.value, v.extract_id, v.offset) for v in ivs] == [t[:3] for t in oracle_ivs]
 
 
-def test_scan_windows_dedup_prefers_band_order():
+def test_scan_windows_dedup_prefers_band_order(tmp_path):
     data, iv, key = _tiny_extract()
     # same artefacts in a band-1 extract and a small band-2 extract; the
     # band-1 copy is scanned first even though its id sorts later
     big = bytearray(bytes(2 * MB))
     big[: len(data)] = data
-    extract_set = extract_set_from_buffers([("a_small.bin", data), ("b_big.bin", bytes(big))])
+    extract_set = _extracts_from(tmp_path, [("a_small.bin", data), ("b_big.bin", bytes(big))])
     assert extract_set.bands == {1: (1,), 2: (0,), 3: ()}
     keys, ivs = scan_windows(extract_set, ScanConfig(key_len_bytes=16))
     assert [k.extract_id for k in keys] == [1]
@@ -304,13 +310,42 @@ def test_scan_standard_planted_block_both_hypotheses(tmp_path, hypothesis, key_l
     assert any({b.client_key, b.server_key} == material for b in blocks)
 
 
-def test_scan_standard_no_nonce_occurrences():
-    extract_set = extract_set_from_buffers([("zeros.bin", bytes(2 * MB))])
+def test_scan_standard_no_nonce_occurrences(tmp_path):
+    extract_set = _extracts_from(tmp_path, [("zeros.bin", bytes(2 * MB))])
     capture_like = type(
         "Cap", (), {"first_explicit_nonce": b"\x42" * 8}
     )()
     blocks = scan_standard(extract_set, capture_like, ScanConfig(key_len_bytes=16))
     assert blocks == []
+
+
+def test_scan_standard_skips_what_falls_off_the_extract(tmp_path):
+    # a nonce hit at offset 1 has no 4 bytes in front of it; an IV value at
+    # the start leaves room only for the client-IV layout, and one at the end
+    # only for the server-IV layout
+    import random
+
+    rng = random.Random(7)
+    nonce, value = rng.randbytes(8), rng.randbytes(IV_LEN)
+    buf = bytearray(rng.randbytes(4096))
+    buf[1:9] = nonce
+    buf[1996:2008] = value + nonce
+    buf[32:36] = value
+    buf[4092:4096] = value
+    extract_set = _extracts_from(tmp_path, [("x.bin", bytes(buf))])
+    capture_like = type("Cap", (), {"first_explicit_nonce": nonce})()
+    cfg = ScanConfig(key_len_bytes=16)
+    blocks = scan_standard(extract_set, capture_like, cfg)
+    assert [(b.offset, b.hypothesis) for b in blocks] == [
+        (0, BlockHypothesis.IV_WAS_CLIENT),
+        (1996 - 36, BlockHypothesis.IV_WAS_SERVER),
+        (1996 - 32, BlockHypothesis.IV_WAS_CLIENT),
+        (4092 - 36, BlockHypothesis.IV_WAS_SERVER),
+    ]
+    assert [
+        (b.extract_id, b.offset, b.hypothesis.value, b.client_key, b.server_key, b.client_iv, b.server_iv)
+        for b in blocks
+    ] == oracle_standard_scan(extract_set, capture_like, cfg)
 
 
 def test_scan_standard_counter_pruning(tmp_path):
