@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 # home submodule -> the public names it provides
 _EXPORTS = {
     "capture": (
-        "CaptureFormat",
         "Direction",
         "HandshakeSummary",
         "NonceStyle",

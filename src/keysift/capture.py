@@ -67,11 +67,6 @@ class NonceStyle(Enum):
     RANDOM_LIKE = "random"
 
 
-class CaptureFormat(Enum):
-    PCAP = "pcap"
-    RAW_RECORDS = "raw_records"
-
-
 class TlsRecord(NamedTuple):
     content_type: int
     legacy_version: int
@@ -302,25 +297,20 @@ def serialize_session(capture: SessionCapture, handshake_random: bytes = bytes(3
     )
 
 
-def parse_capture(
-    source,
-    capture_format: CaptureFormat | str = CaptureFormat.RAW_RECORDS,
-    session_filter: tuple | None = None,
-) -> SessionCapture:
+def parse_capture(source, session_filter: tuple | None = None) -> SessionCapture:
     """Parse the captured traffic at path ``source`` into a SessionCapture.
 
-    raw_records: ``source`` is a directory holding ``client.tls`` and
-    ``server.tls``. pcap: ``source`` is a pcap file; ``session_filter`` is an
-    optional ``(ip, port, ip, port)`` tuple selecting one TCP stream. A filter
-    given with raw records raises FilterNeedsPcap rather than being ignored.
+    A directory holds raw records, ``client.tls`` and ``server.tls``; any
+    other path is a pcap file. ``session_filter`` is an optional
+    ``(ip, port, ip, port)`` tuple selecting one TCP stream of a pcap; given
+    with a directory it raises FilterNeedsPcap rather than being ignored.
     Callers holding the bytes parse them with ``parse_raw_streams``, after
     ``pcap.tls_streams_from_pcap`` for a pcap.
     """
-    fmt = CaptureFormat(capture_format) if not isinstance(capture_format, CaptureFormat) else capture_format
     base = Path(source)
-    if fmt is CaptureFormat.RAW_RECORDS:
+    if base.is_dir():
         if session_filter is not None:
-            raise FilterNeedsPcap("a session filter selects a pcap session; it needs the pcap capture format")
+            raise FilterNeedsPcap(f"a session filter selects a pcap session; the capture {base} is a directory")
         return parse_raw_streams((base / "client.tls").read_bytes(), (base / "server.tls").read_bytes())
 
     from .pcap import tls_streams_from_pcap

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -252,8 +253,6 @@ def _run_stages(search: _BandSearch, attempt_modes: list[str], seq_window: int) 
 
 def _add_scan_flags(parser: argparse.ArgumentParser) -> None:
     """Scanner knobs; each flag's dest is the ScanConfig field it overrides."""
-    parser.add_argument("--key-size", dest="key_len_bytes", type=int, choices=(16, 32),
-                        help="AES key length in bytes (default: from the capture)")
     parser.add_argument("--iv-entropy", dest="iv_entropy_threshold", type=float,
                         help="IV entropy gate (default 1.5)")
     parser.add_argument("--key-entropy", dest="key_entropy_threshold", type=float,
@@ -270,7 +269,7 @@ def _add_scan_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args, key_len: int) -> ScanConfig:
-    """ScanConfig from the scanner flags given; ``key_len`` unless --key-size is."""
+    """ScanConfig from the scanner flags given; ``key_len`` unless scan's --key-size is."""
     given = {name: getattr(args, name, None) for name in ScanConfig._fields}
     kwargs = {name: value for name, value in given.items() if value is not None}
     kwargs.setdefault("key_len_bytes", key_len)
@@ -313,7 +312,7 @@ def _parse_filter(text: str) -> tuple:
 
 def _capture_from_args(args) -> SessionCapture:
     """The capture ``--capture`` names; ``--filter`` picks one TCP stream of a pcap."""
-    return parse_capture(args.capture, args.capture_format, args.filter)
+    return parse_capture(args.capture, args.filter)
 
 
 def _emit(args, text: str) -> None:
@@ -442,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     decrypt.add_argument("--extracts", required=True, help="directory of raw memory extract files")
     decrypt.add_argument("--capture", required=True,
                          help="capture input: directory with client.tls/server.tls, or a pcap file")
-    decrypt.add_argument("--capture-format", choices=("raw_records", "pcap"), default="raw_records")
     decrypt.add_argument("--mode", choices=MODES, default="auto")
     decrypt.add_argument("--seq-window", type=_non_negative_int, default=2,
                          help="sequence numbers to try around the reconstruction (default 2)")
@@ -459,16 +457,16 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--extracts", required=True)
     scan.add_argument("--capture", default=None,
                       help="needed for the standard scan; sets the key size of the windows scan")
-    scan.add_argument("--capture-format", choices=("raw_records", "pcap"), default="raw_records")
     scan.add_argument("--mode", choices=("windows", "standard"), default="windows")
     scan.add_argument("--filter", type=_parse_filter, default=None)
     scan.add_argument("--output", default=None)
+    scan.add_argument("--key-size", dest="key_len_bytes", type=int, choices=(16, 32),
+                      help="AES key length in bytes (default: from --capture, else 32)")
     _add_scan_flags(scan)
     scan.set_defaults(func=_cmd_scan)
 
     pc = sub.add_parser("parse-capture", help="parse a capture and summarize the session")
     pc.add_argument("--capture", required=True)
-    pc.add_argument("--capture-format", choices=("raw_records", "pcap"), default="raw_records")
     pc.add_argument("--filter", type=_parse_filter, default=None)
     pc.add_argument("--output", default=None)
     pc.set_defaults(func=_cmd_parse_capture)
@@ -494,8 +492,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed stdout pipe raises here, not in the interpreter's exit flush
+        return code
     except (KeysiftError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # the reader is gone: send what is still buffered to devnull so the exit flush cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

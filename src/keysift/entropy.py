@@ -51,22 +51,20 @@ def entropy_profile(
     above = np.zeros(n_windows, dtype=bool)
     arr = np.frombuffer(data, dtype=np.uint8)[: n_windows * window]
     blocks = arr.reshape(n_windows, window)
+    # H = log2(w) - sum_i log2(c(x_i)) / w, with c(x_i) the count of the
+    # window's i-th byte in that window: w terms per window, not 256 bins.
+    log2_count = np.log2(np.maximum(np.arange(window + 1), 1))  # index 0 is never read
 
-    # Chunked so the per-window histograms stay within a few MB of scratch.
-    chunk = max(1, (1 << 22) // (256 * 8))
+    # Chunked so the per-window histograms and counts stay within a few MB of scratch.
+    chunk = max(1, (1 << 19) // max(window, 256))
     for start in range(0, n_windows, chunk):
         part = blocks[start : start + chunk].astype(np.int64)
         rows = part.shape[0]
-        idx = part + (np.arange(rows, dtype=np.int64)[:, None] << 8)
-        counts = np.bincount(idx.ravel(), minlength=rows * 256).reshape(rows, 256)
-        p = counts / window
-        logp = np.zeros_like(p)
-        np.log2(p, out=logp, where=counts > 0)
-        ent = -(p * logp).sum(axis=1)
+        part += np.arange(rows, dtype=np.int64)[:, None] << 8
+        counts = np.bincount(part.ravel(), minlength=rows * 256)
+        ent = math.log2(window) - log2_count[counts[part]].sum(axis=1) / window
         above[start : start + rows] = ent > threshold
 
-    profile = []
-    for first in range(0, n_windows, region_windows):
-        count = int(above[first : first + region_windows].sum())
-        profile.append((first * window, count))
-    return profile
+    firsts = np.arange(0, n_windows, region_windows)
+    per_region = np.add.reduceat(above, firsts, dtype=np.int64)
+    return [(first * window, count) for first, count in zip(firsts.tolist(), per_region.tolist())]

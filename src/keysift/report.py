@@ -23,9 +23,14 @@ def render_json(report: dict) -> str:
 
 
 def entropy_profile_csv(rows: list[tuple[str, int, int]]) -> str:
-    out = ["extract_name,offset,count"]
-    out += [f"{name},{offset},{count}" for name, offset, count in rows]
-    return "\n".join(out) + "\n"
+    import csv  # only this export needs csv; the decrypt path does not load it
+    import io
+
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("extract_name", "offset", "count"))
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 def render_text(report: dict) -> str:

@@ -271,20 +271,20 @@ def _pcap_file(tmp_path, pcap: bytes):
 
 def test_pcap_equals_raw(windows_fixture_32, tmp_path):
     client, server = _fixture_streams(windows_fixture_32)
-    assert parse_capture(_pcap_file(tmp_path, build_pcap(client, server)), "pcap") == parse_raw_streams(client, server)
+    assert parse_capture(_pcap_file(tmp_path, build_pcap(client, server))) == parse_raw_streams(client, server)
 
 
 @pytest.mark.parametrize("nanosecond,little_endian", [(True, False), (False, True)])
 def test_pcap_header_variants(windows_fixture_32, tmp_path, nanosecond, little_endian):
     client, server = _fixture_streams(windows_fixture_32)
     pcap = build_pcap(client, server, nanosecond=nanosecond, little_endian=little_endian)
-    assert parse_capture(_pcap_file(tmp_path, pcap), "pcap") == parse_raw_streams(client, server)
+    assert parse_capture(_pcap_file(tmp_path, pcap)) == parse_raw_streams(client, server)
 
 
 def test_pcap_duplicate_segment_dropped(windows_fixture_32, tmp_path):
     client, server = _fixture_streams(windows_fixture_32)
     pcap = build_pcap(client, server, chunk=100, duplicate_first=True)
-    assert parse_capture(_pcap_file(tmp_path, pcap), "pcap") == parse_raw_streams(client, server)
+    assert parse_capture(_pcap_file(tmp_path, pcap)) == parse_raw_streams(client, server)
 
 
 def test_pcap_out_of_order_rejected(windows_fixture_32, tmp_path):
@@ -292,20 +292,20 @@ def test_pcap_out_of_order_rejected(windows_fixture_32, tmp_path):
     assert len(client) > 200  # needs at least two segments for the swap to bite
     pcap = build_pcap(client, server, chunk=100, reorder=True)
     with pytest.raises(MalformedRecord):
-        parse_capture(_pcap_file(tmp_path, pcap), "pcap")
+        parse_capture(_pcap_file(tmp_path, pcap))
 
 
 def test_pcap_two_streams_ambiguous(windows_fixture_32, tmp_path):
     client, server = _fixture_streams(windows_fixture_32)
     pcap = build_pcap(client, server, extra_stream=(client, server))
     with pytest.raises(AmbiguousStream):
-        parse_capture(_pcap_file(tmp_path, pcap), "pcap")
+        parse_capture(_pcap_file(tmp_path, pcap))
 
 
 def test_pcap_filter_selects_stream(windows_fixture_32, tmp_path):
     client, server = _fixture_streams(windows_fixture_32)
     pcap = build_pcap(client, server, extra_stream=(client, server))
-    capture = parse_capture(_pcap_file(tmp_path, pcap), "pcap", session_filter=("10.0.0.2", 49152, "10.0.0.1", 443))
+    capture = parse_capture(_pcap_file(tmp_path, pcap), session_filter=("10.0.0.2", 49152, "10.0.0.1", 443))
     assert capture == parse_raw_streams(client, server)
 
 
@@ -313,15 +313,13 @@ def test_session_filter_on_raw_records_is_refused(windows_fixture_32):
     # raw records hold one session, so a filter would be silently ignored
     _, paths, _ = windows_fixture_32
     session_filter = ("1.2.3.4", 1, "5.6.7.8", 2)
-    with pytest.raises(FilterNeedsPcap):
-        parse_capture(paths.root, "raw_records", session_filter)
-    with pytest.raises(FilterNeedsPcap):
-        parse_capture(paths.root, session_filter=session_filter)
+    with pytest.raises(FilterNeedsPcap, match="is a directory"):
+        parse_capture(paths.root, session_filter)
 
 
 def test_pcap_garbage_rejected(tmp_path):
     with pytest.raises(MalformedRecord):
-        parse_capture(_pcap_file(tmp_path, b"\x00" * 40), "pcap")
+        parse_capture(_pcap_file(tmp_path, b"\x00" * 40))
 
 
 _CLIENT, _SERVER = ("10.0.0.2", 49152), ("10.0.0.1", 443)
@@ -340,7 +338,7 @@ _CLIENT, _SERVER = ("10.0.0.2", 49152), ("10.0.0.1", 443)
 def test_pcap_frames_that_carry_the_same_session(windows_fixture_32, tmp_path, make):
     client, server = _fixture_streams(windows_fixture_32)
     assert len(client) > 100
-    assert parse_capture(_pcap_file(tmp_path, make(client, server)), "pcap") == parse_raw_streams(client, server)
+    assert parse_capture(_pcap_file(tmp_path, make(client, server))) == parse_raw_streams(client, server)
 
 
 @pytest.mark.parametrize("make,session_filter,message", [
@@ -358,4 +356,4 @@ def test_pcap_frames_that_carry_the_same_session(windows_fixture_32, tmp_path, m
 def test_pcap_input_rejected(windows_fixture_32, tmp_path, make, session_filter, message):
     pcap = make(*_fixture_streams(windows_fixture_32))
     with pytest.raises(MalformedRecord, match=message):
-        parse_capture(_pcap_file(tmp_path, pcap), "pcap", session_filter)
+        parse_capture(_pcap_file(tmp_path, pcap), session_filter)

@@ -150,15 +150,20 @@ _DECRYPT = ("decrypt", "--extracts", "{extracts}", "--capture", "{capture}")
     _DECRYPT + ("--seq-window", "-1"),
     _DECRYPT + ("--iv-entropy", "nan"),
     _DECRYPT + ("--counter-bound", "-5"),
+    _DECRYPT + ("--capture-format", "pcap"),
+    _DECRYPT + ("--key-size", "16"),
     ("scan", "--extracts", "{extracts}", "--step", "0"),
     ("scan", "--extracts", "{extracts}", "--mode", "auto", "--capture", "{capture}"),
+    ("scan", "--extracts", "{extracts}", "--capture", "{capture}", "--capture-format", "pcap"),
+    ("parse-capture", "--capture", "{capture}", "--capture-format", "pcap"),
     ("entropy-profile", "--extracts", "{extracts}", "--window", "0"),
     ("entropy-profile", "--extracts", "{extracts}", "--window", "-4"),
     ("entropy-profile", "--extracts", "{extracts}", "--region-windows", "0"),
     ("entropy-profile", "--extracts", "{extracts}", "--threshold", "nan"),
     ("entropy-profile", "--extracts", "{extracts}", "--threshold", "inf"),
 ], ids=["missing-capture", "workers", "step-0", "negative-gap", "bad-filter", "filter-without-pcap",
-        "negative-seq-window", "iv-entropy-nan", "negative-counter-bound", "scan-step-0", "scan-auto",
+        "negative-seq-window", "iv-entropy-nan", "negative-counter-bound", "capture-format", "decrypt-key-size",
+        "scan-step-0", "scan-auto", "scan-capture-format", "parse-capture-format",
         "profile-window-0", "profile-negative-window", "profile-region-windows-0", "profile-threshold-nan",
         "profile-threshold-inf"])
 def test_usage_errors_exit_1_with_one_error_line(windows_fixture_16, capsys, argv):
@@ -177,18 +182,21 @@ def test_help_exits_0(capsys):
     assert "--extracts" in capsys.readouterr().out
 
 
-_SCAN_FLAGS = ("--key-size", "16", "--iv-entropy", "1.25", "--key-entropy", "3.5", "--max-iv-distance", "40",
+_SCAN_FLAGS = ("--iv-entropy", "1.25", "--key-entropy", "3.5", "--max-iv-distance", "40",
                "--max-key-distance", "96", "--step", "8", "--min-gap", "500", "--counter-bound", "7")
 
 
 def test_scanner_flags_are_scan_config_fields_and_records_stay_frozen():
-    # _config_from_args reads the scanner flags by ScanConfig field name
+    # _config_from_args reads the scanner flags by ScanConfig field name; only
+    # scan takes --key-size, decrypt's key size is its capture's
     parser = build_parser()
-    for command in (("decrypt", "--extracts", "e", "--capture", "c"), ("scan", "--extracts", "e")):
+    for command, key_len in ((("decrypt", "--extracts", "e", "--capture", "c"), 32),
+                             (("scan", "--extracts", "e", "--key-size", "16"), 16)):
         bare = vars(parser.parse_args(command))
         args = parser.parse_args(command + _SCAN_FLAGS)
-        assert {dest for dest, value in vars(args).items() if value != bare[dest]} == set(ScanConfig._fields)
-        assert _config_from_args(args, 32) == ScanConfig(16, 1.25, 3.5, 40, 96, 8, 500, 7)
+        changed = {dest for dest, value in vars(args).items() if value != bare[dest]}
+        assert changed == set(ScanConfig._fields) - {"key_len_bytes"}
+        assert _config_from_args(args, 32) == ScanConfig(key_len, 1.25, 3.5, 40, 96, 8, 500, 7)
 
     block = CandidateKeyBlock(bytes(16), bytes(16), bytes(4), bytes(4), 0, 0, BlockHypothesis.IV_WAS_CLIENT)
     record = EncryptedRecord(Direction.CLIENT_TO_SERVER, 0, bytes(8), bytes(32), 0x0303, 23)
@@ -290,6 +298,19 @@ def test_entropy_profile_command(windows_fixture_16, tmp_path):
     assert name.endswith(".bin")
     assert int(offset) == 0
     assert int(count) >= 0
+
+
+def test_entropy_profile_csv_quotes_file_names():
+    import csv
+    import io
+
+    from keysift.report import entropy_profile_csv
+
+    rows = [("a,b.bin", 0, 3), ('say "hi".bin', 8192, 0), ("two\nlines.bin", 0, 12), ("plain.bin", 0, 1)]
+    text = entropy_profile_csv(rows)
+    assert text.endswith('\nplain.bin,0,1\n')
+    parsed = list(csv.reader(io.StringIO(text, newline="")))
+    assert parsed == [["extract_name", "offset", "count"]] + [[name, str(o), str(c)] for name, o, c in rows]
 
 
 def test_entropy_profile_frees_each_extract_before_the_next(tmp_path, monkeypatch):
@@ -425,7 +446,7 @@ def test_decrypt_over_pcap(windows_fixture_16, tmp_path):
     out = tmp_path / "report.json"
     code = _run([
         "decrypt", "--extracts", str(paths.extract_dir), "--capture", str(pcap),
-        "--capture-format", "pcap", "--output", str(out),
+        "--output", str(out),
     ])
     assert code == EXIT_OK
     report = json.loads(out.read_text())
@@ -444,18 +465,58 @@ def test_decrypt_over_pcap_with_filter(windows_fixture_16, tmp_path):
     # ambiguous without a filter
     code = _run([
         "decrypt", "--extracts", str(paths.extract_dir), "--capture", str(pcap),
-        "--capture-format", "pcap",
     ])
     assert code == EXIT_ERROR
 
     out = tmp_path / "report.json"
     code = _run([
         "decrypt", "--extracts", str(paths.extract_dir), "--capture", str(pcap),
-        "--capture-format", "pcap", "--filter", "10.0.0.2:49152,10.0.0.1:443",
+        "--filter", "10.0.0.2:49152,10.0.0.1:443",
         "--output", str(out),
     ])
     assert code == EXIT_OK
     assert json.loads(out.read_text())["material"]["client_key"] == truth.client_key.hex()
+
+
+@pytest.mark.parametrize("argv", [
+    ("decrypt", "--extracts", "{extracts}", "--no-timings"),
+    ("scan", "--extracts", "{extracts}", "--mode", "standard"),
+    ("parse-capture",),
+], ids=["decrypt", "scan-standard", "parse-capture"])
+def test_pcap_file_reads_like_its_record_directory(windows_fixture_16, tmp_path, capsys, argv):
+    # a directory holds raw records and any other path is a pcap: no flag names the format
+    from conftest import build_pcap
+
+    _, paths, _ = windows_fixture_16
+    pcap = tmp_path / "session.pcap"
+    pcap.write_bytes(build_pcap(paths.client_records.read_bytes(), paths.server_records.read_bytes()))
+    outputs = []
+    for capture in (paths.root, pcap):
+        assert _run([arg.format(extracts=paths.extract_dir) for arg in argv] + ["--capture", str(capture)]) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", ["decrypt", "parse-capture", "gen-fixture"])
+def test_closed_stdout_pipe_exits_1_with_one_error_line(windows_fixture_16, tmp_path, command):
+    # buffered stdout: the report reaches the pipe at the final flush, after the reader has gone
+    _, paths, _ = windows_fixture_16
+    argv = {
+        "decrypt": ["decrypt", "--extracts", str(paths.extract_dir), "--capture", str(paths.root)],
+        "parse-capture": ["parse-capture", "--capture", str(paths.root)],
+        "gen-fixture": ["gen-fixture", "--out", str(tmp_path / "fix")],
+    }[command]
+    env = _subprocess_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "keysift.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_ERROR
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: "), proc.stderr
 
 
 def test_text_report_renders(windows_fixture_32, capsys):

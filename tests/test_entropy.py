@@ -104,18 +104,24 @@ def test_profile_region_offsets_and_tail():
 def test_profile_matches_scalar_recount():
     import random
 
-    data = random.Random(3).randbytes(4096) + bytes(4096)
-    window, threshold, per_region = 32, 4.0, 8
-    profile = entropy_profile(data, window, threshold, per_region)
-    for offset, count in profile:
-        recount = 0
-        for w in range(per_region):
-            seg = data[offset + w * window : offset + (w + 1) * window]
-            if len(seg) < window:
-                break
-            if naive_entropy(seg) > threshold:
-                recount += 1
-        assert recount == count
+    rng = random.Random(3)
+    # 8 pairs and 16 singletons score exactly 4.5, which the 4.5 gate must not count
+    tie = bytes(sum(([b, b] for b in range(8)), [])) + bytes(range(100, 116))
+    assert naive_entropy(tie) == 4.5
+    data = rng.randbytes(4096) + bytes(4096) + tie * 16 + bytes(rng.randrange(24) for _ in range(2048))
+    per_region = 8
+    for window in (1, 4, 16, 32, 33):
+        for threshold in (0.0, 2.0, 3.9, 4.0, 4.5):
+            profile = entropy_profile(data, window, threshold, per_region)
+            for offset, count in profile:
+                recount = 0
+                for w in range(per_region):
+                    seg = data[offset + w * window : offset + (w + 1) * window]
+                    if len(seg) < window:
+                        break
+                    if naive_entropy(seg) > threshold:
+                        recount += 1
+                assert recount == count, (window, threshold, offset)
 
 
 def test_profile_rejects_bad_window():
