@@ -36,6 +36,9 @@ _HS_CLIENT_HELLO = 1
 _HS_SERVER_HELLO = 2
 _EXT_SUPPORTED_VERSIONS = 43
 
+# A lone client record's nonce below this looks like a sequence number.
+_ONE_RECORD_COUNTER_BOUND = 256
+
 # TLS 1.2 AES-GCM suites and their write-key lengths.
 GCM_SUITES: dict[int, tuple[str, int]] = {
     0x009C: ("TLS_RSA_WITH_AES_128_GCM_SHA256", 16),
@@ -318,12 +321,20 @@ def parse_capture(source, session_filter: tuple | None = None) -> SessionCapture
     return parse_raw_streams(*tls_streams_from_pcap(base.read_bytes(), session_filter))
 
 
-def explicit_nonce_style(capture: SessionCapture, counter_bound: int = 256) -> NonceStyle:
-    """Classify the first client ApplicationData nonce.
+def explicit_nonce_style(capture: SessionCapture) -> NonceStyle:
+    """Classify the client's explicit nonces as counter-like or random-like.
 
-    Values below ``counter_bound`` (read big-endian) look like a per-record
-    counter, which is how the Windows crypto library behaves and what steers
-    scanner selection; anything else is treated as random.
+    The Windows crypto library sends each record's sequence number as its
+    explicit nonce (RFC 5288 §3 allows it), which is what steers scanner
+    selection. The client's encrypted records (Finished and every later one,
+    in seq order) are counter-like when each nonce, read big-endian, is one
+    more than the one before. A lone client record has no step to read; it is
+    counter-like when its nonce is below 256.
     """
-    value = int.from_bytes(capture.first_explicit_nonce, "big")
-    return NonceStyle.COUNTER_LIKE if value < counter_bound else NonceStyle.RANDOM_LIKE
+    nonces = [int.from_bytes(r.explicit_nonce, "big") for r in capture.records
+              if r.direction is Direction.CLIENT_TO_SERVER]
+    if len(nonces) > 1:
+        counter_like = all(later == earlier + 1 for earlier, later in zip(nonces, nonces[1:]))
+    else:
+        counter_like = int.from_bytes(capture.first_explicit_nonce, "big") < _ONE_RECORD_COUNTER_BOUND
+    return NonceStyle.COUNTER_LIKE if counter_like else NonceStyle.RANDOM_LIKE

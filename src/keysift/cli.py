@@ -157,9 +157,9 @@ def run_pipeline(
     """Load extracts, search band by band, decrypt the session at the first win.
 
     ``capture`` is the parsed session, as ``parse_capture`` returns it. In
-    auto mode a counter-like explicit nonce selects the marker scanner first,
-    with the standard scanner as fall-back; random-like nonces go straight to
-    the standard scanner.
+    auto mode counter-like explicit nonces (``explicit_nonce_style``) select
+    the marker scanner first, with the standard scanner as fall-back;
+    random-like nonces go straight to the standard scanner.
 
     The search runs in stages, band 1, then 2, then 3; a stage runs the mode's
     scanners in that order over its band's extracts only, and the run returns
@@ -186,7 +186,7 @@ def run_pipeline(
 
     cfg = config or ScanConfig(key_len_bytes=capture.handshake.key_len_bytes)
     extracts = load_extracts(extract_dir)
-    style = explicit_nonce_style(capture, cfg.counter_nonce_bound)
+    style = explicit_nonce_style(capture)
 
     if mode == "auto":
         attempt_modes = ["windows", "standard"] if style is NonceStyle.COUNTER_LIKE else ["standard"]
@@ -264,8 +264,6 @@ def _add_scan_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--step", type=int, help="window stride in bytes (default 4)")
     parser.add_argument("--min-gap", dest="min_artefact_gap", type=int,
                         help="prune candidates closer than this many bytes (default 1000)")
-    parser.add_argument("--counter-bound", dest="counter_nonce_bound", type=int,
-                        help="nonces below this value look counter-like (default 256)")
 
 
 def _config_from_args(args, key_len: int) -> ScanConfig:

@@ -237,13 +237,8 @@ def reference_encrypt(
     )
 
 
-def _nonce_for(style: NonceStyle, seq: int, rng: random.Random, bound: int = 256) -> bytes:
-    if style is NonceStyle.COUNTER_LIKE:
-        return struct.pack(">Q", seq)
-    while True:
-        value = rng.randbytes(8)
-        if int.from_bytes(value, "big") >= bound:
-            return value
+def _nonce_for(style: NonceStyle, seq: int, rng: random.Random) -> bytes:
+    return struct.pack(">Q", seq) if style is NonceStyle.COUNTER_LIKE else rng.randbytes(8)
 
 
 def _build_session(spec: FixtureSpec, truth: FixtureGroundTruth, rng: random.Random) -> SessionCapture:

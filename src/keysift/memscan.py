@@ -18,6 +18,7 @@ byte-for-byte identical.
 from __future__ import annotations
 
 import math
+import os
 from bisect import bisect_left, bisect_right
 from enum import Enum
 from functools import cached_property
@@ -94,15 +95,16 @@ def load_extracts(directory) -> ExtractSet:
     scan first reaches it, so a band the search never reaches is never read.
     """
     base = Path(directory)
-    names = sorted(p.name for p in base.iterdir() if p.is_file() and p.name not in _METADATA_NAMES)
+    with os.scandir(base) as listing:
+        entries = sorted((e for e in listing if e.is_file() and e.name not in _METADATA_NAMES), key=lambda e: e.name)
     extracts = []
-    for name in names:
+    for entry in entries:
         try:
-            size = (base / name).stat().st_size
+            size = entry.stat().st_size
         except OSError as exc:
-            raise UnreadableFile(base / name, exc) from exc
+            raise UnreadableFile(base / entry.name, exc) from exc
         if size:
-            extracts.append(MemoryExtract(id=len(extracts), name=name, size=size, source=base / name))
+            extracts.append(MemoryExtract(id=len(extracts), name=entry.name, size=size, source=base / entry.name))
     if not extracts:
         raise EmptyDirectory(f"no loadable extract files in {base}")
     bands: dict[int, list[int]] = {band: [] for band in BANDS}
@@ -122,7 +124,6 @@ class _ScanFields(NamedTuple):
     max_key_distance: int = 128
     step: int = 4
     min_artefact_gap: int = 1000
-    counter_nonce_bound: int = 256
 
 
 class ScanConfig(_ScanFields):
@@ -146,8 +147,6 @@ class ScanConfig(_ScanFields):
                 raise ValueError("entropy thresholds must be finite and non-negative")
         if cfg.min_artefact_gap < 0:
             raise ValueError("min_artefact_gap must be non-negative")
-        if cfg.counter_nonce_bound < 0:
-            raise ValueError("counter_nonce_bound must be non-negative")
         return cfg
 
 

@@ -281,10 +281,18 @@ def oracle_pipeline(extract_dir, capture, mode, seq_window=2):
     sorted eagerly (new keys x every IV so far, then earlier keys x new IVs);
     and every trial, server probe and transcript record opened one by one.
     After a pair win the probe tries each stage's pairs in the order they
-    were sorted, then scans each later band for its new pairs."""
+    were sorted, then scans each later band for its new pairs. The nonce
+    style is worked out here too, without ``explicit_nonce_style``."""
     cfg = ScanConfig(key_len_bytes=capture.handshake.key_len_bytes)
     extract_set = load_extracts(extract_dir)
-    counter_like = int.from_bytes(capture.first_explicit_nonce, "big") < cfg.counter_nonce_bound
+    # counter-like: the client's nonces step by one per record in seq order;
+    # a lone client record counts when its nonce is below 256
+    client = sorted((r.seq, struct.unpack(">Q", r.explicit_nonce)[0])
+                    for r in capture.records if r.direction is Direction.CLIENT_TO_SERVER)
+    if len(client) == 1:
+        counter_like = client[0][1] < 256
+    else:
+        counter_like = all(client[i + 1][1] - client[i][1] == 1 for i in range(len(client) - 1))
     if mode == "auto":
         attempts = ["windows", "standard"] if counter_like else ["standard"]
     else:

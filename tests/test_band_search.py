@@ -18,7 +18,7 @@ import keysift.memscan as memscan
 from keysift.capture import Direction, NonceStyle, parse_capture
 from keysift.cli import EXIT_ERROR, EXIT_OK, main, run_pipeline
 from keysift.decrypt import _seq_candidates, decrypt_session, trial_decrypt, trial_decrypt_blocks
-from keysift.errors import NoCandidates, NoValidDecrypt
+from keysift.errors import NoCandidates, NoValidDecrypt, UnreadableFile
 from keysift.fixtures import FixtureLayout, Filler, FixtureSpec, generate_fixture
 from keysift.memscan import (
     IV_MARKER,
@@ -221,6 +221,29 @@ def test_unreadable_band_1_extract_exits_1_with_one_error_line(tmp_path, monkeyp
     err = capsys.readouterr().err
     assert code == EXIT_ERROR
     assert len(err.splitlines()) == 1 and err.startswith("error: cannot read extract ")
+
+
+def test_extract_grown_since_listing_exits_1_with_one_error_line(tmp_path, monkeypatch, capsys, windows_session):
+    root, capture, truth = windows_session
+    extracts = _write_extracts(tmp_path / "extracts", {
+        1: [_key_window(truth.client_key), _iv_window(truth.client_iv)],
+    })
+    real_load = cli.load_extracts
+
+    def load_then_grow(directory):
+        listed = real_load(directory)
+        with open(extracts / BAND_FILES[1][0], "ab") as fh:
+            fh.write(b"grown")
+        return listed
+
+    monkeypatch.setattr(cli, "load_extracts", load_then_grow)
+    with pytest.raises(UnreadableFile, match="size changed from"):
+        run_pipeline(extracts, capture)
+    code = main(["decrypt", "--extracts", str(extracts), "--capture", str(root)])
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR
+    assert len(err.splitlines()) == 1 and err.startswith("error: cannot read extract ")
+    assert "size changed from" in err
 
 
 def _reference(extract_dir, capture, mode):

@@ -56,13 +56,11 @@ def _encrypted(payload_len=40, nonce=b"\x00" * 7 + b"\x01", content_type=CONTENT
     return _record(content_type, nonce + bytes(payload_len))
 
 
-def _minimal_streams(suite=0x009D, app_nonce=b"\x00" * 7 + b"\x01"):
-    client = (
-        _client_hello_record(suite)
-        + _ccs()
-        + _encrypted(28, nonce=bytes(8), content_type=CONTENT_HANDSHAKE)  # finished
-        + _encrypted(64, nonce=app_nonce)
-    )
+def _minimal_streams(suite=0x009D, app_nonce=b"\x00" * 7 + b"\x01", finished_nonce=bytes(8)):
+    """A session whose client sends Finished (unless ``finished_nonce`` is
+    None) and one ApplicationData record, and whose server sends Finished."""
+    finished = b"" if finished_nonce is None else _encrypted(28, nonce=finished_nonce, content_type=CONTENT_HANDSHAKE)
+    client = _client_hello_record(suite) + _ccs() + finished + _encrypted(64, nonce=app_nonce)
     server = (
         _server_hello_record(suite)
         + _ccs()
@@ -238,9 +236,21 @@ def test_nonce_style_random():
 
 
 def test_nonce_style_boundary():
-    capture = parse_raw_streams(*_minimal_streams(app_nonce=bytes(7) + b"\xff"))
-    assert explicit_nonce_style(capture, counter_bound=256) is NonceStyle.COUNTER_LIKE
-    assert explicit_nonce_style(capture, counter_bound=255) is NonceStyle.RANDOM_LIKE
+    # the client's nonces in seq order: counter-like when each is one more
+    # than the last, whatever their size; a lone record has no step, so its
+    # nonce must be below 256
+    table = [
+        ((0, 1), NonceStyle.COUNTER_LIKE),
+        ((0, 255), NonceStyle.RANDOM_LIKE),
+        ((1000, 1001), NonceStyle.COUNTER_LIKE),
+        ((5, 5), NonceStyle.RANDOM_LIKE),
+        ((255,), NonceStyle.COUNTER_LIKE),
+        ((256,), NonceStyle.RANDOM_LIKE),
+    ]
+    for nonces, style in table:
+        finished = nonces[0].to_bytes(8, "big") if len(nonces) == 2 else None
+        capture = parse_raw_streams(*_minimal_streams(app_nonce=nonces[-1].to_bytes(8, "big"), finished_nonce=finished))
+        assert explicit_nonce_style(capture) is style, nonces
 
 
 def test_reference_encrypt_records_parse_back(tmp_path):

@@ -13,11 +13,13 @@ from keysift.capture import (
     NonceStyle,
     SessionCapture,
     TlsRecord,
+    assemble_session,
     parse_capture,
+    serialize_session,
 )
 from keysift.cli import EXIT_ERROR, EXIT_NO_DECRYPT, EXIT_OK, _config_from_args, build_parser, main, run_pipeline
-from keysift.decrypt import DecryptedSession, TranscriptEntry, TrialResult, Validation
-from keysift.fixtures import FixtureLayout, Filler, FixtureSpec, generate_fixture
+from keysift.decrypt import DecryptedSession, TranscriptEntry, TrialResult, Validation, decrypt_record
+from keysift.fixtures import FixtureLayout, Filler, FixtureSpec, generate_fixture, reference_encrypt
 from keysift.memscan import (
     MB,
     BlockHypothesis,
@@ -91,6 +93,33 @@ def test_auto_mode_counter_uses_windows(windows_fixture_16, tmp_path):
     assert report["candidates"]["keys"] <= 6
 
 
+def test_auto_mode_reads_counter_nonces_past_255(windows_fixture_16, tmp_path, capsys):
+    # re-seal every record with explicit nonce seq + 1000: the nonces still
+    # step by one per record, so auto mode must still run the marker scan
+    _, paths, truth = windows_fixture_16
+    capture = parse_capture(paths.root)
+    material = {Direction.CLIENT_TO_SERVER: (truth.client_key, truth.client_iv),
+                Direction.SERVER_TO_CLIENT: (truth.server_key, truth.server_iv)}
+    records = [
+        reference_encrypt(decrypt_record(rec, *material[rec.direction], rec.seq), *material[rec.direction],
+                          (rec.seq + 1000).to_bytes(8, "big"), seq=rec.seq, content_type=rec.content_type,
+                          version=rec.record_version, direction=rec.direction)
+        for rec in capture.records
+    ]
+    shifted = tmp_path / "capture"
+    shifted.mkdir()
+    client, server = serialize_session(assemble_session(capture.handshake, records))
+    (shifted / "client.tls").write_bytes(client)
+    (shifted / "server.tls").write_bytes(server)
+    out = tmp_path / "report.json"
+    code = _run(["decrypt", "--extracts", str(paths.extract_dir), "--capture", str(shifted), "--output", str(out)])
+    assert code == EXIT_OK
+    report = json.loads(out.read_text())
+    assert (report["nonce_style"], report["mode_used"], report["outcome"]) == ("counter", "windows", "decrypted")
+    assert _run(["parse-capture", "--capture", str(shifted)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["nonce_style"] == "counter"
+
+
 def test_auto_mode_random_falls_back_to_standard(tmp_path):
     spec = FixtureSpec(
         rng_seed=51,
@@ -153,6 +182,7 @@ _DECRYPT = ("decrypt", "--extracts", "{extracts}", "--capture", "{capture}")
     _DECRYPT + ("--capture-format", "pcap"),
     _DECRYPT + ("--key-size", "16"),
     ("scan", "--extracts", "{extracts}", "--step", "0"),
+    ("scan", "--extracts", "{extracts}", "--counter-bound", "7"),
     ("scan", "--extracts", "{extracts}", "--mode", "auto", "--capture", "{capture}"),
     ("scan", "--extracts", "{extracts}", "--capture", "{capture}", "--capture-format", "pcap"),
     ("parse-capture", "--capture", "{capture}", "--capture-format", "pcap"),
@@ -163,7 +193,7 @@ _DECRYPT = ("decrypt", "--extracts", "{extracts}", "--capture", "{capture}")
     ("entropy-profile", "--extracts", "{extracts}", "--threshold", "inf"),
 ], ids=["missing-capture", "workers", "step-0", "negative-gap", "bad-filter", "filter-without-pcap",
         "negative-seq-window", "iv-entropy-nan", "negative-counter-bound", "capture-format", "decrypt-key-size",
-        "scan-step-0", "scan-auto", "scan-capture-format", "parse-capture-format",
+        "scan-step-0", "scan-counter-bound", "scan-auto", "scan-capture-format", "parse-capture-format",
         "profile-window-0", "profile-negative-window", "profile-region-windows-0", "profile-threshold-nan",
         "profile-threshold-inf"])
 def test_usage_errors_exit_1_with_one_error_line(windows_fixture_16, capsys, argv):
@@ -183,7 +213,7 @@ def test_help_exits_0(capsys):
 
 
 _SCAN_FLAGS = ("--iv-entropy", "1.25", "--key-entropy", "3.5", "--max-iv-distance", "40",
-               "--max-key-distance", "96", "--step", "8", "--min-gap", "500", "--counter-bound", "7")
+               "--max-key-distance", "96", "--step", "8", "--min-gap", "500")
 
 
 def test_scanner_flags_are_scan_config_fields_and_records_stay_frozen():
@@ -196,7 +226,7 @@ def test_scanner_flags_are_scan_config_fields_and_records_stay_frozen():
         args = parser.parse_args(command + _SCAN_FLAGS)
         changed = {dest for dest, value in vars(args).items() if value != bare[dest]}
         assert changed == set(ScanConfig._fields) - {"key_len_bytes"}
-        assert _config_from_args(args, 32) == ScanConfig(key_len, 1.25, 3.5, 40, 96, 8, 500, 7)
+        assert _config_from_args(args, 32) == ScanConfig(key_len, 1.25, 3.5, 40, 96, 8, 500)
 
     block = CandidateKeyBlock(bytes(16), bytes(16), bytes(4), bytes(4), 0, 0, BlockHypothesis.IV_WAS_CLIENT)
     record = EncryptedRecord(Direction.CLIENT_TO_SERVER, 0, bytes(8), bytes(32), 0x0303, 23)
@@ -597,20 +627,6 @@ _NAMESPACE_PROBE = """
 import sys
 import keysift
 assert [m for m in sys.modules if m.startswith("keysift.")] == [], "import keysift loaded a submodule"
-assert set(keysift.__all__) <= set(dir(keysift))
-star = {}
-exec("from keysift import *", star)
-assert set(keysift.__all__) <= star.keys()
-for name in keysift.__all__:
-    value = getattr(keysift, name)
-    assert value is star[name] and name in vars(keysift), name
-    assert getattr(sys.modules[value.__module__], name) is value, name
-try:
-    keysift.no_such_name
-except AttributeError as exc:
-    assert "no_such_name" in str(exc)
-else:
-    raise AssertionError("unknown attribute resolved")
 from keysift import gcm_ref
 assert gcm_ref is sys.modules["keysift.gcm_ref"]
 """

@@ -324,6 +324,9 @@ def test_trial_decrypt_rejects_iv_not_4_bytes(session_capture):
     capture, truth = session_capture
     with pytest.raises(ValueError):
         trial_decrypt(capture, [_cand(bytes(32), b"\x01\x02\x03"), _cand(truth.client_key, truth.client_iv)])
+    # the key x IV pairing checks the same
+    with pytest.raises(ValueError):
+        pair_candidates([Candidate(truth.client_key, 0, 0, 4.0)], [Candidate(b"\x01\x02\x03", 0, 0, 4.0)])
 
 
 def test_trial_decrypt_deterministic(session_capture):

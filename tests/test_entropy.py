@@ -127,6 +127,8 @@ def test_profile_matches_scalar_recount():
 def test_profile_rejects_bad_window():
     with pytest.raises(ValueError):
         entropy_profile(b"abc", window=0, threshold=1.0)
+    with pytest.raises(ValueError):
+        entropy_profile(bytes(64), 32, 4.5, region_windows=0)
 
 
 def test_profile_data_shorter_than_window():

@@ -70,14 +70,6 @@ def test_counter_nonce_starts_at_one(windows_fixture_32):
     assert capture.first_explicit_nonce == bytes(7) + b"\x01"
 
 
-def test_random_nonce_clears_counter_bound(tmp_path):
-    spec = FixtureSpec(
-        rng_seed=8, explicit_nonce_style=NonceStyle.RANDOM_LIKE, extract_sizes=(1 * MB,)
-    )
-    _, truth = generate_fixture(spec, tmp_path)
-    assert int.from_bytes(truth.first_client_nonce, "big") >= 256
-
-
 def test_ground_truth_json_matches(tmp_path):
     spec = FixtureSpec(rng_seed=6, extract_sizes=(1 * MB,))
     paths, truth = generate_fixture(spec, tmp_path)

@@ -106,7 +106,7 @@ def test_key_threshold_defaults():
         {"key_entropy_threshold": float("nan")},
         {"key_entropy_threshold": float("-inf")},
         {"min_artefact_gap": -5},
-        {"counter_nonce_bound": -5},
+        {"max_key_distance": 2},
     ],
 )
 def test_config_validation(kwargs):
