@@ -1,8 +1,11 @@
 """Classic-pcap reader: Ethernet/IPv4/TCP frames down to per-direction TLS streams.
 
-TCP handling is deliberately minimal, matching loopback-clean lab captures:
-in-order segments are accepted, exact duplicates and overlaps are trimmed by
-sequence number, and anything out of order is rejected rather than buffered.
+One pass over the frames groups each TCP connection's two directions. TCP
+handling is deliberately minimal: in-order segments are accepted, exact
+duplicates and overlaps are trimmed by sequence number, and a segment that
+arrives ahead of the reassembly point ends its flow there, recording the gap.
+Only the session returned has to be whole; gaps in other connections, IPv4
+fragments and non-TCP packets are never looked at.
 """
 
 from __future__ import annotations
@@ -27,27 +30,26 @@ FlowKey = tuple[Endpoint, Endpoint]
 
 
 class _Flow:
-    __slots__ = ("data", "next_seq", "first_index")
+    __slots__ = ("data", "next_seq", "first_index", "gap")
 
     def __init__(self, first_index: int):
         self.data = bytearray()
         self.next_seq: int | None = None
         self.first_index = first_index
+        self.gap: tuple[int, int] | None = None  # (stream offset, missing byte count)
 
     def add(self, seq: int, payload: bytes) -> None:
+        if self.gap is not None:
+            return
         if self.next_seq is None:
             self.next_seq = seq
-        if seq == self.next_seq:
-            self.data += payload
-            self.next_seq = (self.next_seq + len(payload)) & 0xFFFFFFFF
-        elif (seq + len(payload) - self.next_seq) & 0xFFFFFFFF > 0x7FFFFFFF:
-            pass  # entirely behind the reassembly point: retransmission, drop
-        elif (self.next_seq - seq) & 0xFFFFFFFF <= len(payload):
-            skip = (self.next_seq - seq) & 0xFFFFFFFF
+        skip = (self.next_seq - seq) & 0xFFFFFFFF
+        if skip <= len(payload):  # in order, or overlapping the bytes already held
             self.data += payload[skip:]
-            self.next_seq = (self.next_seq + len(payload) - skip) & 0xFFFFFFFF
-        else:
-            raise MalformedRecord("out-of-order TCP segment; capture is not reassembly-clean")
+            self.next_seq = (seq + len(payload)) & 0xFFFFFFFF
+        elif (seq + len(payload) - self.next_seq) & 0xFFFFFFFF <= 0x7FFFFFFF:
+            self.gap = (len(self.data), (seq - self.next_seq) & 0xFFFFFFFF)
+        # else entirely behind the reassembly point: a retransmission, dropped
 
 
 def _iter_packets(data: bytes):
@@ -73,7 +75,7 @@ def _iter_packets(data: bytes):
 
 
 def _tcp_payload(frame: bytes):
-    """(src, sport, dst, dport, seq, payload) for an IPv4/TCP frame, else None."""
+    """(src, dst, seq, payload) of an unfragmented IPv4/TCP frame that carries data, else None."""
     if len(frame) < 14:
         return None
     ethertype = struct.unpack_from(">H", frame, 12)[0]
@@ -83,36 +85,27 @@ def _tcp_payload(frame: bytes):
             return None
         ethertype = struct.unpack_from(">H", frame, 16)[0]
         l3_off = 18
-    if ethertype != _ETHERTYPE_IPV4:
-        return None
-    if len(frame) < l3_off + 20:
+    if ethertype != _ETHERTYPE_IPV4 or len(frame) < l3_off + 20:
         return None
     ver_ihl = frame[l3_off]
-    if ver_ihl >> 4 != 4:
-        return None
     ihl = (ver_ihl & 0x0F) * 4
-    total_len = struct.unpack_from(">H", frame, l3_off + 2)[0]
-    flags_frag = struct.unpack_from(">H", frame, l3_off + 6)[0]
-    if flags_frag & 0x3FFF:  # fragment offset or MF set
-        raise MalformedRecord("fragmented IPv4 packets are not supported")
-    proto = frame[l3_off + 9]
-    if proto != _IPPROTO_TCP:
+    total_len, flags_frag = struct.unpack_from(">2xH2xH", frame, l3_off)
+    # a fragment (MF set or a non-zero offset) is skipped whole
+    if ver_ihl >> 4 != 4 or ihl < 20 or flags_frag & 0x3FFF or frame[l3_off + 9] != _IPPROTO_TCP:
         return None
-    src = ".".join(str(b) for b in frame[l3_off + 12 : l3_off + 16])
-    dst = ".".join(str(b) for b in frame[l3_off + 16 : l3_off + 20])
     l4_off = l3_off + ihl
     if len(frame) < l4_off + 20:
         return None
-    sport, dport = struct.unpack_from(">HH", frame, l4_off)
-    seq = struct.unpack_from(">I", frame, l4_off + 4)[0]
-    doff = (frame[l4_off + 12] >> 4) * 4
-    payload_start = l4_off + doff
-    payload_end = l3_off + total_len  # ignore Ethernet padding
-    if payload_end < payload_start or payload_end > len(frame):
-        payload_end = len(frame)
-    payload = frame[payload_start:payload_end]
+    sport, dport, seq = struct.unpack_from(">HHI", frame, l4_off)
+    start = l4_off + (frame[l4_off + 12] >> 4) * 4
+    # the IPv4 length drops Ethernet padding, and slicing stops at the captured bytes; a
+    # length short of the headers (0 under TCP segmentation offload) reads to the frame's end
+    end = l3_off + total_len
+    payload = frame[start : end if end >= start else None]
     if not payload:
         return None
+    src = ".".join(str(b) for b in frame[l3_off + 12 : l3_off + 16])
+    dst = ".".join(str(b) for b in frame[l3_off + 16 : l3_off + 20])
     return (src, sport), (dst, dport), seq, payload
 
 
@@ -131,33 +124,26 @@ def tls_streams_from_pcap(
 
     ``session_filter`` is an ``(ip, port, ip, port)`` tuple naming one flow in
     either orientation; it is required when the capture holds more than one
-    TLS-over-TCP stream.
+    TLS-over-TCP stream. A gap in either direction of the session returned
+    raises ``MalformedRecord`` naming the flow and the missing byte range.
     """
-    flows: dict[FlowKey, _Flow] = {}
-    index = 0
-    for frame in _iter_packets(data):
+    connections: dict[frozenset, dict[FlowKey, _Flow]] = {}
+    for index, frame in enumerate(_iter_packets(data)):
         parsed = _tcp_payload(frame)
         if parsed is None:
             continue
         src, dst, seq, payload = parsed
-        key = (src, dst)
-        flow = flows.get(key)
+        flows = connections.setdefault(frozenset((src, dst)), {})
+        flow = flows.get((src, dst))
         if flow is None:
-            flow = flows[key] = _Flow(index)
+            flow = flows[(src, dst)] = _Flow(index)
         flow.add(seq, payload)
-        index += 1
 
-    streams: dict[frozenset, dict[FlowKey, _Flow]] = {}
-    for key, flow in flows.items():
-        if _looks_like_tls(bytes(flow.data[:3])):
-            streams.setdefault(frozenset(key), {})[key] = flow
-    # pull in the reverse flow of every TLS-looking flow
-    for pair in streams.values():
-        some_key = next(iter(pair))
-        reverse = (some_key[1], some_key[0])
-        if reverse not in pair and reverse in flows:
-            pair[reverse] = flows[reverse]
-
+    streams = {
+        connection: flows
+        for connection, flows in connections.items()
+        if any(_looks_like_tls(flow.data[:3]) for flow in flows.values())
+    }
     if not streams:
         raise MalformedRecord("no TLS-over-TCP stream in capture")
 
@@ -174,16 +160,15 @@ def tls_streams_from_pcap(
         selected = next(iter(streams.values()))
 
     pair = sorted(selected.items(), key=lambda kv: kv[1].first_index)
-    client_key = None
-    for key, flow in pair:
-        if _is_client_hello(bytes(flow.data[:6])):
-            client_key = key
-            break
-    if client_key is None:
-        client_key = pair[0][0]  # earliest talker
-
+    for (src, dst), flow in pair:
+        if flow.gap is not None:
+            start, missing = flow.gap
+            raise MalformedRecord(
+                f"TCP stream {src[0]}:{src[1]} -> {dst[0]}:{dst[1]}: bytes {start}-{start + missing - 1} did not "
+                "arrive in order (a reordered segment, an IPv4 fragment, or a packet cut short by the snap length)"
+            )
+    # the first flow to open with a ClientHello is the client's, else the earliest talker
+    client_key = next((key for key, flow in pair if _is_client_hello(flow.data[:6])), pair[0][0])
     client = selected[client_key]
-    reverse = (client_key[1], client_key[0])
-    server = selected.get(reverse)
-    server_data = bytes(server.data) if server is not None else b""
-    return bytes(client.data), server_data
+    server = selected.get((client_key[1], client_key[0]))
+    return bytes(client.data), bytes(server.data) if server is not None else b""

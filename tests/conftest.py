@@ -86,12 +86,14 @@ def build_pcap(
     vlan: bool = False,
     linktype: int = 1,
     extra_frames: tuple[bytes, ...] = (),
+    snaplen: int = 65535,
 ) -> bytes:
     """Assemble a classic pcap carrying one (or two) TLS-over-TCP streams,
-    then ``extra_frames`` as given."""
+    then ``extra_frames`` as given; a frame longer than ``snaplen`` is captured
+    cut to it, its original length kept in the packet header."""
     order = "<" if little_endian else ">"
     magic = 0xA1B23C4D if nanosecond else 0xA1B2C3D4
-    out = bytearray(struct.pack(order + "IHHiIII", magic, 2, 4, 0, 0, 65535, linktype))
+    out = bytearray(struct.pack(order + "IHHiIII", magic, 2, 4, 0, 0, snaplen, linktype))
 
     def chunks(data):
         return [data[i : i + chunk] for i in range(0, len(data), chunk)]
@@ -128,9 +130,25 @@ def build_pcap(
         frames += flow_packets(extra_stream[1], s2, c2, 200)
 
     for frame in frames + list(extra_frames):
-        out += struct.pack(order + "IIII", 0, 0, len(frame), len(frame))
-        out += frame
+        out += struct.pack(order + "IIII", 0, 0, min(len(frame), snaplen), len(frame))
+        out += frame[:snaplen]
     return bytes(out)
+
+
+def mixed_traffic_frames() -> tuple[bytes, ...]:
+    """Frames a host sends next to a TLS session: a plain-HTTP connection whose
+    request segments arrive out of order, and a UDP datagram in two IPv4 fragments."""
+    browser, web = ("10.0.0.2", 40000), ("93.184.216.34", 80)
+    request = b"GET /index.html HTTP/1.1\r\nHost: example.com\r\n\r\n"
+    resolver, stub = ("10.0.0.53", 53), ("10.0.0.2", 5353)
+    return (
+        tcp_frame(browser, web, 5000, request[:16]),
+        tcp_frame(browser, web, 5032, request[32:]),  # ahead of the bytes 16-31 sent next
+        tcp_frame(browser, web, 5016, request[16:32]),
+        tcp_frame(web, browser, 7000, b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n"),
+        tcp_frame(resolver, stub, 0, bytes(range(44)), proto=17, flags_frag=0x2000),  # MF, offset 0
+        tcp_frame(resolver, stub, 0, bytes(range(24)), proto=17, flags_frag=0x0008),  # offset 64 bytes
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from keysift.errors import (
 )
 from keysift.fixtures import FixtureSpec, generate_fixture, reference_encrypt
 
-from conftest import build_pcap, tcp_frame
+from conftest import build_pcap, mixed_traffic_frames, tcp_frame
 
 
 def _record(content_type, payload, version=TLS_1_2):
@@ -299,10 +299,26 @@ def test_pcap_duplicate_segment_dropped(windows_fixture_32, tmp_path):
 
 def test_pcap_out_of_order_rejected(windows_fixture_32, tmp_path):
     client, server = _fixture_streams(windows_fixture_32)
-    assert len(client) > 200  # needs at least two segments for the swap to bite
+    assert len(client) > 300  # needs at least three segments for the swap to bite
     pcap = build_pcap(client, server, chunk=100, reorder=True)
-    with pytest.raises(MalformedRecord):
+    with pytest.raises(MalformedRecord, match="10.0.0.2:49152 -> 10.0.0.1:443: bytes 100-199 did not arrive"):
         parse_capture(_pcap_file(tmp_path, pcap))
+
+
+@pytest.mark.parametrize("session_filter", [None, ("10.0.0.1", 443, "10.0.0.2", 49152)])
+def test_pcap_mixed_traffic_reads_like_raw_streams(windows_fixture_32, tmp_path, session_filter):
+    # another connection's reordered segments and a fragmented datagram are not the session's
+    client, server = _fixture_streams(windows_fixture_32)
+    pcap = build_pcap(client, server, extra_frames=mixed_traffic_frames())
+    assert parse_capture(_pcap_file(tmp_path, pcap), session_filter) == parse_raw_streams(client, server)
+
+
+def test_pcap_gap_in_an_unselected_tls_stream_is_ignored(windows_fixture_32, tmp_path):
+    client, server = _fixture_streams(windows_fixture_32)
+    pcap = _pcap_file(tmp_path, build_pcap(client, server, chunk=100, reorder=True, extra_stream=(client, server)))
+    assert parse_capture(pcap, ("10.9.9.2", 50000, "10.9.9.1", 443)) == parse_raw_streams(client, server)
+    with pytest.raises(MalformedRecord, match="bytes 100-199"):
+        parse_capture(pcap, ("10.0.0.2", 49152, "10.0.0.1", 443))
 
 
 def test_pcap_two_streams_ambiguous(windows_fixture_32, tmp_path):
@@ -335,6 +351,21 @@ def test_pcap_garbage_rejected(tmp_path):
 _CLIENT, _SERVER = ("10.0.0.2", 49152), ("10.0.0.1", 443)
 
 
+def _past_client(client: bytes, payload: bytes = b"\x17\x03\x03\x00\x04junk") -> bytes:
+    """A client segment at the seq right after the stream: read, it would lengthen the stream."""
+    return tcp_frame(_CLIENT, _SERVER, 1000 + len(client), payload)
+
+
+def _edited(frame: bytes, offset: int, value: bytes) -> bytes:
+    edited = bytearray(frame)
+    edited[offset : offset + len(value)] = value
+    return bytes(edited)
+
+
+def _first_record_len(stream: bytes) -> int:
+    return 5 + struct.unpack_from(">H", stream, 3)[0]
+
+
 @pytest.mark.parametrize("make", [
     lambda client, server: build_pcap(client, server, vlan=True),
     lambda client, server: build_pcap(client, server, extra_frames=(
@@ -344,7 +375,31 @@ _CLIENT, _SERVER = ("10.0.0.2", 49152), ("10.0.0.1", 443)
     # the client's first segment again after the whole stream, entirely behind it
     lambda client, server: build_pcap(client, server, chunk=100,
                                       extra_frames=(tcp_frame(_CLIENT, _SERVER, 1000, client[:100]),)),
-], ids=["vlan", "non-ipv4-and-non-tcp-skipped", "retransmission-dropped"])
+    # the same segment again as a first fragment: the fragment is skipped whole
+    lambda client, server: build_pcap(client, server, extra_frames=(
+        tcp_frame(_CLIENT, _SERVER, 1000, client[:100], flags_frag=0x2000),)),
+    lambda client, server: build_pcap(client, server, extra_frames=(b"\x02" * 10,)),
+    lambda client, server: build_pcap(client, server, extra_frames=(
+        b"\x02" * 6 + b"\x04" * 6 + struct.pack(">HH", 0x8100, 7),)),  # cut before the inner ethertype
+    lambda client, server: build_pcap(client, server, extra_frames=(
+        _edited(_past_client(client), 14, b"\x65"),)),  # version nibble 6
+    # IHL 4: read as TCP from inside the IPv4 header, the ports and payload would start at
+    # the destination address, opening a second TLS-looking stream
+    lambda client, server: build_pcap(client, server, extra_frames=(
+        _edited(tcp_frame(("10.0.0.9", 1234), ("22.3.1.1", 443), 0, bytes(20)), 14, b"\x44"),)),
+    lambda client, server: build_pcap(client, server, extra_frames=(_past_client(client)[: 14 + 20 + 10],)),
+    lambda client, server: build_pcap(client, server, extra_frames=(
+        tcp_frame(_SERVER, _CLIENT, 9000 + len(server), b""), tcp_frame(_CLIENT, _SERVER, 1000 + len(client), b""))),
+    # a 54-byte pure ACK padded to Ethernet's 60-byte minimum: the padding is not payload
+    lambda client, server: build_pcap(client, server, extra_frames=(_past_client(client, b"") + bytes(6),)),
+    # an IPv4 total length of 0, as TCP segmentation offload leaves it, reads to the frame's end
+    lambda client, server: build_pcap(client[:100], server, extra_frames=(
+        _edited(tcp_frame(_CLIENT, _SERVER, 1100, client[100:]), 16, bytes(2)),)),
+    # without its ClientHello the client stream opens with ChangeCipherSpec: the earliest talker
+    lambda client, server: build_pcap(client[_first_record_len(client):], server),
+], ids=["vlan", "non-ipv4-and-non-tcp-skipped", "retransmission-dropped", "ipv4-fragment-skipped", "runt-frame",
+        "vlan-cut", "ip-version-6", "ihl-below-5", "tcp-header-cut", "pure-ack", "ethernet-padding",
+        "zero-ip-length", "no-client-hello"])
 def test_pcap_frames_that_carry_the_same_session(windows_fixture_32, tmp_path, make):
     client, server = _fixture_streams(windows_fixture_32)
     assert len(client) > 100
@@ -352,8 +407,14 @@ def test_pcap_frames_that_carry_the_same_session(windows_fixture_32, tmp_path, m
 
 
 @pytest.mark.parametrize("make,session_filter,message", [
-    (lambda client, server: build_pcap(client, server, extra_frames=(
-        tcp_frame(_CLIENT, _SERVER, 1000, client[:100], flags_frag=0x2000),)), None, "fragmented"),
+    # the client's second 100 bytes sent only as the first fragment of their packet
+    (lambda client, server: build_pcap(client[:100], server, extra_frames=(
+        tcp_frame(_CLIENT, _SERVER, 1100, client[100:144], flags_frag=0x2000),
+        tcp_frame(_CLIENT, _SERVER, 1200, client[200:]))), None,
+     "TCP stream 10.0.0.2:49152 -> 10.0.0.1:443: bytes 100-199 did not arrive"),
+    # every 154-byte frame captured 20 bytes short: the client's first gap is its first cut
+    (lambda client, server: build_pcap(client, server, chunk=100, snaplen=134), None,
+     "TCP stream 10.0.0.2:49152 -> 10.0.0.1:443: bytes 80-99 did not arrive"),
     (lambda client, server: build_pcap(client, server)[:20], None, "shorter than its global header"),
     (lambda client, server: build_pcap(client, server)[: 24 + 10], None, "truncated pcap packet header"),
     (lambda client, server: build_pcap(client, server)[: 24 + 16 + 10], None, "truncated pcap packet data"),
@@ -362,7 +423,7 @@ def test_pcap_frames_that_carry_the_same_session(windows_fixture_32, tmp_path, m
      "no TLS-over-TCP stream"),
     (lambda client, server: build_pcap(client, server), ("10.7.7.7", 1, "10.8.8.8", 2),
      "no TLS stream matches filter"),
-], ids=["ipv4-fragment", "global-header", "packet-header", "packet-data", "link-type", "no-tls", "filter-misses"])
+], ids=["first-fragment-only", "snap-length-cut", "global-header", "packet-header", "packet-data", "link-type", "no-tls", "filter-misses"])
 def test_pcap_input_rejected(windows_fixture_32, tmp_path, make, session_filter, message):
     pcap = make(*_fixture_streams(windows_fixture_32))
     with pytest.raises(MalformedRecord, match=message):

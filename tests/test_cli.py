@@ -169,6 +169,46 @@ def test_operational_error_exit_code(tmp_path):
 _DECRYPT = ("decrypt", "--extracts", "{extracts}", "--capture", "{capture}")
 
 
+def test_decrypt_over_mixed_traffic_pcap(windows_fixture_16, tmp_path, capsys):
+    # other connections' gaps and fragments are not looked at; the session's own gap is an error
+    from conftest import build_pcap, mixed_traffic_frames
+
+    _, paths, _ = windows_fixture_16
+    client = paths.client_records.read_bytes()
+    server = paths.server_records.read_bytes()
+    decrypt = ["decrypt", "--extracts", str(paths.extract_dir), "--no-timings", "--capture"]
+    mixed = tmp_path / "mixed.pcap"
+    mixed.write_bytes(build_pcap(client, server, extra_frames=mixed_traffic_frames()))
+    out = tmp_path / "report.json"
+    assert _run(decrypt + [str(mixed), "--output", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["outcome"] == "decrypted"
+
+    assert len(client) > 300
+    reordered = tmp_path / "reordered.pcap"
+    reordered.write_bytes(build_pcap(client, server, chunk=100, reorder=True))
+    capsys.readouterr()
+    assert _run(decrypt + [str(reordered)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "TCP stream 10.0.0.2:49152 -> 10.0.0.1:443: bytes 100-199 did not arrive" in err
+
+
+def test_seq_window_sets_the_trials_per_material(tmp_path):
+    # each material is tried at one seq for window 0 and at 2w+1 otherwise, nearest seq first,
+    # so the same winner at the expected seq is reached after index * (2w+1) + 1 trials
+    fixture = tmp_path / "fx"
+    assert _run(["gen-fixture", "--seed", "1", "--out", str(fixture)]) == EXIT_OK
+    decrypt = ["decrypt", "--extracts", str(fixture / "extracts"), "--capture", str(fixture), "--no-timings"]
+    winners = set()
+    for window, flags in ((0, ["--seq-window", "0"]), (1, ["--seq-window", "1"]), (2, [])):
+        out = tmp_path / f"window{window}.json"
+        assert _run(decrypt + flags + ["--output", str(out)]) == EXIT_OK
+        trials = json.loads(out.read_text())["trials"]
+        assert trials["attempted"] == trials["winner_index"] * (2 * window + 1) + 1
+        winners.add((trials["winner_index"], trials["seq_used"]))
+    assert len(winners) == 1 and next(iter(winners))[0] > 0
+
+
 @pytest.mark.parametrize("argv", [
     ("decrypt", "--extracts", "{extracts}"),
     _DECRYPT + ("--workers", "2"),
