@@ -78,11 +78,14 @@ class TlsRecord(NamedTuple):
 
 class HandshakeSummary(NamedTuple):
     cipher_suite: int
-    key_len_bytes: int
 
     @property
     def suite_name(self) -> str:
         return GCM_SUITES[self.cipher_suite][0]
+
+    @property
+    def key_len_bytes(self) -> int:
+        return suite_key_len(self.cipher_suite)
 
 
 class EncryptedRecord(NamedTuple):
@@ -97,11 +100,23 @@ class EncryptedRecord(NamedTuple):
 class SessionCapture(NamedTuple):
     handshake: HandshakeSummary
     records: tuple[EncryptedRecord, ...]
-    first_explicit_nonce: bytes
 
     def app_data(self, direction: Direction) -> list[EncryptedRecord]:
         """ApplicationData records of one direction, in capture order."""
         return [r for r in self.records if r.direction is direction and r.content_type == CONTENT_APPLICATION_DATA]
+
+    @property
+    def first_client_record(self) -> EncryptedRecord:
+        """The first client ApplicationData record; raises NoApplicationData when there is none."""
+        for record in self.records:
+            if record.direction is Direction.CLIENT_TO_SERVER and record.content_type == CONTENT_APPLICATION_DATA:
+                return record
+        raise NoApplicationData("no client-to-server ApplicationData record")
+
+    @property
+    def first_explicit_nonce(self) -> bytes:
+        """The explicit nonce of the first client ApplicationData record."""
+        return self.first_client_record.explicit_nonce
 
 
 def suite_key_len(cipher_suite: int) -> int:
@@ -239,24 +254,22 @@ def parse_raw_streams(client_data: bytes, server_data: bytes) -> SessionCapture:
     version, suite = _parse_server_hello(server_hello)
     if version != TLS_1_2:
         raise UnsupportedCipherSuite(f"negotiated version 0x{version:04X}; TLS 1.2 required")
-    key_len = suite_key_len(suite)
-    summary = HandshakeSummary(cipher_suite=suite, key_len_bytes=key_len)
-
-    return assemble_session(summary, client_encrypted + server_encrypted)
+    suite_key_len(suite)  # refuses an unsupported suite while parsing
+    return assemble_session(HandshakeSummary(cipher_suite=suite), client_encrypted + server_encrypted)
 
 
 def assemble_session(summary: HandshakeSummary, records: list[EncryptedRecord]) -> SessionCapture:
     """Merge both directions' encrypted records into a SessionCapture.
 
     Cross-direction arrival order is not recoverable from two raw streams, so
-    records merge by per-direction sequence number, client first on ties. The
-    first client ApplicationData record supplies the explicit nonce.
+    records merge by per-direction sequence number, client first on ties. A
+    capture with no client ApplicationData record, whose explicit nonce the
+    scans anchor on, raises NoApplicationData.
     """
     merged = sorted(records, key=lambda r: (r.seq, r.direction is not Direction.CLIENT_TO_SERVER))
-    for rec in merged:
-        if rec.direction is Direction.CLIENT_TO_SERVER and rec.content_type == CONTENT_APPLICATION_DATA:
-            return SessionCapture(handshake=summary, records=tuple(merged), first_explicit_nonce=rec.explicit_nonce)
-    raise NoApplicationData("no client-to-server ApplicationData record")
+    capture = SessionCapture(handshake=summary, records=tuple(merged))
+    capture.first_client_record  # raises when the capture has none
+    return capture
 
 
 def _client_hello(suite: int, random32: bytes) -> bytes:

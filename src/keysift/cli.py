@@ -257,11 +257,6 @@ def _add_scan_flags(parser: argparse.ArgumentParser) -> None:
                         help="IV entropy gate (default 1.5)")
     parser.add_argument("--key-entropy", dest="key_entropy_threshold", type=float,
                         help="key entropy gate (default 0.9*log2(key size))")
-    parser.add_argument("--max-iv-distance", type=int,
-                        help="max bytes after the IV marker to search (default 64)")
-    parser.add_argument("--max-key-distance", type=int,
-                        help="max bytes after the key marker to search (default 128)")
-    parser.add_argument("--step", type=int, help="window stride in bytes (default 4)")
     parser.add_argument("--min-gap", dest="min_artefact_gap", type=int,
                         help="prune candidates closer than this many bytes (default 1000)")
 

@@ -118,16 +118,13 @@ class TrialResult(NamedTuple):
     implicit_iv: bytes
     seq_used: int
     plaintext: bytes
-    validation: Validation
     index: int
     orientation_swapped: bool = False
     trials: int = 0
 
-
-def _first_client_record(capture: SessionCapture) -> EncryptedRecord:
-    for record in capture.app_data(Direction.CLIENT_TO_SERVER):
-        return record
-    raise NoValidDecrypt(0)
+    @property
+    def validation(self) -> Validation:
+        return Validation.TAG_AND_PROTOCOL_VALID if validate_plaintext(self.plaintext) else Validation.TAG_VERIFIED
 
 
 _J0_COUNTER = (1).to_bytes(4, "big")
@@ -292,7 +289,7 @@ def _trial(
     """Screen ``trials`` against the first client ApplicationData record.
     ``index`` is the winner's position; trials count as if each material were
     opened at each seq in turn until the winner verified."""
-    record = _first_client_record(capture)
+    record = capture.first_client_record
     screens = TagScreens() if screens is None else screens
     winner = _first_verified(screens.screen(record, seq_window), record, trials)
     per_material = 2 * seq_window + 1
@@ -300,13 +297,11 @@ def _trial(
         raise NoValidDecrypt(len(trials) * per_material)
     order, seq_index, seq, key, implicit_iv, plaintext = winner
     position = trials.position(order)
-    validation = Validation.TAG_AND_PROTOCOL_VALID if validate_plaintext(plaintext) else Validation.TAG_VERIFIED
     return TrialResult(
         key=key,
         implicit_iv=implicit_iv,
         seq_used=seq,
         plaintext=plaintext,
-        validation=validation,
         index=position,
         trials=position * per_material + seq_index + 1,
     )
@@ -371,7 +366,11 @@ class DecryptedSession(NamedTuple):
     server_key: bytes | None
     server_iv: bytes | None
     transcript: tuple[TranscriptEntry, ...]
-    partial: bool
+
+    @property
+    def partial(self) -> bool:
+        """True when some record of the transcript did not authenticate."""
+        return not all(entry.ok for entry in self.transcript)
 
 
 def decrypt_session(
@@ -401,9 +400,9 @@ def decrypt_session(
     the trials used, if the caller kept one: a key they screened costs the
     probe no second ECB decryptor, and a key in several sets is sealed once.
 
-    Records that do not authenticate are marked and flip the partial flag.
+    Records that do not authenticate are marked, which makes the session partial.
     """
-    first_record = _first_client_record(capture)
+    first_record = capture.first_client_record
     deltas: dict[Direction, int] = {Direction.CLIENT_TO_SERVER: result.seq_used - first_record.seq}
     material: dict[Direction, tuple[bytes, bytes] | None] = {
         Direction.CLIENT_TO_SERVER: (result.key, result.implicit_iv),
@@ -430,7 +429,6 @@ def decrypt_session(
                 break
 
     transcript = []
-    partial = False
     for record in capture.records:
         if record.content_type != CONTENT_APPLICATION_DATA:
             continue
@@ -438,9 +436,7 @@ def decrypt_session(
         plaintext = None
         if mat is not None:
             plaintext = _open_record(_cipher_for(mat[0]), record, mat[1], record.seq + deltas[record.direction])
-        ok = plaintext is not None
-        partial = partial or not ok
-        transcript.append(TranscriptEntry(record.direction, record.seq, plaintext, ok))
+        transcript.append(TranscriptEntry(record.direction, record.seq, plaintext, plaintext is not None))
 
     server_mat = material[Direction.SERVER_TO_CLIENT]
     return DecryptedSession(
@@ -449,5 +445,4 @@ def decrypt_session(
         server_key=server_mat[0] if server_mat else None,
         server_iv=server_mat[1] if server_mat else None,
         transcript=tuple(transcript),
-        partial=partial,
     )

@@ -40,7 +40,10 @@ from .errors import BadKeyLength, SpecInvalid
 from .memscan import (
     IV_MARKER,
     KEY_MARKER,
+    MAX_IV_DISTANCE,
+    MAX_KEY_DISTANCE,
     MB,
+    STEP,
     BlockHypothesis,
     ScanConfig,
     band_for_size,
@@ -93,17 +96,16 @@ class FixtureSpec:
     def validate(self) -> None:
         if self.key_len_bytes not in (16, 32):
             raise SpecInvalid("key_len_bytes must be 16 or 32")
-        defaults = ScanConfig(key_len_bytes=self.key_len_bytes)
         if not self.extract_sizes:
             raise SpecInvalid("extract_sizes must not be empty")
         if any(s <= 0 for s in self.extract_sizes):
             raise SpecInvalid("extract sizes must be positive")
         if not any(band_for_size(s) == 1 for s in self.extract_sizes):
             raise SpecInvalid("at least one extract size must fall in band 1 (1 MB to 8 MB)")
-        if not 0 <= self.iv_offset_after_3lls <= defaults.max_iv_distance:
-            raise SpecInvalid("iv_offset_after_3lls must sit inside the default IV search distance")
-        if not 0 <= self.key_offset_after_kssm <= defaults.max_key_distance:
-            raise SpecInvalid("key_offset_after_kssm must sit inside the default key search distance")
+        if not 0 <= self.iv_offset_after_3lls <= MAX_IV_DISTANCE:
+            raise SpecInvalid("iv_offset_after_3lls must sit inside the IV search distance")
+        if not 0 <= self.key_offset_after_kssm <= MAX_KEY_DISTANCE:
+            raise SpecInvalid("key_offset_after_kssm must sit inside the key search distance")
         if self.decoy_markers < 0 or self.decoy_high_entropy_regions < 0:
             raise SpecInvalid("decoy counts must be non-negative")
         if self.keyblock_copies < 1:
@@ -243,7 +245,7 @@ def _nonce_for(style: NonceStyle, seq: int, rng: random.Random) -> bytes:
 
 def _build_session(spec: FixtureSpec, truth: FixtureGroundTruth, rng: random.Random) -> SessionCapture:
     suite = _SUITE_FOR_KEY_LEN[spec.key_len_bytes]
-    summary = HandshakeSummary(cipher_suite=suite, key_len_bytes=spec.key_len_bytes)
+    summary = HandshakeSummary(cipher_suite=suite)
     records = []
     for direction, key, implicit_iv, app_plain in (
         (Direction.CLIENT_TO_SERVER, truth.client_key, truth.client_iv, truth.plaintext_client),
@@ -280,10 +282,10 @@ def _filler_buffer(filler: Filler, size: int, rng: random.Random) -> bytearray:
     return bytearray((bytes(cycle) * reps)[:size])
 
 
-def _snap(offset: int, step: int) -> int:
+def _snap(offset: int) -> int:
     """Planted offsets snap down to the scanner stride so a search window
     lands exactly on the artefact ('approximately N bytes after the marker')."""
-    return offset - offset % step
+    return offset - offset % STEP
 
 
 class _Plan:
@@ -323,14 +325,13 @@ def _plant_marker_group(
     iv_value: bytes,
     key_value: bytes,
     spec: FixtureSpec,
-    step: int,
 ) -> None:
     site = plan.place(1024)
-    iv_at = site + len(IV_MARKER) + _snap(spec.iv_offset_after_3lls, step)
+    iv_at = site + len(IV_MARKER) + _snap(spec.iv_offset_after_3lls)
     plan.write(site, IV_MARKER)
     plan.write(iv_at, iv_value)
     key_site = site + 512
-    key_at = key_site + len(KEY_MARKER) + _snap(spec.key_offset_after_kssm, step)
+    key_at = key_site + len(KEY_MARKER) + _snap(spec.key_offset_after_kssm)
     plan.write(key_site, KEY_MARKER)
     plan.write(key_at, key_value)
     truth.planted.append(PlantedArtefact(f"{label}_iv", plan.extract_id, plan.name, iv_at, iv_value))
@@ -405,8 +406,8 @@ def _render(spec: FixtureSpec, rng: random.Random):
     home = next(plan for plan in plans if band_for_size(len(plan.buf)) == 1)
 
     if spec.layout in (FixtureLayout.WINDOWS_MARKERS, FixtureLayout.BOTH):
-        _plant_marker_group(home, truth, "client", truth.client_iv, truth.client_key, spec, cfg.step)
-        _plant_marker_group(home, truth, "server", truth.server_iv, truth.server_key, spec, cfg.step)
+        _plant_marker_group(home, truth, "client", truth.client_iv, truth.client_key, spec)
+        _plant_marker_group(home, truth, "server", truth.server_iv, truth.server_key, spec)
     if spec.layout in (FixtureLayout.GENERIC_KEY_BLOCK, FixtureLayout.BOTH):
         _plant_generic(home, truth, spec, session.first_explicit_nonce)
 

@@ -33,6 +33,10 @@ MB = 1 << 20
 IV_MARKER = b"3LLS"
 KEY_MARKER = b"KSSM"
 IV_LEN = 4
+# the library's structures behind the markers: windows every STEP bytes, at most this far past each marker
+STEP = 4
+MAX_IV_DISTANCE = 64
+MAX_KEY_DISTANCE = 128
 
 # Files in an extract directory that are metadata, not memory contents.
 _METADATA_NAMES = {"manifest.json", "groundtruth.json"}
@@ -120,9 +124,6 @@ class _ScanFields(NamedTuple):
     key_len_bytes: int = 32
     iv_entropy_threshold: float = 1.5
     key_entropy_threshold: float | None = None  # defaults to 0.9 * log2(key length)
-    max_iv_distance: int = 64
-    max_key_distance: int = 128
-    step: int = 4
     min_artefact_gap: int = 1000
 
 
@@ -136,10 +137,6 @@ class ScanConfig(_ScanFields):
         cfg = super().__new__(cls, *args, **kwargs)
         if cfg.key_len_bytes not in (16, 32):
             raise ValueError("key_len_bytes must be 16 or 32")
-        if cfg.step <= 0:
-            raise ValueError("step must be positive")
-        if cfg.max_iv_distance < cfg.step or cfg.max_key_distance < cfg.step:
-            raise ValueError("search distances must be at least one step")
         if cfg.key_entropy_threshold is None:
             cfg = cfg._replace(key_entropy_threshold=0.9 * math.log2(cfg.key_len_bytes))
         for gate in (cfg.iv_entropy_threshold, cfg.key_entropy_threshold):
@@ -185,14 +182,14 @@ def find_all(data: bytes, pattern: bytes) -> list[int]:
 
 
 def _marker_windows(extract: MemoryExtract, marker: bytes, hits: list[int], width: int, max_distance: int,
-                    gate: float, step: int) -> list[Candidate]:
-    """Every ``width``-byte window up to ``max_distance`` past ``marker`` at
-    one of its ``hits`` whose entropy clears ``gate``."""
+                    gate: float) -> list[Candidate]:
+    """Every ``width``-byte window, ``STEP`` bytes apart, up to ``max_distance``
+    past ``marker`` at one of its ``hits`` whose entropy clears ``gate``."""
     data = extract.data
     found = []
     for hit in hits:
         base = hit + len(marker)
-        for dist in range(0, max_distance + 1, step):
+        for dist in range(0, max_distance + 1, STEP):
             start = base + dist
             window = data[start : start + width]
             if len(window) < width:
@@ -209,10 +206,10 @@ def _scan_windows_one(extract: MemoryExtract, cfg: ScanConfig):
     key_hits = find_all(extract.data, KEY_MARKER)
     if not key_hits:
         return [], []
-    ivs = _marker_windows(extract, IV_MARKER, find_all(extract.data, IV_MARKER), IV_LEN, cfg.max_iv_distance,
-                          cfg.iv_entropy_threshold, cfg.step)
-    keys = _marker_windows(extract, KEY_MARKER, key_hits, cfg.key_len_bytes, cfg.max_key_distance,
-                           cfg.key_entropy_threshold, cfg.step)
+    ivs = _marker_windows(extract, IV_MARKER, find_all(extract.data, IV_MARKER), IV_LEN, MAX_IV_DISTANCE,
+                          cfg.iv_entropy_threshold)
+    keys = _marker_windows(extract, KEY_MARKER, key_hits, cfg.key_len_bytes, MAX_KEY_DISTANCE,
+                           cfg.key_entropy_threshold)
     return keys, ivs
 
 

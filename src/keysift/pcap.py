@@ -3,9 +3,10 @@
 One pass over the frames groups each TCP connection's two directions. TCP
 handling is deliberately minimal: in-order segments are accepted, exact
 duplicates and overlaps are trimmed by sequence number, and a segment that
-arrives ahead of the reassembly point ends its flow there, recording the gap.
-Only the session returned has to be whole; gaps in other connections, IPv4
-fragments and non-TCP packets are never looked at.
+arrives ahead of the reassembly point is held until the bytes before it
+arrive (RFC 9293 §3.10.7). A flow still holding segments once the frames are
+read has a gap. Only the session returned has to be whole; gaps in other
+connections, IPv4 fragments and non-TCP packets are never looked at.
 """
 
 from __future__ import annotations
@@ -29,26 +30,48 @@ Endpoint = tuple[str, int]
 FlowKey = tuple[Endpoint, Endpoint]
 
 
+def _ahead(seq: int, next_seq: int) -> int:
+    """How far ``seq`` lies past ``next_seq`` in sequence space; 0 when it is at or before it."""
+    distance = (seq - next_seq) & 0xFFFFFFFF
+    return distance if distance <= 0x7FFFFFFF else 0
+
+
 class _Flow:
-    __slots__ = ("data", "next_seq", "first_index", "gap")
+    __slots__ = ("data", "next_seq", "first_index", "held")
 
     def __init__(self, first_index: int):
         self.data = bytearray()
         self.next_seq: int | None = None
         self.first_index = first_index
-        self.gap: tuple[int, int] | None = None  # (stream offset, missing byte count)
+        self.held: dict[int, bytes] = {}  # segments ahead of next_seq, by TCP seq
+
+    @property
+    def gap(self) -> tuple[int, int] | None:
+        """(stream offset, missing byte count) of the first hole, or None when no segment is held."""
+        if not self.held:
+            return None
+        return len(self.data), min(_ahead(seq, self.next_seq) for seq in self.held)
 
     def add(self, seq: int, payload: bytes) -> None:
-        if self.gap is not None:
-            return
         if self.next_seq is None:
             self.next_seq = seq
+        if _ahead(seq, self.next_seq):
+            if len(payload) > len(self.held.get(seq, b"")):
+                self.held[seq] = payload
+            return
+        taken = self.next_seq
+        self._take(seq, payload)
+        # while the reassembly point moves, take the held segments that now start at or before it
+        while self.held and self.next_seq != taken:
+            taken = self.next_seq
+            for held in [held for held in self.held if not _ahead(held, taken)]:
+                self._take(held, self.held.pop(held))
+
+    def _take(self, seq: int, payload: bytes) -> None:
         skip = (self.next_seq - seq) & 0xFFFFFFFF
-        if skip <= len(payload):  # in order, or overlapping the bytes already held
+        if skip < len(payload):  # in order, or overlapping the bytes already taken
             self.data += payload[skip:]
             self.next_seq = (seq + len(payload)) & 0xFFFFFFFF
-        elif (seq + len(payload) - self.next_seq) & 0xFFFFFFFF <= 0x7FFFFFFF:
-            self.gap = (len(self.data), (seq - self.next_seq) & 0xFFFFFFFF)
         # else entirely behind the reassembly point: a retransmission, dropped
 
 
@@ -165,7 +188,7 @@ def tls_streams_from_pcap(
             start, missing = flow.gap
             raise MalformedRecord(
                 f"TCP stream {src[0]}:{src[1]} -> {dst[0]}:{dst[1]}: bytes {start}-{start + missing - 1} did not "
-                "arrive in order (a reordered segment, an IPv4 fragment, or a packet cut short by the snap length)"
+                "arrive (a lost segment, an IPv4 fragment, or a packet cut short by the snap length)"
             )
     # the first flow to open with a ClientHello is the client's, else the earliest talker
     client_key = next((key for key, flow in pair if _is_client_hello(flow.data[:6])), pair[0][0])

@@ -24,7 +24,10 @@ from keysift.capture import (
 from keysift.decrypt import _cipher_for, _open_record, _seq_candidates, record_aad, validate_plaintext
 from keysift.fixtures import FixtureSpec, generate_fixture, reference_encrypt
 from keysift.gcm_ref import _encrypt_block, _expand_key, _gmult
-from keysift.memscan import BANDS, IV_MARKER, KEY_MARKER, IV_LEN, Candidate, ScanConfig, load_extracts
+from keysift.memscan import (
+    BANDS, IV_LEN, IV_MARKER, KEY_MARKER, MAX_IV_DISTANCE, MAX_KEY_DISTANCE, STEP, Candidate, ScanConfig,
+    load_extracts,
+)
 from keysift.report import printable
 
 MB = 1 << 20
@@ -82,6 +85,7 @@ def build_pcap(
     little_endian: bool = False,
     duplicate_first: bool = False,
     reorder: bool = False,
+    drop: int | None = None,
     extra_stream: tuple[bytes, bytes] | None = None,
     vlan: bool = False,
     linktype: int = 1,
@@ -90,7 +94,9 @@ def build_pcap(
 ) -> bytes:
     """Assemble a classic pcap carrying one (or two) TLS-over-TCP streams,
     then ``extra_frames`` as given; a frame longer than ``snaplen`` is captured
-    cut to it, its original length kept in the packet header."""
+    cut to it, its original length kept in the packet header. ``reorder``
+    swaps two client segments, and ``drop`` leaves out the client segment at
+    that index, a gap that never fills."""
     order = "<" if little_endian else ">"
     magic = 0xA1B23C4D if nanosecond else 0xA1B2C3D4
     out = bytearray(struct.pack(order + "IHHiIII", magic, 2, 4, 0, 0, snaplen, linktype))
@@ -111,10 +117,12 @@ def build_pcap(
     if duplicate_first and client_packets:
         client_packets.insert(1, client_packets[0])
     if reorder and len(client_packets) >= 3:
-        # mid-stream swap leaves a sequence gap the reassembler must reject
+        # mid-stream swap: the reassembler holds the early segment until the one before it arrives
         client_packets[1], client_packets[2] = client_packets[2], client_packets[1]
     elif reorder and len(client_packets) >= 2:
         client_packets[0], client_packets[1] = client_packets[1], client_packets[0]
+    if drop is not None:
+        del client_packets[drop]
 
     frames = []
     for i in range(max(len(client_packets), len(server_packets))):
@@ -190,7 +198,7 @@ def oracle_windows_scan(extract_set, cfg, bands=BANDS):
             continue
         for marker in _regex_find_all(data, IV_MARKER):
             base = marker + len(IV_MARKER)
-            for dist in range(0, cfg.max_iv_distance + 1, cfg.step):
+            for dist in range(0, MAX_IV_DISTANCE + 1, STEP):
                 window = data[base + dist : base + dist + IV_LEN]
                 if len(window) < IV_LEN:
                     break
@@ -199,7 +207,7 @@ def oracle_windows_scan(extract_set, cfg, bands=BANDS):
                     ivs.setdefault(bytes(window), (extract.id, base + dist, ent))
         for marker in _regex_find_all(data, KEY_MARKER):
             base = marker + len(KEY_MARKER)
-            for dist in range(0, cfg.max_key_distance + 1, cfg.step):
+            for dist in range(0, MAX_KEY_DISTANCE + 1, STEP):
                 window = data[base + dist : base + dist + cfg.key_len_bytes]
                 if len(window) < cfg.key_len_bytes:
                     break
@@ -479,7 +487,7 @@ def colliding():
     explicit = (1).to_bytes(8, "big")
     server = reference_encrypt(b"HTTP/1.1 200 OK\r\n\r\n", *second, explicit, seq=1,
                                direction=Direction.SERVER_TO_CLIENT)
-    capture = assemble_session(HandshakeSummary(0x009D, 32), [record_both_open(first, second, explicit, 1), server])
+    capture = assemble_session(HandshakeSummary(0x009D), [record_both_open(first, second, explicit, 1), server])
     return capture, first, second
 
 

@@ -1,3 +1,4 @@
+import random
 import struct
 
 import pytest
@@ -297,14 +298,6 @@ def test_pcap_duplicate_segment_dropped(windows_fixture_32, tmp_path):
     assert parse_capture(_pcap_file(tmp_path, pcap)) == parse_raw_streams(client, server)
 
 
-def test_pcap_out_of_order_rejected(windows_fixture_32, tmp_path):
-    client, server = _fixture_streams(windows_fixture_32)
-    assert len(client) > 300  # needs at least three segments for the swap to bite
-    pcap = build_pcap(client, server, chunk=100, reorder=True)
-    with pytest.raises(MalformedRecord, match="10.0.0.2:49152 -> 10.0.0.1:443: bytes 100-199 did not arrive"):
-        parse_capture(_pcap_file(tmp_path, pcap))
-
-
 @pytest.mark.parametrize("session_filter", [None, ("10.0.0.1", 443, "10.0.0.2", 49152)])
 def test_pcap_mixed_traffic_reads_like_raw_streams(windows_fixture_32, tmp_path, session_filter):
     # another connection's reordered segments and a fragmented datagram are not the session's
@@ -315,7 +308,7 @@ def test_pcap_mixed_traffic_reads_like_raw_streams(windows_fixture_32, tmp_path,
 
 def test_pcap_gap_in_an_unselected_tls_stream_is_ignored(windows_fixture_32, tmp_path):
     client, server = _fixture_streams(windows_fixture_32)
-    pcap = _pcap_file(tmp_path, build_pcap(client, server, chunk=100, reorder=True, extra_stream=(client, server)))
+    pcap = _pcap_file(tmp_path, build_pcap(client, server, chunk=100, drop=1, extra_stream=(client, server)))
     assert parse_capture(pcap, ("10.9.9.2", 50000, "10.9.9.1", 443)) == parse_raw_streams(client, server)
     with pytest.raises(MalformedRecord, match="bytes 100-199"):
         parse_capture(pcap, ("10.0.0.2", 49152, "10.0.0.1", 443))
@@ -366,6 +359,23 @@ def _first_record_len(stream: bytes) -> int:
     return 5 + struct.unpack_from(">H", stream, 3)[0]
 
 
+def _shuffled_pcap(client: bytes, server: bytes, seed: int) -> bytes:
+    """After each direction's first segment, segments that overlap, repeat, resend a shorter
+    prefix and wrap the 32-bit sequence space, in a random order."""
+    rng = random.Random(seed)
+    firsts, rest = [], []
+    for stream, src, dst, isn in ((client, _CLIENT, _SERVER, 0xFFFFFF00), (server, _SERVER, _CLIENT, 9000)):
+        cuts = [0] + sorted(rng.sample(range(1, len(stream)), 20)) + [len(stream)]
+        segments = [(max(0, start - rng.randrange(0, 8)), end) for start, end in zip(cuts, cuts[1:])]
+        segments += rng.sample(segments[1:], 4)
+        segments += [(start, (start + end) // 2) for start, end in rng.sample(segments[1:], 8)]
+        frames = [tcp_frame(src, dst, (isn + start) & 0xFFFFFFFF, stream[start:end]) for start, end in segments]
+        firsts.append(frames[0])
+        rest += frames[1:]
+    rng.shuffle(rest)
+    return build_pcap(b"", b"", extra_frames=tuple(firsts + rest))
+
+
 @pytest.mark.parametrize("make", [
     lambda client, server: build_pcap(client, server, vlan=True),
     lambda client, server: build_pcap(client, server, extra_frames=(
@@ -397,12 +407,18 @@ def _first_record_len(stream: bytes) -> int:
         _edited(tcp_frame(_CLIENT, _SERVER, 1100, client[100:]), 16, bytes(2)),)),
     # without its ClientHello the client stream opens with ChangeCipherSpec: the earliest talker
     lambda client, server: build_pcap(client[_first_record_len(client):], server),
+    # segments that arrive early are held until the gap before them fills; of two held at one
+    # seq the longer is kept
+    lambda client, server: build_pcap(client, server, chunk=100, reorder=True),
+    lambda client, server: _shuffled_pcap(client, server, 1),
+    lambda client, server: _shuffled_pcap(client, server, 2),
+    lambda client, server: _shuffled_pcap(client, server, 3),
 ], ids=["vlan", "non-ipv4-and-non-tcp-skipped", "retransmission-dropped", "ipv4-fragment-skipped", "runt-frame",
         "vlan-cut", "ip-version-6", "ihl-below-5", "tcp-header-cut", "pure-ack", "ethernet-padding",
-        "zero-ip-length", "no-client-hello"])
+        "zero-ip-length", "no-client-hello", "reordered", "shuffled-1", "shuffled-2", "shuffled-3"])
 def test_pcap_frames_that_carry_the_same_session(windows_fixture_32, tmp_path, make):
     client, server = _fixture_streams(windows_fixture_32)
-    assert len(client) > 100
+    assert len(client) > 300  # three 100-byte segments for the reordered swap to bite
     assert parse_capture(_pcap_file(tmp_path, make(client, server))) == parse_raw_streams(client, server)
 
 
@@ -415,6 +431,9 @@ def test_pcap_frames_that_carry_the_same_session(windows_fixture_32, tmp_path, m
     # every 154-byte frame captured 20 bytes short: the client's first gap is its first cut
     (lambda client, server: build_pcap(client, server, chunk=100, snaplen=134), None,
      "TCP stream 10.0.0.2:49152 -> 10.0.0.1:443: bytes 80-99 did not arrive"),
+    # the segments after a lost one are held to the end of the file
+    (lambda client, server: build_pcap(client, server, chunk=100, drop=1), None,
+     "TCP stream 10.0.0.2:49152 -> 10.0.0.1:443: bytes 100-199 did not arrive"),
     (lambda client, server: build_pcap(client, server)[:20], None, "shorter than its global header"),
     (lambda client, server: build_pcap(client, server)[: 24 + 10], None, "truncated pcap packet header"),
     (lambda client, server: build_pcap(client, server)[: 24 + 16 + 10], None, "truncated pcap packet data"),
@@ -423,7 +442,7 @@ def test_pcap_frames_that_carry_the_same_session(windows_fixture_32, tmp_path, m
      "no TLS-over-TCP stream"),
     (lambda client, server: build_pcap(client, server), ("10.7.7.7", 1, "10.8.8.8", 2),
      "no TLS stream matches filter"),
-], ids=["first-fragment-only", "snap-length-cut", "global-header", "packet-header", "packet-data", "link-type", "no-tls", "filter-misses"])
+], ids=["first-fragment-only", "snap-length-cut", "lost-segment", "global-header", "packet-header", "packet-data", "link-type", "no-tls", "filter-misses"])
 def test_pcap_input_rejected(windows_fixture_32, tmp_path, make, session_filter, message):
     pcap = make(*_fixture_streams(windows_fixture_32))
     with pytest.raises(MalformedRecord, match=message):

@@ -18,7 +18,7 @@ from keysift.capture import (
     serialize_session,
 )
 from keysift.cli import EXIT_ERROR, EXIT_NO_DECRYPT, EXIT_OK, _config_from_args, build_parser, main, run_pipeline
-from keysift.decrypt import DecryptedSession, TranscriptEntry, TrialResult, Validation, decrypt_record
+from keysift.decrypt import DecryptedSession, TranscriptEntry, TrialResult, decrypt_record
 from keysift.fixtures import FixtureLayout, Filler, FixtureSpec, generate_fixture, reference_encrypt
 from keysift.memscan import (
     MB,
@@ -170,7 +170,8 @@ _DECRYPT = ("decrypt", "--extracts", "{extracts}", "--capture", "{capture}")
 
 
 def test_decrypt_over_mixed_traffic_pcap(windows_fixture_16, tmp_path, capsys):
-    # other connections' gaps and fragments are not looked at; the session's own gap is an error
+    # other connections' gaps and fragments are not looked at; the session's own early segments are
+    # held until the gap before them fills, and a gap that never fills is an error
     from conftest import build_pcap, mixed_traffic_frames
 
     _, paths, _ = windows_fixture_16
@@ -186,8 +187,13 @@ def test_decrypt_over_mixed_traffic_pcap(windows_fixture_16, tmp_path, capsys):
     assert len(client) > 300
     reordered = tmp_path / "reordered.pcap"
     reordered.write_bytes(build_pcap(client, server, chunk=100, reorder=True))
+    assert _run(decrypt + [str(reordered), "--output", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["outcome"] == "decrypted"
+
+    dropped = tmp_path / "dropped.pcap"
+    dropped.write_bytes(build_pcap(client, server, chunk=100, drop=1))
     capsys.readouterr()
-    assert _run(decrypt + [str(reordered)]) == EXIT_ERROR
+    assert _run(decrypt + [str(dropped)]) == EXIT_ERROR
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "TCP stream 10.0.0.2:49152 -> 10.0.0.1:443: bytes 100-199 did not arrive" in err
@@ -252,8 +258,7 @@ def test_help_exits_0(capsys):
     assert "--extracts" in capsys.readouterr().out
 
 
-_SCAN_FLAGS = ("--iv-entropy", "1.25", "--key-entropy", "3.5", "--max-iv-distance", "40",
-               "--max-key-distance", "96", "--step", "8", "--min-gap", "500")
+_SCAN_FLAGS = ("--iv-entropy", "1.25", "--key-entropy", "3.5", "--min-gap", "500")
 
 
 def test_scanner_flags_are_scan_config_fields_and_records_stay_frozen():
@@ -266,16 +271,16 @@ def test_scanner_flags_are_scan_config_fields_and_records_stay_frozen():
         args = parser.parse_args(command + _SCAN_FLAGS)
         changed = {dest for dest, value in vars(args).items() if value != bare[dest]}
         assert changed == set(ScanConfig._fields) - {"key_len_bytes"}
-        assert _config_from_args(args, 32) == ScanConfig(key_len, 1.25, 3.5, 40, 96, 8, 500)
+        assert _config_from_args(args, 32) == ScanConfig(key_len, 1.25, 3.5, 500)
 
     block = CandidateKeyBlock(bytes(16), bytes(16), bytes(4), bytes(4), 0, 0, BlockHypothesis.IV_WAS_CLIENT)
     record = EncryptedRecord(Direction.CLIENT_TO_SERVER, 0, bytes(8), bytes(32), 0x0303, 23)
-    summary = HandshakeSummary(0x009C, 16)
-    result = TrialResult(bytes(16), bytes(4), 1, b"GET /", Validation.TAG_VERIFIED, 0)
+    summary = HandshakeSummary(0x009C)
+    result = TrialResult(bytes(16), bytes(4), 1, b"GET /", 0)
     entry = TranscriptEntry(Direction.CLIENT_TO_SERVER, 0, b"GET /", True)
     records = [
-        TlsRecord(23, 0x0303, b""), summary, record, SessionCapture(summary, (record,), bytes(8)),
-        result, entry, DecryptedSession(bytes(16), bytes(4), None, None, (entry,), True),
+        TlsRecord(23, 0x0303, b""), summary, record, SessionCapture(summary, (record,)),
+        result, entry, DecryptedSession(bytes(16), bytes(4), None, None, (entry,)),
         ExtractSet((), {}), Candidate(bytes(4), 0, 0, 2.0), block, ScanConfig(),
     ]
     for rec in records:
@@ -431,9 +436,12 @@ def test_gen_fixture_invalid_spec(tmp_path):
 
 @pytest.mark.parametrize("text", ['{"rng_seed": 3,', "5", '{"extract_sizes": 3}', '{"extract_sizes": ["x"]}',
                                   '{"decoy_markers": "3"}', '{"plaintext_client": 5}', '{"keyblock_copies": 2.5}',
-                                  '{"rng_seed": "x"}'],
+                                  '{"rng_seed": "x"}',
+                                  '{"extract_sizes": [1048576], "layout": "generic_key_block", "keyblock_copies": 300}',
+                                  '{"extract_sizes": [1048576], "decoy_markers": 400}'],
                          ids=["malformed-json", "not-an-object", "sizes-not-a-list", "sizes-not-integers",
-                              "decoy-markers-string", "plaintext-not-a-string", "copies-float", "seed-string"])
+                              "decoy-markers-string", "plaintext-not-a-string", "copies-float", "seed-string",
+                              "copies-too-large", "decoys-too-crowded"])
 def test_gen_fixture_bad_spec_exits_1_with_one_error_line(tmp_path, capsys, text):
     recipe = tmp_path / "spec.json"
     recipe.write_text(text)
@@ -456,16 +464,16 @@ def test_gen_fixture_default_recipe(tmp_path, capsys):
 
 
 def test_scan_flag_overrides_reach_the_scanner(windows_fixture_16, capsys):
-    # shrinking the key search distance below the planted offset hides the key
+    # a 16-byte window scores at most log2(16) = 4.0 bits, so no key clears a strict 4.0 gate
     _, paths, truth = windows_fixture_16
     code = _run([
         "scan", "--extracts", str(paths.extract_dir), "--mode", "windows",
-        "--key-size", "16", "--max-key-distance", "8",
+        "--key-size", "16", "--key-entropy", "4.0",
     ])
     assert code == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
-    values = {entry["value"] for entry in payload["keys"]}
-    assert truth.client_key.hex() not in values
+    assert payload["keys"] == []
+    assert truth.client_iv.hex() in {entry["value"] for entry in payload["ivs"]}
 
 
 def test_both_layout_serves_either_scanner(tmp_path):

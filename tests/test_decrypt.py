@@ -526,7 +526,7 @@ def _hand_built_session(key_len, body_len):
         for key, iv, direction in (
             (client_key, client_iv, Direction.CLIENT_TO_SERVER), (server_key, server_iv, Direction.SERVER_TO_CLIENT))
     ]
-    capture = assemble_session(HandshakeSummary(0x009C if key_len == 16 else 0x009D, key_len), records)
+    capture = assemble_session(HandshakeSummary(0x009C if key_len == 16 else 0x009D), records)
     truth = FixtureGroundTruth(
         client_key, server_key, client_iv, server_iv, plaintext, plaintext, records[0].explicit_nonce)
     return capture, truth

@@ -12,7 +12,10 @@ from keysift.memscan import (
     IV_LEN,
     IV_MARKER,
     KEY_MARKER,
+    MAX_IV_DISTANCE,
+    MAX_KEY_DISTANCE,
     MB,
+    STEP,
     BlockHypothesis,
     Candidate,
     ScanConfig,
@@ -98,15 +101,12 @@ def test_key_threshold_defaults():
     "kwargs",
     [
         {"key_len_bytes": 24},
-        {"step": 0},
-        {"max_iv_distance": 2},
         {"iv_entropy_threshold": -1.0},
         {"iv_entropy_threshold": float("nan")},
         {"iv_entropy_threshold": float("inf")},
         {"key_entropy_threshold": float("nan")},
         {"key_entropy_threshold": float("-inf")},
         {"min_artefact_gap": -5},
-        {"max_key_distance": 2},
     ],
 )
 def test_config_validation(kwargs):
@@ -177,6 +177,24 @@ def test_scan_windows_marker_at_extract_tail(tmp_path):
     extract_set = _extracts_from(tmp_path, [("x.bin", bytes(buf))])
     keys, _ = scan_windows(extract_set, ScanConfig(key_len_bytes=16))
     assert [k.offset for k in keys] == [32]
+
+
+@pytest.mark.parametrize("beyond", [0, STEP], ids=["at-the-reach", "one-step-past"])
+def test_scan_windows_reach_is_fixed_by_the_library_layout(tmp_path, beyond):
+    # the last window starts MAX_IV_DISTANCE past 3LLS and MAX_KEY_DISTANCE past KSSM; on zero
+    # filler every window that only overlaps an artefact scores below its gate
+    iv, key = bytes([1, 2, 3, 4]), bytes(range(100, 116))
+    buf = bytearray(4096)
+    buf[100:104] = IV_MARKER
+    iv_at = 104 + MAX_IV_DISTANCE + beyond
+    buf[iv_at : iv_at + IV_LEN] = iv
+    buf[1000:1004] = KEY_MARKER
+    key_at = 1004 + MAX_KEY_DISTANCE + beyond
+    buf[key_at : key_at + 16] = key
+    keys, ivs = scan_windows(_extracts_from(tmp_path, [("x.bin", bytes(buf))]), ScanConfig(key_len_bytes=16))
+    reached = beyond == 0
+    assert [(k.value, k.offset) for k in keys] == ([(key, key_at)] if reached else [])
+    assert [(v.value, v.offset) for v in ivs] == ([(iv, iv_at)] if reached else [])
 
 
 def test_scan_windows_requires_key_marker(tmp_path):
