@@ -303,11 +303,6 @@ def _parse_filter(text: str) -> tuple:
         raise argparse.ArgumentTypeError("filter must look like IP:PORT,IP:PORT")
 
 
-def _capture_from_args(args) -> SessionCapture:
-    """The capture ``--capture`` names; ``--filter`` picks one TCP stream of a pcap."""
-    return parse_capture(args.capture, args.filter)
-
-
 def _emit(args, text: str) -> None:
     if getattr(args, "output", None):
         Path(args.output).write_text(text)
@@ -316,7 +311,7 @@ def _emit(args, text: str) -> None:
 
 
 def _cmd_decrypt(args) -> int:
-    capture = _capture_from_args(args)
+    capture = parse_capture(args.capture, args.filter)
     cfg = _config_from_args(args, capture.handshake.key_len_bytes)
     clock = (lambda: 0.0) if args.no_timings else time.perf_counter
     report = run_pipeline(
@@ -337,7 +332,7 @@ def _cmd_scan(args) -> int:
     if args.mode == "standard":
         if not args.capture:
             raise UsageError("standard scan needs --capture for the explicit nonce")
-        capture = _capture_from_args(args)
+        capture = parse_capture(args.capture, args.filter)
         cfg = _config_from_args(args, capture.handshake.key_len_bytes)
         blocks = scan_standard(extracts, capture, cfg)
         payload = {
@@ -359,7 +354,7 @@ def _cmd_scan(args) -> int:
         # the marker scan reads no record, but a capture still sets the key size
         if args.filter is not None and not args.capture:
             raise UsageError("--filter selects a session of --capture; it needs --capture")
-        key_len = _capture_from_args(args).handshake.key_len_bytes if args.capture else 32
+        key_len = parse_capture(args.capture, args.filter).handshake.key_len_bytes if args.capture else 32
         cfg = _config_from_args(args, key_len)
         keys, ivs = scan_windows(extracts, cfg)
         rows = lambda cands: [
@@ -372,7 +367,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_parse_capture(args) -> int:
-    capture = _capture_from_args(args)
+    capture = parse_capture(args.capture, args.filter)
     payload = {
         "cipher_suite": f"0x{capture.handshake.cipher_suite:04X}",
         "suite_name": capture.handshake.suite_name,

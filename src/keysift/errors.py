@@ -14,7 +14,7 @@ class NoApplicationData(KeysiftError):
 
 
 class MalformedRecord(KeysiftError):
-    """Record framing is inconsistent (bad length, truncation, out-of-order TCP)."""
+    """Record framing is inconsistent (bad length, truncation, a gap in the TCP stream)."""
 
 
 class AmbiguousStream(KeysiftError):

@@ -1,12 +1,13 @@
 """Classic-pcap reader: Ethernet/IPv4/TCP frames down to per-direction TLS streams.
 
-One pass over the frames groups each TCP connection's two directions. TCP
-handling is deliberately minimal: in-order segments are accepted, exact
-duplicates and overlaps are trimmed by sequence number, and a segment that
-arrives ahead of the reassembly point is held until the bytes before it
-arrive (RFC 9293 §3.10.7). A flow still holding segments once the frames are
-read has a gap. Only the session returned has to be whole; gaps in other
-connections, IPv4 fragments and non-TCP packets are never looked at.
+One pass over the frames collects each TCP connection's two directions as
+segments keyed by sequence number. Once every frame is read, each direction
+is assembled from its lowest sequence number, so segments read the same in
+any arrival order: duplicates and overlaps are trimmed, and the stream stops
+at its first hole. TCP handling is otherwise minimal: with no SYN handling,
+a lost first segment reads like a capture that started mid-stream. Only the
+session returned has to be whole; gaps in other connections, IPv4 fragments
+and non-TCP packets are never looked at.
 """
 
 from __future__ import annotations
@@ -30,49 +31,22 @@ Endpoint = tuple[str, int]
 FlowKey = tuple[Endpoint, Endpoint]
 
 
-def _ahead(seq: int, next_seq: int) -> int:
-    """How far ``seq`` lies past ``next_seq`` in sequence space; 0 when it is at or before it."""
-    distance = (seq - next_seq) & 0xFFFFFFFF
-    return distance if distance <= 0x7FFFFFFF else 0
-
-
-class _Flow:
-    __slots__ = ("data", "next_seq", "first_index", "held")
-
-    def __init__(self, first_index: int):
-        self.data = bytearray()
-        self.next_seq: int | None = None
-        self.first_index = first_index
-        self.held: dict[int, bytes] = {}  # segments ahead of next_seq, by TCP seq
-
-    @property
-    def gap(self) -> tuple[int, int] | None:
-        """(stream offset, missing byte count) of the first hole, or None when no segment is held."""
-        if not self.held:
-            return None
-        return len(self.data), min(_ahead(seq, self.next_seq) for seq in self.held)
-
-    def add(self, seq: int, payload: bytes) -> None:
-        if self.next_seq is None:
-            self.next_seq = seq
-        if _ahead(seq, self.next_seq):
-            if len(payload) > len(self.held.get(seq, b"")):
-                self.held[seq] = payload
-            return
-        taken = self.next_seq
-        self._take(seq, payload)
-        # while the reassembly point moves, take the held segments that now start at or before it
-        while self.held and self.next_seq != taken:
-            taken = self.next_seq
-            for held in [held for held in self.held if not _ahead(held, taken)]:
-                self._take(held, self.held.pop(held))
-
-    def _take(self, seq: int, payload: bytes) -> None:
-        skip = (self.next_seq - seq) & 0xFFFFFFFF
-        if skip < len(payload):  # in order, or overlapping the bytes already taken
-            self.data += payload[skip:]
-            self.next_seq = (seq + len(payload)) & 0xFFFFFFFF
-        # else entirely behind the reassembly point: a retransmission, dropped
+def _assemble(segments: dict[int, bytes]) -> tuple[bytes, tuple[int, int] | None]:
+    """The stream from the lowest seq of ``segments`` (TCP seq -> payload), and its first
+    hole as (stream offset, missing byte count), or None when the segments join up."""
+    anchor = next(iter(segments))
+    # signed 32-bit distance from the first seq seen, so a wrapped sequence space still sorts
+    placed = sorted(
+        (((seq - anchor + 0x80000000) & 0xFFFFFFFF) - 0x80000000, payload) for seq, payload in segments.items()
+    )
+    start = placed[0][0]
+    stream = bytearray()
+    for at, payload in placed:
+        skip = start + len(stream) - at
+        if skip < 0:
+            return bytes(stream), (len(stream), -skip)
+        stream += payload[skip:]  # empty for a retransmission entirely behind the stream
+    return bytes(stream), None
 
 
 def _iter_packets(data: bytes):
@@ -150,23 +124,22 @@ def tls_streams_from_pcap(
     TLS-over-TCP stream. A gap in either direction of the session returned
     raises ``MalformedRecord`` naming the flow and the missing byte range.
     """
-    connections: dict[frozenset, dict[FlowKey, _Flow]] = {}
-    for index, frame in enumerate(_iter_packets(data)):
+    connections: dict[frozenset, dict[FlowKey, dict[int, bytes]]] = {}
+    for frame in _iter_packets(data):
         parsed = _tcp_payload(frame)
         if parsed is None:
             continue
         src, dst, seq, payload = parsed
-        flows = connections.setdefault(frozenset((src, dst)), {})
-        flow = flows.get((src, dst))
-        if flow is None:
-            flow = flows[(src, dst)] = _Flow(index)
-        flow.add(seq, payload)
+        segments = connections.setdefault(frozenset((src, dst)), {}).setdefault((src, dst), {})
+        if len(payload) > len(segments.get(seq, b"")):
+            segments[seq] = payload
 
-    streams = {
-        connection: flows
-        for connection, flows in connections.items()
-        if any(_looks_like_tls(flow.data[:3]) for flow in flows.values())
-    }
+    # each connection's flows, earliest talker first, as (stream, first hole)
+    streams = {}
+    for connection, flows in connections.items():
+        assembled = {key: _assemble(segments) for key, segments in flows.items()}
+        if any(_looks_like_tls(stream) for stream, _ in assembled.values()):
+            streams[connection] = assembled
     if not streams:
         raise MalformedRecord("no TLS-over-TCP stream in capture")
 
@@ -182,16 +155,14 @@ def tls_streams_from_pcap(
     else:
         selected = next(iter(streams.values()))
 
-    pair = sorted(selected.items(), key=lambda kv: kv[1].first_index)
-    for (src, dst), flow in pair:
-        if flow.gap is not None:
-            start, missing = flow.gap
+    for (src, dst), (_, gap) in selected.items():
+        if gap is not None:
+            start, missing = gap
             raise MalformedRecord(
                 f"TCP stream {src[0]}:{src[1]} -> {dst[0]}:{dst[1]}: bytes {start}-{start + missing - 1} did not "
                 "arrive (a lost segment, an IPv4 fragment, or a packet cut short by the snap length)"
             )
     # the first flow to open with a ClientHello is the client's, else the earliest talker
-    client_key = next((key for key, flow in pair if _is_client_hello(flow.data[:6])), pair[0][0])
-    client = selected[client_key]
+    client_key = next((key for key, (stream, _) in selected.items() if _is_client_hello(stream)), next(iter(selected)))
     server = selected.get((client_key[1], client_key[0]))
-    return bytes(client.data), bytes(server.data) if server is not None else b""
+    return selected[client_key][0], server[0] if server is not None else b""

@@ -117,7 +117,7 @@ def build_pcap(
     if duplicate_first and client_packets:
         client_packets.insert(1, client_packets[0])
     if reorder and len(client_packets) >= 3:
-        # mid-stream swap: the reassembler holds the early segment until the one before it arrives
+        # a mid-stream swap; with only two segments, the first arrives second
         client_packets[1], client_packets[2] = client_packets[2], client_packets[1]
     elif reorder and len(client_packets) >= 2:
         client_packets[0], client_packets[1] = client_packets[1], client_packets[0]

@@ -360,20 +360,18 @@ def _first_record_len(stream: bytes) -> int:
 
 
 def _shuffled_pcap(client: bytes, server: bytes, seed: int) -> bytes:
-    """After each direction's first segment, segments that overlap, repeat, resend a shorter
-    prefix and wrap the 32-bit sequence space, in a random order."""
+    """Each direction's segments, with some that overlap, repeat, resend a shorter prefix and
+    wrap the 32-bit sequence space, all in a random order: the first segment may come last."""
     rng = random.Random(seed)
-    firsts, rest = [], []
+    frames = []
     for stream, src, dst, isn in ((client, _CLIENT, _SERVER, 0xFFFFFF00), (server, _SERVER, _CLIENT, 9000)):
         cuts = [0] + sorted(rng.sample(range(1, len(stream)), 20)) + [len(stream)]
         segments = [(max(0, start - rng.randrange(0, 8)), end) for start, end in zip(cuts, cuts[1:])]
         segments += rng.sample(segments[1:], 4)
         segments += [(start, (start + end) // 2) for start, end in rng.sample(segments[1:], 8)]
-        frames = [tcp_frame(src, dst, (isn + start) & 0xFFFFFFFF, stream[start:end]) for start, end in segments]
-        firsts.append(frames[0])
-        rest += frames[1:]
-    rng.shuffle(rest)
-    return build_pcap(b"", b"", extra_frames=tuple(firsts + rest))
+        frames += [tcp_frame(src, dst, (isn + start) & 0xFFFFFFFF, stream[start:end]) for start, end in segments]
+    rng.shuffle(frames)
+    return build_pcap(b"", b"", extra_frames=tuple(frames))
 
 
 @pytest.mark.parametrize("make", [
@@ -407,15 +405,17 @@ def _shuffled_pcap(client: bytes, server: bytes, seed: int) -> bytes:
         _edited(tcp_frame(_CLIENT, _SERVER, 1100, client[100:]), 16, bytes(2)),)),
     # without its ClientHello the client stream opens with ChangeCipherSpec: the earliest talker
     lambda client, server: build_pcap(client[_first_record_len(client):], server),
-    # segments that arrive early are held until the gap before them fills; of two held at one
-    # seq the longer is kept
+    # each stream is read from its lowest seq in any arrival order; of two segments at one seq
+    # the longer is kept
     lambda client, server: build_pcap(client, server, chunk=100, reorder=True),
+    lambda client, server: build_pcap(client, server, chunk=len(client) // 2 + 1, reorder=True),
     lambda client, server: _shuffled_pcap(client, server, 1),
     lambda client, server: _shuffled_pcap(client, server, 2),
     lambda client, server: _shuffled_pcap(client, server, 3),
 ], ids=["vlan", "non-ipv4-and-non-tcp-skipped", "retransmission-dropped", "ipv4-fragment-skipped", "runt-frame",
         "vlan-cut", "ip-version-6", "ihl-below-5", "tcp-header-cut", "pure-ack", "ethernet-padding",
-        "zero-ip-length", "no-client-hello", "reordered", "shuffled-1", "shuffled-2", "shuffled-3"])
+        "zero-ip-length", "no-client-hello", "reordered", "first-segments-swapped", "shuffled-1", "shuffled-2",
+        "shuffled-3"])
 def test_pcap_frames_that_carry_the_same_session(windows_fixture_32, tmp_path, make):
     client, server = _fixture_streams(windows_fixture_32)
     assert len(client) > 300  # three 100-byte segments for the reordered swap to bite
