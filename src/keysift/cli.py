@@ -31,7 +31,6 @@ from .memscan import (
     ExtractSet,
     PairOrder,
     ScanConfig,
-    StandardScanState,
     load_extracts,
     pair_candidates,
     scan_standard,
@@ -114,7 +113,7 @@ class _BandSearch:
         self.keys: list[Candidate] = []
         self.ivs: list[Candidate] = []
         self.orders: list[PairOrder] = []  # as the windows stages built them
-        self.standard_state = StandardScanState()
+        self.blocks: set[CandidateKeyBlock] = set()  # every key block a standard stage returned
 
     def windows(self, band: int) -> list[PairOrder]:
         """Scan ``band``'s marker windows; the orders of the new pairs: new
@@ -130,10 +129,12 @@ class _BandSearch:
         return orders
 
     def standard(self, band: int) -> list[CandidateKeyBlock]:
-        """Scan for ``band``'s key blocks; the blocks no earlier band gave."""
+        """Scan the bands up to ``band`` for key blocks; the blocks no earlier stage returned."""
         start = self.clock()
-        blocks = scan_standard(self.extracts, self.capture, self.cfg, (band,), self.standard_state)
-        self.report.candidates["key_blocks"] = len(self.standard_state.returned)
+        scanned = scan_standard(self.extracts, self.capture, self.cfg, BANDS[: BANDS.index(band) + 1])
+        blocks = [block for block in scanned if block not in self.blocks]
+        self.blocks.update(blocks)
+        self.report.candidates["key_blocks"] = len(self.blocks)
         self.report.timings["memory_analysis_secs"] += self.clock() - start
         return blocks
 
@@ -162,14 +163,15 @@ def run_pipeline(
     random-like nonces go straight to the standard scanner.
 
     The search runs in stages, band 1, then 2, then 3; a stage runs the mode's
-    scanners in that order over its band's extracts only, and the run returns
-    at the first trial that verifies. A stage tries only new material: new
-    keys x every IV so far, then earlier keys x new IVs, then key blocks no
-    earlier stage gave. An extract is read when its band's stage begins, so
-    bands after a win are never read. After a marker-scan win the server
-    probe walks the pair orders the stages built, in the order they were
-    built, then scans each later band for its new orders, until a server pair
-    verifies or it settles for a partial session.
+    scanners in that order, the marker scan over its band's extracts and the
+    standard scan over the bands so far, and the run returns at the first
+    trial that verifies. A stage tries only new material: new keys x every IV
+    so far, then earlier keys x new IVs, then key blocks no earlier stage gave.
+    An extract is read when its band's stage begins, so bands after a win are
+    never read. After a marker-scan win the server probe walks the pair orders
+    the stages built, in the order they were built, then scans each later
+    band for its new orders, until a server pair verifies or it settles for a
+    partial session.
 
     The report's candidate counts cover the bands scanned (listed in
     ``bands_scanned``), ``winner_index`` is the winner's position among the

@@ -507,8 +507,8 @@ def spec_from_json(path_or_dict) -> FixtureSpec:
         raw = dict(path_or_dict)
     else:
         try:
-            raw = json.loads(Path(path_or_dict).read_text())
-        except json.JSONDecodeError as exc:
+            raw = json.loads(Path(path_or_dict).read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:  # JSON text is UTF-8 (RFC 8259 §8.1)
             raise SpecInvalid(f"fixture spec is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise SpecInvalid(f"fixture spec must be a JSON object, got {type(raw).__name__}")

@@ -8,11 +8,11 @@ occurs, the 4 bytes in front of it are a candidate implicit IV, and wherever
 that IV value recurs a TLS 1.2 key-block layout is hypothesised around it.
 
 Extracts are grouped into size bands, and both scanners take the bands to
-scan, so a caller can search band by band; the state that carries from one
-band to the next (values already seen, ``StandardScanState``) is passed in
-explicitly. An extract file is read only when a scan first reaches it.
-Extracts are scanned one after another in a fixed order, so repeat runs are
-byte-for-byte identical.
+scan, so a caller can search band by band. An extract file is read only when
+a scan first reaches it, and each extract searches its bytes for a pattern
+once (``MemoryExtract.find_all``), so a caller that rescans the bands so far
+repeats no byte search. Extracts are scanned one after another in a fixed
+order, so repeat runs are byte-for-byte identical.
 """
 
 from __future__ import annotations
@@ -48,6 +48,15 @@ class MemoryExtract:
 
     def __init__(self, id: int, name: str, size: int, source: Path):
         self.id, self.name, self.size, self.source = id, name, size, source
+        self._hits: dict[bytes, list[int]] = {}
+
+    def find_all(self, pattern: bytes) -> list[int]:
+        """``find_all`` over this extract's bytes, searched once per pattern;
+        the list is shared, so callers must not change it."""
+        hits = self._hits.get(pattern)
+        if hits is None:
+            hits = self._hits[pattern] = find_all(self.data, pattern)
+        return hits
 
     @cached_property
     def data(self) -> bytes:
@@ -181,13 +190,13 @@ def find_all(data: bytes, pattern: bytes) -> list[int]:
     return hits
 
 
-def _marker_windows(extract: MemoryExtract, marker: bytes, hits: list[int], width: int, max_distance: int,
+def _marker_windows(extract: MemoryExtract, marker: bytes, width: int, max_distance: int,
                     gate: float) -> list[Candidate]:
     """Every ``width``-byte window, ``STEP`` bytes apart, up to ``max_distance``
-    past ``marker`` at one of its ``hits`` whose entropy clears ``gate``."""
+    past an occurrence of ``marker`` whose entropy clears ``gate``."""
     data = extract.data
     found = []
-    for hit in hits:
+    for hit in extract.find_all(marker):
         base = hit + len(marker)
         for dist in range(0, max_distance + 1, STEP):
             start = base + dist
@@ -203,13 +212,10 @@ def _marker_windows(extract: MemoryExtract, marker: bytes, hits: list[int], widt
 def _scan_windows_one(extract: MemoryExtract, cfg: ScanConfig):
     """The key and IV windows of one extract; none when it holds no key
     marker, but its IVs even when no key window clears the gate."""
-    key_hits = find_all(extract.data, KEY_MARKER)
-    if not key_hits:
+    if not extract.find_all(KEY_MARKER):
         return [], []
-    ivs = _marker_windows(extract, IV_MARKER, find_all(extract.data, IV_MARKER), IV_LEN, MAX_IV_DISTANCE,
-                          cfg.iv_entropy_threshold)
-    keys = _marker_windows(extract, KEY_MARKER, key_hits, cfg.key_len_bytes, MAX_KEY_DISTANCE,
-                           cfg.key_entropy_threshold)
+    ivs = _marker_windows(extract, IV_MARKER, IV_LEN, MAX_IV_DISTANCE, cfg.iv_entropy_threshold)
+    keys = _marker_windows(extract, KEY_MARKER, cfg.key_len_bytes, MAX_KEY_DISTANCE, cfg.key_entropy_threshold)
     return keys, ivs
 
 
@@ -283,26 +289,11 @@ def _blocks_at_hit(data: bytes, extract_id: int, p: int, cfg: ScanConfig,
     return blocks
 
 
-class StandardScanState:
-    """What a band-by-band standard scan carries from one band to the next."""
-
-    def __init__(self):
-        self.gated: set[bytes] = set()  # every candidate IV value whose entropy was gated
-        self.values: list[bytes] = []  # those that cleared the gate
-        self.scanned: list[MemoryExtract] = []
-        self.hits: dict[int, dict[int, list[CandidateKeyBlock]]] = {}  # extract id -> IV hit -> blocks
-        self.returned: set[CandidateKeyBlock] = set()
-
-
 def scan_standard(
-    extracts: ExtractSet,
-    capture: SessionCapture,
-    cfg: ScanConfig,
-    bands=BANDS,
-    state: StandardScanState | None = None,
+    extracts: ExtractSet, capture: SessionCapture, cfg: ScanConfig, bands=BANDS
 ) -> list[CandidateKeyBlock]:
-    """Explicit-nonce scan: nonce occurrences -> candidate implicit IVs ->
-    key-block hypotheses wherever an IV value recurs.
+    """Explicit-nonce scan over the extracts of ``bands``: nonce occurrences ->
+    candidate implicit IVs -> key-block hypotheses wherever an IV value recurs.
 
     The 4 bytes preceding each nonce occurrence are candidate IV values (the
     contiguous salt || explicit layout of the GCM nonce buffer); each distinct
@@ -312,51 +303,27 @@ def scan_standard(
     a single hit are alternatives, not separate artefacts, so they never prune
     each other.
 
-    Nonce occurrences come from the extracts of ``bands``. A ``state`` kept
-    across calls makes the scan band by band: the new extracts are searched
-    for every IV value so far and the extracts of earlier calls for the new
-    values only, pruning runs over each extract's hits from all calls, and only
-    blocks no earlier call returned come back. Without a state, or on the first
-    call, every block of the scanned extracts is returned.
+    The result depends on ``bands`` alone, so a band-by-band caller scans the
+    bands so far at each stage and drops the blocks an earlier stage returned;
+    the extracts' memoized searches keep that rescan from repeating a search.
     """
-    state = StandardScanState() if state is None else state
     nonce = capture.first_explicit_nonce
-    fresh = sorted(_in_bands(extracts, bands), key=lambda e: e.id)
-
-    new_values = []
-    for extract in fresh:
-        for off in find_all(extract.data, nonce):
-            if off < IV_LEN:
-                continue
-            value = extract.data[off - IV_LEN : off]
-            if value not in state.gated:
-                state.gated.add(value)
-                if shannon_entropy(value) > cfg.iv_entropy_threshold:
-                    new_values.append(value)
+    scanned = _in_bands(extracts, bands)
+    prefixes = dict.fromkeys(e.data[off - IV_LEN : off] for e in scanned for off in e.find_all(nonce) if off >= IV_LEN)
+    values = [v for v in prefixes if shannon_entropy(v) > cfg.iv_entropy_threshold]
     key_gate = lambda seg: shannon_entropy(seg) > cfg.key_entropy_threshold
 
-    searches = [(extract, new_values) for extract in state.scanned]
-    state.values += new_values
-    searches += [(extract, state.values) for extract in fresh]
-    for extract, values in searches:
-        per_hit = state.hits.setdefault(extract.id, {})
+    blocks = []
+    for extract in scanned:
+        per_hit = {}
         for value in values:
-            for p in find_all(extract.data, value):
-                blocks = _blocks_at_hit(extract.data, extract.id, p, cfg, key_gate)
-                if blocks:
-                    per_hit[p] = blocks
-    state.scanned += fresh
-
-    kept = [
-        block
-        for per_hit in state.hits.values()
-        for p in _prune_hits(list(per_hit), cfg.min_artefact_gap)
-        for block in per_hit[p]
-    ]
-    new = [block for block in kept if block not in state.returned]
-    state.returned.update(new)
-    new.sort(key=lambda b: (b.extract_id, b.offset, b.hypothesis.value))
-    return new
+            for p in extract.find_all(value):
+                found = _blocks_at_hit(extract.data, extract.id, p, cfg, key_gate)
+                if found:
+                    per_hit[p] = found
+        blocks += [block for p in _prune_hits(list(per_hit), cfg.min_artefact_gap) for block in per_hit[p]]
+    blocks.sort(key=lambda b: (b.extract_id, b.offset, b.hypothesis.value))
+    return blocks
 
 
 class PairOrder:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pathlib
 import tempfile
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -25,14 +26,13 @@ from keysift.memscan import (
     KEY_MARKER,
     MB,
     ScanConfig,
-    StandardScanState,
     load_extracts,
     pair_candidates,
     scan_standard,
     scan_windows,
 )
 
-from conftest import naive_pair_order, oracle_pipeline
+from conftest import naive_pair_order, oracle_pipeline, oracle_standard_scan
 
 # one file per band; names sort against band order, so ids and bands differ
 BAND_FILES = {1: ("b_band1.bin", 2 * MB), 2: ("c_band2.bin", 256 * 1024), 3: ("a_band3.bin", 8 * MB)}
@@ -169,7 +169,7 @@ def test_server_probe_misses_in_every_band_reports_partial(tmp_path, windows_ses
 
 def test_standard_scan_finds_a_band_1_block_through_a_band_2_nonce_hit(tmp_path, monkeypatch, standard_session):
     # the IV value is only seen in front of the nonce in band 2, and it recurs
-    # in band 1's key block, which band 1's own stage could not yet find
+    # in band 1's key block, which a scan of band 1 alone cannot yet find
     _, capture, truth = standard_session
     extracts = _write_extracts(tmp_path / "extracts", {
         1: [_key_block(truth)],
@@ -178,9 +178,8 @@ def test_standard_scan_finds_a_band_1_block_through_a_band_2_nonce_hit(tmp_path,
     })
     cfg = ScanConfig(key_len_bytes=16)
     extract_set = load_extracts(extracts)
-    state = StandardScanState()
-    assert scan_standard(extract_set, capture, cfg, (1,), state) == []
-    found = scan_standard(extract_set, capture, cfg, (2,), state)
+    assert scan_standard(extract_set, capture, cfg, (1,)) == []
+    found = scan_standard(extract_set, capture, cfg, (1, 2))
     band_1_id = extract_set.bands[1][0]
     assert {(b.extract_id, b.client_key, b.client_iv) for b in found} == {
         (band_1_id, truth.client_key, truth.client_iv)}
@@ -193,6 +192,41 @@ def test_standard_scan_finds_a_band_1_block_through_a_band_2_nonce_hit(tmp_path,
     assert report.material["server_key"] == truth.server_key.hex()
     assert report.material["hypothesis"] == "iv_was_client"
     assert BAND_FILES[3][0] not in read
+
+
+def test_standard_stages_search_each_extract_for_a_pattern_once(tmp_path, monkeypatch, standard_session):
+    # decoy blocks in bands 1 and 2 fail their trials, so all three stages run;
+    # band 2's decoy IV also recurs in band 1, which stage 2 must search again
+    _, capture, truth = standard_session
+    decoy = lambda seed, iv: bytes(range(seed, seed + 32)) + iv + bytes(range(seed + 40, seed + 44))
+    iv_1, iv_2 = b"\x11\x22\x33\x44", b"\x55\x66\x77\x88"
+    extracts = _write_extracts(tmp_path / "extracts", {
+        1: [decoy(100, iv_1), _nonce_hit(iv_1, capture), decoy(150, iv_2)],
+        2: [_nonce_hit(iv_2, capture)],
+        3: [_nonce_hit(truth.client_iv, capture), _key_block(truth)],
+    })
+    cfg = ScanConfig(key_len_bytes=16)
+    extract_set = load_extracts(extracts)
+    for bands in ((1,), (1, 2), (1, 2, 3)):
+        assert [
+            (b.extract_id, b.offset, b.hypothesis.value, b.client_key, b.server_key, b.client_iv, b.server_iv)
+            for b in scan_standard(extract_set, capture, cfg, bands)
+        ] == oracle_standard_scan(extract_set, capture, cfg, bands)
+
+    searches = Counter()
+    real_find_all = memscan.find_all
+
+    def counting_find_all(data, pattern):
+        searches[data, pattern] += 1
+        return real_find_all(data, pattern)
+
+    monkeypatch.setattr(memscan, "find_all", counting_find_all)
+    report = run_pipeline(extracts, capture, mode="standard")
+    assert report.outcome == "decrypted" and report.candidates["bands_scanned"] == [1, 2, 3]
+    assert report.material["client_key"] == truth.client_key.hex()
+    assert {(data, pattern) for data, pattern in searches if pattern in (iv_1, iv_2)} >= {
+        (extract_set.extracts[extract_set.bands[1][0]].data, iv) for iv in (iv_1, iv_2)}
+    assert max(searches.values()) == 1
 
 
 def test_band_1_win_never_opens_later_bands(tmp_path, monkeypatch, windows_session):

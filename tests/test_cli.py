@@ -286,7 +286,7 @@ def test_scanner_flags_are_scan_config_fields_and_records_stay_frozen():
     for rec in records:
         with pytest.raises(AttributeError):
             setattr(rec, rec._fields[0], None)
-    # key blocks key StandardScanState.returned, records key the tag screens
+    # key blocks key the set of blocks a standard stage returned, records key the tag screens
     assert {block: 1, block._replace(offset=0): 2} == {block: 2}
     assert {(record, 2): 1}[record._replace(seq=0), 2] == 1
 
@@ -438,13 +438,14 @@ def test_gen_fixture_invalid_spec(tmp_path):
                                   '{"decoy_markers": "3"}', '{"plaintext_client": 5}', '{"keyblock_copies": 2.5}',
                                   '{"rng_seed": "x"}',
                                   '{"extract_sizes": [1048576], "layout": "generic_key_block", "keyblock_copies": 300}',
-                                  '{"extract_sizes": [1048576], "decoy_markers": 400}'],
+                                  '{"extract_sizes": [1048576], "decoy_markers": 400}',
+                                  b'\xff\xfe{"rng_seed": 1}'],
                          ids=["malformed-json", "not-an-object", "sizes-not-a-list", "sizes-not-integers",
                               "decoy-markers-string", "plaintext-not-a-string", "copies-float", "seed-string",
-                              "copies-too-large", "decoys-too-crowded"])
+                              "copies-too-large", "decoys-too-crowded", "not-utf-8"])
 def test_gen_fixture_bad_spec_exits_1_with_one_error_line(tmp_path, capsys, text):
     recipe = tmp_path / "spec.json"
-    recipe.write_text(text)
+    recipe.write_bytes(text if isinstance(text, bytes) else text.encode())
     code = _run(["gen-fixture", "--spec", str(recipe), "--out", str(tmp_path / "fix")])
     err = capsys.readouterr().err
     assert code == EXIT_ERROR
