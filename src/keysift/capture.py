@@ -32,7 +32,6 @@ MAX_RECORD_PAYLOAD = 2**14 + 2048
 EXPLICIT_NONCE_LEN = 8
 GCM_TAG_LEN = 16
 
-_HS_CLIENT_HELLO = 1
 _HS_SERVER_HELLO = 2
 _EXT_SUPPORTED_VERSIONS = 43
 
@@ -150,14 +149,6 @@ def read_records(data: bytes) -> list[TlsRecord]:
     return records
 
 
-def serialize_records(records: list[TlsRecord]) -> bytes:
-    out = bytearray()
-    for rec in records:
-        out += struct.pack(">BHH", rec.content_type, rec.legacy_version, len(rec.payload))
-        out += rec.payload
-    return bytes(out)
-
-
 def _handshake_messages(payloads: list[bytes]) -> list[tuple[int, bytes]]:
     """Coalesce handshake record payloads and split them into messages."""
     buf = b"".join(payloads)
@@ -270,47 +261,6 @@ def assemble_session(summary: HandshakeSummary, records: list[EncryptedRecord]) 
     capture = SessionCapture(handshake=summary, records=tuple(merged))
     capture.first_client_record  # raises when the capture has none
     return capture
-
-
-def _client_hello(suite: int, random32: bytes) -> bytes:
-    body = struct.pack(">H", TLS_1_2) + random32 + b"\x00"  # version, random, empty session id
-    body += struct.pack(">H", 2) + struct.pack(">H", suite)  # one offered suite
-    body += b"\x01\x00"  # null compression only
-    return bytes([_HS_CLIENT_HELLO]) + len(body).to_bytes(3, "big") + body
-
-
-def _server_hello(suite: int, random32: bytes) -> bytes:
-    body = struct.pack(">H", TLS_1_2) + random32 + b"\x00"
-    body += struct.pack(">H", suite) + b"\x00"
-    return bytes([_HS_SERVER_HELLO]) + len(body).to_bytes(3, "big") + body
-
-
-def serialize_session(capture: SessionCapture, handshake_random: bytes = bytes(32)) -> tuple[bytes, bytes]:
-    """Render a capture back into the two raw record streams.
-
-    The handshake prefix is the minimal one the parser needs (hello messages
-    carrying the suite, then ChangeCipherSpec); reparsing the output yields an
-    equal SessionCapture.
-    """
-    suite = capture.handshake.cipher_suite
-    streams = {
-        Direction.CLIENT_TO_SERVER: [
-            TlsRecord(CONTENT_HANDSHAKE, TLS_1_2, _client_hello(suite, handshake_random)),
-            TlsRecord(CONTENT_CHANGE_CIPHER_SPEC, TLS_1_2, b"\x01"),
-        ],
-        Direction.SERVER_TO_CLIENT: [
-            TlsRecord(CONTENT_HANDSHAKE, TLS_1_2, _server_hello(suite, handshake_random)),
-            TlsRecord(CONTENT_CHANGE_CIPHER_SPEC, TLS_1_2, b"\x01"),
-        ],
-    }
-    for rec in capture.records:
-        streams[rec.direction].append(
-            TlsRecord(rec.content_type, rec.record_version, rec.explicit_nonce + rec.ciphertext)
-        )
-    return (
-        serialize_records(streams[Direction.CLIENT_TO_SERVER]),
-        serialize_records(streams[Direction.SERVER_TO_CLIENT]),
-    )
 
 
 def parse_capture(source, session_filter: tuple | None = None) -> SessionCapture:

@@ -91,21 +91,24 @@ def _session_dict(session: DecryptedSession) -> dict:
     }
 
 
-def _material_dict(result: TrialResult, session: DecryptedSession, hypothesis: str | None) -> dict:
+def _material_dict(result: TrialResult, session: DecryptedSession) -> dict:
     return {
         "client_key": session.client_key.hex(),
         "client_iv": session.client_iv.hex(),
         "server_key": session.server_key.hex() if session.server_key else None,
         "server_iv": session.server_iv.hex() if session.server_iv else None,
-        "hypothesis": hypothesis,
+        "hypothesis": result.block.hypothesis.value if result.block else None,
         "orientation_swapped": result.orientation_swapped,
     }
 
 
 class _BandSearch:
-    """The candidates and pair orders a band-by-band search has so far, and
-    the scans that add one band at a time. Each scan returns only what no
-    earlier band gave, so every key x IV pair and every key block is tried once."""
+    """The candidates and pair orders a band-by-band search has so far, and its
+    stages, one method per scanner, named as ``--mode`` names it. A stage scans
+    one more band and returns its trial sets, (trial function, materials) pairs
+    of only what no earlier stage gave, so every key x IV pair and every key
+    block is tried once. Trial functions are read from this module's globals
+    when a stage runs, so a wrapper set on the module sees every call."""
 
     def __init__(self, extracts: ExtractSet, capture: SessionCapture, cfg: ScanConfig, report: RunReport, clock):
         self.extracts, self.capture, self.cfg, self.report, self.clock = extracts, capture, cfg, report, clock
@@ -115,9 +118,9 @@ class _BandSearch:
         self.orders: list[PairOrder] = []  # as the windows stages built them
         self.blocks: set[CandidateKeyBlock] = set()  # every key block a standard stage returned
 
-    def windows(self, band: int) -> list[PairOrder]:
-        """Scan ``band``'s marker windows; the orders of the new pairs: new
-        keys x every IV so far, then earlier keys x new IVs."""
+    def windows(self, band: int) -> list[tuple]:
+        """Scan ``band``'s marker windows; ``trial_decrypt`` with each new pair
+        order: new keys x every IV so far, then earlier keys x new IVs."""
         start = self.clock()
         new_keys, new_ivs = scan_windows(self.extracts, self.cfg, (band,), self.seen)
         old_keys, self.keys, self.ivs = self.keys, self.keys + new_keys, self.ivs + new_ivs
@@ -126,17 +129,17 @@ class _BandSearch:
         self.orders += orders
         self.report.candidates.update(keys=len(self.keys), ivs=len(self.ivs))
         self.report.timings["memory_analysis_secs"] += self.clock() - start
-        return orders
+        return [(trial_decrypt, order) for order in orders]
 
-    def standard(self, band: int) -> list[CandidateKeyBlock]:
-        """Scan the bands up to ``band`` for key blocks; the blocks no earlier stage returned."""
+    def standard(self, band: int) -> list[tuple]:
+        """Scan the bands up to ``band``; ``trial_decrypt_blocks`` with the key blocks no earlier stage returned."""
         start = self.clock()
         scanned = scan_standard(self.extracts, self.capture, self.cfg, BANDS[: BANDS.index(band) + 1])
         blocks = [block for block in scanned if block not in self.blocks]
         self.blocks.update(blocks)
         self.report.candidates["key_blocks"] = len(self.blocks)
         self.report.timings["memory_analysis_secs"] += self.clock() - start
-        return blocks
+        return [(trial_decrypt_blocks, blocks)] if blocks else []
 
     def pair_orders(self, later_bands):
         """The pair orders built so far, then each of ``later_bands``' new
@@ -144,7 +147,7 @@ class _BandSearch:
         yield from self.orders
         for band in later_bands:
             self.report.candidates["bands_scanned"].append(band)
-            yield from self.windows(band)
+            yield from (order for _, order in self.windows(band))
 
 
 def run_pipeline(
@@ -162,16 +165,17 @@ def run_pipeline(
     the marker scanner first, with the standard scanner as fall-back;
     random-like nonces go straight to the standard scanner.
 
-    The search runs in stages, band 1, then 2, then 3; a stage runs the mode's
-    scanners in that order, the marker scan over its band's extracts and the
-    standard scan over the bands so far, and the run returns at the first
-    trial that verifies. A stage tries only new material: new keys x every IV
-    so far, then earlier keys x new IVs, then key blocks no earlier stage gave.
-    An extract is read when its band's stage begins, so bands after a win are
-    never read. After a marker-scan win the server probe walks the pair orders
-    the stages built, in the order they were built, then scans each later
-    band for its new orders, until a server pair verifies or it settles for a
-    partial session.
+    The search is one stage loop (``_run_stages``): band 1, then 2, then 3,
+    and in each band the mode's scanners in that order. A scanner's stage, the
+    marker scan over its band's extracts or the standard scan over the bands
+    so far, returns trial sets of new material only: new keys x every IV so
+    far, then earlier keys x new IVs, or key blocks no earlier stage gave. The
+    run returns at the first trial that verifies. An extract is read when its
+    band's stage begins, so bands after a win are never read. The server
+    probe follows the winner: a key-block win screens the block's opposite
+    slots; a pair win walks the pair orders the stages built, in the order
+    they were built, then scans each later band for its new orders, until a
+    server pair verifies or it settles for a partial session.
 
     The report's candidate counts cover the bands scanned (listed in
     ``bands_scanned``), ``winner_index`` is the winner's position among the
@@ -191,9 +195,9 @@ def run_pipeline(
     style = explicit_nonce_style(capture)
 
     if mode == "auto":
-        attempt_modes = ["windows", "standard"] if style is NonceStyle.COUNTER_LIKE else ["standard"]
+        scanners = ["windows", "standard"] if style is NonceStyle.COUNTER_LIKE else ["standard"]
     else:
-        attempt_modes = [mode]
+        scanners = [mode]
 
     report = RunReport(
         mode_requested=mode,
@@ -204,49 +208,41 @@ def run_pipeline(
     )
     search = _BandSearch(extracts, capture, cfg, report, clock)
     started = clock()
-    _run_stages(search, attempt_modes, seq_window)
+    _run_stages(search, scanners, seq_window)
     report.timings["decrypt_analysis_secs"] = clock() - started - report.timings["memory_analysis_secs"]
     return report
 
 
-def _run_stages(search: _BandSearch, attempt_modes: list[str], seq_window: int) -> None:
-    """Trial each stage's new material until a tag verifies and decrypt the session into the report."""
+def _run_stages(search: _BandSearch, scanners: list[str], seq_window: int) -> None:
+    """The stage loop: each band's stages, one per scanner, trialled until a tag
+    verifies, and the winner's session decrypted into the report. A scanner's
+    name only picks its stage, sets ``mode_used`` and keys ``tried``. The probe
+    is offered the pair orders so far and later bands'; a block win draws none."""
     report, capture = search.report, search.capture
     screens = TagScreens()  # every stage's client screen and the server probe's, sharing per-key decryptors
-    tried = dict.fromkeys(attempt_modes, 0)  # materials each scanner tried before this trial
+    tried = dict.fromkeys(scanners, 0)  # materials each scanner tried before this trial
     attempted = 0
     for stage, band in enumerate(BANDS):
         report.candidates["bands_scanned"].append(band)
-        for attempt in attempt_modes:
-            if attempt == "windows":
-                trials = [(trial_decrypt, pairs) for pairs in search.windows(band)]
-            else:
-                blocks = search.standard(band)
-                trials = [(trial_decrypt_blocks, blocks)] if blocks else []
-            for trial, materials in trials:
+        for scanner in scanners:
+            for trial, materials in getattr(search, scanner)(band):
                 try:
                     result = trial(capture, materials, seq_window=seq_window, screens=screens)
                 except NoValidDecrypt as exc:
                     attempted += exc.trials
-                    tried[attempt] += len(materials)
+                    tried[scanner] += len(materials)
                     continue
-                if attempt == "windows":
-                    session = decrypt_session(capture, result, pair_sets=search.pair_orders(BANDS[stage + 1 :]),
-                                              seq_window=seq_window, screens=screens)
-                else:
-                    session = decrypt_session(capture, result, blocks=materials, seq_window=seq_window,
-                                              screens=screens)
-
-                hypothesis = materials[result.index].hypothesis.value if attempt == "standard" else None
-                report.mode_used = attempt
+                session = decrypt_session(capture, result, pair_sets=search.pair_orders(BANDS[stage + 1 :]),
+                                          seq_window=seq_window, screens=screens)
+                report.mode_used = scanner
                 report.outcome = "decrypted_partial" if session.partial else "decrypted"
                 report.trials = {
                     "attempted": attempted + result.trials,
-                    "winner_index": tried[attempt] + result.index,
+                    "winner_index": tried[scanner] + result.index,
                     "seq_used": result.seq_used,
                     "validation": result.validation.value,
                 }
-                report.material = _material_dict(result, session, hypothesis)
+                report.material = _material_dict(result, session)
                 report.session = _session_dict(session)
                 return
 

@@ -112,7 +112,8 @@ def _seq_candidates(reconstructed: int, window: int) -> list[int]:
 
 class TrialResult(NamedTuple):
     """The first material whose tag verified; ``index`` is its position in the
-    list handed to the trial function (a pair index or a key-block index)."""
+    list handed to the trial function (a pair index or a key-block index), and
+    ``block`` the winning key block of a ``trial_decrypt_blocks`` win, else None."""
 
     key: bytes
     implicit_iv: bytes
@@ -121,6 +122,7 @@ class TrialResult(NamedTuple):
     index: int
     orientation_swapped: bool = False
     trials: int = 0
+    block: CandidateKeyBlock | None = None
 
     @property
     def validation(self) -> Validation:
@@ -343,14 +345,16 @@ def trial_decrypt_blocks(
     """Key-block trials through the same screen as ``trial_decrypt``. Each
     block is tried in both orientations, as two one-IV materials at positions
     2b and 2b+1, since a block recovered under the wrong hypothesis holds the
-    true material in its opposite slots. ``index`` is the block's index."""
+    true material in its opposite slots. ``index`` is the block's index and
+    ``block`` the block itself."""
     materials = (
         material
         for block in blocks
         for material in ((block.client_key, block.client_iv), (block.server_key, block.server_iv))
     )
     result = _trial(capture, _MaterialList(materials), seq_window, screens)
-    return result._replace(index=result.index // 2, orientation_swapped=result.index % 2 == 1)
+    index = result.index // 2
+    return result._replace(index=index, orientation_swapped=result.index % 2 == 1, block=blocks[index])
 
 
 class TranscriptEntry(NamedTuple):
@@ -376,7 +380,6 @@ class DecryptedSession(NamedTuple):
 def decrypt_session(
     capture: SessionCapture,
     result: TrialResult,
-    blocks: Sequence[CandidateKeyBlock] | None = None,
     pair_sets: Iterable[PairOrder | Iterable[tuple[Candidate, Candidate]]] = (),
     seq_window: int = 2,
     screens: TagScreens | None = None,
@@ -384,21 +387,22 @@ def decrypt_session(
     """Decrypt every ApplicationData record both ways with confirmed material.
 
     Client material comes from the winning trial. Server material comes from
-    a screen of the first server record: over the winning block's opposite
-    slots when ``blocks`` are given (``result.index`` names the block), or else
-    over ``pair_sets``, the pair orders or pair lists to probe, one after
-    another. Each set is walked as ``trial_decrypt`` walks it, keys screened
-    only until no unscreened key can pair earlier than a verified hit, and the
-    probe stops at the first set with a verified hit, so a lazy iterable is
-    drawn only as far as the probe needs; the pipeline passes the pair orders
-    its stages built, then those of each later band, scanned as they are
-    drawn. With neither, no server material is tried. Keys and IVs are
-    distinct values and the additional data binds seq, so every hit that
-    verifies carries the same (key, IV, seq) and the order only decides how
-    many keys are screened and hits opened. A probe that finds nothing
-    screens every key and makes no opens. ``screens`` is the ``TagScreens``
-    the trials used, if the caller kept one: a key they screened costs the
-    probe no second ECB decryptor, and a key in several sets is sealed once.
+    a screen of the first server record. A result that carries a ``block``
+    (a ``trial_decrypt_blocks`` win) screens that block's opposite slots and
+    draws nothing from ``pair_sets``. Any other result walks ``pair_sets``,
+    the pair orders or pair lists to probe, one after another: each set as
+    ``trial_decrypt`` walks it, keys screened only until no unscreened key can
+    pair earlier than a verified hit, stopping at the first set with a
+    verified hit, so a lazy iterable is drawn only as far as the probe needs;
+    the pipeline passes the pair orders its stages built, then those of each
+    later band, scanned as they are drawn. A pair win with no ``pair_sets``
+    tries no server material. Keys and IVs are distinct values and the
+    additional data binds seq, so every hit that verifies carries the same
+    (key, IV, seq) and the order only decides how many keys are screened and
+    hits opened. A probe that finds nothing screens every key and makes no
+    opens. ``screens`` is the ``TagScreens`` the trials used, if the caller
+    kept one: a key they screened costs the probe no second ECB decryptor,
+    and a key in several sets is sealed once.
 
     Records that do not authenticate are marked, which makes the session partial.
     """
@@ -412,8 +416,8 @@ def decrypt_session(
     server_records = capture.app_data(Direction.SERVER_TO_CLIENT)
     if server_records:
         probe_record = server_records[0]
-        if blocks is not None:
-            block = blocks[result.index]
+        block = result.block
+        if block is not None:
             opposite = (block.client_key, block.client_iv) if result.orientation_swapped else (
                 block.server_key, block.server_iv)
             trial_sets = [_MaterialList([opposite])]

@@ -23,7 +23,9 @@ from pathlib import Path
 
 from . import gcm_ref
 from .capture import (
+    _HS_SERVER_HELLO,
     CONTENT_APPLICATION_DATA,
+    CONTENT_CHANGE_CIPHER_SPEC,
     CONTENT_HANDSHAKE,
     TLS_1_2,
     Direction,
@@ -31,8 +33,8 @@ from .capture import (
     HandshakeSummary,
     NonceStyle,
     SessionCapture,
+    TlsRecord,
     assemble_session,
-    serialize_session,
 )
 from .decrypt import record_aad
 from .entropy import shannon_entropy
@@ -51,6 +53,7 @@ from .memscan import (
 )
 
 _SUITE_FOR_KEY_LEN = {16: 0x009C, 32: 0x009D}
+_HS_CLIENT_HELLO = 1
 
 # Tiling a 4-byte pattern of 4 distinct printable bytes gives 4-byte windows
 # entropy 2.0 (above the IV gate) while 16- and 32-byte windows stay at 2.0
@@ -236,6 +239,55 @@ def reference_encrypt(
         ciphertext=sealed,
         record_version=version,
         content_type=content_type,
+    )
+
+
+def serialize_records(records: list[TlsRecord]) -> bytes:
+    out = bytearray()
+    for rec in records:
+        out += struct.pack(">BHH", rec.content_type, rec.legacy_version, len(rec.payload))
+        out += rec.payload
+    return bytes(out)
+
+
+def _client_hello(suite: int, random32: bytes) -> bytes:
+    body = struct.pack(">H", TLS_1_2) + random32 + b"\x00"  # version, random, empty session id
+    body += struct.pack(">H", 2) + struct.pack(">H", suite)  # one offered suite
+    body += b"\x01\x00"  # null compression only
+    return bytes([_HS_CLIENT_HELLO]) + len(body).to_bytes(3, "big") + body
+
+
+def _server_hello(suite: int, random32: bytes) -> bytes:
+    body = struct.pack(">H", TLS_1_2) + random32 + b"\x00"
+    body += struct.pack(">H", suite) + b"\x00"
+    return bytes([_HS_SERVER_HELLO]) + len(body).to_bytes(3, "big") + body
+
+
+def serialize_session(capture: SessionCapture, handshake_random: bytes = bytes(32)) -> tuple[bytes, bytes]:
+    """Render a capture back into the two raw record streams.
+
+    The handshake prefix is the minimal one the parser needs (hello messages
+    carrying the suite, then ChangeCipherSpec); reparsing the output yields an
+    equal SessionCapture.
+    """
+    suite = capture.handshake.cipher_suite
+    streams = {
+        Direction.CLIENT_TO_SERVER: [
+            TlsRecord(CONTENT_HANDSHAKE, TLS_1_2, _client_hello(suite, handshake_random)),
+            TlsRecord(CONTENT_CHANGE_CIPHER_SPEC, TLS_1_2, b"\x01"),
+        ],
+        Direction.SERVER_TO_CLIENT: [
+            TlsRecord(CONTENT_HANDSHAKE, TLS_1_2, _server_hello(suite, handshake_random)),
+            TlsRecord(CONTENT_CHANGE_CIPHER_SPEC, TLS_1_2, b"\x01"),
+        ],
+    }
+    for rec in capture.records:
+        streams[rec.direction].append(
+            TlsRecord(rec.content_type, rec.record_version, rec.explicit_nonce + rec.ciphertext)
+        )
+    return (
+        serialize_records(streams[Direction.CLIENT_TO_SERVER]),
+        serialize_records(streams[Direction.SERVER_TO_CLIENT]),
     )
 
 

@@ -11,8 +11,6 @@ Throughput is a non-goal; fixture plaintexts are a few hundred bytes.
 
 from __future__ import annotations
 
-import hmac
-
 from .errors import BadKeyLength
 
 _SBOX = (
@@ -170,19 +168,3 @@ def seal(key: bytes, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
     tag = bytes(a ^ b for a, b in zip(s.to_bytes(16, "big"), tag_stream))
     return ciphertext + tag
 
-
-def open_(key: bytes, nonce: bytes, sealed: bytes, aad: bytes = b"") -> bytes | None:
-    """Verify and decrypt ``ciphertext || tag``; None when the tag does not check out."""
-    if not _checked:
-        _selfcheck()
-    if len(sealed) < 16:
-        return None
-    ciphertext, tag = sealed[:-16], sealed[-16:]
-    round_keys = _expand_key(key)
-    h = int.from_bytes(_encrypt_block(round_keys, bytes(16)), "big")
-    s = _ghash(h, aad, ciphertext)
-    tag_stream = _encrypt_block(round_keys, nonce + (1).to_bytes(4, "big"))
-    expected = bytes(a ^ b for a, b in zip(s.to_bytes(16, "big"), tag_stream))
-    if not hmac.compare_digest(expected, tag):
-        return None
-    return _gctr(round_keys, nonce, 2, ciphertext)

@@ -288,7 +288,7 @@ def _reference(extract_dir, capture, mode):
             pairs = pair_candidates(*scan_windows(extracts, cfg))
             return decrypt_session(capture, trial_decrypt(capture, pairs), pair_sets=[pairs])
         blocks = scan_standard(extracts, capture, cfg)
-        return decrypt_session(capture, trial_decrypt_blocks(capture, blocks), blocks=blocks)
+        return decrypt_session(capture, trial_decrypt_blocks(capture, blocks))
     except (NoCandidates, NoValidDecrypt):
         return None
 

@@ -17,8 +17,6 @@ from keysift.capture import (
     parse_capture,
     parse_raw_streams,
     read_records,
-    serialize_records,
-    serialize_session,
     suite_key_len,
 )
 from keysift.errors import (
@@ -28,7 +26,7 @@ from keysift.errors import (
     NoApplicationData,
     UnsupportedCipherSuite,
 )
-from keysift.fixtures import FixtureSpec, generate_fixture, reference_encrypt
+from keysift.fixtures import FixtureSpec, generate_fixture, reference_encrypt, serialize_records, serialize_session
 
 from conftest import build_pcap, mixed_traffic_frames, tcp_frame
 

@@ -15,11 +15,17 @@ from keysift.capture import (
     TlsRecord,
     assemble_session,
     parse_capture,
-    serialize_session,
 )
 from keysift.cli import EXIT_ERROR, EXIT_NO_DECRYPT, EXIT_OK, _config_from_args, build_parser, main, run_pipeline
 from keysift.decrypt import DecryptedSession, TranscriptEntry, TrialResult, decrypt_record
-from keysift.fixtures import FixtureLayout, Filler, FixtureSpec, generate_fixture, reference_encrypt
+from keysift.fixtures import (
+    FixtureLayout,
+    Filler,
+    FixtureSpec,
+    generate_fixture,
+    reference_encrypt,
+    serialize_session,
+)
 from keysift.memscan import (
     MB,
     BlockHypothesis,

@@ -15,7 +15,7 @@ from keysift.capture import (
     parse_capture,
     parse_raw_streams,
 )
-from keysift.cli import run_pipeline
+from keysift.cli import _material_dict, run_pipeline
 from keysift.decrypt import (
     TagScreens,
     Validation,
@@ -410,7 +410,7 @@ def test_decrypt_session_full(session_capture):
     capture, truth = session_capture
     blocks = [_block_for(truth)]
     result = trial_decrypt_blocks(capture, blocks)
-    session = decrypt_session(capture, result, blocks=blocks)
+    session = decrypt_session(capture, result)
     assert not session.partial
     assert session.client_key == truth.client_key
     assert session.server_key == truth.server_key
@@ -419,6 +419,43 @@ def test_decrypt_session_full(session_capture):
     assert truth.plaintext_server in plaintexts
     directions = [e.direction for e in session.transcript]
     assert directions == [Direction.CLIENT_TO_SERVER, Direction.SERVER_TO_CLIENT]
+
+
+def _undrawable_pair_sets():
+    raise AssertionError("a block win drew from pair_sets")
+    yield
+
+
+def _decoy_then_winner(truth, swapped):
+    """A decoy block whose hypothesis differs from the winner's, then the winning block."""
+    winner = _block_for(truth, swapped=swapped)
+    other = BlockHypothesis.IV_WAS_CLIENT if swapped else BlockHypothesis.IV_WAS_SERVER
+    return [_junk_block(1, len(truth.client_key))._replace(hypothesis=other), winner]
+
+
+@pytest.mark.parametrize("swapped", [False, True])
+def test_block_win_probes_its_block_without_drawing_pair_sets(session_capture, swapped):
+    # the winning block rides on the result, so the probe screens its opposite
+    # slots and leaves the pair sets it is offered undrawn
+    capture, truth = session_capture
+    blocks = _decoy_then_winner(truth, swapped)
+    result = trial_decrypt_blocks(capture, blocks)
+    assert result.block is blocks[1] and result.orientation_swapped is swapped
+    session = decrypt_session(capture, result, pair_sets=_undrawable_pair_sets())
+    assert session.server_key == truth.server_key and not session.partial
+
+
+@pytest.mark.parametrize("swapped", [False, True])
+def test_material_hypothesis_is_the_winning_blocks(session_capture, swapped):
+    capture, truth = session_capture
+    blocks = _decoy_then_winner(truth, swapped)
+    result = trial_decrypt_blocks(capture, blocks)
+    material = _material_dict(result, decrypt_session(capture, result))
+    assert material["hypothesis"] == blocks[1].hypothesis.value
+    assert material["orientation_swapped"] is swapped
+    pair_win = trial_decrypt(capture, [_cand(truth.client_key, truth.client_iv)])
+    assert pair_win.block is None
+    assert _material_dict(pair_win, decrypt_session(capture, pair_win))["hypothesis"] is None
 
 
 def test_decrypt_session_soundness_whole_direction(session_capture):
@@ -588,7 +625,7 @@ def _check_blocks(capture, blocks, seq_window):
         return [materials[2 * winner + (not swapped)]]
 
     return _agrees_with_loop(capture, lambda: trial_decrypt_blocks(capture, blocks, seq_window=seq_window),
-                             materials, opposite, seq_window, blocks=blocks)
+                             materials, opposite, seq_window)
 
 
 def _junk_block(i, key_len):
@@ -738,7 +775,8 @@ def test_decrypt_session_truncated_capture_not_partial(tmp_path):
     client = paths.client_records.read_bytes()
     server = paths.server_records.read_bytes()
     # strip the server ApplicationData record (the last one in the stream)
-    from keysift.capture import read_records, serialize_records
+    from keysift.capture import read_records
+    from keysift.fixtures import serialize_records
 
     records = read_records(server)
     truncated = serialize_records(records[:-1])
@@ -762,7 +800,7 @@ def test_negative_seq_window_is_rejected(session_capture):
     with pytest.raises(ValueError):
         decrypt_session(capture, trial_decrypt(capture, pairs), pair_sets=[pairs], seq_window=-1)
     with pytest.raises(ValueError):
-        decrypt_session(capture, trial_decrypt_blocks(capture, blocks), blocks=blocks, seq_window=-1)
+        decrypt_session(capture, trial_decrypt_blocks(capture, blocks), seq_window=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -796,7 +834,7 @@ def test_standard_scan_feeds_trial(tmp_path):
     extract_set = load_extracts(paths.extract_dir)
     blocks = scan_standard(extract_set, capture, ScanConfig(key_len_bytes=32))
     result = trial_decrypt_blocks(capture, blocks)
-    session = decrypt_session(capture, result, blocks=blocks)
+    session = decrypt_session(capture, result)
     assert result.key == truth.client_key
     assert not session.partial
     assert session.server_key == truth.server_key
