@@ -155,7 +155,6 @@ def run_pipeline(
     capture: SessionCapture,
     mode: str = "auto",
     config: ScanConfig | None = None,
-    seq_window: int = 2,
     clock=time.perf_counter,
 ) -> RunReport:
     """Load extracts, search band by band, decrypt the session at the first win.
@@ -180,15 +179,14 @@ def run_pipeline(
     The report's candidate counts cover the bands scanned (listed in
     ``bands_scanned``), ``winner_index`` is the winner's position among the
     winning scanner's materials over the stages that ran, and ``attempted``
-    sums the trials of every stage. ``memory_analysis_secs`` sums the scans
-    and pair-order builds; ``decrypt_analysis_secs`` is the rest of the
-    search's wall time, set when the run ends. ``clock`` is injectable so
-    reports can be made byte-stable.
+    sums the trials of every stage, one per material and sequence number
+    within ``decrypt.SEQ_WINDOW`` of the reconstructed one.
+    ``memory_analysis_secs`` sums the scans and pair-order builds;
+    ``decrypt_analysis_secs`` is the rest of the search's wall time, set when
+    the run ends. ``clock`` is injectable so reports can be made byte-stable.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    if seq_window < 0:
-        raise ValueError(f"seq_window must not be negative, got {seq_window}")
 
     cfg = config or ScanConfig(key_len_bytes=capture.handshake.key_len_bytes)
     extracts = load_extracts(extract_dir)
@@ -208,12 +206,12 @@ def run_pipeline(
     )
     search = _BandSearch(extracts, capture, cfg, report, clock)
     started = clock()
-    _run_stages(search, scanners, seq_window)
+    _run_stages(search, scanners)
     report.timings["decrypt_analysis_secs"] = clock() - started - report.timings["memory_analysis_secs"]
     return report
 
 
-def _run_stages(search: _BandSearch, scanners: list[str], seq_window: int) -> None:
+def _run_stages(search: _BandSearch, scanners: list[str]) -> None:
     """The stage loop: each band's stages, one per scanner, trialled until a tag
     verifies, and the winner's session decrypted into the report. A scanner's
     name only picks its stage, sets ``mode_used`` and keys ``tried``. The probe
@@ -227,13 +225,13 @@ def _run_stages(search: _BandSearch, scanners: list[str], seq_window: int) -> No
         for scanner in scanners:
             for trial, materials in getattr(search, scanner)(band):
                 try:
-                    result = trial(capture, materials, seq_window=seq_window, screens=screens)
+                    result = trial(capture, materials, screens=screens)
                 except NoValidDecrypt as exc:
                     attempted += exc.trials
                     tried[scanner] += len(materials)
                     continue
                 session = decrypt_session(capture, result, pair_sets=search.pair_orders(BANDS[stage + 1 :]),
-                                          seq_window=seq_window, screens=screens)
+                                          screens=screens)
                 report.mode_used = scanner
                 report.outcome = "decrypted_partial" if session.partial else "decrypted"
                 report.trials = {
@@ -270,13 +268,6 @@ def _config_from_args(args, key_len: int) -> ScanConfig:
         raise UsageError(str(exc)) from exc
 
 
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
-    return value
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value <= 0:
@@ -296,9 +287,13 @@ def _parse_filter(text: str) -> tuple:
         left, right = text.split(",")
         ip_a, port_a = left.rsplit(":", 1)
         ip_b, port_b = right.rsplit(":", 1)
-        return (ip_a, int(port_a), ip_b, int(port_b))
+        port_a, port_b = int(port_a), int(port_b)
     except ValueError:
         raise argparse.ArgumentTypeError("filter must look like IP:PORT,IP:PORT")
+    for port in (port_a, port_b):
+        if not 0 <= port <= 65535:
+            raise argparse.ArgumentTypeError(f"filter port must be 0-65535, got {port}")
+    return (ip_a, port_a, ip_b, port_b)
 
 
 def _emit(args, text: str) -> None:
@@ -317,7 +312,6 @@ def _cmd_decrypt(args) -> int:
         capture,
         mode=args.mode,
         config=cfg,
-        seq_window=args.seq_window,
         clock=clock,
     )
     payload = report.to_dict()
@@ -428,8 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     decrypt.add_argument("--capture", required=True,
                          help="capture input: directory with client.tls/server.tls, or a pcap file")
     decrypt.add_argument("--mode", choices=MODES, default="auto")
-    decrypt.add_argument("--seq-window", type=_non_negative_int, default=2,
-                         help="sequence numbers to try around the reconstruction (default 2)")
     decrypt.add_argument("--filter", type=_parse_filter, default=None,
                          help="pcap session filter, IP:PORT,IP:PORT")
     decrypt.add_argument("--format", choices=("json", "text"), default="json")

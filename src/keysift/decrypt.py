@@ -95,15 +95,17 @@ def decrypt_record(record: EncryptedRecord, key: bytes, implicit_iv: bytes, seq:
     return plaintext
 
 
-def _seq_candidates(reconstructed: int, window: int) -> list[int]:
-    """The 2*window+1 sequence numbers to try, nearest to the reconstruction first.
+# Sequence numbers tried either side of the reconstructed one. RFC 5246 §6.1 resets the
+# number to 0 at each ChangeCipherSpec, so the reconstruction is exact for every capture
+# the parser accepts; the window only absorbs whether Finished consumed sequence number 0.
+SEQ_WINDOW = 2
 
-    Negative values are replaced by extending the range upward so the trial
-    count per pair stays fixed; the window absorbs the ambiguity of whether a
-    Finished message consumed sequence number 0. A negative window is rejected.
+
+def _seq_candidates(reconstructed: int, window: int) -> list[int]:
+    """The 2*window+1 sequence numbers to try, nearest to the reconstruction
+    first; the screens pass ``SEQ_WINDOW``. Numbers below 0 are replaced by
+    extending the range upward so the trial count per material stays fixed.
     """
-    if window < 0:
-        raise ValueError(f"seq_window must not be negative, got {window}")
     low = max(0, reconstructed - window)
     candidates = list(range(low, low + 2 * window + 1))
     candidates.sort(key=lambda s: (abs(s - reconstructed), s))
@@ -140,12 +142,12 @@ class _TagScreen:
     0x00000001 for a 12-byte nonce (NIST SP 800-38D, RFC 5288). For a fixed key
     and seq the GHASH term is the same for every IV, so sealing once under a
     reference nonce gives the E_K(J0) a matching IV must produce. AES is a
-    permutation, so one AES-ECB decryption of those 2w+1 targets gives the J0,
-    and with it the one IV, that can match at each seq: a key costs the same
-    whatever the number of candidate IVs. The sealer gives the reference
-    itself: sealing C under the reference nonce returns C xor its keystream,
-    the plaintext that seals back to C, and sealing nothing returns E_K(J0)
-    of the reference nonce, since GHASH of no data is 0.
+    permutation, so one AES-ECB decryption of those 2 * SEQ_WINDOW + 1 targets
+    gives the J0, and with it the one IV, that can match at each seq: a key
+    costs the same whatever the number of candidate IVs. The sealer gives the
+    reference itself: sealing C under the reference nonce returns C xor its
+    keystream, the plaintext that seals back to C, and sealing nothing returns
+    E_K(J0) of the reference nonce, since GHASH of no data is 0.
 
     A key's needed IVs do not depend on the candidate IVs, so a screen keeps
     them and a later call for the same key seals nothing. The ECB decryptors
@@ -157,8 +159,8 @@ class _TagScreen:
     their only verifier: a screen hit is a candidate, not a decrypt.
     """
 
-    def __init__(self, record: EncryptedRecord, seq_window: int, decryptors: dict):
-        self.seqs = _seq_candidates(record.seq, seq_window)
+    def __init__(self, record: EncryptedRecord, decryptors: dict):
+        self.seqs = _seq_candidates(record.seq, SEQ_WINDOW)
         self._body_len = len(record.ciphertext) - GCM_TAG_LEN
         self._body = record.ciphertext[: self._body_len]
         self._tag = int.from_bytes(record.ciphertext[self._body_len :], "big")
@@ -197,22 +199,22 @@ class _TagScreen:
 
 
 class TagScreens:
-    """The tag screens of a run: one per (record, seq window), all sharing one
-    AES-ECB decryptor per key, so a key the client trial screened costs the
-    server probe no second ``Cipher``. A caller that trials material in
-    stages passes one ``TagScreens`` to every trial and to ``decrypt_session``.
-    Screens and decryptors are built when first needed. No sealer is kept:
-    one costs little to build, and a thousand of them would raise the peak
-    resident set."""
+    """The tag screens of a run: one per record, all sharing one AES-ECB
+    decryptor per key, so a key the client trial screened costs the server
+    probe no second ``Cipher``. A caller that trials material in stages passes
+    one ``TagScreens`` to every trial and to ``decrypt_session``. Screens and
+    decryptors are built when first needed. No sealer is kept: one costs
+    little to build, and a thousand of them would raise the peak resident
+    set."""
 
     def __init__(self):
-        self._screens: dict[tuple[EncryptedRecord, int], _TagScreen] = {}
+        self._screens: dict[EncryptedRecord, _TagScreen] = {}
         self._decryptors: dict = {}
 
-    def screen(self, record: EncryptedRecord, seq_window: int) -> _TagScreen:
-        screen = self._screens.get((record, seq_window))
+    def screen(self, record: EncryptedRecord) -> _TagScreen:
+        screen = self._screens.get(record)
         if screen is None:
-            screen = self._screens[record, seq_window] = _TagScreen(record, seq_window, self._decryptors)
+            screen = self._screens[record] = _TagScreen(record, self._decryptors)
         return screen
 
 
@@ -285,16 +287,14 @@ def _first_verified(
     return verified_below(None)
 
 
-def _trial(
-    capture: SessionCapture, trials: PairOrder | _MaterialList, seq_window: int, screens: TagScreens | None
-) -> TrialResult:
+def _trial(capture: SessionCapture, trials: PairOrder | _MaterialList, screens: TagScreens | None) -> TrialResult:
     """Screen ``trials`` against the first client ApplicationData record.
     ``index`` is the winner's position; trials count as if each material were
     opened at each seq in turn until the winner verified."""
     record = capture.first_client_record
     screens = TagScreens() if screens is None else screens
-    winner = _first_verified(screens.screen(record, seq_window), record, trials)
-    per_material = 2 * seq_window + 1
+    winner = _first_verified(screens.screen(record), record, trials)
+    per_material = 2 * SEQ_WINDOW + 1
     if winner is None:
         raise NoValidDecrypt(len(trials) * per_material)
     order, seq_index, seq, key, implicit_iv, plaintext = winner
@@ -312,11 +312,11 @@ def _trial(
 def trial_decrypt(
     capture: SessionCapture,
     pairs: PairOrder | Iterable[tuple[Candidate, Candidate]],
-    seq_window: int = 2,
     screens: TagScreens | None = None,
 ) -> TrialResult:
     """The first (key, IV) pair, in order, whose tag verifies on the first
-    client ApplicationData record at some seq of the window, nearest first.
+    client ApplicationData record at some seq within ``SEQ_WINDOW`` of the
+    reconstructed one, nearest first.
 
     Keys are screened in the order of their earliest pair (one AES-ECB
     decryption per distinct key names the IV each seq needs, whatever the IV
@@ -327,19 +327,18 @@ def trial_decrypt(
     ``pair_candidates``, which is never generated. ``trials`` counts the trials
     a loop over the pairs would have made up to the winner; when no pair
     verifies, every key is screened and NoValidDecrypt carries pairs x
-    (2 * seq_window + 1).
+    (2 * SEQ_WINDOW + 1).
 
     ``screens`` is an optional ``TagScreens`` the caller keeps across calls,
     so a key screened by an earlier call against the same record is not
     sealed again, and its ECB decryptor serves the screens of other records.
     """
-    return _trial(capture, _trial_set(pairs), seq_window, screens)
+    return _trial(capture, _trial_set(pairs), screens)
 
 
 def trial_decrypt_blocks(
     capture: SessionCapture,
     blocks: Sequence[CandidateKeyBlock],
-    seq_window: int = 2,
     screens: TagScreens | None = None,
 ) -> TrialResult:
     """Key-block trials through the same screen as ``trial_decrypt``. Each
@@ -352,7 +351,7 @@ def trial_decrypt_blocks(
         for block in blocks
         for material in ((block.client_key, block.client_iv), (block.server_key, block.server_iv))
     )
-    result = _trial(capture, _MaterialList(materials), seq_window, screens)
+    result = _trial(capture, _MaterialList(materials), screens)
     index = result.index // 2
     return result._replace(index=index, orientation_swapped=result.index % 2 == 1, block=blocks[index])
 
@@ -381,7 +380,6 @@ def decrypt_session(
     capture: SessionCapture,
     result: TrialResult,
     pair_sets: Iterable[PairOrder | Iterable[tuple[Candidate, Candidate]]] = (),
-    seq_window: int = 2,
     screens: TagScreens | None = None,
 ) -> DecryptedSession:
     """Decrypt every ApplicationData record both ways with confirmed material.
@@ -423,7 +421,7 @@ def decrypt_session(
             trial_sets = [_MaterialList([opposite])]
         else:
             trial_sets = map(_trial_set, pair_sets)
-        screen = (TagScreens() if screens is None else screens).screen(probe_record, seq_window)
+        screen = (TagScreens() if screens is None else screens).screen(probe_record)
         for trials in trial_sets:
             found = _first_verified(screen, probe_record, trials)
             if found is not None:

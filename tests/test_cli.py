@@ -16,8 +16,17 @@ from keysift.capture import (
     assemble_session,
     parse_capture,
 )
-from keysift.cli import EXIT_ERROR, EXIT_NO_DECRYPT, EXIT_OK, _config_from_args, build_parser, main, run_pipeline
-from keysift.decrypt import DecryptedSession, TranscriptEntry, TrialResult, decrypt_record
+from keysift.cli import (
+    EXIT_ERROR,
+    EXIT_NO_DECRYPT,
+    EXIT_OK,
+    _config_from_args,
+    _parse_filter,
+    build_parser,
+    main,
+    run_pipeline,
+)
+from keysift.decrypt import SEQ_WINDOW, DecryptedSession, TranscriptEntry, TrialResult, decrypt_record
 from keysift.fixtures import (
     FixtureLayout,
     Filler,
@@ -206,19 +215,16 @@ def test_decrypt_over_mixed_traffic_pcap(windows_fixture_16, tmp_path, capsys):
 
 
 def test_seq_window_sets_the_trials_per_material(tmp_path):
-    # each material is tried at one seq for window 0 and at 2w+1 otherwise, nearest seq first,
-    # so the same winner at the expected seq is reached after index * (2w+1) + 1 trials
+    # each material is tried at the 2 * SEQ_WINDOW + 1 seqs, nearest first, so a winner at the
+    # reconstructed seq is reached after index * (2 * SEQ_WINDOW + 1) + 1 trials
     fixture = tmp_path / "fx"
     assert _run(["gen-fixture", "--seed", "1", "--out", str(fixture)]) == EXIT_OK
-    decrypt = ["decrypt", "--extracts", str(fixture / "extracts"), "--capture", str(fixture), "--no-timings"]
-    winners = set()
-    for window, flags in ((0, ["--seq-window", "0"]), (1, ["--seq-window", "1"]), (2, [])):
-        out = tmp_path / f"window{window}.json"
-        assert _run(decrypt + flags + ["--output", str(out)]) == EXIT_OK
-        trials = json.loads(out.read_text())["trials"]
-        assert trials["attempted"] == trials["winner_index"] * (2 * window + 1) + 1
-        winners.add((trials["winner_index"], trials["seq_used"]))
-    assert len(winners) == 1 and next(iter(winners))[0] > 0
+    out = tmp_path / "report.json"
+    assert _run(["decrypt", "--extracts", str(fixture / "extracts"), "--capture", str(fixture), "--no-timings",
+                 "--output", str(out)]) == EXIT_OK
+    trials = json.loads(out.read_text())["trials"]
+    assert trials["winner_index"] > 0
+    assert trials["attempted"] == trials["winner_index"] * (2 * SEQ_WINDOW + 1) + 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -228,7 +234,9 @@ def test_seq_window_sets_the_trials_per_material(tmp_path):
     _DECRYPT + ("--min-gap", "-1"),
     _DECRYPT + ("--filter", "bogus"),
     _DECRYPT + ("--filter", "1.2.3.4:1,5.6.7.8:2"),
-    _DECRYPT + ("--seq-window", "-1"),
+    _DECRYPT + ("--filter", "10.0.0.2:99999,10.0.0.1:443"),
+    _DECRYPT + ("--filter", "10.0.0.2:-1,10.0.0.1:443"),
+    _DECRYPT + ("--seq-window", "2"),
     _DECRYPT + ("--iv-entropy", "nan"),
     _DECRYPT + ("--counter-bound", "-5"),
     _DECRYPT + ("--capture-format", "pcap"),
@@ -244,10 +252,10 @@ def test_seq_window_sets_the_trials_per_material(tmp_path):
     ("entropy-profile", "--extracts", "{extracts}", "--threshold", "nan"),
     ("entropy-profile", "--extracts", "{extracts}", "--threshold", "inf"),
 ], ids=["missing-capture", "workers", "step-0", "negative-gap", "bad-filter", "filter-without-pcap",
-        "negative-seq-window", "iv-entropy-nan", "negative-counter-bound", "capture-format", "decrypt-key-size",
-        "scan-step-0", "scan-counter-bound", "scan-auto", "scan-capture-format", "parse-capture-format",
-        "profile-window-0", "profile-negative-window", "profile-region-windows-0", "profile-threshold-nan",
-        "profile-threshold-inf"])
+        "filter-port-above-range", "filter-negative-port", "seq-window", "iv-entropy-nan", "negative-counter-bound",
+        "capture-format", "decrypt-key-size", "scan-step-0", "scan-counter-bound", "scan-auto", "scan-capture-format",
+        "parse-capture-format", "profile-window-0", "profile-negative-window", "profile-region-windows-0",
+        "profile-threshold-nan", "profile-threshold-inf"])
 def test_usage_errors_exit_1_with_one_error_line(windows_fixture_16, capsys, argv):
     _, paths, _ = windows_fixture_16
     code = _run([arg.format(extracts=paths.extract_dir, capture=paths.root) for arg in argv])
@@ -563,6 +571,20 @@ def test_decrypt_over_pcap_with_filter(windows_fixture_16, tmp_path):
     assert json.loads(out.read_text())["material"]["client_key"] == truth.client_key.hex()
 
 
+def test_filter_port_outside_range_is_refused_before_the_pcap_is_read(windows_fixture_16, tmp_path, capsys):
+    from conftest import build_pcap
+
+    _, paths, _ = windows_fixture_16
+    pcap = tmp_path / "session.pcap"
+    pcap.write_bytes(build_pcap(paths.client_records.read_bytes(), paths.server_records.read_bytes()))
+    decrypt = ["decrypt", "--extracts", str(paths.extract_dir), "--capture", str(pcap), "--filter"]
+    for port in ("65536", "-1"):
+        assert _run(decrypt + [f"10.0.0.2:{port},10.0.0.1:443"]) == EXIT_ERROR
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: argument --filter: filter port must be 0-65535, got {port}"]
+    assert _parse_filter("10.0.0.2:0,10.0.0.1:65535") == ("10.0.0.2", 0, "10.0.0.1", 65535)
+
+
 @pytest.mark.parametrize("argv", [
     ("decrypt", "--extracts", "{extracts}", "--no-timings"),
     ("scan", "--extracts", "{extracts}", "--mode", "standard"),
@@ -648,17 +670,6 @@ def test_run_pipeline_rejects_an_unknown_mode(windows_fixture_16):
     _, paths, _ = windows_fixture_16
     with pytest.raises(ValueError):
         run_pipeline(paths.extract_dir, parse_capture(paths.root), mode="bogus")
-
-
-def test_run_pipeline_rejects_negative_seq_window(windows_fixture_16, tmp_path):
-    # rejected up front, also when no scanner finds a candidate to trial
-    _, paths, _ = windows_fixture_16
-    zeros = tmp_path / "zeros"
-    zeros.mkdir()
-    (zeros / "zeros.bin").write_bytes(bytes(2 * MB))
-    for extract_dir in (paths.extract_dir, zeros):
-        with pytest.raises(ValueError):
-            run_pipeline(extract_dir, parse_capture(paths.root), seq_window=-1)
 
 
 def test_cli_import_does_not_load_numpy(windows_fixture_16, tmp_path):

@@ -17,6 +17,7 @@ from keysift.capture import (
 )
 from keysift.cli import _material_dict, run_pipeline
 from keysift.decrypt import (
+    SEQ_WINDOW,
     TagScreens,
     Validation,
     _seq_candidates,
@@ -188,10 +189,9 @@ def test_trial_decrypt_finds_pair(session_capture):
 def test_trial_decrypt_exhaustion_counts(session_capture):
     capture, _ = session_capture
     pairs = [_cand(bytes(32), bytes(4)), _cand(bytes([1]) * 32, bytes(4))]
-    window = 2
     with pytest.raises(NoValidDecrypt) as info:
-        trial_decrypt(capture, pairs, seq_window=window)
-    assert info.value.trials == len(pairs) * (2 * window + 1)
+        trial_decrypt(capture, pairs)
+    assert info.value.trials == len(pairs) * (2 * SEQ_WINDOW + 1) == 10
 
 
 def test_trial_decrypt_correct_pair_last(session_capture):
@@ -487,16 +487,15 @@ def test_server_probe_finds_the_server_pair_anywhere(session_capture, monkeypatc
     capture, truth = session_capture
     junk = [_cand(bytes([i + 1]) * 32, bytes([i, i + 1, i + 2, i + 3])) for i in range(20)]
     client, server = _cand(truth.client_key, truth.client_iv), _cand(truth.server_key, truth.server_iv)
-    window = 2
     for winner in (0, 1, 10, 20):
         for where in range(22):
             pairs = list(junk)
             pairs.insert(winner, client)
             pairs.insert(where, server)
-            result = trial_decrypt(capture, pairs, seq_window=window)
+            result = trial_decrypt(capture, pairs)
             assert result.index == pairs.index(client)
             opened = _count_opens(monkeypatch)
-            session = decrypt_session(capture, result, pair_sets=[pairs], seq_window=window)
+            session = decrypt_session(capture, result, pair_sets=[pairs])
             monkeypatch.undo()
             assert session.server_key == truth.server_key and not session.partial, (winner, where)
             assert len(opened) - len(session.transcript) == 1  # one open per transcript record
@@ -523,10 +522,10 @@ def test_server_probe_without_a_server_pair_makes_no_opens(session_capture, monk
         for winner in range(count):
             pairs = [_cand(bytes([i + 1]) * 32, bytes([i, i, i, i])) for i in range(count)]
             pairs[winner] = _cand(truth.client_key, truth.client_iv)
-            result = trial_decrypt(capture, pairs, seq_window=0)
+            result = trial_decrypt(capture, pairs)
             assert result.index == winner
             opened = _count_opens(monkeypatch)
-            session = decrypt_session(capture, result, pair_sets=[pairs], seq_window=0)
+            session = decrypt_session(capture, result, pair_sets=[pairs])
             monkeypatch.undo()
             assert session.server_key is None and session.partial
             assert opened == [truth.client_key] * client_opens, (count, winner)
@@ -587,10 +586,10 @@ def _first_record(capture, direction):
     return capture.app_data(direction)[0]
 
 
-def _agrees_with_loop(capture, trial, materials, probe_materials, seq_window, **session_args):
+def _agrees_with_loop(capture, trial, materials, probe_materials, **session_args):
     """``trial()`` and ``decrypt_session`` must report what the per-pair loop
     finds: the same winner, seq, trial count, plaintext and server material."""
-    trials, won = naive_first_opening(_first_record(capture, Direction.CLIENT_TO_SERVER), materials, seq_window)
+    trials, won = naive_first_opening(_first_record(capture, Direction.CLIENT_TO_SERVER), materials, SEQ_WINDOW)
     if won is None:
         with pytest.raises(NoValidDecrypt) as info:
             trial()
@@ -601,20 +600,20 @@ def _agrees_with_loop(capture, trial, materials, probe_materials, seq_window, **
     assert (result.index, result.orientation_swapped, result.seq_used, result.trials, result.plaintext) == (
         index, swapped, seq, trials, plaintext)
     _, server = naive_first_opening(
-        _first_record(capture, Direction.SERVER_TO_CLIENT), probe_materials(index, swapped), seq_window)
-    session = decrypt_session(capture, result, seq_window=seq_window, **session_args)
+        _first_record(capture, Direction.SERVER_TO_CLIENT), probe_materials(index, swapped), SEQ_WINDOW)
+    session = decrypt_session(capture, result, **session_args)
     assert (session.server_key, session.server_iv) == (server[0][:2] if server else (None, None))
     return result
 
 
-def _check_pairs(capture, pairs, seq_window):
+def _check_pairs(capture, pairs):
     ordered = naive_pair_order(pairs.keys, pairs.ivs) if isinstance(pairs, PairOrder) else pairs
     materials = [(key.value, iv.value, index, False) for index, (key, iv) in enumerate(ordered)]
-    return _agrees_with_loop(capture, lambda: trial_decrypt(capture, pairs, seq_window=seq_window),
-                             materials, lambda *_: materials, seq_window, pair_sets=[pairs])
+    return _agrees_with_loop(capture, lambda: trial_decrypt(capture, pairs), materials, lambda *_: materials,
+                             pair_sets=[pairs])
 
 
-def _check_blocks(capture, blocks, seq_window):
+def _check_blocks(capture, blocks):
     materials = [
         material
         for index, b in enumerate(blocks)
@@ -624,8 +623,7 @@ def _check_blocks(capture, blocks, seq_window):
     def opposite(winner, swapped):
         return [materials[2 * winner + (not swapped)]]
 
-    return _agrees_with_loop(capture, lambda: trial_decrypt_blocks(capture, blocks, seq_window=seq_window),
-                             materials, opposite, seq_window)
+    return _agrees_with_loop(capture, lambda: trial_decrypt_blocks(capture, blocks), materials, opposite)
 
 
 def _junk_block(i, key_len):
@@ -636,8 +634,7 @@ def _junk_block(i, key_len):
     )
 
 
-@pytest.mark.parametrize("seq_window", [0, 2])
-def test_screen_agrees_with_per_pair_loop_on_lists(captures, seq_window):
+def test_screen_agrees_with_per_pair_loop_on_lists(captures):
     wins = 0
     for capture, truth in captures:
         n = len(truth.client_key)
@@ -651,7 +648,7 @@ def test_screen_agrees_with_per_pair_loop_on_lists(captures, seq_window):
             junk + [wrong_iv, server, junk[2]],  # exhausting
         ]
         for pairs in pair_lists:
-            wins += _check_pairs(capture, pairs, seq_window) is not None
+            wins += _check_pairs(capture, pairs) is not None
         blocks = [_junk_block(i, n) for i in range(6)]
         block_lists = [
             blocks[:3] + [_block_for(truth, swapped=True)] + blocks[3:],
@@ -659,9 +656,9 @@ def test_screen_agrees_with_per_pair_loop_on_lists(captures, seq_window):
             blocks + blocks[:2],  # exhausting
         ]
         for block_list in block_lists:
-            wins += _check_blocks(capture, block_list, seq_window) is not None
-    # five lists win per capture; the shifted capture needs the window
-    assert wins == 5 * (len(captures) if seq_window else len(captures) - 1)
+            wins += _check_blocks(capture, block_list) is not None
+    # five lists win per capture, the shifted capture's at two seqs below its records'
+    assert wins == 5 * len(captures)
 
 
 @pytest.mark.parametrize("fixture_name", ["windows_fixture_16", "windows_fixture_32"])
@@ -670,10 +667,10 @@ def test_screen_agrees_with_per_pair_loop_on_pair_orders(fixture_name, request):
     capture = parse_capture(paths.root)
     keys, ivs = scan_windows(load_extracts(paths.extract_dir), ScanConfig(key_len_bytes=len(truth.client_key)))
     pairs = pair_candidates(keys, ivs)
-    result = _check_pairs(capture, pairs, 2)
+    result = _check_pairs(capture, pairs)
     assert result is not None and result.key == truth.client_key
     # with the true key dropped, every pair of the order is tried and fails
-    _check_pairs(capture, pair_candidates([k for k in keys if k.value != truth.client_key], ivs), 2)
+    _check_pairs(capture, pair_candidates([k for k in keys if k.value != truth.client_key], ivs))
     # a hand-built order may hold a value at several indices: the true key and a
     # decoy key twice, and each true IV again in another extract and right next to
     # the true key, so the earliest pairing of a value is not at its first index
@@ -686,13 +683,13 @@ def test_screen_agrees_with_per_pair_loop_on_pair_orders(fixture_name, request):
         + ivs
         + [iv._replace(extract_id=client.extract_id, offset=client.offset + 40) for iv in true_ivs]
     )
-    result = _check_pairs(capture, PairOrder(repeated_keys, repeated_ivs), 2)
+    result = _check_pairs(capture, PairOrder(repeated_keys, repeated_ivs))
     assert result is not None and result.key == truth.client_key
 
 
 def test_screen_agrees_with_per_pair_loop_at_seq_other_than_the_records(captures):
     capture, truth = captures[2]
-    result = _check_pairs(capture, [_cand(bytes(32), bytes(4)), _cand(truth.client_key, truth.client_iv)], 2)
+    result = _check_pairs(capture, [_cand(bytes(32), bytes(4)), _cand(truth.client_key, truth.client_iv)])
     record = _first_record(capture, Direction.CLIENT_TO_SERVER)
     assert result.seq_used == record.seq - 2
     assert result.trials == 5 + _seq_candidates(record.seq, 2).index(result.seq_used) + 1
@@ -717,7 +714,7 @@ def test_key_screened_first_does_not_win_with_a_later_trial(colliding):
     capture, first, second = colliding
     for a, b in ((first, second), (second, first)):
         pairs = [_cand(a[0], b"\x99\x99\x99\x99"), _cand(*b), _cand(*a)]
-        result = _check_pairs(capture, pairs, 2)
+        result = _check_pairs(capture, pairs)
         assert (result.index, result.key) == (1, b[0])
 
 
@@ -733,7 +730,7 @@ def test_key_value_takes_its_lowest_floor_over_its_indices(colliding, monkeypatc
     assert (result.index, result.key) == (0, first[0])
     assert built == [first[0]]  # the second key's floor lies past the winner
     monkeypatch.undo()
-    assert _check_pairs(capture, PairOrder(keys, ivs), 2).key == first[0]
+    assert _check_pairs(capture, PairOrder(keys, ivs)).key == first[0]
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -747,7 +744,7 @@ def test_two_verifying_keys_agree_with_per_pair_loop(colliding, seed):
     keys, ivs = [place(v) for v in key_values], [place(v) for v in iv_values]
     rng.shuffle(keys)
     rng.shuffle(ivs)
-    assert _check_pairs(capture, PairOrder(keys, ivs), 2) is not None
+    assert _check_pairs(capture, PairOrder(keys, ivs)) is not None
 
 
 def test_exhausting_pair_walk_does_not_keep_the_pairs(session_capture):
@@ -760,11 +757,12 @@ def test_exhausting_pair_walk_does_not_keep_the_pairs(session_capture):
     tracemalloc.start()
     try:
         with pytest.raises(NoValidDecrypt) as info:
-            trial_decrypt(capture, pairs, seq_window=0)
+            trial_decrypt(capture, pairs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert info.value.trials == len(pairs) == 30_000
+    assert len(pairs) == 30_000
+    assert info.value.trials == len(pairs) * (2 * SEQ_WINDOW + 1) == 150_000
     assert peak < len(pairs) * 64 // 4
 
 
@@ -786,21 +784,6 @@ def test_decrypt_session_truncated_capture_not_partial(tmp_path):
     session = decrypt_session(capture, result, pair_sets=[pairs])
     assert not session.partial
     assert [e.direction for e in session.transcript] == [Direction.CLIENT_TO_SERVER]
-
-
-def test_negative_seq_window_is_rejected(session_capture):
-    # a negative window would make zero trials and pass for "no valid decrypt"
-    capture, truth = session_capture
-    pairs = [_cand(truth.client_key, truth.client_iv), _cand(truth.server_key, truth.server_iv)]
-    blocks = [_block_for(truth)]
-    with pytest.raises(ValueError):
-        trial_decrypt(capture, pairs, seq_window=-1)
-    with pytest.raises(ValueError):
-        trial_decrypt_blocks(capture, blocks, seq_window=-1)
-    with pytest.raises(ValueError):
-        decrypt_session(capture, trial_decrypt(capture, pairs), pair_sets=[pairs], seq_window=-1)
-    with pytest.raises(ValueError):
-        decrypt_session(capture, trial_decrypt_blocks(capture, blocks), seq_window=-1)
 
 
 # ---------------------------------------------------------------------------
