@@ -75,18 +75,6 @@ class TlsRecord(NamedTuple):
     payload: bytes
 
 
-class HandshakeSummary(NamedTuple):
-    cipher_suite: int
-
-    @property
-    def suite_name(self) -> str:
-        return GCM_SUITES[self.cipher_suite][0]
-
-    @property
-    def key_len_bytes(self) -> int:
-        return suite_key_len(self.cipher_suite)
-
-
 class EncryptedRecord(NamedTuple):
     direction: Direction
     seq: int
@@ -97,8 +85,19 @@ class EncryptedRecord(NamedTuple):
 
 
 class SessionCapture(NamedTuple):
-    handshake: HandshakeSummary
+    """One TLS 1.2 session: the cipher suite its ServerHello chose, which fixes
+    the AES key size, and its encrypted records in merged order."""
+
+    cipher_suite: int
     records: tuple[EncryptedRecord, ...]
+
+    @property
+    def suite_name(self) -> str:
+        return GCM_SUITES[self.cipher_suite][0]
+
+    @property
+    def key_len_bytes(self) -> int:
+        return suite_key_len(self.cipher_suite)
 
     def app_data(self, direction: Direction) -> list[EncryptedRecord]:
         """ApplicationData records of one direction, in capture order."""
@@ -246,11 +245,11 @@ def parse_raw_streams(client_data: bytes, server_data: bytes) -> SessionCapture:
     if version != TLS_1_2:
         raise UnsupportedCipherSuite(f"negotiated version 0x{version:04X}; TLS 1.2 required")
     suite_key_len(suite)  # refuses an unsupported suite while parsing
-    return assemble_session(HandshakeSummary(cipher_suite=suite), client_encrypted + server_encrypted)
+    return assemble_session(suite, client_encrypted + server_encrypted)
 
 
-def assemble_session(summary: HandshakeSummary, records: list[EncryptedRecord]) -> SessionCapture:
-    """Merge both directions' encrypted records into a SessionCapture.
+def assemble_session(cipher_suite: int, records: list[EncryptedRecord]) -> SessionCapture:
+    """Merge both directions' encrypted records into a SessionCapture of ``cipher_suite``.
 
     Cross-direction arrival order is not recoverable from two raw streams, so
     records merge by per-direction sequence number, client first on ties. A
@@ -258,7 +257,7 @@ def assemble_session(summary: HandshakeSummary, records: list[EncryptedRecord]) 
     scans anchor on, raises NoApplicationData.
     """
     merged = sorted(records, key=lambda r: (r.seq, r.direction is not Direction.CLIENT_TO_SERVER))
-    capture = SessionCapture(handshake=summary, records=tuple(merged))
+    capture = SessionCapture(cipher_suite, tuple(merged))
     capture.first_client_record  # raises when the capture has none
     return capture
 

@@ -106,13 +106,15 @@ class _BandSearch:
     """The candidates and pair orders a band-by-band search has so far, and its
     stages, one method per scanner, named as ``--mode`` names it. A stage scans
     one more band and returns its trial sets, (trial function, materials) pairs
-    of only what no earlier stage gave, so every key x IV pair and every key
-    block is tried once. Trial functions are read from this module's globals
-    when a stage runs, so a wrapper set on the module sees every call."""
+    of only what no earlier stage gave. The scanners are functions of their
+    bands; this class alone drops the values in ``seen`` and the key blocks in
+    ``blocks``, so every key x IV pair and every key block is tried once. Trial
+    functions are read from this module's globals when a stage runs, so a
+    wrapper set on the module sees every call."""
 
     def __init__(self, extracts: ExtractSet, capture: SessionCapture, cfg: ScanConfig, report: RunReport, clock):
         self.extracts, self.capture, self.cfg, self.report, self.clock = extracts, capture, cfg, report, clock
-        self.seen: set[bytes] = set()
+        self.seen: set[bytes] = set()  # every key and IV value a windows stage returned
         self.keys: list[Candidate] = []
         self.ivs: list[Candidate] = []
         self.orders: list[PairOrder] = []  # as the windows stages built them
@@ -122,7 +124,9 @@ class _BandSearch:
         """Scan ``band``'s marker windows; ``trial_decrypt`` with each new pair
         order: new keys x every IV so far, then earlier keys x new IVs."""
         start = self.clock()
-        new_keys, new_ivs = scan_windows(self.extracts, self.cfg, (band,), self.seen)
+        scanned = scan_windows(self.extracts, self.cfg, (band,))
+        new_keys, new_ivs = ([c for c in cands if c.value not in self.seen] for cands in scanned)
+        self.seen.update(c.value for c in new_keys + new_ivs)
         old_keys, self.keys, self.ivs = self.keys, self.keys + new_keys, self.ivs + new_ivs
         new_pairs = ((new_keys, self.ivs), (old_keys, new_ivs))
         orders = [pair_candidates(keys, ivs) for keys, ivs in new_pairs if keys and ivs]
@@ -188,7 +192,7 @@ def run_pipeline(
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
 
-    cfg = config or ScanConfig(key_len_bytes=capture.handshake.key_len_bytes)
+    cfg = config or ScanConfig(key_len_bytes=capture.key_len_bytes)
     extracts = load_extracts(extract_dir)
     style = explicit_nonce_style(capture)
 
@@ -305,7 +309,7 @@ def _emit(args, text: str) -> None:
 
 def _cmd_decrypt(args) -> int:
     capture = parse_capture(args.capture, args.filter)
-    cfg = _config_from_args(args, capture.handshake.key_len_bytes)
+    cfg = _config_from_args(args, capture.key_len_bytes)
     clock = (lambda: 0.0) if args.no_timings else time.perf_counter
     report = run_pipeline(
         args.extracts,
@@ -325,7 +329,7 @@ def _cmd_scan(args) -> int:
         if not args.capture:
             raise UsageError("standard scan needs --capture for the explicit nonce")
         capture = parse_capture(args.capture, args.filter)
-        cfg = _config_from_args(args, capture.handshake.key_len_bytes)
+        cfg = _config_from_args(args, capture.key_len_bytes)
         blocks = scan_standard(extracts, capture, cfg)
         payload = {
             "mode": "standard",
@@ -346,7 +350,7 @@ def _cmd_scan(args) -> int:
         # the marker scan reads no record, but a capture still sets the key size
         if args.filter is not None and not args.capture:
             raise UsageError("--filter selects a session of --capture; it needs --capture")
-        key_len = parse_capture(args.capture, args.filter).handshake.key_len_bytes if args.capture else 32
+        key_len = parse_capture(args.capture, args.filter).key_len_bytes if args.capture else 32
         cfg = _config_from_args(args, key_len)
         keys, ivs = scan_windows(extracts, cfg)
         rows = lambda cands: [
@@ -361,9 +365,9 @@ def _cmd_scan(args) -> int:
 def _cmd_parse_capture(args) -> int:
     capture = parse_capture(args.capture, args.filter)
     payload = {
-        "cipher_suite": f"0x{capture.handshake.cipher_suite:04X}",
-        "suite_name": capture.handshake.suite_name,
-        "key_len_bytes": capture.handshake.key_len_bytes,
+        "cipher_suite": f"0x{capture.cipher_suite:04X}",
+        "suite_name": capture.suite_name,
+        "key_len_bytes": capture.key_len_bytes,
         "nonce_style": explicit_nonce_style(capture).value,
         "first_explicit_nonce": capture.first_explicit_nonce.hex(),
         "records": [

@@ -30,7 +30,6 @@ from .capture import (
     TLS_1_2,
     Direction,
     EncryptedRecord,
-    HandshakeSummary,
     NonceStyle,
     SessionCapture,
     TlsRecord,
@@ -270,7 +269,7 @@ def serialize_session(capture: SessionCapture, handshake_random: bytes = bytes(3
     carrying the suite, then ChangeCipherSpec); reparsing the output yields an
     equal SessionCapture.
     """
-    suite = capture.handshake.cipher_suite
+    suite = capture.cipher_suite
     streams = {
         Direction.CLIENT_TO_SERVER: [
             TlsRecord(CONTENT_HANDSHAKE, TLS_1_2, _client_hello(suite, handshake_random)),
@@ -296,8 +295,6 @@ def _nonce_for(style: NonceStyle, seq: int, rng: random.Random) -> bytes:
 
 
 def _build_session(spec: FixtureSpec, truth: FixtureGroundTruth, rng: random.Random) -> SessionCapture:
-    suite = _SUITE_FOR_KEY_LEN[spec.key_len_bytes]
-    summary = HandshakeSummary(cipher_suite=suite)
     records = []
     for direction, key, implicit_iv, app_plain in (
         (Direction.CLIENT_TO_SERVER, truth.client_key, truth.client_iv, truth.plaintext_client),
@@ -316,7 +313,7 @@ def _build_session(spec: FixtureSpec, truth: FixtureGroundTruth, rng: random.Ran
                 seq=1, direction=direction,
             )
         )
-    return assemble_session(summary, records)
+    return assemble_session(_SUITE_FOR_KEY_LEN[spec.key_len_bytes], records)
 
 
 def _filler_buffer(filler: Filler, size: int, rng: random.Random) -> bytearray:

@@ -64,6 +64,8 @@ class MemoryExtract:
             data = self.source.read_bytes()
         except OSError as exc:
             raise UnreadableFile(self.source, exc) from exc
+        except MemoryError as exc:  # a dump larger than free memory
+            raise UnreadableFile(self.source, "not enough free memory to hold it") from exc
         if len(data) != self.size:
             raise UnreadableFile(self.source, f"size changed from {self.size} to {len(data)} bytes since listing")
         return data
@@ -219,20 +221,17 @@ def _scan_windows_one(extract: MemoryExtract, cfg: ScanConfig):
     return keys, ivs
 
 
-def scan_windows(
-    extracts: ExtractSet, cfg: ScanConfig, bands=BANDS, seen: set[bytes] | None = None
-) -> tuple[list[Candidate], list[Candidate]]:
+def scan_windows(extracts: ExtractSet, cfg: ScanConfig, bands=BANDS) -> tuple[list[Candidate], list[Candidate]]:
     """Marker scan over the extracts of ``bands``, band by band in that order.
 
     An extract only participates when the key marker occurs in it at all.
-    Candidates are deduplicated by value, keeping the first sighting in band
-    order, then sorted by (extract_id, offset). A value already in ``seen`` is
-    left out and every value returned is added to it, so a caller that scans
-    one band at a time with one ``seen`` gets each value once, at its first
-    sighting in band order. (Key and IV values differ in length, so one set
-    holds both.)
+    Candidates are deduplicated by value within this call, keeping the first
+    sighting in band order, then sorted by (extract_id, offset). The result is
+    a function of ``bands`` alone: a caller that scans band by band drops the
+    values an earlier band gave. (Key and IV values differ in length, so one
+    set holds both.)
     """
-    seen = set() if seen is None else seen
+    seen: set[bytes] = set()
     keys: list[Candidate] = []
     ivs: list[Candidate] = []
     for extract in _in_bands(extracts, bands):

@@ -17,7 +17,6 @@ from keysift.capture import (
     TLS_1_2,
     Direction,
     EncryptedRecord,
-    HandshakeSummary,
     NonceStyle,
     assemble_session,
 )
@@ -309,7 +308,7 @@ def oracle_pipeline(extract_dir, capture, mode, seq_window=2):
     After a pair win the probe tries each stage's pairs in the order they
     were sorted, then scans each later band for its new pairs. The nonce
     style is worked out here too, without ``explicit_nonce_style``."""
-    cfg = ScanConfig(key_len_bytes=capture.handshake.key_len_bytes)
+    cfg = ScanConfig(key_len_bytes=capture.key_len_bytes)
     extract_set = load_extracts(extract_dir)
     # counter-like: the client's nonces step by one per record in seq order;
     # a lone client record counts when its nonce is below 256
@@ -487,7 +486,7 @@ def colliding():
     explicit = (1).to_bytes(8, "big")
     server = reference_encrypt(b"HTTP/1.1 200 OK\r\n\r\n", *second, explicit, seq=1,
                                direction=Direction.SERVER_TO_CLIENT)
-    capture = assemble_session(HandshakeSummary(0x009D), [record_both_open(first, second, explicit, 1), server])
+    capture = assemble_session(0x009D, [record_both_open(first, second, explicit, 1), server])
     return capture, first, second
 
 

@@ -85,15 +85,16 @@ def standard_session(tmp_path_factory):
     return paths.root, parse_capture(paths.root), truth
 
 
-def _record_reads(monkeypatch, refuse=()):
-    """Names of the files read through pathlib; reading a name in ``refuse`` fails."""
+def _record_reads(monkeypatch, refuse=(), error=lambda path: PermissionError(13, "Permission denied", str(path))):
+    """Names of the files read through pathlib; reading a name in ``refuse``
+    raises ``error(path)``."""
     read = []
     real_read_bytes = pathlib.Path.read_bytes
 
     def read_bytes(path):
         read.append(path.name)
         if path.name in refuse:
-            raise PermissionError(13, "Permission denied", str(path))
+            raise error(path)
         return real_read_bytes(path)
 
     monkeypatch.setattr(pathlib.Path, "read_bytes", read_bytes)
@@ -140,9 +141,10 @@ def test_winner_index_and_attempted_count_the_staged_order(tmp_path, windows_ses
     report = run_pipeline(extracts, capture, mode="windows")
     assert report.outcome == "decrypted" and report.candidates["bands_scanned"] == [1, 2]
 
-    extract_set, cfg, seen = load_extracts(extracts), ScanConfig(key_len_bytes=32), set()
-    keys_1, ivs_1 = scan_windows(extract_set, cfg, (1,), seen)
-    keys_2, ivs_2 = scan_windows(extract_set, cfg, (2,), seen)
+    extract_set, cfg = load_extracts(extracts), ScanConfig(key_len_bytes=32)
+    keys_1, ivs_1 = scan_windows(extract_set, cfg, (1,))
+    seen = {c.value for c in keys_1 + ivs_1}
+    keys_2, ivs_2 = ([c for c in cands if c.value not in seen] for cands in scan_windows(extract_set, cfg, (2,)))
     order = (naive_pair_order(keys_1, ivs_1) + naive_pair_order(keys_2, ivs_1 + ivs_2)
              + naive_pair_order(keys_1, ivs_2))
     index = [(k.value, v.value) for k, v in order].index((truth.client_key, truth.client_iv))
@@ -153,6 +155,35 @@ def test_winner_index_and_attempted_count_the_staged_order(tmp_path, windows_ses
     assert report.trials["attempted"] == index * 5 + seq_position + 1
     assert (report.candidates["keys"], report.candidates["ivs"]) == (
         len(keys_1 + keys_2), len(ivs_1 + ivs_2))
+
+
+def test_a_marker_value_in_two_bands_is_one_candidate(tmp_path, monkeypatch, windows_session):
+    # the client key window sits in bands 1 and 2 and its IV only in band 2, so
+    # band 2's stage has no new key: it pairs band 1's key with its new IV alone
+    _, capture, truth = windows_session
+    decoy_iv = b"\x01\x02\x03\x04"
+    extracts = _write_extracts(tmp_path / "extracts", {
+        1: [_key_window(truth.client_key), _iv_window(decoy_iv)],
+        2: [_key_window(truth.client_key), _iv_window(truth.client_iv)],
+    })
+    paired = []
+
+    def pair_candidates_recorded(keys, ivs):
+        paired.append(([k.value for k in keys], [v.value for v in ivs]))
+        return pair_candidates(keys, ivs)
+
+    monkeypatch.setattr(cli, "pair_candidates", pair_candidates_recorded)
+    report = run_pipeline(extracts, capture, mode="windows", clock=lambda: 0.0)
+    assert report.outcome == "decrypted_partial" and report.candidates["bands_scanned"] == [1, 2, 3]
+    extract_set, cfg = load_extracts(extracts), ScanConfig(key_len_bytes=32)
+    (keys_1, ivs_1), (keys_2, ivs_2) = (scan_windows(extract_set, cfg, (band,)) for band in (1, 2))
+    values = lambda cands: [c.value for c in cands]
+    assert truth.client_key in values(keys_1) and sorted(values(keys_2)) == sorted(values(keys_1))
+    assert decoy_iv in values(ivs_1) and truth.client_iv in values(ivs_2)
+    assert (report.candidates["keys"], report.candidates["ivs"]) == (len(keys_1), len(ivs_1 + ivs_2))
+    assert paired == [(values(keys_1), values(ivs_1)), (values(keys_1), values(ivs_2))]
+    assert report.trials["winner_index"] >= len(keys_1) * len(ivs_1)
+    assert report.to_dict() == oracle_pipeline(extracts, capture, "windows")
 
 
 def test_server_probe_misses_in_every_band_reports_partial(tmp_path, windows_session):
@@ -245,14 +276,27 @@ def test_band_1_win_never_opens_later_bands(tmp_path, monkeypatch, windows_sessi
     assert [name for name in read if name.endswith(".bin")] == [BAND_FILES[1][0]]
 
 
-def test_unreadable_band_1_extract_exits_1_with_one_error_line(tmp_path, monkeypatch, capsys, windows_session):
+def _band_1_read_fails(tmp_path, monkeypatch, capsys, windows_session, error):
+    """Exit code and stderr of ``decrypt`` when reading band 1's extract raises ``error(path)``."""
     root, _, truth = windows_session
     extracts = _write_extracts(tmp_path / "extracts", {
         1: [_key_window(truth.client_key), _iv_window(truth.client_iv)],
     })
-    _record_reads(monkeypatch, refuse={BAND_FILES[1][0]})
+    _record_reads(monkeypatch, refuse={BAND_FILES[1][0]}, error=error)
     code = main(["decrypt", "--extracts", str(extracts), "--capture", str(root)])
-    err = capsys.readouterr().err
+    return code, capsys.readouterr().err
+
+
+def test_unreadable_band_1_extract_exits_1_with_one_error_line(tmp_path, monkeypatch, capsys, windows_session):
+    code, err = _band_1_read_fails(tmp_path, monkeypatch, capsys, windows_session,
+                                   lambda path: PermissionError(13, "Permission denied", str(path)))
+    assert code == EXIT_ERROR
+    assert len(err.splitlines()) == 1 and err.startswith("error: cannot read extract ")
+
+
+def test_band_1_extract_larger_than_memory_exits_1_with_one_error_line(tmp_path, monkeypatch, capsys,
+                                                                        windows_session):
+    code, err = _band_1_read_fails(tmp_path, monkeypatch, capsys, windows_session, lambda path: MemoryError())
     assert code == EXIT_ERROR
     assert len(err.splitlines()) == 1 and err.startswith("error: cannot read extract ")
 
@@ -282,7 +326,7 @@ def test_extract_grown_since_listing_exits_1_with_one_error_line(tmp_path, monke
 
 def _reference(extract_dir, capture, mode):
     """The whole ExtractSet scanned at once, then trialled: the search before bands were staged."""
-    extracts, cfg = load_extracts(extract_dir), ScanConfig(key_len_bytes=capture.handshake.key_len_bytes)
+    extracts, cfg = load_extracts(extract_dir), ScanConfig(key_len_bytes=capture.key_len_bytes)
     try:
         if mode == "windows":
             pairs = pair_candidates(*scan_windows(extracts, cfg))
@@ -436,7 +480,7 @@ def _scene(**overrides):
 def test_report_matches_the_reference_pipeline(windows_session, standard_session, colliding, scene):
     capture, client_key, client_iv, server_key, server_iv = _named_session(
         scene["session"], windows_session, standard_session, colliding)
-    k = capture.handshake.key_len_bytes
+    k = capture.key_len_bytes
     if not scene["decrypts"]:  # in the colliding session both keys open the client record
         client_key, server_key = bytes(range(1, k + 1)), bytes(range(100, 100 + k))
     placed: list[tuple[int, bytes]] = []

@@ -70,8 +70,8 @@ def _minimal_streams(suite=0x009D, app_nonce=b"\x00" * 7 + b"\x01", finished_non
 
 def test_parse_minimal_session_layout():
     capture = parse_raw_streams(*_minimal_streams())
-    assert capture.handshake.key_len_bytes == 32
-    assert capture.handshake.cipher_suite == 0x009D
+    assert capture.key_len_bytes == 32
+    assert capture.cipher_suite == 0x009D
     kinds = [(r.direction, r.seq, r.content_type) for r in capture.records]
     assert kinds == [
         (Direction.CLIENT_TO_SERVER, 0, CONTENT_HANDSHAKE),
@@ -98,8 +98,8 @@ def test_per_direction_seq_gapless(windows_fixture_32):
 def test_key_len_is_a_pure_function_of_suite(suite, expected):
     assert suite_key_len(suite) == expected
     capture = parse_raw_streams(*_minimal_streams(suite=suite))
-    assert capture.handshake.key_len_bytes == expected
-    assert capture.handshake.suite_name == GCM_SUITES[suite][0]
+    assert capture.key_len_bytes == expected
+    assert capture.suite_name == GCM_SUITES[suite][0]
 
 
 def test_cbc_suite_rejected():
@@ -195,7 +195,7 @@ def test_server_hello_extension_walk_passes_other_extensions():
     renegotiation_info = struct.pack(">HH", 0xFF01, 1) + b"\x00"
     client, _ = _minimal_streams()
     server = _server_hello_record(extensions=renegotiation_info) + _ccs()
-    assert parse_raw_streams(client, server).handshake.cipher_suite == 0x009D
+    assert parse_raw_streams(client, server).cipher_suite == 0x009D
     tls13 = struct.pack(">HH", 43, 2) + struct.pack(">H", 0x0304)
     server = _server_hello_record(extensions=renegotiation_info + tls13) + _ccs()
     with pytest.raises(UnsupportedCipherSuite):

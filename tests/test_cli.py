@@ -9,7 +9,6 @@ import pytest
 from keysift.capture import (
     Direction,
     EncryptedRecord,
-    HandshakeSummary,
     NonceStyle,
     SessionCapture,
     TlsRecord,
@@ -87,7 +86,7 @@ def test_report_counts_match_scanner(windows_fixture_32, tmp_path):
     # the counts cover the bands the staged search reached, not every band
     bands = report["candidates"]["bands_scanned"]
     keys, ivs = scan_windows(
-        load_extracts(paths.extract_dir), ScanConfig(key_len_bytes=capture.handshake.key_len_bytes), bands
+        load_extracts(paths.extract_dir), ScanConfig(key_len_bytes=capture.key_len_bytes), bands
     )
     assert bands == [1]
     assert report["candidates"]["keys"] == len(keys)
@@ -123,7 +122,7 @@ def test_auto_mode_reads_counter_nonces_past_255(windows_fixture_16, tmp_path, c
     ]
     shifted = tmp_path / "capture"
     shifted.mkdir()
-    client, server = serialize_session(assemble_session(capture.handshake, records))
+    client, server = serialize_session(assemble_session(capture.cipher_suite, records))
     (shifted / "client.tls").write_bytes(client)
     (shifted / "server.tls").write_bytes(server)
     out = tmp_path / "report.json"
@@ -289,11 +288,10 @@ def test_scanner_flags_are_scan_config_fields_and_records_stay_frozen():
 
     block = CandidateKeyBlock(bytes(16), bytes(16), bytes(4), bytes(4), 0, 0, BlockHypothesis.IV_WAS_CLIENT)
     record = EncryptedRecord(Direction.CLIENT_TO_SERVER, 0, bytes(8), bytes(32), 0x0303, 23)
-    summary = HandshakeSummary(0x009C)
     result = TrialResult(bytes(16), bytes(4), 1, b"GET /", 0)
     entry = TranscriptEntry(Direction.CLIENT_TO_SERVER, 0, b"GET /", True)
     records = [
-        TlsRecord(23, 0x0303, b""), summary, record, SessionCapture(summary, (record,)),
+        TlsRecord(23, 0x0303, b""), record, SessionCapture(0x009C, (record,)),
         result, entry, DecryptedSession(bytes(16), bytes(4), None, None, (entry,)),
         ExtractSet((), {}), Candidate(bytes(4), 0, 0, 2.0), block, ScanConfig(),
     ]

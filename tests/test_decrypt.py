@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 import keysift.decrypt as decrypt_module
 from keysift.capture import (
     Direction,
-    HandshakeSummary,
     NonceStyle,
     assemble_session,
     parse_capture,
@@ -562,7 +561,7 @@ def _hand_built_session(key_len, body_len):
         for key, iv, direction in (
             (client_key, client_iv, Direction.CLIENT_TO_SERVER), (server_key, server_iv, Direction.SERVER_TO_CLIENT))
     ]
-    capture = assemble_session(HandshakeSummary(0x009C if key_len == 16 else 0x009D), records)
+    capture = assemble_session(0x009C if key_len == 16 else 0x009D, records)
     truth = FixtureGroundTruth(
         client_key, server_key, client_iv, server_iv, plaintext, plaintext, records[0].explicit_nonce)
     return capture, truth
