@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 from .errors import (
     FilterNeedsPcap,
+    KeysiftError,
     MalformedRecord,
     NoApplicationData,
     UnsupportedCipherSuite,
@@ -276,11 +277,18 @@ def parse_capture(source, session_filter: tuple | None = None) -> SessionCapture
     if base.is_dir():
         if session_filter is not None:
             raise FilterNeedsPcap(f"a session filter selects a pcap session; the capture {base} is a directory")
-        return parse_raw_streams((base / "client.tls").read_bytes(), (base / "server.tls").read_bytes())
+        return parse_raw_streams(_read_capture(base / "client.tls"), _read_capture(base / "server.tls"))
 
     from .pcap import tls_streams_from_pcap
 
-    return parse_raw_streams(*tls_streams_from_pcap(base.read_bytes(), session_filter))
+    return parse_raw_streams(*tls_streams_from_pcap(_read_capture(base), session_filter))
+
+
+def _read_capture(path: Path) -> bytes:
+    try:
+        return path.read_bytes()
+    except MemoryError as exc:  # a capture larger than free memory
+        raise KeysiftError(f"cannot read capture {path}: not enough free memory to hold it") from exc
 
 
 def explicit_nonce_style(capture: SessionCapture) -> NonceStyle:

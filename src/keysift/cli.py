@@ -158,15 +158,15 @@ def run_pipeline(
     extract_dir,
     capture: SessionCapture,
     mode: str = "auto",
-    config: ScanConfig | None = None,
     clock=time.perf_counter,
 ) -> RunReport:
     """Load extracts, search band by band, decrypt the session at the first win.
 
-    ``capture`` is the parsed session, as ``parse_capture`` returns it. In
-    auto mode counter-like explicit nonces (``explicit_nonce_style``) select
-    the marker scanner first, with the standard scanner as fall-back;
-    random-like nonces go straight to the standard scanner.
+    ``capture`` is the parsed session, as ``parse_capture`` returns it; its
+    cipher suite sets the key size of every scan and trial. In auto mode
+    counter-like explicit nonces (``explicit_nonce_style``) select the marker
+    scanner first, with the standard scanner as fall-back; random-like nonces
+    go straight to the standard scanner.
 
     The search is one stage loop (``_run_stages``): band 1, then 2, then 3,
     and in each band the mode's scanners in that order. A scanner's stage, the
@@ -192,7 +192,7 @@ def run_pipeline(
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
 
-    cfg = config or ScanConfig(key_len_bytes=capture.key_len_bytes)
+    cfg = ScanConfig(key_len_bytes=capture.key_len_bytes)
     extracts = load_extracts(extract_dir)
     style = explicit_nonce_style(capture)
 
@@ -251,27 +251,6 @@ def _run_stages(search: _BandSearch, scanners: list[str]) -> None:
     report.trials = {"attempted": attempted, "winner_index": None, "seq_used": None, "validation": None}
 
 
-def _add_scan_flags(parser: argparse.ArgumentParser) -> None:
-    """Scanner knobs; each flag's dest is the ScanConfig field it overrides."""
-    parser.add_argument("--iv-entropy", dest="iv_entropy_threshold", type=float,
-                        help="IV entropy gate (default 1.5)")
-    parser.add_argument("--key-entropy", dest="key_entropy_threshold", type=float,
-                        help="key entropy gate (default 0.9*log2(key size))")
-    parser.add_argument("--min-gap", dest="min_artefact_gap", type=int,
-                        help="prune candidates closer than this many bytes (default 1000)")
-
-
-def _config_from_args(args, key_len: int) -> ScanConfig:
-    """ScanConfig from the scanner flags given; ``key_len`` unless scan's --key-size is."""
-    given = {name: getattr(args, name, None) for name in ScanConfig._fields}
-    kwargs = {name: value for name, value in given.items() if value is not None}
-    kwargs.setdefault("key_len_bytes", key_len)
-    try:
-        return ScanConfig(**kwargs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value <= 0:
@@ -309,15 +288,8 @@ def _emit(args, text: str) -> None:
 
 def _cmd_decrypt(args) -> int:
     capture = parse_capture(args.capture, args.filter)
-    cfg = _config_from_args(args, capture.key_len_bytes)
     clock = (lambda: 0.0) if args.no_timings else time.perf_counter
-    report = run_pipeline(
-        args.extracts,
-        capture,
-        mode=args.mode,
-        config=cfg,
-        clock=clock,
-    )
+    report = run_pipeline(args.extracts, capture, mode=args.mode, clock=clock)
     payload = report.to_dict()
     _emit(args, render_json(payload) if args.format == "json" else render_text(payload))
     return EXIT_OK if report.outcome.startswith("decrypted") else EXIT_NO_DECRYPT
@@ -329,8 +301,7 @@ def _cmd_scan(args) -> int:
         if not args.capture:
             raise UsageError("standard scan needs --capture for the explicit nonce")
         capture = parse_capture(args.capture, args.filter)
-        cfg = _config_from_args(args, capture.key_len_bytes)
-        blocks = scan_standard(extracts, capture, cfg)
+        blocks = scan_standard(extracts, capture, ScanConfig(key_len_bytes=capture.key_len_bytes))
         payload = {
             "mode": "standard",
             "key_blocks": [
@@ -347,12 +318,14 @@ def _cmd_scan(args) -> int:
             ],
         }
     else:
-        # the marker scan reads no record, but a capture still sets the key size
+        # the marker scan reads no record, but a capture still sets the key size; with none, both sizes
         if args.filter is not None and not args.capture:
             raise UsageError("--filter selects a session of --capture; it needs --capture")
-        key_len = parse_capture(args.capture, args.filter).key_len_bytes if args.capture else 32
-        cfg = _config_from_args(args, key_len)
-        keys, ivs = scan_windows(extracts, cfg)
+        key_lens = [parse_capture(args.capture, args.filter).key_len_bytes] if args.capture else [16, 32]
+        scans = [scan_windows(extracts, ScanConfig(key_len_bytes=key_len)) for key_len in key_lens]
+        keys = sorted((key for found, _ in scans for key in found),
+                      key=lambda c: (c.extract_id, c.offset, len(c.value)))
+        ivs = scans[0][1]  # the IV windows do not depend on the key size
         rows = lambda cands: [
             {"extract_id": c.extract_id, "offset": c.offset, "entropy": round(c.entropy, 6), "value": c.value.hex()}
             for c in cands
@@ -432,19 +405,16 @@ def build_parser() -> argparse.ArgumentParser:
     decrypt.add_argument("--output", default=None, help="write the report here instead of stdout")
     decrypt.add_argument("--no-timings", action="store_true",
                          help="zero the timing fields for byte-stable reports")
-    _add_scan_flags(decrypt)
     decrypt.set_defaults(func=_cmd_decrypt)
 
     scan = sub.add_parser("scan", help="run a scanner and list candidates without decrypting")
     scan.add_argument("--extracts", required=True)
     scan.add_argument("--capture", default=None,
-                      help="needed for the standard scan; sets the key size of the windows scan")
+                      help="needed for the standard scan; sets the key size of the windows scan, "
+                           "which lists both sizes without it")
     scan.add_argument("--mode", choices=("windows", "standard"), default="windows")
     scan.add_argument("--filter", type=_parse_filter, default=None)
     scan.add_argument("--output", default=None)
-    scan.add_argument("--key-size", dest="key_len_bytes", type=int, choices=(16, 32),
-                      help="AES key length in bytes (default: from --capture, else 32)")
-    _add_scan_flags(scan)
     scan.set_defaults(func=_cmd_scan)
 
     pc = sub.add_parser("parse-capture", help="parse a capture and summarize the session")

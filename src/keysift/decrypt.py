@@ -101,13 +101,13 @@ def decrypt_record(record: EncryptedRecord, key: bytes, implicit_iv: bytes, seq:
 SEQ_WINDOW = 2
 
 
-def _seq_candidates(reconstructed: int, window: int) -> list[int]:
-    """The 2*window+1 sequence numbers to try, nearest to the reconstruction
-    first; the screens pass ``SEQ_WINDOW``. Numbers below 0 are replaced by
-    extending the range upward so the trial count per material stays fixed.
+def _seq_candidates(reconstructed: int) -> list[int]:
+    """The 2*SEQ_WINDOW+1 sequence numbers to try, nearest to the reconstruction
+    first. Numbers below 0 are replaced by extending the range upward so the
+    trial count per material stays fixed.
     """
-    low = max(0, reconstructed - window)
-    candidates = list(range(low, low + 2 * window + 1))
+    low = max(0, reconstructed - SEQ_WINDOW)
+    candidates = list(range(low, low + 2 * SEQ_WINDOW + 1))
     candidates.sort(key=lambda s: (abs(s - reconstructed), s))
     return candidates
 
@@ -160,7 +160,7 @@ class _TagScreen:
     """
 
     def __init__(self, record: EncryptedRecord, decryptors: dict):
-        self.seqs = _seq_candidates(record.seq, SEQ_WINDOW)
+        self.seqs = _seq_candidates(record.seq)
         self._body_len = len(record.ciphertext) - GCM_TAG_LEN
         self._body = record.ciphertext[: self._body_len]
         self._tag = int.from_bytes(record.ciphertext[self._body_len :], "big")

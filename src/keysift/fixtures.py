@@ -41,10 +41,7 @@ from .errors import BadKeyLength, SpecInvalid
 from .memscan import (
     IV_MARKER,
     KEY_MARKER,
-    MAX_IV_DISTANCE,
-    MAX_KEY_DISTANCE,
     MB,
-    STEP,
     BlockHypothesis,
     ScanConfig,
     band_for_size,
@@ -62,6 +59,10 @@ _TEXT_PATTERN = b"snix"
 
 _DEFAULT_EXTRACT_SIZES = (512 * 1024, 3 * MB, 8 * MB)
 _SITE_MARGIN = 2048  # keeps separate plant sites out of each other's pruning range
+# where the marker groups hold their implicit IV and key, in bytes past the marker: on the
+# scanner's stride, so a search window lands exactly on each ('approximately N bytes after')
+_IV_OFFSET_AFTER_3LLS = 20
+_KEY_OFFSET_AFTER_KSSM = 28
 
 
 class FixtureLayout(Enum):
@@ -83,8 +84,6 @@ class FixtureSpec:
     plaintext_client: bytes | None = None  # None: seeded HTTP request
     plaintext_server: bytes | None = None  # None: seeded HTTP response
     layout: FixtureLayout = FixtureLayout.WINDOWS_MARKERS
-    iv_offset_after_3lls: int = 20
-    key_offset_after_kssm: int = 30
     extract_sizes: tuple[int, ...] = _DEFAULT_EXTRACT_SIZES
     decoy_markers: int = 0
     decoy_high_entropy_regions: int = 0
@@ -104,10 +103,6 @@ class FixtureSpec:
             raise SpecInvalid("extract sizes must be positive")
         if not any(band_for_size(s) == 1 for s in self.extract_sizes):
             raise SpecInvalid("at least one extract size must fall in band 1 (1 MB to 8 MB)")
-        if not 0 <= self.iv_offset_after_3lls <= MAX_IV_DISTANCE:
-            raise SpecInvalid("iv_offset_after_3lls must sit inside the IV search distance")
-        if not 0 <= self.key_offset_after_kssm <= MAX_KEY_DISTANCE:
-            raise SpecInvalid("key_offset_after_kssm must sit inside the key search distance")
         if self.decoy_markers < 0 or self.decoy_high_entropy_regions < 0:
             raise SpecInvalid("decoy counts must be non-negative")
         if self.keyblock_copies < 1:
@@ -331,12 +326,6 @@ def _filler_buffer(filler: Filler, size: int, rng: random.Random) -> bytearray:
     return bytearray((bytes(cycle) * reps)[:size])
 
 
-def _snap(offset: int) -> int:
-    """Planted offsets snap down to the scanner stride so a search window
-    lands exactly on the artefact ('approximately N bytes after the marker')."""
-    return offset - offset % STEP
-
-
 class _Plan:
     """Placement bookkeeping for one extract buffer."""
 
@@ -367,20 +356,13 @@ class _Plan:
         self.written.append((offset, len(data)))
 
 
-def _plant_marker_group(
-    plan: _Plan,
-    truth: FixtureGroundTruth,
-    label: str,
-    iv_value: bytes,
-    key_value: bytes,
-    spec: FixtureSpec,
-) -> None:
+def _plant_marker_group(plan: _Plan, truth: FixtureGroundTruth, label: str, iv_value: bytes, key_value: bytes) -> None:
     site = plan.place(1024)
-    iv_at = site + len(IV_MARKER) + _snap(spec.iv_offset_after_3lls)
+    iv_at = site + len(IV_MARKER) + _IV_OFFSET_AFTER_3LLS
     plan.write(site, IV_MARKER)
     plan.write(iv_at, iv_value)
     key_site = site + 512
-    key_at = key_site + len(KEY_MARKER) + _snap(spec.key_offset_after_kssm)
+    key_at = key_site + len(KEY_MARKER) + _KEY_OFFSET_AFTER_KSSM
     plan.write(key_site, KEY_MARKER)
     plan.write(key_at, key_value)
     truth.planted.append(PlantedArtefact(f"{label}_iv", plan.extract_id, plan.name, iv_at, iv_value))
@@ -455,8 +437,8 @@ def _render(spec: FixtureSpec, rng: random.Random):
     home = next(plan for plan in plans if band_for_size(len(plan.buf)) == 1)
 
     if spec.layout in (FixtureLayout.WINDOWS_MARKERS, FixtureLayout.BOTH):
-        _plant_marker_group(home, truth, "client", truth.client_iv, truth.client_key, spec)
-        _plant_marker_group(home, truth, "server", truth.server_iv, truth.server_key, spec)
+        _plant_marker_group(home, truth, "client", truth.client_iv, truth.client_key)
+        _plant_marker_group(home, truth, "server", truth.server_iv, truth.server_key)
     if spec.layout in (FixtureLayout.GENERIC_KEY_BLOCK, FixtureLayout.BOTH):
         _plant_generic(home, truth, spec, session.first_explicit_nonce)
 

@@ -20,7 +20,7 @@ from keysift.capture import (
     NonceStyle,
     assemble_session,
 )
-from keysift.decrypt import _cipher_for, _open_record, _seq_candidates, record_aad, validate_plaintext
+from keysift.decrypt import _cipher_for, _open_record, record_aad, validate_plaintext
 from keysift.fixtures import FixtureSpec, generate_fixture, reference_encrypt
 from keysift.gcm_ref import _encrypt_block, _expand_key, _gmult
 from keysift.memscan import (
@@ -279,12 +279,14 @@ def naive_pair_order(keys, ivs):
     return [(keys[ki], ivs[vi]) for _, _, ki, vi in pairs]
 
 
-def naive_first_opening(record, materials, seq_window):
+def naive_first_opening(record, materials):
     """The per-pair trial loop: try each (key, iv, index, swapped) material
-    against ``record`` at every sequence number of the window, nearest first,
-    with one ``AESGCM.decrypt`` per trial. Returns the trial count and the
-    first (material, seq, plaintext) whose tag verifies, or None."""
-    seqs = _seq_candidates(record.seq, seq_window)
+    against ``record`` at the 5 sequence numbers within 2 of its own, nearest
+    first and the lower first on a tie, the range shifted up when it would
+    reach below 0, with one ``AESGCM.decrypt`` per trial. Returns the trial
+    count and the first (material, seq, plaintext) whose tag verifies, or None."""
+    low = max(0, record.seq - 2)
+    seqs = sorted(range(low, low + 5), key=lambda seq: (abs(seq - record.seq), seq))
     ciphers: dict[bytes, AESGCM] = {}
     trials = 0
     for material in materials:
@@ -299,7 +301,7 @@ def naive_first_opening(record, materials, seq_window):
     return trials, None
 
 
-def oracle_pipeline(extract_dir, capture, mode, seq_window=2):
+def oracle_pipeline(extract_dir, capture, mode):
     """The ``--no-timings`` report dict of ``run_pipeline``, recomputed with
     the oracles above: each stage's candidates from the scan oracles over the
     bands so far, minus what earlier stages found; each stage's new pairs
@@ -380,7 +382,7 @@ def oracle_pipeline(extract_dir, capture, mode, seq_window=2):
                 stage = [[m for i, b in enumerate(blocks) for m in ((b[3], b[5], i, False), (b[4], b[6], i, True))]]
                 stage = stage if blocks else []
             for materials in stage:
-                trials, won = naive_first_opening(client_record, materials, seq_window)
+                trials, won = naive_first_opening(client_record, materials)
                 if won is None:
                     attempted += trials
                     tried[attempt] += len(blocks) if attempt == "standard" else len(materials)
@@ -394,7 +396,7 @@ def oracle_pipeline(extract_dir, capture, mode, seq_window=2):
                 material = {Direction.CLIENT_TO_SERVER: (key, iv, seq - client_record.seq),
                             Direction.SERVER_TO_CLIENT: None}
                 for probe_materials in probe_sets if server_records else ():
-                    _, server = naive_first_opening(server_records[0], probe_materials, seq_window)
+                    _, server = naive_first_opening(server_records[0], probe_materials)
                     if server is not None:
                         (server_key, server_iv, _, _), server_seq, _ = server
                         material[Direction.SERVER_TO_CLIENT] = (server_key, server_iv,

@@ -150,7 +150,7 @@ def test_winner_index_and_attempted_count_the_staged_order(tmp_path, windows_ses
     index = [(k.value, v.value) for k, v in order].index((truth.client_key, truth.client_iv))
     assert index >= len(keys_1) * len(ivs_1) + len(keys_2) * len(ivs_1 + ivs_2)
     record = capture.app_data(Direction.CLIENT_TO_SERVER)[0]
-    seq_position = _seq_candidates(record.seq, 2).index(report.trials["seq_used"])
+    seq_position = _seq_candidates(record.seq).index(report.trials["seq_used"])
     assert report.trials["winner_index"] == index
     assert report.trials["attempted"] == index * 5 + seq_position + 1
     assert (report.candidates["keys"], report.candidates["ivs"]) == (

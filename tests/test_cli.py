@@ -19,7 +19,7 @@ from keysift.cli import (
     EXIT_ERROR,
     EXIT_NO_DECRYPT,
     EXIT_OK,
-    _config_from_args,
+    UsageError,
     _parse_filter,
     build_parser,
     main,
@@ -240,7 +240,12 @@ def test_seq_window_sets_the_trials_per_material(tmp_path):
     _DECRYPT + ("--counter-bound", "-5"),
     _DECRYPT + ("--capture-format", "pcap"),
     _DECRYPT + ("--key-size", "16"),
+    _DECRYPT + ("--key-entropy", "3.5"),
     ("scan", "--extracts", "{extracts}", "--step", "0"),
+    ("scan", "--extracts", "{extracts}", "--key-size", "16"),
+    ("scan", "--extracts", "{extracts}", "--iv-entropy", "2"),
+    ("scan", "--extracts", "{extracts}", "--key-entropy", "3.5"),
+    ("scan", "--extracts", "{extracts}", "--min-gap", "500"),
     ("scan", "--extracts", "{extracts}", "--counter-bound", "7"),
     ("scan", "--extracts", "{extracts}", "--mode", "auto", "--capture", "{capture}"),
     ("scan", "--extracts", "{extracts}", "--capture", "{capture}", "--capture-format", "pcap"),
@@ -252,7 +257,8 @@ def test_seq_window_sets_the_trials_per_material(tmp_path):
     ("entropy-profile", "--extracts", "{extracts}", "--threshold", "inf"),
 ], ids=["missing-capture", "workers", "step-0", "negative-gap", "bad-filter", "filter-without-pcap",
         "filter-port-above-range", "filter-negative-port", "seq-window", "iv-entropy-nan", "negative-counter-bound",
-        "capture-format", "decrypt-key-size", "scan-step-0", "scan-counter-bound", "scan-auto", "scan-capture-format",
+        "capture-format", "decrypt-key-size", "key-entropy", "scan-step-0", "scan-key-size", "scan-iv-entropy",
+        "scan-key-entropy", "scan-min-gap", "scan-counter-bound", "scan-auto", "scan-capture-format",
         "parse-capture-format", "profile-window-0", "profile-negative-window", "profile-region-windows-0",
         "profile-threshold-nan", "profile-threshold-inf"])
 def test_usage_errors_exit_1_with_one_error_line(windows_fixture_16, capsys, argv):
@@ -271,20 +277,14 @@ def test_help_exits_0(capsys):
     assert "--extracts" in capsys.readouterr().out
 
 
-_SCAN_FLAGS = ("--iv-entropy", "1.25", "--key-entropy", "3.5", "--min-gap", "500")
-
-
-def test_scanner_flags_are_scan_config_fields_and_records_stay_frozen():
-    # _config_from_args reads the scanner flags by ScanConfig field name; only
-    # scan takes --key-size, decrypt's key size is its capture's
+def test_scanner_flags_are_refused_and_records_stay_frozen():
+    # the key size is the capture's, the gates and the gap ScanConfig's defaults
     parser = build_parser()
-    for command, key_len in ((("decrypt", "--extracts", "e", "--capture", "c"), 32),
-                             (("scan", "--extracts", "e", "--key-size", "16"), 16)):
-        bare = vars(parser.parse_args(command))
-        args = parser.parse_args(command + _SCAN_FLAGS)
-        changed = {dest for dest, value in vars(args).items() if value != bare[dest]}
-        assert changed == set(ScanConfig._fields) - {"key_len_bytes"}
-        assert _config_from_args(args, 32) == ScanConfig(key_len, 1.25, 3.5, 500)
+    refused = [("--iv-entropy", "1.25"), ("--key-entropy", "3.5"), ("--min-gap", "500")]
+    for command in (("decrypt", "--extracts", "e", "--capture", "c"), ("scan", "--extracts", "e")):
+        for flag in refused + [("--key-size", "16")]:
+            with pytest.raises(UsageError, match="unrecognized arguments"):
+                parser.parse_args(command + flag)
 
     block = CandidateKeyBlock(bytes(16), bytes(16), bytes(4), bytes(4), 0, 0, BlockHypothesis.IV_WAS_CLIENT)
     record = EncryptedRecord(Direction.CLIENT_TO_SERVER, 0, bytes(8), bytes(32), 0x0303, 23)
@@ -303,15 +303,18 @@ def test_scanner_flags_are_scan_config_fields_and_records_stay_frozen():
     assert {(record, 2): 1}[record._replace(seq=0), 2] == 1
 
 
-def test_scan_windows_command(windows_fixture_16, capsys):
-    _, paths, truth = windows_fixture_16
-    code = _run(["scan", "--extracts", str(paths.extract_dir), "--mode", "windows",
-                 "--key-size", "16"])
-    assert code == EXIT_OK
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["mode"] == "windows"
-    values = {entry["value"] for entry in payload["keys"]}
-    assert truth.client_key.hex() in values
+def test_scan_windows_command(windows_fixture_16, windows_fixture_32, capsys):
+    # with no capture to give the key size, the keys of both sizes are listed
+    for fixture in (windows_fixture_16, windows_fixture_32):
+        _, paths, truth = fixture
+        assert _run(["scan", "--extracts", str(paths.extract_dir), "--mode", "windows"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["mode"] == "windows"
+        rows = [(entry["extract_id"], entry["offset"], len(entry["value"]) // 2) for entry in payload["keys"]]
+        assert rows == sorted(rows)
+        assert truth.client_key.hex() in {entry["value"] for entry in payload["keys"]}
+    # every 16-byte window of a planted 32-byte key clears the 16-byte gate too
+    assert {size for _, _, size in rows} == {16, 32}
 
 
 def test_scan_standard_command(tmp_path, capsys):
@@ -334,14 +337,17 @@ def test_scan_standard_command(tmp_path, capsys):
     assert any(b["client_key"] == truth.client_key.hex() for b in payload["key_blocks"])
 
 
-def test_scan_windows_takes_the_key_size_from_the_capture(windows_fixture_16, capsys):
-    _, paths, truth = windows_fixture_16
-    scan = ["scan", "--extracts", str(paths.extract_dir), "--mode", "windows"]
-    assert _run(scan + ["--key-size", "16"]) == EXIT_OK
-    sized = json.loads(capsys.readouterr().out)
-    assert _run(scan + ["--capture", str(paths.root)]) == EXIT_OK
-    assert json.loads(capsys.readouterr().out) == sized
-    assert truth.client_key.hex() in {entry["value"] for entry in sized["keys"]}
+def test_scan_windows_takes_the_key_size_from_the_capture(windows_fixture_16, windows_fixture_32, capsys):
+    for fixture in (windows_fixture_16, windows_fixture_32):
+        spec, paths, truth = fixture
+        scan = ["scan", "--extracts", str(paths.extract_dir), "--mode", "windows"]
+        assert _run(scan) == EXIT_OK
+        both = json.loads(capsys.readouterr().out)
+        assert _run(scan + ["--capture", str(paths.root)]) == EXIT_OK
+        sized = json.loads(capsys.readouterr().out)
+        assert sized["ivs"] == both["ivs"]
+        assert sized["keys"] == [entry for entry in both["keys"] if len(entry["value"]) == 2 * spec.key_len_bytes]
+        assert truth.client_key.hex() in {entry["value"] for entry in sized["keys"]}
 
 
 @pytest.mark.parametrize("capture", [True, False], ids=["raw-records", "no-capture"])
@@ -476,17 +482,14 @@ def test_gen_fixture_default_recipe(tmp_path, capsys):
     assert report.outcome == "decrypted"
 
 
-def test_scan_flag_overrides_reach_the_scanner(windows_fixture_16, capsys):
-    # a 16-byte window scores at most log2(16) = 4.0 bits, so no key clears a strict 4.0 gate
+def test_scan_flag_overrides_reach_the_scanner(windows_fixture_16):
+    # the gates are set from Python only: a 16-byte window scores at most
+    # log2(16) = 4.0 bits, so no key clears a strict 4.0 gate
     _, paths, truth = windows_fixture_16
-    code = _run([
-        "scan", "--extracts", str(paths.extract_dir), "--mode", "windows",
-        "--key-size", "16", "--key-entropy", "4.0",
-    ])
-    assert code == EXIT_OK
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["keys"] == []
-    assert truth.client_iv.hex() in {entry["value"] for entry in payload["ivs"]}
+    cfg = ScanConfig(key_len_bytes=16, key_entropy_threshold=4.0)
+    keys, ivs = scan_windows(load_extracts(paths.extract_dir), cfg)
+    assert keys == []
+    assert truth.client_iv in {c.value for c in ivs}
 
 
 def test_both_layout_serves_either_scanner(tmp_path):
@@ -524,6 +527,31 @@ def test_console_entry_point(windows_fixture_16):
     )
     assert proc.returncode == EXIT_OK
     assert json.loads(proc.stdout)["key_len_bytes"] == 16
+
+
+@pytest.mark.parametrize("command", ["parse-capture", "decrypt"])
+def test_capture_too_big_for_memory_exits_1_with_one_error_line(windows_fixture_16, tmp_path, monkeypatch, capsys,
+                                                                 command):
+    from conftest import build_pcap
+
+    _, paths, _ = windows_fixture_16
+    pcap = tmp_path / "session.pcap"
+    pcap.write_bytes(build_pcap(paths.client_records.read_bytes(), paths.server_records.read_bytes()))
+    read_bytes = Path.read_bytes
+
+    def read_bytes_short_of_memory(path):
+        if path.name == "client.tls" or path.suffix == ".pcap":
+            raise MemoryError
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", read_bytes_short_of_memory)
+    extracts = ["--extracts", str(paths.extract_dir)] if command == "decrypt" else []
+    for capture in (paths.root, pcap):
+        assert _run([command, *extracts, "--capture", str(capture)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: cannot read capture ")
+        assert str(pcap if capture == pcap else paths.client_records) in err
+        assert "Traceback" not in err
 
 
 def test_decrypt_over_pcap(windows_fixture_16, tmp_path):

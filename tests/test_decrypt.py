@@ -149,12 +149,12 @@ def test_random_bytes_never_validate():
 
 
 def test_seq_candidates_centered():
-    assert sorted(_seq_candidates(5, 2)) == [3, 4, 5, 6, 7]
-    assert _seq_candidates(5, 2)[0] == 5
+    assert sorted(_seq_candidates(5)) == [3, 4, 5, 6, 7]
+    assert _seq_candidates(5)[0] == 5
 
 
 def test_seq_candidates_clipped_at_zero_keeps_count():
-    candidates = _seq_candidates(1, 2)
+    candidates = _seq_candidates(1)
     assert sorted(candidates) == [0, 1, 2, 3, 4]
     assert candidates[0] == 1
     assert len(candidates) == 2 * 2 + 1
@@ -588,7 +588,7 @@ def _first_record(capture, direction):
 def _agrees_with_loop(capture, trial, materials, probe_materials, **session_args):
     """``trial()`` and ``decrypt_session`` must report what the per-pair loop
     finds: the same winner, seq, trial count, plaintext and server material."""
-    trials, won = naive_first_opening(_first_record(capture, Direction.CLIENT_TO_SERVER), materials, SEQ_WINDOW)
+    trials, won = naive_first_opening(_first_record(capture, Direction.CLIENT_TO_SERVER), materials)
     if won is None:
         with pytest.raises(NoValidDecrypt) as info:
             trial()
@@ -599,7 +599,7 @@ def _agrees_with_loop(capture, trial, materials, probe_materials, **session_args
     assert (result.index, result.orientation_swapped, result.seq_used, result.trials, result.plaintext) == (
         index, swapped, seq, trials, plaintext)
     _, server = naive_first_opening(
-        _first_record(capture, Direction.SERVER_TO_CLIENT), probe_materials(index, swapped), SEQ_WINDOW)
+        _first_record(capture, Direction.SERVER_TO_CLIENT), probe_materials(index, swapped))
     session = decrypt_session(capture, result, **session_args)
     assert (session.server_key, session.server_iv) == (server[0][:2] if server else (None, None))
     return result
@@ -691,7 +691,7 @@ def test_screen_agrees_with_per_pair_loop_at_seq_other_than_the_records(captures
     result = _check_pairs(capture, [_cand(bytes(32), bytes(4)), _cand(truth.client_key, truth.client_iv)])
     record = _first_record(capture, Direction.CLIENT_TO_SERVER)
     assert result.seq_used == record.seq - 2
-    assert result.trials == 5 + _seq_candidates(record.seq, 2).index(result.seq_used) + 1
+    assert result.trials == 5 + _seq_candidates(record.seq).index(result.seq_used) + 1
 
 
 # ---------------------------------------------------------------------------

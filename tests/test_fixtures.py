@@ -128,16 +128,15 @@ def test_layout_both_plants_everything(tmp_path):
         {"extract_sizes": ()},
         {"extract_sizes": (256 * 1024,)},  # no band-1 file
         {"extract_sizes": (0, 2 * MB)},
-        {"iv_offset_after_3lls": 9999},
-        {"key_offset_after_kssm": 9999},
+        {"iv_offset_after_3lls": 20},  # where a marker group's IV and key sit is fixed
+        {"key_offset_after_kssm": 28},
         {"decoy_markers": -1},
         {"keyblock_copies": 0},
     ],
 )
 def test_spec_invalid(tmp_path, kwargs):
-    spec = FixtureSpec(**kwargs)
     with pytest.raises(SpecInvalid):
-        generate_fixture(spec, tmp_path)
+        generate_fixture(spec_from_json(kwargs), tmp_path)
 
 
 def test_spec_from_json_roundtrip(tmp_path):
@@ -234,3 +233,44 @@ def test_random_filler_still_generates(tmp_path):
     hits = naive_find_all(data, truth.client_iv)
     planted_at = {a.offset for a in truth.planted if a.kind == "client_iv"}
     assert planted_at <= set(hits)
+
+
+def _plant_stray_marker(monkeypatch, attempts):
+    """Wrap ``_filler_buffer`` so the first extract's filler of each of the
+    first ``attempts`` renders holds a stray '3LLS', below every plant site."""
+    from keysift import fixtures
+
+    filler_buffer, calls = fixtures._filler_buffer, []
+
+    def stray_marker_filler(filler, size, rng):
+        buf = filler_buffer(filler, size, rng)
+        calls.append(size)
+        if len(calls) <= attempts:
+            buf[64 : 64 + len(IV_MARKER)] = IV_MARKER
+        return buf
+
+    monkeypatch.setattr(fixtures, "_filler_buffer", stray_marker_filler)
+    return calls
+
+
+def test_colliding_filler_is_redrawn(tmp_path, monkeypatch):
+    # the first render holds a marker nobody planted; the redraw, from the
+    # second attempt's seed, is what the generator emits
+    spec = FixtureSpec(rng_seed=5, extract_sizes=(1 * MB,))
+    second_attempt = FixtureSpec(rng_seed=5 * 1_000_003 + 1, extract_sizes=(1 * MB,))
+    with monkeypatch.context() as patch:
+        calls = _plant_stray_marker(patch, attempts=1)
+        paths, truth = generate_fixture(spec, tmp_path / "a")
+        assert calls == [1 * MB] * 2  # the colliding render and the redraw
+        calls.clear()
+        generate_fixture(spec, tmp_path / "b")
+    generate_fixture(second_attempt, tmp_path / "second")
+    assert _tree_digest(tmp_path / "a") == _tree_digest(tmp_path / "b") == _tree_digest(tmp_path / "second")
+    data = (paths.extract_dir / truth.find("client_iv").extract_name).read_bytes()
+    assert len(naive_find_all(data, IV_MARKER)) == 2  # the client and server groups' own
+
+
+def test_filler_that_always_collides_is_refused(tmp_path, monkeypatch):
+    _plant_stray_marker(monkeypatch, attempts=16)
+    with pytest.raises(SpecInvalid, match="could not render collision-free extracts"):
+        generate_fixture(FixtureSpec(rng_seed=5, extract_sizes=(1 * MB,)), tmp_path)
