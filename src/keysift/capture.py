@@ -22,7 +22,6 @@ from .errors import (
 )
 
 CONTENT_CHANGE_CIPHER_SPEC = 20
-CONTENT_ALERT = 21
 CONTENT_HANDSHAKE = 22
 CONTENT_APPLICATION_DATA = 23
 _CONTENT_TYPES = frozenset((20, 21, 22, 23))

@@ -7,7 +7,6 @@ but nothing decrypted, 1 for operational and usage errors.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import time
@@ -107,14 +106,13 @@ class _BandSearch:
     stages, one method per scanner, named as ``--mode`` names it. A stage scans
     one more band and returns its trial sets, (trial function, materials) pairs
     of only what no earlier stage gave. The scanners are functions of their
-    bands; this class alone drops the values in ``seen`` and the key blocks in
-    ``blocks``, so every key x IV pair and every key block is tried once. Trial
-    functions are read from this module's globals when a stage runs, so a
-    wrapper set on the module sees every call."""
+    bands; this class alone drops the values already in ``keys`` or ``ivs`` and
+    the key blocks in ``blocks``, so every key x IV pair and every key block is
+    tried once. Trial functions are read from this module's globals when a
+    stage runs, so a wrapper set on the module sees every call."""
 
     def __init__(self, extracts: ExtractSet, capture: SessionCapture, cfg: ScanConfig, report: RunReport, clock):
         self.extracts, self.capture, self.cfg, self.report, self.clock = extracts, capture, cfg, report, clock
-        self.seen: set[bytes] = set()  # every key and IV value a windows stage returned
         self.keys: list[Candidate] = []
         self.ivs: list[Candidate] = []
         self.orders: list[PairOrder] = []  # as the windows stages built them
@@ -125,8 +123,8 @@ class _BandSearch:
         order: new keys x every IV so far, then earlier keys x new IVs."""
         start = self.clock()
         scanned = scan_windows(self.extracts, self.cfg, (band,))
-        new_keys, new_ivs = ([c for c in cands if c.value not in self.seen] for cands in scanned)
-        self.seen.update(c.value for c in new_keys + new_ivs)
+        seen = {c.value for c in self.keys + self.ivs}
+        new_keys, new_ivs = ([c for c in cands if c.value not in seen] for cands in scanned)
         old_keys, self.keys, self.ivs = self.keys, self.keys + new_keys, self.ivs + new_ivs
         new_pairs = ((new_keys, self.ivs), (old_keys, new_ivs))
         orders = [pair_candidates(keys, ivs) for keys, ivs in new_pairs if keys and ivs]
@@ -251,20 +249,6 @@ def _run_stages(search: _BandSearch, scanners: list[str]) -> None:
     report.trials = {"attempted": attempted, "winner_index": None, "seq_used": None, "validation": None}
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive: {value}")
-    return value
-
-
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite: {value}")
-    return value
-
-
 def _parse_filter(text: str) -> tuple:
     try:
         left, right = text.split(",")
@@ -358,10 +342,12 @@ def _cmd_parse_capture(args) -> int:
 
 
 def _cmd_entropy_profile(args) -> int:
+    # the windows the scanners' 32-byte key gate would pass, 256 to a row
+    cfg = ScanConfig(key_len_bytes=32)
     extracts = load_extracts(args.extracts)
     rows = []
     for extract in extracts.extracts:
-        for offset, count in entropy_profile(extract.data, args.window, args.threshold, args.region_windows):
+        for offset, count in entropy_profile(extract.data, cfg.key_len_bytes, cfg.key_entropy_threshold):
             rows.append((extract.name, offset, count))
         del extract.data  # profiled: free its bytes before the next extract is read
     _emit(args, entropy_profile_csv(rows))
@@ -423,12 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--output", default=None)
     pc.set_defaults(func=_cmd_parse_capture)
 
-    ep = sub.add_parser("entropy-profile", help="per-region high-entropy window counts as CSV")
+    ep = sub.add_parser("entropy-profile", help="per 8 KB region, the 32-byte windows above the key gate, as CSV")
     ep.add_argument("--extracts", required=True)
-    ep.add_argument("--window", type=_positive_int, default=32)
-    ep.add_argument("--threshold", type=_finite_float, default=4.5)
-    ep.add_argument("--region-windows", type=_positive_int, default=256,
-                    help="windows aggregated per CSV row (default 256)")
     ep.add_argument("--output", default=None)
     ep.set_defaults(func=_cmd_entropy_profile)
 

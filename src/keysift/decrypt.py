@@ -359,8 +359,11 @@ def trial_decrypt_blocks(
 class TranscriptEntry(NamedTuple):
     direction: Direction
     seq: int
-    plaintext: bytes | None
-    ok: bool
+    plaintext: bytes | None  # None when the record did not authenticate
+
+    @property
+    def ok(self) -> bool:
+        return self.plaintext is not None
 
 
 class DecryptedSession(NamedTuple):
@@ -438,7 +441,7 @@ def decrypt_session(
         plaintext = None
         if mat is not None:
             plaintext = _open_record(_cipher_for(mat[0]), record, mat[1], record.seq + deltas[record.direction])
-        transcript.append(TranscriptEntry(record.direction, record.seq, plaintext, plaintext is not None))
+        transcript.append(TranscriptEntry(record.direction, record.seq, plaintext))
 
     server_mat = material[Direction.SERVER_TO_CLIENT]
     return DecryptedSession(

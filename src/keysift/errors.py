@@ -40,10 +40,6 @@ class EmptySegment(KeysiftError):
     """Entropy of a zero-length segment is undefined."""
 
 
-class NoCandidates(KeysiftError):
-    """A candidate list required by the next stage is empty."""
-
-
 class BadKeyLength(KeysiftError):
     """AES-GCM key material must be 16 or 32 bytes."""
 

@@ -37,7 +37,7 @@ from .capture import (
 )
 from .decrypt import record_aad
 from .entropy import shannon_entropy
-from .errors import BadKeyLength, SpecInvalid
+from .errors import SpecInvalid
 from .memscan import (
     IV_MARKER,
     KEY_MARKER,
@@ -220,8 +220,6 @@ def reference_encrypt(
     Inverse of the decryptor's record opener but on an independent code path;
     round-tripping the two is itself a correctness check.
     """
-    if len(key) not in (16, 32):
-        raise BadKeyLength(f"key must be 16 or 32 bytes, got {len(key)}")
     if len(implicit_iv) != 4 or len(explicit_nonce) != 8:
         raise ValueError("implicit IV must be 4 bytes and the explicit nonce 8")
     aad = record_aad(seq, content_type, version, len(plaintext))
@@ -461,7 +459,7 @@ def _collision_free(spec: FixtureSpec, truth: FixtureGroundTruth, plans: list[_P
     """
     cfg = ScanConfig(key_len_bytes=spec.key_len_bytes)
     for plan in plans:
-        data = bytes(plan.buf)
+        data = plan.buf
 
         def contained(offset: int, length: int) -> bool:
             return any(s <= offset and offset + length <= s + l for s, l in plan.written)
@@ -482,24 +480,30 @@ def generate_fixture(spec: FixtureSpec, out_dir) -> tuple[FixturePaths, FixtureG
     """Emit extract files, capture streams, manifest and ground truth.
 
     Deterministic under ``spec.rng_seed``; colliding filler triggers a
-    deterministic redraw. Raises SpecInvalid for impossible recipes.
+    deterministic redraw. Raises SpecInvalid for impossible recipes, and for
+    one whose extracts do not fit in free memory.
     """
     spec.validate()
     root = Path(out_dir)
     extract_dir = root / "extracts"
     extract_dir.mkdir(parents=True, exist_ok=True)
 
-    for attempt in range(16):
-        seed = spec.rng_seed if attempt == 0 else spec.rng_seed * 1_000_003 + attempt
-        rng = random.Random(seed)
-        truth, plans, session = _render(spec, rng)
-        if _collision_free(spec, truth, plans):
-            break
-    else:
-        raise SpecInvalid("could not render collision-free extracts for this recipe")
+    try:
+        for attempt in range(16):
+            seed = spec.rng_seed if attempt == 0 else spec.rng_seed * 1_000_003 + attempt
+            rng = random.Random(seed)
+            truth, plans, session = _render(spec, rng)
+            if _collision_free(spec, truth, plans):
+                break
+        else:
+            raise SpecInvalid("could not render collision-free extracts for this recipe")
 
-    for plan in plans:
-        (extract_dir / plan.name).write_bytes(bytes(plan.buf))
+        for plan in plans:
+            (extract_dir / plan.name).write_bytes(plan.buf)
+    except MemoryError as exc:
+        raise SpecInvalid(
+            f"not enough free memory to render the recipe's {sum(spec.extract_sizes)} extract bytes"
+        ) from exc
 
     client_path = root / "client.tls"
     server_path = root / "server.tls"

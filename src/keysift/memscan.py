@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from .capture import SessionCapture
 from .entropy import shannon_entropy
-from .errors import EmptyDirectory, NoCandidates, UnreadableFile
+from .errors import EmptyDirectory, UnreadableFile
 
 MB = 1 << 20
 IV_MARKER = b"3LLS"
@@ -76,7 +76,11 @@ class ExtractSet(NamedTuple):
     the set reads no extract; ``total_bytes`` is known before any read."""
 
     extracts: tuple[MemoryExtract, ...]
-    bands: dict[int, tuple[int, ...]]
+
+    @property
+    def bands(self) -> dict[int, tuple[int, ...]]:
+        """Per band, the ids of its extracts in id order."""
+        return {band: tuple(e.id for e in self.extracts if band_for_size(e.size) == band) for band in BANDS}
 
     @property
     def total_bytes(self) -> int:
@@ -98,7 +102,8 @@ def band_for_size(size_bytes: int) -> int:
 
 def _in_bands(extracts: ExtractSet, bands) -> list[MemoryExtract]:
     """The extracts of ``bands``, band by band in the order given."""
-    return [extracts.extracts[i] for band in bands for i in extracts.bands[band]]
+    by_band = extracts.bands
+    return [extracts.extracts[i] for band in bands for i in by_band[band]]
 
 
 def load_extracts(directory) -> ExtractSet:
@@ -122,10 +127,7 @@ def load_extracts(directory) -> ExtractSet:
             extracts.append(MemoryExtract(id=len(extracts), name=entry.name, size=size, source=base / entry.name))
     if not extracts:
         raise EmptyDirectory(f"no loadable extract files in {base}")
-    bands: dict[int, list[int]] = {band: [] for band in BANDS}
-    for extract in extracts:
-        bands[band_for_size(extract.size)].append(extract.id)
-    return ExtractSet(extracts=tuple(extracts), bands={b: tuple(ids) for b, ids in bands.items()})
+    return ExtractSet(extracts=tuple(extracts))
 
 
 class _ScanFields(NamedTuple):
@@ -354,9 +356,10 @@ class PairOrder:
             members.sort(key=lambda vi: ivs[vi].offset)
             self._lanes[extract_id] = members, [ivs[vi].offset for vi in members]
         # a key's floor: (False, distance to the nearest IV of its own extract,
-        # ki), found by one bisect, or (True, 0, ki) when its extract holds no IV
+        # ki), found by one bisect, or (True, 0, ki) when its extract holds no
+        # IV; with no IVs at all no key has a pair, so none has a floor
         floors = []
-        for ki, key in enumerate(keys):
+        for ki, key in enumerate(keys if ivs else ()):
             lane = self._lanes.get(key.extract_id)
             if lane is None:
                 floors.append((True, 0, ki))
@@ -427,8 +430,7 @@ def pair_candidates(keys: list[Candidate], ivs: list[Candidate]) -> PairOrder:
 
     Same-extract pairs come first, then closer key/IV offsets; list positions
     break remaining ties so the ordering is total and reproducible. The
-    product is never built: ``PairOrder.rank`` counts a pair's position.
+    product is never built: ``PairOrder.rank`` counts a pair's position. With
+    no keys or no IVs the order is empty: length 0 and no floors.
     """
-    if not keys or not ivs:
-        raise NoCandidates("cannot pair an empty candidate list")
     return PairOrder(keys, ivs)

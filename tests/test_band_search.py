@@ -19,7 +19,7 @@ import keysift.memscan as memscan
 from keysift.capture import Direction, NonceStyle, parse_capture
 from keysift.cli import EXIT_ERROR, EXIT_OK, main, run_pipeline
 from keysift.decrypt import _seq_candidates, decrypt_session, trial_decrypt, trial_decrypt_blocks
-from keysift.errors import NoCandidates, NoValidDecrypt, UnreadableFile
+from keysift.errors import NoValidDecrypt, UnreadableFile
 from keysift.fixtures import FixtureLayout, Filler, FixtureSpec, generate_fixture
 from keysift.memscan import (
     IV_MARKER,
@@ -172,7 +172,15 @@ def test_a_marker_value_in_two_bands_is_one_candidate(tmp_path, monkeypatch, win
         paired.append(([k.value for k in keys], [v.value for v in ivs]))
         return pair_candidates(keys, ivs)
 
+    searches = []
+
+    class RecordedSearch(cli._BandSearch):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
+
     monkeypatch.setattr(cli, "pair_candidates", pair_candidates_recorded)
+    monkeypatch.setattr(cli, "_BandSearch", RecordedSearch)
     report = run_pipeline(extracts, capture, mode="windows", clock=lambda: 0.0)
     assert report.outcome == "decrypted_partial" and report.candidates["bands_scanned"] == [1, 2, 3]
     extract_set, cfg = load_extracts(extracts), ScanConfig(key_len_bytes=32)
@@ -182,6 +190,10 @@ def test_a_marker_value_in_two_bands_is_one_candidate(tmp_path, monkeypatch, win
     assert decoy_iv in values(ivs_1) and truth.client_iv in values(ivs_2)
     assert (report.candidates["keys"], report.candidates["ivs"]) == (len(keys_1), len(ivs_1 + ivs_2))
     assert paired == [(values(keys_1), values(ivs_1)), (values(keys_1), values(ivs_2))]
+    # the values seen so far are the kept candidates' own, held nowhere else
+    (search,) = searches
+    assert not hasattr(search, "seen")
+    assert (values(search.keys), values(search.ivs)) == (values(keys_1), values(ivs_1 + ivs_2))
     assert report.trials["winner_index"] >= len(keys_1) * len(ivs_1)
     assert report.to_dict() == oracle_pipeline(extracts, capture, "windows")
 
@@ -333,7 +345,7 @@ def _reference(extract_dir, capture, mode):
             return decrypt_session(capture, trial_decrypt(capture, pairs), pair_sets=[pairs])
         blocks = scan_standard(extracts, capture, cfg)
         return decrypt_session(capture, trial_decrypt_blocks(capture, blocks))
-    except (NoCandidates, NoValidDecrypt):
+    except NoValidDecrypt:
         return None
 
 

@@ -250,17 +250,14 @@ def test_seq_window_sets_the_trials_per_material(tmp_path):
     ("scan", "--extracts", "{extracts}", "--mode", "auto", "--capture", "{capture}"),
     ("scan", "--extracts", "{extracts}", "--capture", "{capture}", "--capture-format", "pcap"),
     ("parse-capture", "--capture", "{capture}", "--capture-format", "pcap"),
-    ("entropy-profile", "--extracts", "{extracts}", "--window", "0"),
-    ("entropy-profile", "--extracts", "{extracts}", "--window", "-4"),
-    ("entropy-profile", "--extracts", "{extracts}", "--region-windows", "0"),
-    ("entropy-profile", "--extracts", "{extracts}", "--threshold", "nan"),
-    ("entropy-profile", "--extracts", "{extracts}", "--threshold", "inf"),
+    ("entropy-profile", "--extracts", "{extracts}", "--window", "16"),
+    ("entropy-profile", "--extracts", "{extracts}", "--threshold", "4.5"),
+    ("entropy-profile", "--extracts", "{extracts}", "--region-windows", "256"),
 ], ids=["missing-capture", "workers", "step-0", "negative-gap", "bad-filter", "filter-without-pcap",
         "filter-port-above-range", "filter-negative-port", "seq-window", "iv-entropy-nan", "negative-counter-bound",
         "capture-format", "decrypt-key-size", "key-entropy", "scan-step-0", "scan-key-size", "scan-iv-entropy",
         "scan-key-entropy", "scan-min-gap", "scan-counter-bound", "scan-auto", "scan-capture-format",
-        "parse-capture-format", "profile-window-0", "profile-negative-window", "profile-region-windows-0",
-        "profile-threshold-nan", "profile-threshold-inf"])
+        "parse-capture-format", "profile-window", "profile-threshold", "profile-region-windows"])
 def test_usage_errors_exit_1_with_one_error_line(windows_fixture_16, capsys, argv):
     _, paths, _ = windows_fixture_16
     code = _run([arg.format(extracts=paths.extract_dir, capture=paths.root) for arg in argv])
@@ -289,15 +286,25 @@ def test_scanner_flags_are_refused_and_records_stay_frozen():
     block = CandidateKeyBlock(bytes(16), bytes(16), bytes(4), bytes(4), 0, 0, BlockHypothesis.IV_WAS_CLIENT)
     record = EncryptedRecord(Direction.CLIENT_TO_SERVER, 0, bytes(8), bytes(32), 0x0303, 23)
     result = TrialResult(bytes(16), bytes(4), 1, b"GET /", 0)
-    entry = TranscriptEntry(Direction.CLIENT_TO_SERVER, 0, b"GET /", True)
+    entry = TranscriptEntry(Direction.CLIENT_TO_SERVER, 0, b"GET /")
+    extract_set = ExtractSet(())
     records = [
         TlsRecord(23, 0x0303, b""), record, SessionCapture(0x009C, (record,)),
         result, entry, DecryptedSession(bytes(16), bytes(4), None, None, (entry,)),
-        ExtractSet((), {}), Candidate(bytes(4), 0, 0, 2.0), block, ScanConfig(),
+        extract_set, Candidate(bytes(4), 0, 0, 2.0), block, ScanConfig(),
     ]
     for rec in records:
         with pytest.raises(AttributeError):
             setattr(rec, rec._fields[0], None)
+    # a value its fields fix is a property, which neither setattr nor _replace can make disagree
+    assert TranscriptEntry._fields == ("direction", "seq", "plaintext")
+    assert ExtractSet._fields == ("extracts",)
+    for rec, derived in ((entry, "ok"), (extract_set, "bands")):
+        with pytest.raises(AttributeError):
+            setattr(rec, derived, None)
+        with pytest.raises(ValueError):
+            rec._replace(**{derived: None})
+    assert entry.ok and not entry._replace(plaintext=None).ok
     # key blocks key the set of blocks a standard stage returned, records key the tag screens
     assert {block: 1, block._replace(offset=0): 2} == {block: 2}
     assert {(record, 2): 1}[record._replace(seq=0), 2] == 1
@@ -380,8 +387,7 @@ def test_entropy_profile_command(windows_fixture_16, tmp_path):
     _, paths, _ = windows_fixture_16
     out = tmp_path / "profile.csv"
     code = _run([
-        "entropy-profile", "--extracts", str(paths.extract_dir),
-        "--window", "32", "--threshold", "4.5", "--output", str(out),
+        "entropy-profile", "--extracts", str(paths.extract_dir), "--output", str(out),
     ])
     assert code == EXIT_OK
     lines = out.read_text().splitlines()
@@ -416,7 +422,7 @@ def test_entropy_profile_frees_each_extract_before_the_next(tmp_path, monkeypatc
     extract_dir.mkdir()
     for name in ("a.bin", "b.bin", "c.bin"):
         (extract_dir / name).write_bytes(bytes(range(256)) * 16)
-    loaded, holding = [], []
+    loaded, holding, gates = [], [], set()
 
     def load(directory):
         loaded.append(memscan.load_extracts(directory))
@@ -424,12 +430,16 @@ def test_entropy_profile_frees_each_extract_before_the_next(tmp_path, monkeypatc
 
     def profile(data, *args):
         holding.append([e.name for e in loaded[0].extracts if "data" in vars(e)])
+        gates.add(args)
         return entropy.entropy_profile(data, *args)
 
     monkeypatch.setattr(cli, "load_extracts", load)
     monkeypatch.setattr(cli, "entropy_profile", profile)
     assert _run(["entropy-profile", "--extracts", str(extract_dir), "--output", str(tmp_path / "p.csv")]) == EXIT_OK
     assert holding == [["a.bin"], ["b.bin"], ["c.bin"]]
+    # the window and gate are the scanners' 32-byte key gate
+    cfg = ScanConfig(key_len_bytes=32)
+    assert gates == {(cfg.key_len_bytes, cfg.key_entropy_threshold)}
 
 
 def test_gen_fixture_command(tmp_path, capsys):
@@ -468,6 +478,23 @@ def test_gen_fixture_bad_spec_exits_1_with_one_error_line(tmp_path, capsys, text
     err = capsys.readouterr().err
     assert code == EXIT_ERROR
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_gen_fixture_beyond_free_memory_exits_1_with_one_error_line(tmp_path, capsys, monkeypatch):
+    # the filler fails as a 4 GiB extract does under a memory limit, with nothing allocated
+    from keysift import fixtures
+
+    def out_of_memory(filler, size, rng):
+        raise MemoryError
+
+    monkeypatch.setattr(fixtures, "_filler_buffer", out_of_memory)
+    recipe = tmp_path / "spec.json"
+    recipe.write_text(json.dumps({"extract_sizes": [2097152, 4294967296]}))
+    code = _run(["gen-fixture", "--spec", str(recipe), "--out", str(tmp_path / "fix")])
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert f"{2097152 + 4294967296} extract bytes" in err
 
 
 def test_gen_fixture_default_recipe(tmp_path, capsys):

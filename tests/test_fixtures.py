@@ -235,9 +235,9 @@ def test_random_filler_still_generates(tmp_path):
     assert planted_at <= set(hits)
 
 
-def _plant_stray_marker(monkeypatch, attempts):
+def _plant_stray_marker(monkeypatch, attempts, stray=IV_MARKER):
     """Wrap ``_filler_buffer`` so the first extract's filler of each of the
-    first ``attempts`` renders holds a stray '3LLS', below every plant site."""
+    first ``attempts`` renders holds ``stray`` at offset 64, below every plant site."""
     from keysift import fixtures
 
     filler_buffer, calls = fixtures._filler_buffer, []
@@ -246,7 +246,7 @@ def _plant_stray_marker(monkeypatch, attempts):
         buf = filler_buffer(filler, size, rng)
         calls.append(size)
         if len(calls) <= attempts:
-            buf[64 : 64 + len(IV_MARKER)] = IV_MARKER
+            buf[64 : 64 + len(stray)] = stray
         return buf
 
     monkeypatch.setattr(fixtures, "_filler_buffer", stray_marker_filler)
@@ -254,20 +254,31 @@ def _plant_stray_marker(monkeypatch, attempts):
 
 
 def test_colliding_filler_is_redrawn(tmp_path, monkeypatch):
-    # the first render holds a marker nobody planted; the redraw, from the
-    # second attempt's seed, is what the generator emits
+    # a first render that holds a marker nobody planted, or a stray first client
+    # nonce behind a prefix that passes the IV gate (a1b2c3d4: 2.0 bits), is
+    # redrawn, and the redraw, from the second attempt's seed, is what the
+    # generator emits; the same nonce behind 4 zero bytes (0 bits) can never
+    # become a candidate, so that first render is emitted
+    first_nonce = (1).to_bytes(8, "big")
     spec = FixtureSpec(rng_seed=5, extract_sizes=(1 * MB,))
-    second_attempt = FixtureSpec(rng_seed=5 * 1_000_003 + 1, extract_sizes=(1 * MB,))
-    with monkeypatch.context() as patch:
-        calls = _plant_stray_marker(patch, attempts=1)
-        paths, truth = generate_fixture(spec, tmp_path / "a")
-        assert calls == [1 * MB] * 2  # the colliding render and the redraw
-        calls.clear()
-        generate_fixture(spec, tmp_path / "b")
-    generate_fixture(second_attempt, tmp_path / "second")
-    assert _tree_digest(tmp_path / "a") == _tree_digest(tmp_path / "b") == _tree_digest(tmp_path / "second")
-    data = (paths.extract_dir / truth.find("client_iv").extract_name).read_bytes()
-    assert len(naive_find_all(data, IV_MARKER)) == 2  # the client and server groups' own
+    generate_fixture(FixtureSpec(rng_seed=5 * 1_000_003 + 1, extract_sizes=(1 * MB,)), tmp_path / "second")
+    for case, stray, redrawn in (("marker", IV_MARKER, True),
+                                 ("gated-nonce", bytes.fromhex("a1b2c3d4") + first_nonce, True),
+                                 ("zero-nonce", bytes(4) + first_nonce, False)):
+        with monkeypatch.context() as patch:
+            calls = _plant_stray_marker(patch, attempts=1, stray=stray)
+            paths, truth = generate_fixture(spec, tmp_path / case / "a")
+            assert calls == [1 * MB] * (2 if redrawn else 1), case  # one call per extract and render
+            calls.clear()
+            generate_fixture(spec, tmp_path / case / "b")
+        assert truth.first_client_nonce == first_nonce
+        assert _tree_digest(tmp_path / case / "a") == _tree_digest(tmp_path / case / "b")
+        data = (paths.extract_dir / truth.find("client_iv").extract_name).read_bytes()
+        if redrawn:
+            assert _tree_digest(tmp_path / case / "a") == _tree_digest(tmp_path / "second"), case
+            assert len(naive_find_all(data, IV_MARKER)) == 2  # the client and server groups' own
+        else:
+            assert data[64 : 64 + len(stray)] == stray
 
 
 def test_filler_that_always_collides_is_refused(tmp_path, monkeypatch):

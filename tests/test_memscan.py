@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 import keysift.memscan as memscan
 from keysift.capture import NonceStyle, parse_capture
 from keysift.entropy import shannon_entropy
-from keysift.errors import EmptyDirectory, NoCandidates
+from keysift.errors import EmptyDirectory
 from keysift.fixtures import FixtureLayout, Filler, FixtureSpec, generate_fixture
 from keysift.memscan import (
     IV_LEN,
@@ -503,11 +503,10 @@ def test_pair_budget_shape():
     assert len(pairs) == 6 * 483 == 2898
 
 
-def test_pair_empty_raises():
-    with pytest.raises(NoCandidates):
-        pair_candidates([], [_cand_iv(1)])
-    with pytest.raises(NoCandidates):
-        pair_candidates([_cand_key(1)], [])
+def test_pair_of_an_empty_list_is_empty():
+    for keys, ivs in (([], [_cand_iv(1)]), ([_cand_key(1)], [])):
+        pairs = pair_candidates(keys, ivs)
+        assert len(pairs) == 0 and pairs.by_floor == []
 
 
 def test_pair_ties_break_on_list_position():
