@@ -21,7 +21,7 @@ from .decrypt import (
     trial_decrypt,
     trial_decrypt_blocks,
 )
-from .entropy import entropy_profile
+from .entropy import entropy_profile, shannon_entropy
 from .errors import KeysiftError, NoValidDecrypt
 from .memscan import (
     BANDS,
@@ -250,16 +250,19 @@ def _run_stages(search: _BandSearch, scanners: list[str]) -> None:
 
 
 def _parse_filter(text: str) -> tuple:
+    from ipaddress import IPv4Address  # only a --filter value needs it
     try:
-        left, right = text.split(",")
-        ip_a, port_a = left.rsplit(":", 1)
-        ip_b, port_b = right.rsplit(":", 1)
+        (ip_a, port_a), (ip_b, port_b) = (end.rsplit(":", 1) for end in text.split(","))
         port_a, port_b = int(port_a), int(port_b)
     except ValueError:
         raise argparse.ArgumentTypeError("filter must look like IP:PORT,IP:PORT")
-    for port in (port_a, port_b):
+    for ip, port in ((ip_a, port_a), (ip_b, port_b)):
         if not 0 <= port <= 65535:
             raise argparse.ArgumentTypeError(f"filter port must be 0-65535, got {port}")
+        try:
+            IPv4Address(ip)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"filter address must be dotted IPv4, got {ip}")
     return (ip_a, port_a, ip_b, port_b)
 
 
@@ -311,8 +314,7 @@ def _cmd_scan(args) -> int:
                       key=lambda c: (c.extract_id, c.offset, len(c.value)))
         ivs = scans[0][1]  # the IV windows do not depend on the key size
         rows = lambda cands: [
-            {"extract_id": c.extract_id, "offset": c.offset, "entropy": round(c.entropy, 6), "value": c.value.hex()}
-            for c in cands
+            {**c._asdict(), "value": c.value.hex(), "entropy": round(shannon_entropy(c.value), 6)} for c in cands
         ]
         payload = {"mode": "windows", "keys": rows(keys), "ivs": rows(ivs)}
     _emit(args, render_json(payload))

@@ -36,7 +36,6 @@ from .capture import (
     assemble_session,
 )
 from .decrypt import record_aad
-from .entropy import shannon_entropy
 from .errors import SpecInvalid
 from .memscan import (
     IV_MARKER,
@@ -195,12 +194,12 @@ def _default_response(rng: random.Random) -> bytes:
     ).encode() + body
 
 
-def _gated_random_bytes(rng: random.Random, length: int, threshold: float) -> bytes:
-    """Seeded random bytes redrawn until they clear an entropy gate, so the
-    planted material always satisfies the candidate invariants."""
+def _gated_random_bytes(rng: random.Random, length: int, passes) -> bytes:
+    """Seeded random bytes redrawn until they pass a ``ScanConfig`` gate, so
+    the planted material always satisfies the candidate invariants."""
     for _ in range(1000):
         value = rng.randbytes(length)
-        if shannon_entropy(value) > threshold:
+        if passes(value):
             return value
     raise RuntimeError("could not draw bytes above the entropy gate")
 
@@ -415,10 +414,10 @@ def _plant_high_entropy_region(plan: _Plan) -> None:
 def _render(spec: FixtureSpec, rng: random.Random):
     cfg = ScanConfig(key_len_bytes=spec.key_len_bytes)
     truth = FixtureGroundTruth(
-        client_key=_gated_random_bytes(rng, spec.key_len_bytes, cfg.key_entropy_threshold),
-        server_key=_gated_random_bytes(rng, spec.key_len_bytes, cfg.key_entropy_threshold),
-        client_iv=_gated_random_bytes(rng, 4, cfg.iv_entropy_threshold),
-        server_iv=_gated_random_bytes(rng, 4, cfg.iv_entropy_threshold),
+        client_key=_gated_random_bytes(rng, spec.key_len_bytes, cfg.passes_key_gate),
+        server_key=_gated_random_bytes(rng, spec.key_len_bytes, cfg.passes_key_gate),
+        client_iv=_gated_random_bytes(rng, 4, cfg.passes_iv_gate),
+        server_iv=_gated_random_bytes(rng, 4, cfg.passes_iv_gate),
         plaintext_client=spec.plaintext_client or _default_request(rng),
         plaintext_server=spec.plaintext_server or _default_response(rng),
         first_client_nonce=b"",
@@ -449,7 +448,7 @@ def _render(spec: FixtureSpec, rng: random.Random):
     return truth, plans, session
 
 
-def _collision_free(spec: FixtureSpec, truth: FixtureGroundTruth, plans: list[_Plan]) -> bool:
+def _collision_free(truth: FixtureGroundTruth, plans: list[_Plan]) -> bool:
     """Filler must not fake the values the scanners anchor on.
 
     Marker strings and the client IV value may only occur where they were
@@ -457,7 +456,6 @@ def _collision_free(spec: FixtureSpec, truth: FixtureGroundTruth, plans: list[_P
     4 bytes in front of it fail the IV entropy gate (it then never becomes a
     candidate); counter filler produces exactly these.
     """
-    cfg = ScanConfig(key_len_bytes=spec.key_len_bytes)
     for plan in plans:
         data = plan.buf
 
@@ -471,7 +469,7 @@ def _collision_free(spec: FixtureSpec, truth: FixtureGroundTruth, plans: list[_P
         for offset in find_all(data, truth.first_client_nonce):
             if contained(offset, len(truth.first_client_nonce)):
                 continue
-            if offset >= 4 and shannon_entropy(data[offset - 4 : offset]) > cfg.iv_entropy_threshold:
+            if offset >= 4 and ScanConfig().passes_iv_gate(data[offset - 4 : offset]):
                 return False
     return True
 
@@ -493,7 +491,7 @@ def generate_fixture(spec: FixtureSpec, out_dir) -> tuple[FixturePaths, FixtureG
             seed = spec.rng_seed if attempt == 0 else spec.rng_seed * 1_000_003 + attempt
             rng = random.Random(seed)
             truth, plans, session = _render(spec, rng)
-            if _collision_free(spec, truth, plans):
+            if _collision_free(truth, plans):
                 break
         else:
             raise SpecInvalid("could not render collision-free extracts for this recipe")

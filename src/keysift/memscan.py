@@ -131,42 +131,45 @@ def load_extracts(directory) -> ExtractSet:
 
 
 class _ScanFields(NamedTuple):
-    """ScanConfig's fields. A NamedTuple body may not define ``__new__``, so
-    the validation lives in the subclass."""
+    """ScanConfig's fields; a NamedTuple body may not define its ``__new__``."""
 
     key_len_bytes: int = 32
-    iv_entropy_threshold: float = 1.5
-    key_entropy_threshold: float | None = None  # defaults to 0.9 * log2(key length)
     min_artefact_gap: int = 1000
 
 
 class ScanConfig(_ScanFields):
-    """Scanner settings. Building one validates them and fills in the default
-    key-entropy gate; ``_replace`` does neither."""
+    """Scanner settings, validated when built (``_replace`` skips that). Both
+    entropy gates are derived, not set; a segment passes one when it scores
+    above it, scored by this module's ``shannon_entropy`` so hooks see each call."""
 
     __slots__ = ()
+    iv_entropy_threshold = 1.5
 
     def __new__(cls, *args, **kwargs):
         cfg = super().__new__(cls, *args, **kwargs)
         if cfg.key_len_bytes not in (16, 32):
             raise ValueError("key_len_bytes must be 16 or 32")
-        if cfg.key_entropy_threshold is None:
-            cfg = cfg._replace(key_entropy_threshold=0.9 * math.log2(cfg.key_len_bytes))
-        for gate in (cfg.iv_entropy_threshold, cfg.key_entropy_threshold):
-            if not (math.isfinite(gate) and gate >= 0):
-                raise ValueError("entropy thresholds must be finite and non-negative")
         if cfg.min_artefact_gap < 0:
             raise ValueError("min_artefact_gap must be non-negative")
         return cfg
 
+    @property
+    def key_entropy_threshold(self) -> float:
+        return 0.9 * math.log2(self.key_len_bytes)
+
+    def passes_iv_gate(self, segment: bytes) -> bool:
+        return shannon_entropy(segment) > self.iv_entropy_threshold
+
+    def passes_key_gate(self, segment: bytes) -> bool:
+        return shannon_entropy(segment) > self.key_entropy_threshold
+
 
 class Candidate(NamedTuple):
-    """A key or implicit-IV window that cleared its entropy gate."""
+    """A key or implicit-IV window that passed its entropy gate."""
 
     value: bytes
     extract_id: int
     offset: int
-    entropy: float
 
 
 class BlockHypothesis(Enum):
@@ -195,9 +198,9 @@ def find_all(data: bytes, pattern: bytes) -> list[int]:
 
 
 def _marker_windows(extract: MemoryExtract, marker: bytes, width: int, max_distance: int,
-                    gate: float) -> list[Candidate]:
+                    passes) -> list[Candidate]:
     """Every ``width``-byte window, ``STEP`` bytes apart, up to ``max_distance``
-    past an occurrence of ``marker`` whose entropy clears ``gate``."""
+    past an occurrence of ``marker`` that ``passes`` its entropy gate."""
     data = extract.data
     found = []
     for hit in extract.find_all(marker):
@@ -207,9 +210,8 @@ def _marker_windows(extract: MemoryExtract, marker: bytes, width: int, max_dista
             window = data[start : start + width]
             if len(window) < width:
                 break
-            ent = shannon_entropy(window)
-            if ent > gate:
-                found.append(Candidate(bytes(window), extract.id, start, ent))
+            if passes(window):
+                found.append(Candidate(bytes(window), extract.id, start))
     return found
 
 
@@ -218,8 +220,8 @@ def _scan_windows_one(extract: MemoryExtract, cfg: ScanConfig):
     marker, but its IVs even when no key window clears the gate."""
     if not extract.find_all(KEY_MARKER):
         return [], []
-    ivs = _marker_windows(extract, IV_MARKER, IV_LEN, MAX_IV_DISTANCE, cfg.iv_entropy_threshold)
-    keys = _marker_windows(extract, KEY_MARKER, cfg.key_len_bytes, MAX_KEY_DISTANCE, cfg.key_entropy_threshold)
+    ivs = _marker_windows(extract, IV_MARKER, IV_LEN, MAX_IV_DISTANCE, cfg.passes_iv_gate)
+    keys = _marker_windows(extract, KEY_MARKER, cfg.key_len_bytes, MAX_KEY_DISTANCE, cfg.passes_key_gate)
     return keys, ivs
 
 
@@ -257,13 +259,12 @@ def _prune_hits(offsets: list[int], gap: int) -> list[int]:
     return kept
 
 
-def _blocks_at_hit(data: bytes, extract_id: int, p: int, cfg: ScanConfig,
-                   key_gate) -> list[CandidateKeyBlock]:
+def _blocks_at_hit(data: bytes, extract_id: int, p: int, cfg: ScanConfig) -> list[CandidateKeyBlock]:
     """Both key-block layouts that would place an IV slot at offset ``p``.
 
     Layout is client_key || server_key || client_iv || server_iv. The matched
     value may be either IV slot, so two hypotheses are formed and kept when
-    both key windows clear the entropy gate.
+    both key windows pass the key gate.
     """
     k = cfg.key_len_bytes
     blocks = []
@@ -275,7 +276,7 @@ def _blocks_at_hit(data: bytes, extract_id: int, p: int, cfg: ScanConfig,
             continue
         client_key = data[start : start + k]
         server_key = data[start + k : ivs]
-        if key_gate(client_key) and key_gate(server_key):
+        if cfg.passes_key_gate(client_key) and cfg.passes_key_gate(server_key):
             blocks.append(
                 CandidateKeyBlock(
                     client_key=bytes(client_key),
@@ -311,15 +312,14 @@ def scan_standard(
     nonce = capture.first_explicit_nonce
     scanned = _in_bands(extracts, bands)
     prefixes = dict.fromkeys(e.data[off - IV_LEN : off] for e in scanned for off in e.find_all(nonce) if off >= IV_LEN)
-    values = [v for v in prefixes if shannon_entropy(v) > cfg.iv_entropy_threshold]
-    key_gate = lambda seg: shannon_entropy(seg) > cfg.key_entropy_threshold
+    values = [v for v in prefixes if cfg.passes_iv_gate(v)]
 
     blocks = []
     for extract in scanned:
         per_hit = {}
         for value in values:
             for p in extract.find_all(value):
-                found = _blocks_at_hit(extract.data, extract.id, p, cfg, key_gate)
+                found = _blocks_at_hit(extract.data, extract.id, p, cfg)
                 if found:
                     per_hit[p] = found
         blocks += [block for p in _prune_hits(list(per_hit), cfg.min_artefact_gap) for block in per_hit[p]]

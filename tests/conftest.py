@@ -201,18 +201,16 @@ def oracle_windows_scan(extract_set, cfg, bands=BANDS):
                 window = data[base + dist : base + dist + IV_LEN]
                 if len(window) < IV_LEN:
                     break
-                ent = naive_entropy(window)
-                if ent > cfg.iv_entropy_threshold:
-                    ivs.setdefault(bytes(window), (extract.id, base + dist, ent))
+                if naive_entropy(window) > cfg.iv_entropy_threshold:
+                    ivs.setdefault(bytes(window), (extract.id, base + dist))
         for marker in _regex_find_all(data, KEY_MARKER):
             base = marker + len(KEY_MARKER)
             for dist in range(0, MAX_KEY_DISTANCE + 1, STEP):
                 window = data[base + dist : base + dist + cfg.key_len_bytes]
                 if len(window) < cfg.key_len_bytes:
                     break
-                ent = naive_entropy(window)
-                if ent > cfg.key_entropy_threshold:
-                    keys.setdefault(bytes(window), (extract.id, base + dist, ent))
+                if naive_entropy(window) > cfg.key_entropy_threshold:
+                    keys.setdefault(bytes(window), (extract.id, base + dist))
     key_list = sorted(
         [(value,) + where for value, where in keys.items()], key=lambda t: (t[1], t[2])
     )

@@ -26,6 +26,7 @@ from keysift.cli import (
     run_pipeline,
 )
 from keysift.decrypt import SEQ_WINDOW, DecryptedSession, TranscriptEntry, TrialResult, decrypt_record
+from keysift.entropy import shannon_entropy
 from keysift.fixtures import (
     FixtureLayout,
     Filler,
@@ -226,44 +227,51 @@ def test_seq_window_sets_the_trials_per_material(tmp_path):
     assert trials["attempted"] == trials["winner_index"] * (2 * SEQ_WINDOW + 1) + 1
 
 
-@pytest.mark.parametrize("argv", [
-    ("decrypt", "--extracts", "{extracts}"),
-    _DECRYPT + ("--workers", "2"),
-    _DECRYPT + ("--step", "0"),
-    _DECRYPT + ("--min-gap", "-1"),
-    _DECRYPT + ("--filter", "bogus"),
-    _DECRYPT + ("--filter", "1.2.3.4:1,5.6.7.8:2"),
-    _DECRYPT + ("--filter", "10.0.0.2:99999,10.0.0.1:443"),
-    _DECRYPT + ("--filter", "10.0.0.2:-1,10.0.0.1:443"),
-    _DECRYPT + ("--seq-window", "2"),
-    _DECRYPT + ("--iv-entropy", "nan"),
-    _DECRYPT + ("--counter-bound", "-5"),
-    _DECRYPT + ("--capture-format", "pcap"),
-    _DECRYPT + ("--key-size", "16"),
-    _DECRYPT + ("--key-entropy", "3.5"),
-    ("scan", "--extracts", "{extracts}", "--step", "0"),
-    ("scan", "--extracts", "{extracts}", "--key-size", "16"),
-    ("scan", "--extracts", "{extracts}", "--iv-entropy", "2"),
-    ("scan", "--extracts", "{extracts}", "--key-entropy", "3.5"),
-    ("scan", "--extracts", "{extracts}", "--min-gap", "500"),
-    ("scan", "--extracts", "{extracts}", "--counter-bound", "7"),
-    ("scan", "--extracts", "{extracts}", "--mode", "auto", "--capture", "{capture}"),
-    ("scan", "--extracts", "{extracts}", "--capture", "{capture}", "--capture-format", "pcap"),
-    ("parse-capture", "--capture", "{capture}", "--capture-format", "pcap"),
-    ("entropy-profile", "--extracts", "{extracts}", "--window", "16"),
-    ("entropy-profile", "--extracts", "{extracts}", "--threshold", "4.5"),
-    ("entropy-profile", "--extracts", "{extracts}", "--region-windows", "256"),
+@pytest.mark.parametrize("argv, says", [
+    (("decrypt", "--extracts", "{extracts}"), "required: --capture"),
+    (_DECRYPT + ("--workers", "2"), "unrecognized arguments: --workers"),
+    (_DECRYPT + ("--step", "0"), "unrecognized arguments: --step"),
+    (_DECRYPT + ("--min-gap", "-1"), "unrecognized arguments: --min-gap"),
+    (_DECRYPT + ("--filter", "bogus"), "argument --filter: "),
+    (_DECRYPT + ("--filter", "1.2.3.4:1,5.6.7.8:2"), "selects a pcap session"),
+    (_DECRYPT + ("--filter", "10.0.0.2:99999,10.0.0.1:443"), "argument --filter: "),
+    (_DECRYPT + ("--filter", "10.0.0.2:-1,10.0.0.1:443"), "argument --filter: "),
+    (_DECRYPT + ("--filter", "10.0.0.300:443,10.0.0.2:49152"), "argument --filter: "),
+    (_DECRYPT + ("--seq-window", "2"), "unrecognized arguments: --seq-window"),
+    (_DECRYPT + ("--iv-entropy", "nan"), "unrecognized arguments: --iv-entropy"),
+    (_DECRYPT + ("--counter-bound", "-5"), "unrecognized arguments: --counter-bound"),
+    (_DECRYPT + ("--capture-format", "pcap"), "unrecognized arguments: --capture-format"),
+    (_DECRYPT + ("--key-size", "16"), "unrecognized arguments: --key-size"),
+    (_DECRYPT + ("--key-entropy", "3.5"), "unrecognized arguments: --key-entropy"),
+    (("scan", "--extracts", "{extracts}", "--step", "0"), "unrecognized arguments: --step"),
+    (("scan", "--extracts", "{extracts}", "--key-size", "16"), "unrecognized arguments: --key-size"),
+    (("scan", "--extracts", "{extracts}", "--iv-entropy", "2"), "unrecognized arguments: --iv-entropy"),
+    (("scan", "--extracts", "{extracts}", "--key-entropy", "3.5"), "unrecognized arguments: --key-entropy"),
+    (("scan", "--extracts", "{extracts}", "--min-gap", "500"), "unrecognized arguments: --min-gap"),
+    (("scan", "--extracts", "{extracts}", "--counter-bound", "7"), "unrecognized arguments: --counter-bound"),
+    (("scan", "--extracts", "{extracts}", "--mode", "auto", "--capture", "{capture}"), "argument --mode: "),
+    (("scan", "--extracts", "{extracts}", "--capture", "{capture}", "--capture-format", "pcap"),
+     "unrecognized arguments: --capture-format"),
+    (("parse-capture", "--capture", "{capture}", "--capture-format", "pcap"), "unrecognized arguments: --capture-format"),
+    (("entropy-profile", "--extracts", "{extracts}", "--window", "16"), "unrecognized arguments: --window"),
+    (("entropy-profile", "--extracts", "{extracts}", "--threshold", "4.5"), "unrecognized arguments: --threshold"),
+    (("entropy-profile", "--extracts", "{extracts}", "--region-windows", "256"),
+     "unrecognized arguments: --region-windows"),
 ], ids=["missing-capture", "workers", "step-0", "negative-gap", "bad-filter", "filter-without-pcap",
-        "filter-port-above-range", "filter-negative-port", "seq-window", "iv-entropy-nan", "negative-counter-bound",
-        "capture-format", "decrypt-key-size", "key-entropy", "scan-step-0", "scan-key-size", "scan-iv-entropy",
-        "scan-key-entropy", "scan-min-gap", "scan-counter-bound", "scan-auto", "scan-capture-format",
-        "parse-capture-format", "profile-window", "profile-threshold", "profile-region-windows"])
-def test_usage_errors_exit_1_with_one_error_line(windows_fixture_16, capsys, argv):
+        "filter-port-above-range", "filter-negative-port", "filter-bad-address", "seq-window", "iv-entropy-nan",
+        "negative-counter-bound", "capture-format", "decrypt-key-size", "key-entropy", "scan-step-0", "scan-key-size",
+        "scan-iv-entropy", "scan-key-entropy", "scan-min-gap", "scan-counter-bound", "scan-auto",
+        "scan-capture-format", "parse-capture-format", "profile-window", "profile-threshold",
+        "profile-region-windows"])
+def test_usage_errors_exit_1_with_one_error_line(windows_fixture_16, capsys, argv, says):
+    # the one line says what is wrong: a malformed --filter is refused by the
+    # parser, before any capture is read
     _, paths, _ = windows_fixture_16
     code = _run([arg.format(extracts=paths.extract_dir, capture=paths.root) for arg in argv])
     err = capsys.readouterr().err
     assert code == EXIT_ERROR
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert says in err
     assert "Traceback" not in err
 
 
@@ -291,7 +299,7 @@ def test_scanner_flags_are_refused_and_records_stay_frozen():
     records = [
         TlsRecord(23, 0x0303, b""), record, SessionCapture(0x009C, (record,)),
         result, entry, DecryptedSession(bytes(16), bytes(4), None, None, (entry,)),
-        extract_set, Candidate(bytes(4), 0, 0, 2.0), block, ScanConfig(),
+        extract_set, Candidate(bytes(4), 0, 0), block, ScanConfig(),
     ]
     for rec in records:
         with pytest.raises(AttributeError):
@@ -509,14 +517,55 @@ def test_gen_fixture_default_recipe(tmp_path, capsys):
     assert report.outcome == "decrypted"
 
 
-def test_scan_flag_overrides_reach_the_scanner(windows_fixture_16):
-    # the gates are set from Python only: a 16-byte window scores at most
-    # log2(16) = 4.0 bits, so no key clears a strict 4.0 gate
+def test_scan_flag_overrides_reach_the_scanner(windows_fixture_16, monkeypatch):
+    # no flag or field sets a gate: ScanConfig derives both, so a gate changed
+    # there reaches the scanner. A 16-byte window scores at most log2(16) =
+    # 4.0 bits, so no key clears a strict 4.0 gate
     _, paths, truth = windows_fixture_16
-    cfg = ScanConfig(key_len_bytes=16, key_entropy_threshold=4.0)
-    keys, ivs = scan_windows(load_extracts(paths.extract_dir), cfg)
+    monkeypatch.setattr(ScanConfig, "key_entropy_threshold", 4.0)
+    keys, ivs = scan_windows(load_extracts(paths.extract_dir), ScanConfig(key_len_bytes=16))
     assert keys == []
     assert truth.client_iv in {c.value for c in ivs}
+
+
+_SALT_AT_IV_GATE = bytes.fromhex("11112233")  # 1.5 bits, as 2.33 % of uniform 4-byte salts score
+
+
+def _salt_at_iv_gate_fixture(tmp_path, monkeypatch, layout):
+    """Seed 1's fixture in ``layout`` with the client implicit IV replaced by a
+    salt at exactly the IV gate. The generator redraws such salts, so the
+    first 4-byte draw is swapped after it is made, leaving the seeded stream
+    as it was."""
+    import keysift.fixtures as fixtures
+
+    draw, salts = fixtures._gated_random_bytes, [_SALT_AT_IV_GATE]
+
+    def planted(rng, length, passes):
+        value = draw(rng, length, passes)
+        return salts.pop() if length == 4 and salts else value
+
+    monkeypatch.setattr(fixtures, "_gated_random_bytes", planted)
+    return generate_fixture(FixtureSpec(rng_seed=1, layout=layout), tmp_path)
+
+
+_GATE_LAYOUTS = pytest.mark.parametrize("layout", [FixtureLayout.WINDOWS_MARKERS, FixtureLayout.GENERIC_KEY_BLOCK],
+                                        ids=["windows-markers", "generic-key-block"])
+
+
+@_GATE_LAYOUTS
+def test_salt_at_the_iv_gate_is_planted(tmp_path, monkeypatch, layout):
+    # the setup of the xfail below, checked where a failure cannot pass as expected
+    paths, truth = _salt_at_iv_gate_fixture(tmp_path, monkeypatch, layout)
+    assert truth.client_iv == _SALT_AT_IV_GATE
+    assert shannon_entropy(truth.client_iv) == ScanConfig().iv_entropy_threshold
+    assert any(_SALT_AT_IV_GATE in path.read_bytes() for path in paths.extract_dir.iterdir())
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: strict IV gate")
+@_GATE_LAYOUTS
+def test_salt_at_the_iv_gate_decrypts(tmp_path, monkeypatch, layout):
+    paths, _ = _salt_at_iv_gate_fixture(tmp_path, monkeypatch, layout)
+    assert run_pipeline(paths.extract_dir, parse_capture(paths.root)).outcome == "decrypted"
 
 
 def test_both_layout_serves_either_scanner(tmp_path):

@@ -57,8 +57,8 @@ NONCE = b"\x00" * 7 + b"\x01"
 
 def _cand(key, iv, extract=0, offset=0):
     return (
-        Candidate(key, extract, offset, 4.0),
-        Candidate(iv, extract, offset + 100, 2.0),
+        Candidate(key, extract, offset),
+        Candidate(iv, extract, offset + 100),
     )
 
 
@@ -325,7 +325,7 @@ def test_trial_decrypt_rejects_iv_not_4_bytes(session_capture):
         trial_decrypt(capture, [_cand(bytes(32), b"\x01\x02\x03"), _cand(truth.client_key, truth.client_iv)])
     # the key x IV pairing checks the same
     with pytest.raises(ValueError):
-        pair_candidates([Candidate(truth.client_key, 0, 0, 4.0)], [Candidate(b"\x01\x02\x03", 0, 0, 4.0)])
+        pair_candidates([Candidate(truth.client_key, 0, 0)], [Candidate(b"\x01\x02\x03", 0, 0)])
 
 
 def test_trial_decrypt_deterministic(session_capture):
@@ -722,8 +722,8 @@ def test_key_value_takes_its_lowest_floor_over_its_indices(colliding, monkeypatc
     # next to its IV at index 2: its lower floor is at the later index, and
     # its pair there sorts before the second key's
     capture, first, second = colliding
-    keys = [Candidate(first[0], 5, 0, 4.0), Candidate(second[0], 0, 100, 4.0), Candidate(first[0], 0, 1000, 4.0)]
-    ivs = [Candidate(second[1], 0, 140, 2.0), Candidate(first[1], 0, 1004, 2.0)]
+    keys = [Candidate(first[0], 5, 0), Candidate(second[0], 0, 100), Candidate(first[0], 0, 1000)]
+    ivs = [Candidate(second[1], 0, 140), Candidate(first[1], 0, 1004)]
     built, _ = _count_ciphers(monkeypatch)
     result = trial_decrypt(capture, PairOrder(keys, ivs))
     assert (result.index, result.key) == (0, first[0])
@@ -739,7 +739,7 @@ def test_two_verifying_keys_agree_with_per_pair_loop(colliding, seed):
     rng = random.Random(seed)
     key_values = [first[0], second[0]] * rng.randint(1, 3) + [bytes([i]) * 32 for i in range(1, 5)]
     iv_values = [first[1], second[1]] * rng.randint(1, 2) + [bytes([i, 0, 0, 1]) for i in range(1, 5)]
-    place = lambda value: Candidate(value, rng.randrange(3), rng.randrange(0, 2000, 4), 2.0)
+    place = lambda value: Candidate(value, rng.randrange(3), rng.randrange(0, 2000, 4))
     keys, ivs = [place(v) for v in key_values], [place(v) for v in iv_values]
     rng.shuffle(keys)
     rng.shuffle(ivs)
@@ -750,8 +750,8 @@ def test_exhausting_pair_walk_does_not_keep_the_pairs(session_capture):
     # an exhausting trial must not end up holding all K x V pair tuples
     # (about 64 bytes each with the list slot)
     capture, _ = session_capture
-    keys = [Candidate(bytes([i]) * 32, i % 3, i * 97 % 65_536, 4.0) for i in range(200)]
-    ivs = [Candidate(bytes([i]) * 4, i % 3, i * 61 % 65_536, 2.0) for i in range(150)]
+    keys = [Candidate(bytes([i]) * 32, i % 3, i * 97 % 65_536) for i in range(200)]
+    ivs = [Candidate(bytes([i]) * 4, i % 3, i * 61 % 65_536) for i in range(150)]
     pairs = pair_candidates(keys, ivs)
     tracemalloc.start()
     try:

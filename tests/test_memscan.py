@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import keysift.memscan as memscan
 from keysift.capture import NonceStyle, parse_capture
-from keysift.entropy import shannon_entropy
+from keysift.entropy import entropy_profile, shannon_entropy
 from keysift.errors import EmptyDirectory
 from keysift.fixtures import FixtureLayout, Filler, FixtureSpec, generate_fixture
 from keysift.memscan import (
@@ -97,6 +97,18 @@ def test_key_threshold_defaults():
     assert ScanConfig(key_len_bytes=16).key_entropy_threshold == pytest.approx(3.6)
 
 
+def test_gates_are_derived_not_fields():
+    # only the key length and the pruning gap are set; the gates follow from them
+    assert ScanConfig._fields == ("key_len_bytes", "min_artefact_gap")
+    assert Candidate._fields == ("value", "extract_id", "offset")
+    assert ScanConfig().iv_entropy_threshold == 1.5
+    with pytest.raises(TypeError):
+        ScanConfig(iv_entropy_threshold=2)
+    for gate in ("iv_entropy_threshold", "key_entropy_threshold"):
+        with pytest.raises(AttributeError):
+            setattr(ScanConfig(), gate, 0.0)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -110,7 +122,9 @@ def test_key_threshold_defaults():
     ],
 )
 def test_config_validation(kwargs):
-    with pytest.raises(ValueError):
+    # a bad field value is a ValueError; a gate is not a field, so naming one is a TypeError
+    error = ValueError if kwargs.keys() <= set(ScanConfig._fields) else TypeError
+    with pytest.raises(error):
         ScanConfig(**kwargs)
 
 
@@ -219,17 +233,43 @@ def test_scan_windows_keeps_ivs_of_an_extract_whose_keys_fail_the_gate(tmp_path)
     assert [(v.value, v.offset) for v in ivs] == [(bytes([1, 2, 3, 4]), 104 + 20)]
 
 
+# exactly at each gate: 8 byte values twice and 16 once score 5 - 16/32 = 4.5
+# bits, the 32-byte key gate; 11 11 22 33 scores 2 - 2/4 = 1.5 bits, the IV
+# gate. One byte value fewer twice, or one repeat fewer, lifts each above it.
+_KEY_AT_GATE = bytes(range(8)) * 2 + bytes(range(8, 24))
+_IV_AT_GATE = bytes.fromhex("11112233")
+_KEY_ABOVE_GATE = bytes(range(7)) * 2 + bytes(range(7, 25))
+_IV_ABOVE_GATE = bytes.fromhex("11223344")
+
+
+@pytest.mark.parametrize("key, iv", [(_KEY_AT_GATE, _IV_AT_GATE), (_KEY_ABOVE_GATE, _IV_ABOVE_GATE)],
+                         ids=["at-gate", "above-gate"])
+def test_every_gate_consumer_agrees_with_scan_config(tmp_path, key, iv):
+    # ScanConfig's predicates are the one definition of the gates: the
+    # vectorized profile counts a window, and the marker scan keeps a window
+    # after its marker, exactly when the predicate passes it
+    cfg = ScanConfig(key_len_bytes=32)
+    assert (shannon_entropy(key), shannon_entropy(iv)) == ((4.5, 1.5) if key == _KEY_AT_GATE else (4.5625, 2.0))
+    assert entropy_profile(key, cfg.key_len_bytes, cfg.key_entropy_threshold) == [(0, cfg.passes_key_gate(key))]
+    buf = bytearray(4096)
+    buf[100:104] = IV_MARKER
+    buf[124:128] = iv
+    buf[1000:1004] = KEY_MARKER
+    buf[1032:1064] = key
+    keys, ivs = scan_windows(_extracts_from(tmp_path, [("x.bin", bytes(buf))]), cfg)
+    assert ((key, 1032) in {(c.value, c.offset) for c in keys}) == cfg.passes_key_gate(key)
+    assert ((iv, 124) in {(c.value, c.offset) for c in ivs}) == cfg.passes_iv_gate(iv)
+
+
 def test_scan_windows_gate_soundness(windows_fixture_32):
     _, paths, _ = windows_fixture_32
     extract_set = load_extracts(paths.extract_dir)
     cfg = ScanConfig(key_len_bytes=32)
     keys, ivs = scan_windows(extract_set, cfg)
     for cand in keys:
-        assert cand.entropy > cfg.key_entropy_threshold
-        assert cand.entropy == pytest.approx(shannon_entropy(cand.value))
+        assert shannon_entropy(cand.value) > cfg.key_entropy_threshold
     for cand in ivs:
-        assert cand.entropy > cfg.iv_entropy_threshold
-        assert cand.entropy == pytest.approx(shannon_entropy(cand.value))
+        assert shannon_entropy(cand.value) > cfg.iv_entropy_threshold
 
 
 def test_scan_windows_matches_independent_oracle(windows_fixture_16):
@@ -469,11 +509,11 @@ def test_scan_standard_deterministic(tmp_path):
 
 
 def _cand_key(i, extract=0, offset=0):
-    return Candidate(bytes([i] * 4), extract, offset, 2.0)
+    return Candidate(bytes([i] * 4), extract, offset)
 
 
 def _cand_iv(i, extract=0, offset=0):
-    return Candidate(bytes([i] * 4), extract, offset, 2.0)
+    return Candidate(bytes([i] * 4), extract, offset)
 
 
 def test_pair_cardinality():
