@@ -289,21 +289,7 @@ def _cmd_scan(args) -> int:
             raise UsageError("standard scan needs --capture for the explicit nonce")
         capture = parse_capture(args.capture, args.filter)
         blocks = scan_standard(extracts, capture, ScanConfig(key_len_bytes=capture.key_len_bytes))
-        payload = {
-            "mode": "standard",
-            "key_blocks": [
-                {
-                    "extract_id": b.extract_id,
-                    "offset": b.offset,
-                    "hypothesis": b.hypothesis.value,
-                    "client_key": b.client_key.hex(),
-                    "server_key": b.server_key.hex(),
-                    "client_iv": b.client_iv.hex(),
-                    "server_iv": b.server_iv.hex(),
-                }
-                for b in blocks
-            ],
-        }
+        payload = {"mode": "standard", "key_blocks": [b._asdict() for b in blocks]}
     else:
         # the marker scan reads no record, but a capture still sets the key size; with none, both sizes
         if args.filter is not None and not args.capture:
@@ -313,9 +299,7 @@ def _cmd_scan(args) -> int:
         keys = sorted((key for found, _ in scans for key in found),
                       key=lambda c: (c.extract_id, c.offset, len(c.value)))
         ivs = scans[0][1]  # the IV windows do not depend on the key size
-        rows = lambda cands: [
-            {**c._asdict(), "value": c.value.hex(), "entropy": round(shannon_entropy(c.value), 6)} for c in cands
-        ]
+        rows = lambda cands: [{**c._asdict(), "entropy": round(shannon_entropy(c.value), 6)} for c in cands]
         payload = {"mode": "windows", "keys": rows(keys), "ivs": rows(ivs)}
     _emit(args, render_json(payload))
     return EXIT_OK
@@ -327,11 +311,11 @@ def _cmd_parse_capture(args) -> int:
         "cipher_suite": f"0x{capture.cipher_suite:04X}",
         "suite_name": capture.suite_name,
         "key_len_bytes": capture.key_len_bytes,
-        "nonce_style": explicit_nonce_style(capture).value,
-        "first_explicit_nonce": capture.first_explicit_nonce.hex(),
+        "nonce_style": explicit_nonce_style(capture),
+        "first_explicit_nonce": capture.first_explicit_nonce,
         "records": [
             {
-                "direction": record.direction.value,
+                "direction": record.direction,
                 "seq": record.seq,
                 "content_type": record.content_type,
                 "ciphertext_len": len(record.ciphertext),
@@ -364,14 +348,7 @@ def _cmd_gen_fixture(args) -> int:
     if args.seed is not None:
         spec.rng_seed = args.seed
     paths, _ = generate_fixture(spec, args.out)
-    sys.stdout.write(render_json({
-        "root": str(paths.root),
-        "extract_dir": str(paths.extract_dir),
-        "client_records": str(paths.client_records),
-        "server_records": str(paths.server_records),
-        "manifest": str(paths.manifest),
-        "groundtruth": str(paths.groundtruth),
-    }))
+    sys.stdout.write(render_json({name: str(path) for name, path in vars(paths).items()}))
     return EXIT_OK
 
 

@@ -17,7 +17,7 @@ import json
 import random
 import string
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 
@@ -36,7 +36,7 @@ from .capture import (
     assemble_session,
 )
 from .decrypt import record_aad
-from .errors import SpecInvalid
+from .errors import KeysiftError, SpecInvalid
 from .memscan import (
     IV_MARKER,
     KEY_MARKER,
@@ -46,6 +46,7 @@ from .memscan import (
     band_for_size,
     find_all,
 )
+from .report import render_json
 
 _SUITE_FOR_KEY_LEN = {16: 0x009C, 32: 0x009D}
 _HS_CLIENT_HELLO = 1
@@ -135,27 +136,6 @@ class FixtureGroundTruth:
             if artefact.kind == kind:
                 return artefact
         raise KeyError(kind)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "client_key": self.client_key.hex(),
-            "server_key": self.server_key.hex(),
-            "client_iv": self.client_iv.hex(),
-            "server_iv": self.server_iv.hex(),
-            "plaintext_client": self.plaintext_client.hex(),
-            "plaintext_server": self.plaintext_server.hex(),
-            "first_client_nonce": self.first_client_nonce.hex(),
-            "planted": [
-                {
-                    "kind": a.kind,
-                    "extract_id": a.extract_id,
-                    "extract_name": a.extract_name,
-                    "offset": a.offset,
-                    "value": a.value.hex(),
-                }
-                for a in self.planted
-            ],
-        }
 
 
 @dataclass(frozen=True)
@@ -418,8 +398,8 @@ def _render(spec: FixtureSpec, rng: random.Random):
         server_key=_gated_random_bytes(rng, spec.key_len_bytes, cfg.passes_key_gate),
         client_iv=_gated_random_bytes(rng, 4, cfg.passes_iv_gate),
         server_iv=_gated_random_bytes(rng, 4, cfg.passes_iv_gate),
-        plaintext_client=spec.plaintext_client or _default_request(rng),
-        plaintext_server=spec.plaintext_server or _default_response(rng),
+        plaintext_client=_default_request(rng) if spec.plaintext_client is None else spec.plaintext_client,
+        plaintext_server=_default_response(rng) if spec.plaintext_server is None else spec.plaintext_server,
         first_client_nonce=b"",
     )
     session = _build_session(spec, truth, rng)
@@ -479,12 +459,16 @@ def generate_fixture(spec: FixtureSpec, out_dir) -> tuple[FixturePaths, FixtureG
 
     Deterministic under ``spec.rng_seed``; colliding filler triggers a
     deterministic redraw. Raises SpecInvalid for impossible recipes, and for
-    one whose extracts do not fit in free memory.
+    one whose extracts do not fit in free memory. Raises KeysiftError when
+    ``out_dir/extracts`` already holds an entry, which would join the new
+    extracts; nothing there is deleted.
     """
     spec.validate()
     root = Path(out_dir)
     extract_dir = root / "extracts"
     extract_dir.mkdir(parents=True, exist_ok=True)
+    if any(extract_dir.iterdir()):
+        raise KeysiftError(f"extract directory {extract_dir} is not empty; generate into a fresh directory")
 
     try:
         for attempt in range(16):
@@ -511,10 +495,10 @@ def generate_fixture(spec: FixtureSpec, out_dir) -> tuple[FixturePaths, FixtureG
 
     manifest = {plan.name: hex(0x10000000 + (plan.extract_id << 24)) for plan in plans}
     manifest_path = root / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    manifest_path.write_text(render_json(manifest))
 
     truth_path = root / "groundtruth.json"
-    truth_path.write_text(json.dumps(truth.to_json_dict(), indent=2, sort_keys=True) + "\n")
+    truth_path.write_text(render_json(asdict(truth)))
 
     # ground-truth self-check: the emitted files really carry the planted bytes
     for artefact in truth.planted:

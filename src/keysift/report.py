@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from enum import Enum
 
 
 def printable(data: bytes) -> str:
@@ -18,8 +19,18 @@ def hexdump(data: bytes, width: int = 16) -> str:
     return "\n".join(lines)
 
 
+def _encode(value):
+    """What ``json`` cannot encode itself: bytes as lowercase hex, an enum as its value."""
+    if isinstance(value, bytes):
+        return value.hex()
+    if isinstance(value, Enum):
+        return value.value
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def render_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """keysift's one JSON format: sorted keys, two-space indent, a trailing newline."""
+    return json.dumps(report, indent=2, sort_keys=True, default=_encode) + "\n"
 
 
 def entropy_profile_csv(rows: list[tuple[str, int, int]]) -> str:

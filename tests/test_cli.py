@@ -45,6 +45,7 @@ from keysift.memscan import (
     load_extracts,
     scan_windows,
 )
+from keysift.report import render_json
 
 
 def _run(argv):
@@ -350,6 +351,7 @@ def test_scan_standard_command(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["mode"] == "standard"
     assert any(b["client_key"] == truth.client_key.hex() for b in payload["key_blocks"])
+    assert all(sorted(b) == sorted(CandidateKeyBlock._fields) for b in payload["key_blocks"])
 
 
 def test_scan_windows_takes_the_key_size_from_the_capture(windows_fixture_16, windows_fixture_32, capsys):
@@ -503,6 +505,23 @@ def test_gen_fixture_beyond_free_memory_exits_1_with_one_error_line(tmp_path, ca
     assert code == EXIT_ERROR
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert f"{2097152 + 4294967296} extract bytes" in err
+
+
+def test_gen_fixture_into_used_extracts_exits_1_and_keeps_them(tmp_path, capsys):
+    # a second recipe into the same --out would leave the first run's extracts beside
+    # its own, so the scan would see material its ground truth does not list
+    out = tmp_path / "fix"
+    assert _run(["gen-fixture", "--seed", "1", "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    recipe = tmp_path / "spec.json"
+    recipe.write_text(json.dumps({"extract_sizes": [2097152], "rng_seed": 2}))
+    code = _run(["gen-fixture", "--spec", str(recipe), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert str(out / "extracts") in err
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
 
 def test_gen_fixture_default_recipe(tmp_path, capsys):
@@ -738,6 +757,19 @@ def test_text_report_renders(windows_fixture_32, capsys):
     text = capsys.readouterr().out
     assert "outcome:  decrypted" in text
     assert "|GET /images/" in text  # hex+printable transcript
+
+
+def test_render_json_encodes_bytes_and_enums():
+    payload = {"value": b"\x00\xff", "hypothesis": BlockHypothesis.IV_WAS_SERVER,
+               "rows": [{"value": b"\x00\xff", "hypotheses": [BlockHypothesis.IV_WAS_SERVER]}]}
+    assert json.loads(render_json(payload)) == {
+        "value": "00ff", "hypothesis": "iv_was_server",
+        "rows": [{"value": "00ff", "hypotheses": ["iv_was_server"]}],
+    }
+    # anything else still fails loudly instead of landing in a report as text
+    for stray in (Path("extracts"), {1, 2}):
+        with pytest.raises(TypeError):
+            render_json({"stray": stray})
 
 
 def _subprocess_env():

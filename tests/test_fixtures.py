@@ -4,6 +4,7 @@ import json
 import pytest
 
 from keysift.capture import NonceStyle, parse_capture
+from keysift.cli import run_pipeline
 from keysift.entropy import shannon_entropy
 from keysift.errors import SpecInvalid
 from keysift.fixtures import (
@@ -77,6 +78,20 @@ def test_ground_truth_json_matches(tmp_path):
     assert on_disk["client_key"] == truth.client_key.hex()
     assert on_disk["first_client_nonce"] == truth.first_client_nonce.hex()
     assert len(on_disk["planted"]) == len(truth.planted)
+
+
+def test_empty_plaintexts_are_planted_as_given(tmp_path):
+    # an empty plaintext is a recipe's choice, not a missing one: no seeded HTTP message replaces it
+    spec = spec_from_json({"plaintext_client": "", "plaintext_server": "", "rng_seed": 1})
+    paths, truth = generate_fixture(spec, tmp_path)
+    assert truth.plaintext_client == truth.plaintext_server == b""
+    on_disk = json.loads(paths.groundtruth.read_text())
+    assert on_disk["plaintext_client"] == on_disk["plaintext_server"] == ""
+    report = run_pipeline(paths.extract_dir, parse_capture(paths.root))
+    assert report.outcome == "decrypted"
+    records = report.session["records"]
+    assert all(entry["ok"] for entry in records)
+    assert [entry["plaintext_hex"] for entry in records if entry["seq"] == 1] == ["", ""]
 
 
 def test_manifest_covers_every_extract(tmp_path):
