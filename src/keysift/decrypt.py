@@ -67,11 +67,8 @@ def _checked_key(key: bytes) -> bytes:
     return key
 
 
-def _cipher_for(key: bytes) -> AESGCM:
-    return AESGCM(_checked_key(key))
-
-
-def _open_record(opener: AESGCM, record: EncryptedRecord, implicit_iv: bytes, seq: int) -> bytes | None:
+def _open_record(key: bytes, record: EncryptedRecord, implicit_iv: bytes, seq: int) -> bytes | None:
+    opener = AESGCM(_checked_key(key))
     nonce = implicit_iv + record.explicit_nonce
     aad = record_aad(seq, record.content_type, record.record_version, len(record.ciphertext) - GCM_TAG_LEN)
     try:
@@ -89,7 +86,7 @@ def decrypt_record(record: EncryptedRecord, key: bytes, implicit_iv: bytes, seq:
     """
     if len(record.ciphertext) < GCM_TAG_LEN:
         raise AuthFailure("ciphertext shorter than the tag")
-    plaintext = _open_record(_cipher_for(key), record, implicit_iv, seq)
+    plaintext = _open_record(key, record, implicit_iv, seq)
     if plaintext is None:
         raise AuthFailure("tag verification failed")
     return plaintext
@@ -122,9 +119,13 @@ class TrialResult(NamedTuple):
     seq_used: int
     plaintext: bytes
     index: int
-    orientation_swapped: bool = False
     trials: int = 0
     block: CandidateKeyBlock | None = None
+
+    @property
+    def orientation_swapped(self) -> bool:
+        """True when the winner is not its block's client slot, where equal slots win."""
+        return self.block is not None and (self.key, self.implicit_iv) != (self.block.client_key, self.block.client_iv)
 
     @property
     def validation(self) -> Validation:
@@ -270,7 +271,7 @@ def _first_verified(
         while pending and (floor is None or pending[0][0] < floor):
             order, seq_index, key, iv = pending.pop(0)
             seq = screen.seqs[seq_index]
-            plaintext = _open_record(_cipher_for(key), record, iv, seq)
+            plaintext = _open_record(key, record, iv, seq)
             if plaintext is not None:
                 return order, seq_index, seq, key, iv, plaintext
         return None
@@ -353,7 +354,7 @@ def trial_decrypt_blocks(
     )
     result = _trial(capture, _MaterialList(materials), screens)
     index = result.index // 2
-    return result._replace(index=index, orientation_swapped=result.index % 2 == 1, block=blocks[index])
+    return result._replace(index=index, block=blocks[index])
 
 
 class TranscriptEntry(NamedTuple):
@@ -440,7 +441,7 @@ def decrypt_session(
         mat = material[record.direction]
         plaintext = None
         if mat is not None:
-            plaintext = _open_record(_cipher_for(mat[0]), record, mat[1], record.seq + deltas[record.direction])
+            plaintext = _open_record(mat[0], record, mat[1], record.seq + deltas[record.direction])
         transcript.append(TranscriptEntry(record.direction, record.seq, plaintext))
 
     server_mat = material[Direction.SERVER_TO_CLIENT]

@@ -35,7 +35,6 @@ from .capture import (
     TlsRecord,
     assemble_session,
 )
-from .decrypt import record_aad
 from .errors import KeysiftError, SpecInvalid
 from .memscan import (
     IV_MARKER,
@@ -196,12 +195,12 @@ def reference_encrypt(
 ) -> EncryptedRecord:
     """Encrypt one record with the self-contained AES-GCM implementation.
 
-    Inverse of the decryptor's record opener but on an independent code path;
-    round-tripping the two is itself a correctness check.
+    Inverse of the decryptor's record opener on an independent code path, down to the
+    RFC 5246 §6.2.3.3 additional data; round-tripping the two is a correctness check.
     """
     if len(implicit_iv) != 4 or len(explicit_nonce) != 8:
         raise ValueError("implicit IV must be 4 bytes and the explicit nonce 8")
-    aad = record_aad(seq, content_type, version, len(plaintext))
+    aad = struct.pack(">QBHH", seq, content_type, version, len(plaintext))
     sealed = gcm_ref.seal(key, implicit_iv + explicit_nonce, plaintext, aad)
     return EncryptedRecord(
         direction=direction,

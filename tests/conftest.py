@@ -10,17 +10,19 @@ import struct
 from collections import Counter
 
 import pytest
+from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from keysift.capture import (
     CONTENT_APPLICATION_DATA,
+    GCM_TAG_LEN,
     TLS_1_2,
     Direction,
     EncryptedRecord,
     NonceStyle,
     assemble_session,
 )
-from keysift.decrypt import _cipher_for, _open_record, record_aad, validate_plaintext
+from keysift.decrypt import validate_plaintext
 from keysift.fixtures import FixtureSpec, generate_fixture, reference_encrypt
 from keysift.gcm_ref import _encrypt_block, _expand_key, _gmult
 from keysift.memscan import (
@@ -277,6 +279,21 @@ def naive_pair_order(keys, ivs):
     return [(keys[ki], ivs[vi]) for _, _, ki, vi in pairs]
 
 
+def _aad(seq, content_type, version, length):
+    # seq_num || type || version || length, RFC 5246 §6.2.3.3
+    return seq.to_bytes(8, "big") + bytes([content_type]) + version.to_bytes(2, "big") + length.to_bytes(2, "big")
+
+
+def naive_open(aead, record, implicit_iv, seq):
+    """``record`` opened under ``aead`` with ``implicit_iv`` at ``seq``, the nonce and
+    additional data packed here and not by the decryptor; None when the tag does not verify."""
+    aad = _aad(seq, record.content_type, record.record_version, len(record.ciphertext) - GCM_TAG_LEN)
+    try:
+        return aead.decrypt(implicit_iv + record.explicit_nonce, record.ciphertext, aad)
+    except InvalidTag:
+        return None
+
+
 def naive_first_opening(record, materials):
     """The per-pair trial loop: try each (key, iv, index, swapped) material
     against ``record`` at the 5 sequence numbers within 2 of its own, nearest
@@ -290,10 +307,10 @@ def naive_first_opening(record, materials):
     for material in materials:
         aead = ciphers.get(material[0])
         if aead is None:
-            aead = ciphers[material[0]] = _cipher_for(material[0])
+            aead = ciphers[material[0]] = AESGCM(material[0])
         for seq in seqs:
             trials += 1
-            plaintext = _open_record(aead, record, material[1], seq)
+            plaintext = naive_open(aead, record, material[1], seq)
             if plaintext is not None:
                 return trials, (material, seq, plaintext)
     return trials, None
@@ -405,8 +422,8 @@ def oracle_pipeline(extract_dir, capture, mode):
                     if record.content_type != CONTENT_APPLICATION_DATA:
                         continue
                     mat = material[record.direction]
-                    opened = None if mat is None else _open_record(
-                        _cipher_for(mat[0]), record, mat[1], record.seq + mat[2])
+                    opened = None if mat is None else naive_open(
+                        AESGCM(mat[0]), record, mat[1], record.seq + mat[2])
                     records.append({
                         "direction": record.direction.value,
                         "seq": record.seq,
@@ -460,7 +477,7 @@ def record_both_open(first, second, explicit, seq):
     (key, IV) materials at ``seq``. Its tag under a key is C·H^2 xor the rest
     of GHASH and E_K(J0), so C·(H_a^2 xor H_b^2) = rest_a xor rest_b fixes the
     one ciphertext block C that gives both keys the same tag."""
-    aad = record_aad(seq, CONTENT_APPLICATION_DATA, TLS_1_2, 16)
+    aad = _aad(seq, CONTENT_APPLICATION_DATA, TLS_1_2, 16)
     aad_block = int.from_bytes(aad.ljust(16, b"\x00"), "big")
     lengths = (len(aad) * 8 << 64) | 128
     terms = []

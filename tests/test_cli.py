@@ -66,6 +66,7 @@ def test_decrypt_windows_fixture(windows_fixture_32, tmp_path):
     report = json.loads(out.read_text())
     assert report["outcome"] == "decrypted"
     assert report["mode_used"] == "windows"
+    assert report["material"]["hypothesis"] is None  # a pair win has no key-block layout
     assert report["material"]["client_key"] == truth.client_key.hex()
     assert report["material"]["server_key"] == truth.server_key.hex()
     plaintexts = {r["plaintext_hex"] for r in report["session"]["records"]}
@@ -136,7 +137,7 @@ def test_auto_mode_reads_counter_nonces_past_255(windows_fixture_16, tmp_path, c
     assert json.loads(capsys.readouterr().out)["nonce_style"] == "counter"
 
 
-def test_auto_mode_random_falls_back_to_standard(tmp_path):
+def test_auto_mode_random_falls_back_to_standard(tmp_path, capsys):
     spec = FixtureSpec(
         rng_seed=51,
         key_len_bytes=32,
@@ -153,10 +154,12 @@ def test_auto_mode_random_falls_back_to_standard(tmp_path):
     ])
     assert code == EXIT_OK
     report = json.loads(out.read_text())
-    assert report["nonce_style"] == "random"
-    assert report["mode_used"] == "standard"
+    assert (report["nonce_style"], report["mode_used"], report["outcome"]) == ("random", "standard", "decrypted")
     assert report["material"]["client_key"] == truth.client_key.hex()
     assert report["material"]["hypothesis"] == "iv_was_client"
+    # parse-capture names the style that chose the scanner
+    assert _run(["parse-capture", "--capture", str(paths.root)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["nonce_style"] == "random"
 
 
 def test_windows_mode_markerless_extracts_clean_failure(tmp_path):
@@ -241,6 +244,7 @@ def test_seq_window_sets_the_trials_per_material(tmp_path):
     (_DECRYPT + ("--seq-window", "2"), "unrecognized arguments: --seq-window"),
     (_DECRYPT + ("--iv-entropy", "nan"), "unrecognized arguments: --iv-entropy"),
     (_DECRYPT + ("--counter-bound", "-5"), "unrecognized arguments: --counter-bound"),
+    (_DECRYPT + ("--max-key-distance", "64"), "unrecognized arguments: --max-key-distance"),
     (_DECRYPT + ("--capture-format", "pcap"), "unrecognized arguments: --capture-format"),
     (_DECRYPT + ("--key-size", "16"), "unrecognized arguments: --key-size"),
     (_DECRYPT + ("--key-entropy", "3.5"), "unrecognized arguments: --key-entropy"),
@@ -260,9 +264,9 @@ def test_seq_window_sets_the_trials_per_material(tmp_path):
      "unrecognized arguments: --region-windows"),
 ], ids=["missing-capture", "workers", "step-0", "negative-gap", "bad-filter", "filter-without-pcap",
         "filter-port-above-range", "filter-negative-port", "filter-bad-address", "seq-window", "iv-entropy-nan",
-        "negative-counter-bound", "capture-format", "decrypt-key-size", "key-entropy", "scan-step-0", "scan-key-size",
-        "scan-iv-entropy", "scan-key-entropy", "scan-min-gap", "scan-counter-bound", "scan-auto",
-        "scan-capture-format", "parse-capture-format", "profile-window", "profile-threshold",
+        "negative-counter-bound", "max-key-distance", "capture-format", "decrypt-key-size", "key-entropy",
+        "scan-step-0", "scan-key-size", "scan-iv-entropy", "scan-key-entropy", "scan-min-gap", "scan-counter-bound",
+        "scan-auto", "scan-capture-format", "parse-capture-format", "profile-window", "profile-threshold",
         "profile-region-windows"])
 def test_usage_errors_exit_1_with_one_error_line(windows_fixture_16, capsys, argv, says):
     # the one line says what is wrong: a malformed --filter is refused by the
@@ -308,7 +312,7 @@ def test_scanner_flags_are_refused_and_records_stay_frozen():
     # a value its fields fix is a property, which neither setattr nor _replace can make disagree
     assert TranscriptEntry._fields == ("direction", "seq", "plaintext")
     assert ExtractSet._fields == ("extracts",)
-    for rec, derived in ((entry, "ok"), (extract_set, "bands")):
+    for rec, derived in ((entry, "ok"), (extract_set, "bands"), (result, "orientation_swapped")):
         with pytest.raises(AttributeError):
             setattr(rec, derived, None)
         with pytest.raises(ValueError):
@@ -388,6 +392,7 @@ def test_parse_capture_command(windows_fixture_32, capsys):
     assert code == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     assert payload["cipher_suite"] == "0x009D"
+    assert payload["suite_name"].endswith("AES_256_GCM_SHA384")
     assert payload["key_len_bytes"] == 32
     assert payload["nonce_style"] == "counter"
     assert payload["records"][0]["seq"] == 0
@@ -477,10 +482,10 @@ def test_gen_fixture_invalid_spec(tmp_path):
                                   '{"rng_seed": "x"}',
                                   '{"extract_sizes": [1048576], "layout": "generic_key_block", "keyblock_copies": 300}',
                                   '{"extract_sizes": [1048576], "decoy_markers": 400}',
-                                  b'\xff\xfe{"rng_seed": 1}'],
+                                  b'\xff\xfe{"rng_seed": 1}', '{"keyblock_copy_gap": -1}'],
                          ids=["malformed-json", "not-an-object", "sizes-not-a-list", "sizes-not-integers",
                               "decoy-markers-string", "plaintext-not-a-string", "copies-float", "seed-string",
-                              "copies-too-large", "decoys-too-crowded", "not-utf-8"])
+                              "copies-too-large", "decoys-too-crowded", "not-utf-8", "negative-copy-gap"])
 def test_gen_fixture_bad_spec_exits_1_with_one_error_line(tmp_path, capsys, text):
     recipe = tmp_path / "spec.json"
     recipe.write_bytes(text if isinstance(text, bytes) else text.encode())
@@ -505,6 +510,22 @@ def test_gen_fixture_beyond_free_memory_exits_1_with_one_error_line(tmp_path, ca
     assert code == EXIT_ERROR
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert f"{2097152 + 4294967296} extract bytes" in err
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS bounds every allocation on Linux")
+def test_gen_fixture_beyond_an_address_space_limit_exits_1_with_one_error_line(tmp_path):
+    # a real allocation failure: the child alone runs under a 1.5 GB address-space limit,
+    # so its 4 GiB extract fails to allocate and nothing near that size is ever mapped
+    recipe = tmp_path / "spec.json"
+    recipe.write_text(json.dumps({"extract_sizes": [2097152, 4294967296]}))
+    limited = ("import resource, sys; from keysift.cli import main; "
+               "resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, resource.getrlimit(resource.RLIMIT_AS)[1])); "
+               "sys.exit(main(sys.argv[1:]))")
+    done = subprocess.run([sys.executable, "-c", limited, "gen-fixture", "--spec", str(recipe),
+                           "--out", str(tmp_path / "fix")], env=_subprocess_env(), capture_output=True, text=True)
+    assert done.returncode == EXIT_ERROR
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: "), done.stderr
+    assert f"{2097152 + 4294967296} extract bytes" in done.stderr
 
 
 def test_gen_fixture_into_used_extracts_exits_1_and_keeps_them(tmp_path, capsys):
@@ -837,6 +858,16 @@ def test_package_namespace_resolves_lazily():
     done = subprocess.run([sys.executable, "-c", _NAMESPACE_PROBE], env=_subprocess_env(),
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_fixtures_import_loads_no_decryptor():
+    # the encryptor packs its own additional data, so a wrong layout in the decryptor cannot
+    # seal and open every fixture the same wrong way
+    probe = ("import sys, keysift.fixtures; "
+             "print(*[m for m in sys.modules if m == 'keysift.decrypt' or m.split('.')[0] == 'cryptography'])")
+    done = subprocess.run([sys.executable, "-c", probe], env=_subprocess_env(), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
 
 
 def test_gen_fixture_as_main(tmp_path):

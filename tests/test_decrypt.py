@@ -22,6 +22,7 @@ from keysift.decrypt import (
     _seq_candidates,
     decrypt_record,
     decrypt_session,
+    record_aad,
     trial_decrypt,
     trial_decrypt_blocks,
     validate_plaintext,
@@ -109,6 +110,11 @@ def test_bad_key_length():
     record = reference_encrypt(b"secret", KEY32, IV, NONCE, seq=1)
     with pytest.raises(BadKeyLength):
         decrypt_record(record, bytes(24), IV, 1)
+
+
+def test_record_aad_is_the_rfc_layout():
+    # seq_num || type || version || length (RFC 5246 §6.2.3.3): 8 + 1 + 2 + 2 bytes, big-endian
+    assert record_aad(1, 23, 0x0303, 5) == bytes.fromhex("00000000000000011703030005")
 
 
 def test_plaintext_length_matches_ciphertext():
@@ -378,6 +384,14 @@ def test_trial_blocks_swapped_orientation(session_capture):
     assert result.orientation_swapped
     assert result.key == truth.client_key
     assert result.implicit_iv == truth.client_iv
+
+
+def test_block_with_equal_slots_wins_unswapped(session_capture):
+    # the orientation is the winning slot's: a repeated material keeps its first, the client slot
+    capture, truth = session_capture
+    same = _block_for(truth)._replace(server_key=truth.client_key, server_iv=truth.client_iv)
+    assert trial_decrypt_blocks(capture, [same]).orientation_swapped is False
+    assert trial_decrypt(capture, [_cand(truth.client_key, truth.client_iv)]).orientation_swapped is False
 
 
 def test_trial_blocks_empty_list(session_capture):

@@ -13,6 +13,7 @@ from keysift.fixtures import (
     FixtureLayout,
     FixtureSpec,
     generate_fixture,
+    reference_encrypt,
     spec_from_json,
 )
 from keysift.memscan import IV_MARKER, KEY_MARKER, MB, BlockHypothesis, load_extracts
@@ -78,6 +79,20 @@ def test_ground_truth_json_matches(tmp_path):
     assert on_disk["client_key"] == truth.client_key.hex()
     assert on_disk["first_client_nonce"] == truth.first_client_nonce.hex()
     assert len(on_disk["planted"]) == len(truth.planted)
+
+
+def test_ground_truth_finds_only_planted_kinds(windows_fixture_32):
+    # a marker-layout fixture plants no key block, and asking for one is an error, not None
+    _, _, truth = windows_fixture_32
+    with pytest.raises(KeyError):
+        truth.find("key_block")
+
+
+@pytest.mark.parametrize("implicit_iv, explicit_nonce", [(bytes(3), bytes(8)), (bytes(4), bytes(7)), (bytes(12), b"")],
+                         ids=["short-iv", "short-nonce", "whole-nonce-as-iv"])
+def test_reference_encrypt_refuses_nonce_parts_of_other_lengths(implicit_iv, explicit_nonce):
+    with pytest.raises(ValueError, match="4 bytes"):
+        reference_encrypt(b"GET /", bytes(16), implicit_iv, explicit_nonce, seq=1)
 
 
 def test_empty_plaintexts_are_planted_as_given(tmp_path):

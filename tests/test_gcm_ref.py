@@ -100,6 +100,13 @@ def test_bad_key_length():
         gcm_ref.seal(bytes(24), bytes(12), b"", b"")
 
 
+@pytest.mark.parametrize("nonce_len", [8, 16])
+def test_nonce_other_than_12_bytes_is_refused(nonce_len):
+    # only a 12-byte nonce makes J0 = nonce || 1; any other would need GHASH of the nonce
+    with pytest.raises(ValueError, match="12 bytes"):
+        gcm_ref.seal(bytes(16), bytes(nonce_len), b"", b"")
+
+
 def test_selfcheck_runs():
     gcm_ref._selfcheck()
     assert gcm_ref._checked
