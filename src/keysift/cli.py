@@ -28,7 +28,6 @@ from .memscan import (
     Candidate,
     CandidateKeyBlock,
     ExtractSet,
-    PairOrder,
     ScanConfig,
     load_extracts,
     pair_candidates,
@@ -102,9 +101,9 @@ def _material_dict(result: TrialResult, session: DecryptedSession) -> dict:
 
 
 class _BandSearch:
-    """The candidates and pair orders a band-by-band search has so far, and its
-    stages, one method per scanner, named as ``--mode`` names it. A stage scans
-    one more band and returns its trial sets, (trial function, materials) pairs
+    """The candidates a band-by-band search has found so far, and its stages,
+    one method per scanner, named as ``--mode`` names it. A stage scans one
+    more band and returns its trial sets, (trial function, materials) pairs
     of only what no earlier stage gave. The scanners are functions of their
     bands; this class alone drops the values already in ``keys`` or ``ivs`` and
     the key blocks in ``blocks``, so every key x IV pair and every key block is
@@ -115,7 +114,6 @@ class _BandSearch:
         self.extracts, self.capture, self.cfg, self.report, self.clock = extracts, capture, cfg, report, clock
         self.keys: list[Candidate] = []
         self.ivs: list[Candidate] = []
-        self.orders: list[PairOrder] = []  # as the windows stages built them
         self.blocks: set[CandidateKeyBlock] = set()  # every key block a standard stage returned
 
     def windows(self, band: int) -> list[tuple]:
@@ -128,7 +126,6 @@ class _BandSearch:
         old_keys, self.keys, self.ivs = self.keys, self.keys + new_keys, self.ivs + new_ivs
         new_pairs = ((new_keys, self.ivs), (old_keys, new_ivs))
         orders = [pair_candidates(keys, ivs) for keys, ivs in new_pairs if keys and ivs]
-        self.orders += orders
         self.report.candidates.update(keys=len(self.keys), ivs=len(self.ivs))
         self.report.timings["memory_analysis_secs"] += self.clock() - start
         return [(trial_decrypt, order) for order in orders]
@@ -143,13 +140,14 @@ class _BandSearch:
         self.report.timings["memory_analysis_secs"] += self.clock() - start
         return [(trial_decrypt_blocks, blocks)] if blocks else []
 
-    def pair_orders(self, later_bands):
-        """The pair orders built so far, then each of ``later_bands``' new
-        orders, a band scanned only once the orders before it are drawn."""
-        yield from self.orders
+    def found(self, later_bands):
+        """The keys and IVs found so far, then again after each of
+        ``later_bands``, a band scanned only once the probe draws it."""
+        yield self.keys, self.ivs
         for band in later_bands:
             self.report.candidates["bands_scanned"].append(band)
-            yield from (order for _, order in self.windows(band))
+            self.windows(band)
+            yield self.keys, self.ivs
 
 
 def run_pipeline(
@@ -173,10 +171,10 @@ def run_pipeline(
     far, then earlier keys x new IVs, or key blocks no earlier stage gave. The
     run returns at the first trial that verifies. An extract is read when its
     band's stage begins, so bands after a win are never read. The server
-    probe follows the winner: a key-block win screens the block's opposite
-    slots; a pair win walks the pair orders the stages built, in the order
-    they were built, then scans each later band for its new orders, until a
-    server pair verifies or it settles for a partial session.
+    probe follows the winner: a key-block win looks up the block's opposite
+    slots; a pair win looks up the keys and IVs found so far, then scans each
+    later band and looks again, until a server pair verifies or it settles
+    for a partial session.
 
     The report's candidate counts cover the bands scanned (listed in
     ``bands_scanned``), ``winner_index`` is the winner's position among the
@@ -217,7 +215,7 @@ def _run_stages(search: _BandSearch, scanners: list[str]) -> None:
     """The stage loop: each band's stages, one per scanner, trialled until a tag
     verifies, and the winner's session decrypted into the report. A scanner's
     name only picks its stage, sets ``mode_used`` and keys ``tried``. The probe
-    is offered the pair orders so far and later bands'; a block win draws none."""
+    is offered the keys and IVs so far and after later bands; a block win draws none."""
     report, capture = search.report, search.capture
     screens = TagScreens()  # every stage's client screen and the server probe's, sharing per-key decryptors
     tried = dict.fromkeys(scanners, 0)  # materials each scanner tried before this trial
@@ -232,8 +230,7 @@ def _run_stages(search: _BandSearch, scanners: list[str]) -> None:
                     attempted += exc.trials
                     tried[scanner] += len(materials)
                     continue
-                session = decrypt_session(capture, result, pair_sets=search.pair_orders(BANDS[stage + 1 :]),
-                                          screens=screens)
+                session = decrypt_session(capture, result, found=search.found(BANDS[stage + 1 :]), screens=screens)
                 report.mode_used = scanner
                 report.outcome = "decrypted_partial" if session.partial else "decrypted"
                 report.trials = {

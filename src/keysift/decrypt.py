@@ -13,10 +13,11 @@ unscreened key can pair before a hit that verified. Only the candidate
 pairings the screen names are opened with ``AESGCM``, earliest trial first,
 so a reported decrypt always means a tag verified and the trial count is
 still the one a per-trial loop would have reached. A trial set is a
-``PairOrder`` or a (key, IV) list, and the server-direction probe walks the
-pair orders of the client trials as they are. A caller that trials material
-in stages keeps one ``TagScreens`` across calls, so no key is sealed twice
-against a record and no key's ECB decryptor is built twice.
+``PairOrder`` or a (key, IV) list. The server-direction probe is a lookup:
+the same screen names each key's needed IV, opened if it is a candidate. A
+caller that trials material in stages keeps one ``TagScreens`` across
+calls, so no key is sealed twice against a record and no key's ECB
+decryptor is built twice.
 """
 
 from __future__ import annotations
@@ -357,6 +358,18 @@ def trial_decrypt_blocks(
     return result._replace(index=index, block=blocks[index])
 
 
+def _server_material(screen: _TagScreen, record: EncryptedRecord, lookups: Iterable) -> tuple | None:
+    """The first (key, IV, seq offset) whose tag verifies on ``record``, of
+    ``lookups``' (key values, IV value set) pairs: each key's needed IVs, at
+    seqs nearest the record's first, are opened when they are in the set."""
+    for keys, ivs in lookups:
+        for key in keys:
+            for seq, iv in zip(screen.seqs, screen.needed_ivs(key)):
+                if iv in ivs and _open_record(key, record, iv, seq) is not None:
+                    return key, iv, seq - record.seq
+    return None
+
+
 class TranscriptEntry(NamedTuple):
     direction: Direction
     seq: int
@@ -383,72 +396,51 @@ class DecryptedSession(NamedTuple):
 def decrypt_session(
     capture: SessionCapture,
     result: TrialResult,
-    pair_sets: Iterable[PairOrder | Iterable[tuple[Candidate, Candidate]]] = (),
+    found: Iterable[tuple[Sequence[Candidate], Sequence[Candidate]]] = (),
     screens: TagScreens | None = None,
 ) -> DecryptedSession:
     """Decrypt every ApplicationData record both ways with confirmed material.
 
     Client material comes from the winning trial. Server material comes from
-    a screen of the first server record. A result that carries a ``block``
-    (a ``trial_decrypt_blocks`` win) screens that block's opposite slots and
-    draws nothing from ``pair_sets``. Any other result walks ``pair_sets``,
-    the pair orders or pair lists to probe, one after another: each set as
-    ``trial_decrypt`` walks it, keys screened only until no unscreened key can
-    pair earlier than a verified hit, stopping at the first set with a
-    verified hit, so a lazy iterable is drawn only as far as the probe needs;
-    the pipeline passes the pair orders its stages built, then those of each
-    later band, scanned as they are drawn. A pair win with no ``pair_sets``
-    tries no server material. Keys and IVs are distinct values and the
-    additional data binds seq, so every hit that verifies carries the same
-    (key, IV, seq) and the order only decides how many keys are screened and
-    hits opened. A probe that finds nothing screens every key and makes no
-    opens. ``screens`` is the ``TagScreens`` the trials used, if the caller
-    kept one: a key they screened costs the probe no second ECB decryptor,
-    and a key in several sets is sealed once.
+    a lookup on the first server record: each key's needed IV at each seq is
+    opened when it is among the IVs. A ``trial_decrypt_blocks`` win looks up
+    its block's opposite slots and draws nothing from ``found``; any other
+    win draws ``found``, (keys, IVs) lists shaped like ``scan_windows``'
+    result, each holding all found so far, only until a lookup verifies. A
+    record verifies under at most one (key, IV, seq), since the additional
+    data binds seq, so the order of the keys and IVs decides only how many
+    keys are screened. A probe that finds nothing screens every key and makes
+    no opens. ``screens`` is the ``TagScreens`` the trials used, if the caller
+    kept one, so a key they screened is not sealed again.
 
     Records that do not authenticate are marked, which makes the session partial.
     """
-    first_record = capture.first_client_record
-    deltas: dict[Direction, int] = {Direction.CLIENT_TO_SERVER: result.seq_used - first_record.seq}
-    material: dict[Direction, tuple[bytes, bytes] | None] = {
-        Direction.CLIENT_TO_SERVER: (result.key, result.implicit_iv),
+    client_seq = capture.first_client_record.seq
+    # per direction, the (key, IV, seq offset) that opens its records
+    material: dict[Direction, tuple[bytes, bytes, int] | None] = {
+        Direction.CLIENT_TO_SERVER: (result.key, result.implicit_iv, result.seq_used - client_seq),
         Direction.SERVER_TO_CLIENT: None,
     }
 
     server_records = capture.app_data(Direction.SERVER_TO_CLIENT)
     if server_records:
-        probe_record = server_records[0]
         block = result.block
         if block is not None:
-            opposite = (block.client_key, block.client_iv) if result.orientation_swapped else (
+            key, iv = (block.client_key, block.client_iv) if result.orientation_swapped else (
                 block.server_key, block.server_iv)
-            trial_sets = [_MaterialList([opposite])]
+            lookups = [([key], {iv})]
         else:
-            trial_sets = map(_trial_set, pair_sets)
-        screen = (TagScreens() if screens is None else screens).screen(probe_record)
-        for trials in trial_sets:
-            found = _first_verified(screen, probe_record, trials)
-            if found is not None:
-                _, _, seq, key, implicit_iv, _ = found
-                material[Direction.SERVER_TO_CLIENT] = (key, implicit_iv)
-                deltas[Direction.SERVER_TO_CLIENT] = seq - probe_record.seq
-                break
+            lookups = (([c.value for c in keys], {c.value for c in ivs}) for keys, ivs in found)
+        screen = (TagScreens() if screens is None else screens).screen(server_records[0])
+        material[Direction.SERVER_TO_CLIENT] = _server_material(screen, server_records[0], lookups)
 
     transcript = []
     for record in capture.records:
         if record.content_type != CONTENT_APPLICATION_DATA:
             continue
         mat = material[record.direction]
-        plaintext = None
-        if mat is not None:
-            plaintext = _open_record(mat[0], record, mat[1], record.seq + deltas[record.direction])
+        plaintext = None if mat is None else _open_record(mat[0], record, mat[1], record.seq + mat[2])
         transcript.append(TranscriptEntry(record.direction, record.seq, plaintext))
 
-    server_mat = material[Direction.SERVER_TO_CLIENT]
-    return DecryptedSession(
-        client_key=result.key,
-        client_iv=result.implicit_iv,
-        server_key=server_mat[0] if server_mat else None,
-        server_iv=server_mat[1] if server_mat else None,
-        transcript=tuple(transcript),
-    )
+    server_key, server_iv, _ = material[Direction.SERVER_TO_CLIENT] or (None, None, None)
+    return DecryptedSession(result.key, result.implicit_iv, server_key, server_iv, tuple(transcript))

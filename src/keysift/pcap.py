@@ -91,7 +91,8 @@ def _tcp_payload(frame: bytes):
     if ver_ihl >> 4 != 4 or ihl < 20 or flags_frag & 0x3FFF or frame[l3_off + 9] != _IPPROTO_TCP:
         return None
     l4_off = l3_off + ihl
-    if len(frame) < l4_off + 20:
+    # a TCP data offset below 5 words (RFC 9293 §3.1) would start the payload inside the header
+    if len(frame) < l4_off + 20 or frame[l4_off + 12] >> 4 < 5:
         return None
     sport, dport, seq = struct.unpack_from(">HHI", frame, l4_off)
     start = l4_off + (frame[l4_off + 12] >> 4) * 4

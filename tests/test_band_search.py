@@ -341,8 +341,8 @@ def _reference(extract_dir, capture, mode):
     extracts, cfg = load_extracts(extract_dir), ScanConfig(key_len_bytes=capture.key_len_bytes)
     try:
         if mode == "windows":
-            pairs = pair_candidates(*scan_windows(extracts, cfg))
-            return decrypt_session(capture, trial_decrypt(capture, pairs), pair_sets=[pairs])
+            keys, ivs = scan_windows(extracts, cfg)
+            return decrypt_session(capture, trial_decrypt(capture, pair_candidates(keys, ivs)), found=[(keys, ivs)])
         blocks = scan_standard(extracts, capture, cfg)
         return decrypt_session(capture, trial_decrypt_blocks(capture, blocks))
     except NoValidDecrypt:
@@ -423,7 +423,7 @@ def test_timings_split_the_search_into_scans_and_the_rest(tmp_path, windows_sess
 
 @pytest.mark.parametrize("client_iv_band", [1, 2])
 def test_windows_win_builds_only_the_stages_pair_orders(tmp_path, monkeypatch, windows_session, client_iv_band):
-    # the server probe walks the orders pair_candidates returned to the stages
+    # the pair orders are the ones pair_candidates returned to the stages, and the probe builds none
     _, capture, truth = windows_session
     plants = {1: [_key_window(truth.client_key), _key_window(truth.server_key), _iv_window(truth.server_iv)]}
     # a band takes part only when it holds a key marker

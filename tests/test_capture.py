@@ -394,6 +394,10 @@ def _shuffled_pcap(client: bytes, server: bytes, seed: int) -> bytes:
     lambda client, server: build_pcap(client, server, extra_frames=(
         _edited(tcp_frame(("10.0.0.9", 1234), ("22.3.1.1", 443), 0, bytes(20)), 14, b"\x44"),)),
     lambda client, server: build_pcap(client, server, extra_frames=(_past_client(client)[: 14 + 20 + 10],)),
+    # a copy of the client's first segment with TCP data offset 0: read from inside the TCP
+    # header, its payload would be the longer of the two at that seq and displace the real one
+    lambda client, server: build_pcap(client, server, chunk=100, extra_frames=(
+        _edited(tcp_frame(_CLIENT, _SERVER, 1000, client[:100]), 14 + 20 + 12, b"\x00"),)),
     lambda client, server: build_pcap(client, server, extra_frames=(
         tcp_frame(_SERVER, _CLIENT, 9000 + len(server), b""), tcp_frame(_CLIENT, _SERVER, 1000 + len(client), b""))),
     # a 54-byte pure ACK padded to Ethernet's 60-byte minimum: the padding is not payload
@@ -411,9 +415,9 @@ def _shuffled_pcap(client: bytes, server: bytes, seed: int) -> bytes:
     lambda client, server: _shuffled_pcap(client, server, 2),
     lambda client, server: _shuffled_pcap(client, server, 3),
 ], ids=["vlan", "non-ipv4-and-non-tcp-skipped", "retransmission-dropped", "ipv4-fragment-skipped", "runt-frame",
-        "vlan-cut", "ip-version-6", "ihl-below-5", "tcp-header-cut", "pure-ack", "ethernet-padding",
-        "zero-ip-length", "no-client-hello", "reordered", "first-segments-swapped", "shuffled-1", "shuffled-2",
-        "shuffled-3"])
+        "vlan-cut", "ip-version-6", "ihl-below-5", "tcp-header-cut", "tcp-data-offset-below-5", "pure-ack",
+        "ethernet-padding", "zero-ip-length", "no-client-hello", "reordered", "first-segments-swapped", "shuffled-1",
+        "shuffled-2", "shuffled-3"])
 def test_pcap_frames_that_carry_the_same_session(windows_fixture_32, tmp_path, make):
     client, server = _fixture_streams(windows_fixture_32)
     assert len(client) > 300  # three 100-byte segments for the reordered swap to bite

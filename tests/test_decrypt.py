@@ -63,6 +63,13 @@ def _cand(key, iv, extract=0, offset=0):
     )
 
 
+def _found(pairs):
+    """The (keys, IVs) of a pair order or a pair list, as ``decrypt_session`` looks them up."""
+    if isinstance(pairs, PairOrder):
+        return [(pairs.keys, pairs.ivs)]
+    return [([key for key, _ in pairs], [iv for _, iv in pairs])]
+
+
 # ---------------------------------------------------------------------------
 # record-level
 
@@ -298,7 +305,7 @@ def test_trial_and_probe_share_each_keys_cipher(windows_fixture_32, monkeypatch)
     built, _ = _count_ciphers(monkeypatch)
     screens = TagScreens()
     result = trial_decrypt(capture, pairs, screens=screens)
-    session = decrypt_session(capture, result, pair_sets=[pairs], screens=screens)
+    session = decrypt_session(capture, result, found=_found(pairs), screens=screens)
     assert session.server_key == truth.server_key and not session.partial
     assert len(built) == len(set(built))
     assert truth.server_key in built
@@ -434,8 +441,8 @@ def test_decrypt_session_full(session_capture):
     assert directions == [Direction.CLIENT_TO_SERVER, Direction.SERVER_TO_CLIENT]
 
 
-def _undrawable_pair_sets():
-    raise AssertionError("a block win drew from pair_sets")
+def _undrawable_found():
+    raise AssertionError("a block win drew from found")
     yield
 
 
@@ -447,14 +454,14 @@ def _decoy_then_winner(truth, swapped):
 
 
 @pytest.mark.parametrize("swapped", [False, True])
-def test_block_win_probes_its_block_without_drawing_pair_sets(session_capture, swapped):
-    # the winning block rides on the result, so the probe screens its opposite
-    # slots and leaves the pair sets it is offered undrawn
+def test_block_win_probes_its_block_without_drawing_found(session_capture, swapped):
+    # the winning block rides on the result, so the probe looks up its
+    # opposite slots and leaves the keys and IVs it is offered undrawn
     capture, truth = session_capture
     blocks = _decoy_then_winner(truth, swapped)
     result = trial_decrypt_blocks(capture, blocks)
     assert result.block is blocks[1] and result.orientation_swapped is swapped
-    session = decrypt_session(capture, result, pair_sets=_undrawable_pair_sets())
+    session = decrypt_session(capture, result, found=_undrawable_found())
     assert session.server_key == truth.server_key and not session.partial
 
 
@@ -476,7 +483,7 @@ def test_decrypt_session_soundness_whole_direction(session_capture):
     capture, truth = session_capture
     pairs = [_cand(truth.client_key, truth.client_iv)]
     result = trial_decrypt(capture, pairs)
-    session = decrypt_session(capture, result, pair_sets=[pairs])
+    session = decrypt_session(capture, result, found=_found(pairs))
     for entry in session.transcript:
         if entry.direction is Direction.CLIENT_TO_SERVER:
             assert entry.ok
@@ -489,7 +496,7 @@ def test_decrypt_session_pairs_recover_server_direction(session_capture):
         _cand(truth.server_key, truth.server_iv),
     ]
     result = trial_decrypt(capture, pairs)
-    session = decrypt_session(capture, result, pair_sets=[pairs])
+    session = decrypt_session(capture, result, found=_found(pairs))
     assert not session.partial
     assert session.server_key == truth.server_key
 
@@ -508,17 +515,61 @@ def test_server_probe_finds_the_server_pair_anywhere(session_capture, monkeypatc
             result = trial_decrypt(capture, pairs)
             assert result.index == pairs.index(client)
             opened = _count_opens(monkeypatch)
-            session = decrypt_session(capture, result, pair_sets=[pairs])
+            session = decrypt_session(capture, result, found=_found(pairs))
             monkeypatch.undo()
             assert session.server_key == truth.server_key and not session.partial, (winner, where)
             assert len(opened) - len(session.transcript) == 1  # one open per transcript record
+
+
+@pytest.fixture(scope="module")
+def windows_win_32(windows_fixture_32):
+    """The 32-byte windows fixture's capture, its scan's keys and IVs, the
+    client trial's win over their pair order, and the fixture's truth."""
+    _, paths, truth = windows_fixture_32
+    capture = parse_capture(paths.root)
+    keys, ivs = scan_windows(load_extracts(paths.extract_dir), ScanConfig(key_len_bytes=32))
+    return capture, keys, ivs, trial_decrypt(capture, pair_candidates(keys, ivs)), truth
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_server_probe_finds_the_same_pair_in_any_order(windows_win_32, monkeypatch, seed):
+    # a record verifies under at most one (key, IV, seq): the order of the keys
+    # and IVs changes how many keys are screened, never the pair found
+    capture, keys, ivs, result, truth = windows_win_32
+    rng = random.Random(seed)
+    shuffled = (rng.sample(keys, len(keys)), rng.sample(ivs, len(ivs)))
+    opened = _count_opens(monkeypatch)
+    session = decrypt_session(capture, result, found=[shuffled])
+    assert (session.server_key, session.server_iv) == (truth.server_key, truth.server_iv)
+    assert not session.partial
+    assert len(opened) - len(session.transcript) == 1  # one open per transcript record
+
+
+def test_server_probe_takes_a_windows_scan_as_it_is(windows_fixture_32, windows_win_32):
+    _, paths, _ = windows_fixture_32
+    capture, _, _, result, truth = windows_win_32
+    found = [scan_windows(load_extracts(paths.extract_dir), ScanConfig(key_len_bytes=32))]
+    session = decrypt_session(capture, result, found=found)
+    assert (session.server_key, session.server_iv) == (truth.server_key, truth.server_iv)
+    assert not session.partial
+
+
+def test_server_probe_draws_found_only_until_a_lookup_verifies(windows_win_32):
+    capture, keys, ivs, result, truth = windows_win_32
+
+    def found():
+        yield keys, ivs
+        raise AssertionError("the probe drew past the lookup that verified")
+
+    session = decrypt_session(capture, result, found=found())
+    assert session.server_key == truth.server_key and not session.partial
 
 
 def test_decrypt_session_server_unknown_is_partial(session_capture):
     capture, truth = session_capture
     pairs = [_cand(truth.client_key, truth.client_iv)]
     result = trial_decrypt(capture, pairs)
-    session = decrypt_session(capture, result, pair_sets=[pairs])
+    session = decrypt_session(capture, result, found=_found(pairs))
     assert session.partial
     assert session.server_key is None
     for entry in session.transcript:
@@ -538,7 +589,7 @@ def test_server_probe_without_a_server_pair_makes_no_opens(session_capture, monk
             result = trial_decrypt(capture, pairs)
             assert result.index == winner
             opened = _count_opens(monkeypatch)
-            session = decrypt_session(capture, result, pair_sets=[pairs])
+            session = decrypt_session(capture, result, found=_found(pairs))
             monkeypatch.undo()
             assert session.server_key is None and session.partial
             assert opened == [truth.client_key] * client_opens, (count, winner)
@@ -623,7 +674,7 @@ def _check_pairs(capture, pairs):
     ordered = naive_pair_order(pairs.keys, pairs.ivs) if isinstance(pairs, PairOrder) else pairs
     materials = [(key.value, iv.value, index, False) for index, (key, iv) in enumerate(ordered)]
     return _agrees_with_loop(capture, lambda: trial_decrypt(capture, pairs), materials, lambda *_: materials,
-                             pair_sets=[pairs])
+                             found=_found(pairs))
 
 
 def _check_blocks(capture, blocks):
@@ -794,7 +845,7 @@ def test_decrypt_session_truncated_capture_not_partial(tmp_path):
     capture = parse_raw_streams(client, truncated)
     pairs = [_cand(truth.client_key, truth.client_iv)]
     result = trial_decrypt(capture, pairs)
-    session = decrypt_session(capture, result, pair_sets=[pairs])
+    session = decrypt_session(capture, result, found=_found(pairs))
     assert not session.partial
     assert [e.direction for e in session.transcript] == [Direction.CLIENT_TO_SERVER]
 
@@ -810,7 +861,7 @@ def test_windows_scan_feeds_trial(windows_fixture_16):
     keys, ivs = scan_windows(extract_set, ScanConfig(key_len_bytes=16))
     pairs = pair_candidates(keys, ivs)
     result = trial_decrypt(capture, pairs)
-    session = decrypt_session(capture, result, pair_sets=[pairs])
+    session = decrypt_session(capture, result, found=_found(pairs))
     assert result.key == truth.client_key
     assert result.implicit_iv == truth.client_iv
     assert not session.partial
