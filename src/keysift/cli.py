@@ -11,11 +11,12 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import Iterable
 
 from .capture import NonceStyle, SessionCapture, explicit_nonce_style, parse_capture
 from .decrypt import (
     DecryptedSession,
-    TagScreens,
+    TagScreen,
     TrialResult,
     decrypt_session,
     trial_decrypt,
@@ -104,10 +105,10 @@ class _BandSearch:
     """The candidates a band-by-band search has found so far, and its stages,
     one method per scanner, named as ``--mode`` names it. A stage scans one
     more band and returns its trial sets, (trial function, materials) pairs
-    of only what no earlier stage gave. The scanners are functions of their
-    bands; this class alone drops the values already in ``keys`` or ``ivs`` and
-    the key blocks in ``blocks``, so every key x IV pair and every key block is
-    tried once. Trial functions are read from this module's globals when a
+    of only what no earlier stage gave, built as the caller draws them. The
+    scanners are functions of their bands; this class alone drops the values
+    already in ``keys`` or ``ivs`` and the key blocks in ``blocks``, so every
+    key x IV pair and every key block is tried once. Trial functions are read from this module's globals when a
     stage runs, so a wrapper set on the module sees every call."""
 
     def __init__(self, extracts: ExtractSet, capture: SessionCapture, cfg: ScanConfig, report: RunReport, clock):
@@ -116,21 +117,22 @@ class _BandSearch:
         self.ivs: list[Candidate] = []
         self.blocks: set[CandidateKeyBlock] = set()  # every key block a standard stage returned
 
-    def windows(self, band: int) -> list[tuple]:
-        """Scan ``band``'s marker windows; ``trial_decrypt`` with each new pair
-        order: new keys x every IV so far, then earlier keys x new IVs."""
+    def windows(self, band: int) -> Iterable[tuple]:
+        """Scan ``band``'s marker windows and count what is new; ``trial_decrypt``
+        with each new pair order, new keys x every IV so far, then earlier keys
+        x new IVs, each built only when the caller draws it. A caller that
+        draws none, as the probe does, builds none."""
         start = self.clock()
         scanned = scan_windows(self.extracts, self.cfg, (band,))
         seen = {c.value for c in self.keys + self.ivs}
         new_keys, new_ivs = ([c for c in cands if c.value not in seen] for cands in scanned)
         old_keys, self.keys, self.ivs = self.keys, self.keys + new_keys, self.ivs + new_ivs
-        new_pairs = ((new_keys, self.ivs), (old_keys, new_ivs))
-        orders = [pair_candidates(keys, ivs) for keys, ivs in new_pairs if keys and ivs]
         self.report.candidates.update(keys=len(self.keys), ivs=len(self.ivs))
         self.report.timings["memory_analysis_secs"] += self.clock() - start
-        return [(trial_decrypt, order) for order in orders]
+        new_pairs = ((new_keys, self.ivs), (old_keys, new_ivs))
+        return ((trial_decrypt, pair_candidates(keys, ivs)) for keys, ivs in new_pairs if keys and ivs)
 
-    def standard(self, band: int) -> list[tuple]:
+    def standard(self, band: int) -> Iterable[tuple]:
         """Scan the bands up to ``band``; ``trial_decrypt_blocks`` with the key blocks no earlier stage returned."""
         start = self.clock()
         scanned = scan_standard(self.extracts, self.capture, self.cfg, BANDS[: BANDS.index(band) + 1])
@@ -168,22 +170,24 @@ def run_pipeline(
     and in each band the mode's scanners in that order. A scanner's stage, the
     marker scan over its band's extracts or the standard scan over the bands
     so far, returns trial sets of new material only: new keys x every IV so
-    far, then earlier keys x new IVs, or key blocks no earlier stage gave. The
-    run returns at the first trial that verifies. An extract is read when its
-    band's stage begins, so bands after a win are never read. The server
-    probe follows the winner: a key-block win looks up the block's opposite
-    slots; a pair win looks up the keys and IVs found so far, then scans each
-    later band and looks again, until a server pair verifies or it settles
-    for a partial session.
+    far, then earlier keys x new IVs, or key blocks no earlier stage gave. A
+    pair order is built when its trial starts, and the run returns at the
+    first trial that verifies. An extract is read when its band's stage
+    begins, so bands after a win are never read. The server probe follows the
+    winner: a key-block win looks up the block's opposite slots; a pair win
+    looks up the keys and IVs found so far, then scans each later band, with
+    no pair order built, and looks again, until a server pair verifies or it
+    settles for a partial session.
 
     The report's candidate counts cover the bands scanned (listed in
     ``bands_scanned``), ``winner_index`` is the winner's position among the
     winning scanner's materials over the stages that ran, and ``attempted``
     sums the trials of every stage, one per material and sequence number
     within ``decrypt.SEQ_WINDOW`` of the reconstructed one.
-    ``memory_analysis_secs`` sums the scans and pair-order builds;
+    ``memory_analysis_secs`` sums the band scans, the probe's included;
     ``decrypt_analysis_secs`` is the rest of the search's wall time, set when
-    the run ends. ``clock`` is injectable so reports can be made byte-stable.
+    the run ends, so a pair order's build counts with the trial that walks
+    it. ``clock`` is injectable so reports can be made byte-stable.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -214,10 +218,12 @@ def run_pipeline(
 def _run_stages(search: _BandSearch, scanners: list[str]) -> None:
     """The stage loop: each band's stages, one per scanner, trialled until a tag
     verifies, and the winner's session decrypted into the report. A scanner's
-    name only picks its stage, sets ``mode_used`` and keys ``tried``. The probe
-    is offered the keys and IVs so far and after later bands; a block win draws none."""
+    name only picks its stage, sets ``mode_used`` and keys ``tried``. One screen
+    of the first client record serves every stage, so no key is sealed twice
+    against it. The probe is offered the keys and IVs so far and after later
+    bands; a block win draws none."""
     report, capture = search.report, search.capture
-    screens = TagScreens()  # every stage's client screen and the server probe's, sharing per-key decryptors
+    screen = TagScreen(capture.first_client_record)
     tried = dict.fromkeys(scanners, 0)  # materials each scanner tried before this trial
     attempted = 0
     for stage, band in enumerate(BANDS):
@@ -225,12 +231,12 @@ def _run_stages(search: _BandSearch, scanners: list[str]) -> None:
         for scanner in scanners:
             for trial, materials in getattr(search, scanner)(band):
                 try:
-                    result = trial(capture, materials, screens=screens)
+                    result = trial(capture, materials, screen=screen)
                 except NoValidDecrypt as exc:
                     attempted += exc.trials
                     tried[scanner] += len(materials)
                     continue
-                session = decrypt_session(capture, result, found=search.found(BANDS[stage + 1 :]), screens=screens)
+                session = decrypt_session(capture, result, found=search.found(BANDS[stage + 1 :]))
                 report.mode_used = scanner
                 report.outcome = "decrypted_partial" if session.partial else "decrypted"
                 report.trials = {
@@ -280,17 +286,17 @@ def _cmd_decrypt(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    if not args.capture and args.mode == "standard":
+        raise UsageError("standard scan needs --capture for the explicit nonce")
+    if not args.capture and args.filter is not None:
+        raise UsageError("--filter selects a session of --capture; it needs --capture")
     extracts = load_extracts(args.extracts)
     if args.mode == "standard":
-        if not args.capture:
-            raise UsageError("standard scan needs --capture for the explicit nonce")
         capture = parse_capture(args.capture, args.filter)
         blocks = scan_standard(extracts, capture, ScanConfig(key_len_bytes=capture.key_len_bytes))
         payload = {"mode": "standard", "key_blocks": [b._asdict() for b in blocks]}
     else:
         # the marker scan reads no record, but a capture still sets the key size; with none, both sizes
-        if args.filter is not None and not args.capture:
-            raise UsageError("--filter selects a session of --capture; it needs --capture")
         key_lens = [parse_capture(args.capture, args.filter).key_len_bytes] if args.capture else [16, 32]
         scans = [scan_windows(extracts, ScanConfig(key_len_bytes=key_len)) for key_len in key_lens]
         keys = sorted((key for found, _ in scans for key in found),

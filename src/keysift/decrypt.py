@@ -15,9 +15,9 @@ so a reported decrypt always means a tag verified and the trial count is
 still the one a per-trial loop would have reached. A trial set is a
 ``PairOrder`` or a (key, IV) list. The server-direction probe is a lookup:
 the same screen names each key's needed IV, opened if it is a candidate. A
-caller that trials material in stages keeps one ``TagScreens`` across
-calls, so no key is sealed twice against a record and no key's ECB
-decryptor is built twice.
+``TagScreen`` keeps each key's needed IVs for its record, so a caller that
+trials material in stages keeps one and no key is sealed twice against that
+record; no key's cipher contexts outlive the call that screens it.
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ _J0_COUNTER = (1).to_bytes(4, "big")
 _ECB = modes.ECB()
 
 
-class _TagScreen:
+class TagScreen:
     """Which (IV, seq) trials under one key would verify one record's tag.
 
     The GCM tag is T = GHASH_H(A, C) xor E_K(J0), with J0 = IV || explicit ||
@@ -152,16 +152,17 @@ class _TagScreen:
     E_K(J0) of the reference nonce, since GHASH of no data is 0.
 
     A key's needed IVs do not depend on the candidate IVs, so a screen keeps
-    them and a later call for the same key seals nothing. The ECB decryptors
-    come from ``decryptors``, a key -> decryptor dict that screens of other
-    records may share.
+    them, about 200 bytes a key, and a later call for the same key seals
+    nothing. The key's sealer and ECB decryptor are built for the one call
+    that screens it and dropped when it returns, so no cipher context
+    outlives its screen.
 
     Sealing and the ECB decryption go through ``aead.AESGCM`` and ``Cipher``,
     never through the module's ``AESGCM``, which opens records and counts as
     their only verifier: a screen hit is a candidate, not a decrypt.
     """
 
-    def __init__(self, record: EncryptedRecord, decryptors: dict):
+    def __init__(self, record: EncryptedRecord):
         self.seqs = _seq_candidates(record.seq)
         self._body_len = len(record.ciphertext) - GCM_TAG_LEN
         self._body = record.ciphertext[: self._body_len]
@@ -172,7 +173,6 @@ class _TagScreen:
             record_aad(seq, record.content_type, record.record_version, self._body_len) for seq in self.seqs
         ]
         self._keys: dict[bytes, list[bytes | None]] = {}  # key -> needed IV per seq
-        self._decryptors = decryptors
 
     def needed_ivs(self, key: bytes) -> list[bytes | None]:
         """Per seq, the implicit IV under which ``key`` would verify the tag,
@@ -189,35 +189,12 @@ class _TagScreen:
             for aad in self._aads:
                 reference_tag = int.from_bytes(sealer.encrypt(self._nonce, plaintext, aad)[body_len:], "big")
                 targets.append((reference_tag ^ mask).to_bytes(16, "big"))
-            decryptor = self._decryptors.get(key)
-            if decryptor is None:
-                decryptor = self._decryptors[key] = Cipher(algorithms.AES(key), _ECB).decryptor()
-            j0s = decryptor.update(b"".join(targets))
+            j0s = Cipher(algorithms.AES(key), _ECB).decryptor().update(b"".join(targets))
             needed = self._keys[key] = [
                 j0s[i : i + IV_LEN] if j0s[i + IV_LEN : i + 16] == self._j0_tail else None
                 for i in range(0, len(j0s), 16)
             ]
         return needed
-
-
-class TagScreens:
-    """The tag screens of a run: one per record, all sharing one AES-ECB
-    decryptor per key, so a key the client trial screened costs the server
-    probe no second ``Cipher``. A caller that trials material in stages passes
-    one ``TagScreens`` to every trial and to ``decrypt_session``. Screens and
-    decryptors are built when first needed. No sealer is kept: one costs
-    little to build, and a thousand of them would raise the peak resident
-    set."""
-
-    def __init__(self):
-        self._screens: dict[EncryptedRecord, _TagScreen] = {}
-        self._decryptors: dict = {}
-
-    def screen(self, record: EncryptedRecord) -> _TagScreen:
-        screen = self._screens.get(record)
-        if screen is None:
-            screen = self._screens[record] = _TagScreen(record, self._decryptors)
-        return screen
 
 
 class _MaterialList:
@@ -253,7 +230,7 @@ def _trial_set(pairs: PairOrder | Iterable[tuple[Candidate, Candidate]]) -> Pair
 
 
 def _first_verified(
-    screen: _TagScreen, record: EncryptedRecord, trials: PairOrder | _MaterialList
+    screen: TagScreen, record: EncryptedRecord, trials: PairOrder | _MaterialList
 ) -> tuple[object, int, int, bytes, bytes, bytes] | None:
     """The first screen hit of ``trials`` whose tag really verifies on
     ``record``, as (order, seq index, seq, key, IV, plaintext), or None.
@@ -289,13 +266,12 @@ def _first_verified(
     return verified_below(None)
 
 
-def _trial(capture: SessionCapture, trials: PairOrder | _MaterialList, screens: TagScreens | None) -> TrialResult:
+def _trial(capture: SessionCapture, trials: PairOrder | _MaterialList, screen: TagScreen | None) -> TrialResult:
     """Screen ``trials`` against the first client ApplicationData record.
     ``index`` is the winner's position; trials count as if each material were
     opened at each seq in turn until the winner verified."""
     record = capture.first_client_record
-    screens = TagScreens() if screens is None else screens
-    winner = _first_verified(screens.screen(record), record, trials)
+    winner = _first_verified(TagScreen(record) if screen is None else screen, record, trials)
     per_material = 2 * SEQ_WINDOW + 1
     if winner is None:
         raise NoValidDecrypt(len(trials) * per_material)
@@ -314,7 +290,7 @@ def _trial(capture: SessionCapture, trials: PairOrder | _MaterialList, screens: 
 def trial_decrypt(
     capture: SessionCapture,
     pairs: PairOrder | Iterable[tuple[Candidate, Candidate]],
-    screens: TagScreens | None = None,
+    screen: TagScreen | None = None,
 ) -> TrialResult:
     """The first (key, IV) pair, in order, whose tag verifies on the first
     client ApplicationData record at some seq within ``SEQ_WINDOW`` of the
@@ -331,17 +307,17 @@ def trial_decrypt(
     verifies, every key is screened and NoValidDecrypt carries pairs x
     (2 * SEQ_WINDOW + 1).
 
-    ``screens`` is an optional ``TagScreens`` the caller keeps across calls,
-    so a key screened by an earlier call against the same record is not
-    sealed again, and its ECB decryptor serves the screens of other records.
+    ``screen`` is an optional ``TagScreen`` of the first client record that
+    the caller keeps across calls, so a key an earlier call screened is not
+    sealed again; without one, the call screens with its own.
     """
-    return _trial(capture, _trial_set(pairs), screens)
+    return _trial(capture, _trial_set(pairs), screen)
 
 
 def trial_decrypt_blocks(
     capture: SessionCapture,
     blocks: Sequence[CandidateKeyBlock],
-    screens: TagScreens | None = None,
+    screen: TagScreen | None = None,
 ) -> TrialResult:
     """Key-block trials through the same screen as ``trial_decrypt``. Each
     block is tried in both orientations, as two one-IV materials at positions
@@ -353,15 +329,16 @@ def trial_decrypt_blocks(
         for block in blocks
         for material in ((block.client_key, block.client_iv), (block.server_key, block.server_iv))
     )
-    result = _trial(capture, _MaterialList(materials), screens)
+    result = _trial(capture, _MaterialList(materials), screen)
     index = result.index // 2
     return result._replace(index=index, block=blocks[index])
 
 
-def _server_material(screen: _TagScreen, record: EncryptedRecord, lookups: Iterable) -> tuple | None:
+def _server_material(record: EncryptedRecord, lookups: Iterable) -> tuple | None:
     """The first (key, IV, seq offset) whose tag verifies on ``record``, of
     ``lookups``' (key values, IV value set) pairs: each key's needed IVs, at
     seqs nearest the record's first, are opened when they are in the set."""
+    screen = TagScreen(record)
     for keys, ivs in lookups:
         for key in keys:
             for seq, iv in zip(screen.seqs, screen.needed_ivs(key)):
@@ -397,7 +374,6 @@ def decrypt_session(
     capture: SessionCapture,
     result: TrialResult,
     found: Iterable[tuple[Sequence[Candidate], Sequence[Candidate]]] = (),
-    screens: TagScreens | None = None,
 ) -> DecryptedSession:
     """Decrypt every ApplicationData record both ways with confirmed material.
 
@@ -410,8 +386,8 @@ def decrypt_session(
     record verifies under at most one (key, IV, seq), since the additional
     data binds seq, so the order of the keys and IVs decides only how many
     keys are screened. A probe that finds nothing screens every key and makes
-    no opens. ``screens`` is the ``TagScreens`` the trials used, if the caller
-    kept one, so a key they screened is not sealed again.
+    no opens. The probe screens the first server record with a ``TagScreen``
+    of its own, dropped when the call returns.
 
     Records that do not authenticate are marked, which makes the session partial.
     """
@@ -431,8 +407,7 @@ def decrypt_session(
             lookups = [([key], {iv})]
         else:
             lookups = (([c.value for c in keys], {c.value for c in ivs}) for keys, ivs in found)
-        screen = (TagScreens() if screens is None else screens).screen(server_records[0])
-        material[Direction.SERVER_TO_CLIENT] = _server_material(screen, server_records[0], lookups)
+        material[Direction.SERVER_TO_CLIENT] = _server_material(server_records[0], lookups)
 
     transcript = []
     for record in capture.records:

@@ -447,6 +447,51 @@ def test_windows_win_builds_only_the_stages_pair_orders(tmp_path, monkeypatch, w
     assert all(a is b for a, b in zip(built, returned))
 
 
+def _record_pair_builds(monkeypatch):
+    """(key count, IV count) of each pair order ``cli.pair_candidates`` builds."""
+    builds = []
+    real_pair_candidates = cli.pair_candidates
+
+    def pair_candidates(keys, ivs):
+        builds.append((len(keys), len(ivs)))
+        return real_pair_candidates(keys, ivs)
+
+    monkeypatch.setattr(cli, "pair_candidates", pair_candidates)
+    return builds
+
+
+def test_a_band_only_the_probe_scans_builds_no_pair_order(tmp_path, monkeypatch, windows_session):
+    # the probe looks bands 2 and 3 up through ``found``, which walks no pair order
+    _, capture, truth = windows_session
+    extracts = _band_3_server_scene(tmp_path / "extracts", truth)
+    builds = _record_pair_builds(monkeypatch)
+    report = run_pipeline(extracts, capture, mode="windows")
+    assert report.outcome == "decrypted" and report.candidates["bands_scanned"] == [1, 2, 3]
+    keys_1, ivs_1 = scan_windows(load_extracts(extracts), ScanConfig(key_len_bytes=32), (1,))
+    assert builds == [(len(keys_1), len(ivs_1))]
+
+
+def test_a_stage_whose_first_order_verifies_builds_no_second(tmp_path, monkeypatch, windows_session):
+    # band 2's new client key pairs with band 1's client IV in the stage's
+    # first order, new keys x every IV; its second, earlier keys x new IVs, is never built
+    _, capture, truth = windows_session
+    decoy_key, decoy_iv = bytes(range(90, 122)), b"\x01\x02\x03\x04"
+    extracts = _write_extracts(tmp_path / "extracts", {
+        1: [_key_window(decoy_key), _iv_window(truth.client_iv), _key_window(truth.server_key),
+            _iv_window(truth.server_iv)],
+        2: [_key_window(truth.client_key), _iv_window(decoy_iv)],
+    })
+    builds = _record_pair_builds(monkeypatch)
+    report = run_pipeline(extracts, capture, mode="windows")
+    assert report.outcome == "decrypted" and report.candidates["bands_scanned"] == [1, 2]
+    assert report.material["client_key"] == truth.client_key.hex()
+    extract_set, cfg = load_extracts(extracts), ScanConfig(key_len_bytes=32)
+    keys_1, ivs_1 = scan_windows(extract_set, cfg, (1,))
+    keys_2, ivs_2 = scan_windows(extract_set, cfg, (2,))
+    assert keys_1 and ivs_2  # the second order would have been non-empty
+    assert builds == [(len(keys_1), len(ivs_1)), (len(keys_2), len(ivs_1 + ivs_2))]
+
+
 # ---------------------------------------------------------------------------
 # the whole report against the reference pipeline
 

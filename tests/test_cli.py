@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from keysift.capture import (
+    CONTENT_APPLICATION_DATA,
     Direction,
     EncryptedRecord,
     NonceStyle,
@@ -255,6 +260,8 @@ def test_seq_window_sets_the_trials_per_material(tmp_path):
     (("scan", "--extracts", "{extracts}", "--min-gap", "500"), "unrecognized arguments: --min-gap"),
     (("scan", "--extracts", "{extracts}", "--counter-bound", "7"), "unrecognized arguments: --counter-bound"),
     (("scan", "--extracts", "{extracts}", "--mode", "auto", "--capture", "{capture}"), "argument --mode: "),
+    (("scan", "--extracts", "{extracts}/missing", "--mode", "standard"), "standard scan needs --capture"),
+    (("scan", "--extracts", "{extracts}/missing", "--filter", "10.0.0.2:49152,10.0.0.1:443"), "it needs --capture"),
     (("scan", "--extracts", "{extracts}", "--capture", "{capture}", "--capture-format", "pcap"),
      "unrecognized arguments: --capture-format"),
     (("parse-capture", "--capture", "{capture}", "--capture-format", "pcap"), "unrecognized arguments: --capture-format"),
@@ -266,11 +273,12 @@ def test_seq_window_sets_the_trials_per_material(tmp_path):
         "filter-port-above-range", "filter-negative-port", "filter-bad-address", "seq-window", "iv-entropy-nan",
         "negative-counter-bound", "max-key-distance", "capture-format", "decrypt-key-size", "key-entropy",
         "scan-step-0", "scan-key-size", "scan-iv-entropy", "scan-key-entropy", "scan-min-gap", "scan-counter-bound",
-        "scan-auto", "scan-capture-format", "parse-capture-format", "profile-window", "profile-threshold",
-        "profile-region-windows"])
+        "scan-auto", "scan-standard-without-capture", "scan-filter-without-capture", "scan-capture-format",
+        "parse-capture-format", "profile-window", "profile-threshold", "profile-region-windows"])
 def test_usage_errors_exit_1_with_one_error_line(windows_fixture_16, capsys, argv, says):
     # the one line says what is wrong: a malformed --filter is refused by the
-    # parser, before any capture is read
+    # parser, before any capture is read, and a scan missing --capture before
+    # any extract is listed
     _, paths, _ = windows_fixture_16
     code = _run([arg.format(extracts=paths.extract_dir, capture=paths.root) for arg in argv])
     err = capsys.readouterr().err
@@ -318,7 +326,7 @@ def test_scanner_flags_are_refused_and_records_stay_frozen():
         with pytest.raises(ValueError):
             rec._replace(**{derived: None})
     assert entry.ok and not entry._replace(plaintext=None).ok
-    # key blocks key the set of blocks a standard stage returned, records key the tag screens
+    # key blocks key the set of blocks a standard stage returned, and records hash by value
     assert {block: 1, block._replace(offset=0): 2} == {block: 2}
     assert {(record, 2): 1}[record._replace(seq=0), 2] == 1
 
@@ -904,3 +912,145 @@ def test_benchmark_tracer_sees_every_layer(windows_fixture_16, tmp_path):
     # another binding, and open only its confirmations (client and server)
     # besides the transcript
     assert recorded["counts"]["aead_opens"] <= len(report["session"]["records"]) + 2
+
+
+# ---------------------------------------------------------------------------
+# robustness: damaged captures and odd extract directories
+
+
+@pytest.fixture(scope="module")
+def seed_1_fixture(tmp_path_factory):
+    """The seed-1 fixture's paths and its three capture inputs, by name: raw
+    client stream, raw server stream, and a pcap of both."""
+    from conftest import build_pcap
+
+    paths, _ = generate_fixture(FixtureSpec(rng_seed=1), tmp_path_factory.mktemp("seed1"))
+    client, server = paths.client_records.read_bytes(), paths.server_records.read_bytes()
+    return paths, {"client": client, "server": server, "pcap": build_pcap(client, server)}
+
+
+def _damaged(data: bytes, edits) -> bytes:
+    """``data`` after each (kind, position, value) edit: an edit xors a byte
+    with ``value``, a cut drops ``value`` bytes, an insert adds byte ``value``."""
+    out = bytearray(data)
+    for kind, position, value in edits:
+        at = position % (len(out) + 1)
+        if kind == "insert":
+            out[at:at] = bytes([value])
+        elif kind == "cut":
+            del out[at : at + value]
+        elif at < len(out):
+            out[at] ^= value
+    return bytes(out)
+
+
+def _main_quietly(argv) -> tuple[int, str]:
+    """``main(argv)``'s exit code and stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _check_ok_records_reopen(report: dict, capture) -> None:
+    """Each record the report marks ok opens under the reported material, with
+    the reported plaintext, at a seq within SEQ_WINDOW of the record's."""
+    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+    from conftest import naive_open
+
+    material = report["material"]
+    keys = {
+        Direction.CLIENT_TO_SERVER.value: (material["client_key"], material["client_iv"]),
+        Direction.SERVER_TO_CLIENT.value: (material["server_key"], material["server_iv"]),
+    }
+    app_data = [r for r in capture.records if r.content_type == CONTENT_APPLICATION_DATA]
+    assert [(r.direction.value, r.seq) for r in app_data] == [
+        (entry["direction"], entry["seq"]) for entry in report["session"]["records"]]
+    for record, entry in zip(app_data, report["session"]["records"]):
+        if not entry["ok"]:
+            continue
+        key, iv = (bytes.fromhex(value) for value in keys[entry["direction"]])
+        plaintexts = {naive_open(AESGCM(key), record, iv, seq)
+                      for seq in range(max(0, record.seq - SEQ_WINDOW), record.seq + SEQ_WINDOW + 1)}
+        assert bytes.fromhex(entry["plaintext_hex"]) in plaintexts
+
+
+_edits = st.lists(
+    st.tuples(st.sampled_from(("edit", "cut", "insert")), st.integers(min_value=0), st.integers(1, 255)),
+    min_size=1, max_size=4,
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(source=st.sampled_from(("client", "server", "pcap")), edits=_edits)
+def test_damaged_captures_exit_0_1_or_2_and_only_report_what_verifies(seed_1_fixture, source, edits):
+    paths, inputs = seed_1_fixture
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if source == "pcap":
+            capture_arg = tmp / "capture.pcap"
+            capture_arg.write_bytes(_damaged(inputs["pcap"], edits))
+        else:
+            capture_arg = tmp
+            for name in ("client", "server"):
+                data = inputs[name]
+                (tmp / f"{name}.tls").write_bytes(_damaged(data, edits) if name == source else data)
+        for argv in (["parse-capture", "--capture", str(capture_arg), "--output", str(tmp / "out.json")],
+                     ["decrypt", "--extracts", str(paths.extract_dir), "--capture", str(capture_arg),
+                      "--no-timings", "--output", str(tmp / "out.json")]):
+            code, err = _main_quietly(argv)
+            assert code in (EXIT_OK, EXIT_ERROR, EXIT_NO_DECRYPT), argv[0]
+            if code == EXIT_ERROR:
+                assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+            else:
+                assert err == ""
+            if code == EXIT_OK and argv[0] == "decrypt":
+                _check_ok_records_reopen(json.loads((tmp / "out.json").read_text()), parse_capture(capture_arg))
+
+
+def _odd_entry(directory: Path, kind: str) -> None:
+    target = directory / f"odd_{kind}"
+    if kind == "subdirectory":
+        target.mkdir()
+        (target / "inner.bin").write_bytes(os.urandom(64))
+    elif kind == "empty-file":
+        target.write_bytes(b"")
+    elif kind == "dangling-symlink":
+        target.symlink_to(directory / "no_such_file")
+    elif kind == "directory-symlink":
+        target.symlink_to(directory.parent)
+    elif kind == "sparse-file":
+        with open(target, "wb") as fh:
+            fh.truncate(2 * MB)
+
+
+@pytest.mark.parametrize("kind", ["subdirectory", "empty-file", "dangling-symlink", "directory-symlink",
+                                  "sparse-file"])
+def test_odd_extract_entries_keep_the_decrypt(seed_1_fixture, tmp_path, kind):
+    # an entry that is no regular file, or one of no size, is skipped; a sparse
+    # file reads as zeros, with no marker in it
+    paths, _ = seed_1_fixture
+    extracts = tmp_path / "extracts"
+    extracts.mkdir()
+    for dump in paths.extract_dir.iterdir():
+        (extracts / dump.name).symlink_to(dump)
+    _odd_entry(extracts, kind)
+    out = tmp_path / "report.json"
+    code, err = _main_quietly(["decrypt", "--extracts", str(extracts), "--capture", str(paths.root),
+                               "--no-timings", "--output", str(out)])
+    assert (code, err) == (EXIT_OK, "")
+    report = json.loads(out.read_text())
+    assert report["outcome"] == "decrypted"
+    _check_ok_records_reopen(report, parse_capture(paths.root))
+
+
+@pytest.mark.parametrize("kind", [None, "subdirectory", "empty-file", "dangling-symlink", "directory-symlink"])
+def test_extract_directory_with_no_extract_exits_1_with_one_error_line(seed_1_fixture, tmp_path, kind):
+    paths, _ = seed_1_fixture
+    extracts = tmp_path / "extracts"
+    extracts.mkdir()
+    if kind is not None:
+        _odd_entry(extracts, kind)
+    code, err = _main_quietly(["decrypt", "--extracts", str(extracts), "--capture", str(paths.root)])
+    assert code == EXIT_ERROR
+    assert len(err.splitlines()) == 1 and err.startswith("error: no loadable extract files")

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import tracemalloc
+import weakref
 
 import pytest
 from cryptography.exceptions import InvalidTag
@@ -17,7 +18,7 @@ from keysift.capture import (
 from keysift.cli import _material_dict, run_pipeline
 from keysift.decrypt import (
     SEQ_WINDOW,
-    TagScreens,
+    TagScreen,
     Validation,
     _seq_candidates,
     decrypt_record,
@@ -232,16 +233,19 @@ def _count_opens(monkeypatch):
     return opened
 
 
-def _count_ciphers(monkeypatch):
+def _count_ciphers(monkeypatch, contexts=None):
     """Wrap ``decrypt.Cipher``: the keys it is built for, and the bytes the
     ``update`` calls of its encryptors and of its decryptors receive, by
-    direction in ``fed``."""
+    direction in ``fed``. A weak reference to each wrapped context, which
+    holds the only reference to the real one, goes into ``contexts``."""
     built, fed = [], {"encryptor": 0, "decryptor": 0}
     real_cipher = decrypt_module.Cipher
 
     class CountingContext:
         def __init__(self, context, direction):
             self._context, self._direction = context, direction
+            if contexts is not None:
+                contexts.append(weakref.ref(self))
 
         def update(self, data):
             fed[self._direction] += len(data)
@@ -295,20 +299,43 @@ def test_trial_decrypt_stops_at_an_early_winner(session_capture, monkeypatch):
     assert opened == [truth.client_key]
 
 
-def test_trial_and_probe_share_each_keys_cipher(windows_fixture_32, monkeypatch):
-    # the probe screens the server record with the decryptors the client
-    # trial built, so no key gets a second Cipher
+def test_each_key_gets_one_cipher_per_record_it_is_screened_against(windows_fixture_32, monkeypatch):
+    # two client stages share one screen, so a key the first screened is not
+    # screened again by the second; the probe screens the server record with
+    # its own, so a key gets at most one Cipher per record
     _, paths, truth = windows_fixture_32
     capture = parse_capture(paths.root)
     keys, ivs = scan_windows(load_extracts(paths.extract_dir), ScanConfig(key_len_bytes=32))
     pairs = pair_candidates(keys, ivs)
     built, _ = _count_ciphers(monkeypatch)
-    screens = TagScreens()
-    result = trial_decrypt(capture, pairs, screens=screens)
-    session = decrypt_session(capture, result, found=_found(pairs), screens=screens)
+    screen = TagScreen(capture.first_client_record)
+    with pytest.raises(NoValidDecrypt):
+        trial_decrypt(capture, [(key, Candidate(b"\x00\x01\x02\x03", 0, 0)) for key in keys], screen=screen)
+    result = trial_decrypt(capture, pairs, screen=screen)
+    assert sorted(built) == sorted({key.value for key in keys})
+    built.clear()
+    session = decrypt_session(capture, result, found=_found(pairs))
     assert session.server_key == truth.server_key and not session.partial
     assert len(built) == len(set(built))
     assert truth.server_key in built
+
+
+def test_no_decryptor_outlives_its_screen(session_capture, monkeypatch):
+    # the screen keeps each key's needed IVs, not its cipher contexts: once the
+    # trial returns, every context it built is gone though the screen lives on
+    capture, truth = session_capture
+    contexts = []
+    built, _ = _count_ciphers(monkeypatch, contexts)
+    screen = TagScreen(capture.first_client_record)
+    pairs = [_cand(bytes([k + 1]) * 32, b"\xee\xee\xee" + bytes([k])) for k in range(5)]
+    pairs.append(_cand(truth.client_key, truth.client_iv))
+    result = trial_decrypt(capture, pairs, screen=screen)
+    assert result.key == truth.client_key
+    assert len(contexts) == len(built) == 6
+    assert all(context() is None for context in contexts)
+    built.clear()
+    assert trial_decrypt(capture, pairs, screen=screen) == result
+    assert built == []  # the kept needed IVs answer a second walk
 
 
 def test_reported_decrypt_needs_a_verified_open(session_capture, monkeypatch):
