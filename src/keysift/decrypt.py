@@ -10,20 +10,21 @@ verify, at a cost that does not grow with the IV count: a few seals under one
 reference nonce and one AES-ECB decryption per key. Keys are screened in the
 order of their earliest possible trial, and screening stops once no
 unscreened key can pair before a hit that verified. Only the candidate
-pairings the screen names are opened with ``AESGCM``, earliest trial first,
-so a reported decrypt always means a tag verified and the trial count is
-still the one a per-trial loop would have reached. A trial set is a
-``PairOrder`` or a (key, IV) list. The server-direction probe is a lookup:
-the same screen names each key's needed IV, opened if it is a candidate. A
-``TagScreen`` keeps each key's needed IVs for its record, so a caller that
-trials material in stages keeps one and no key is sealed twice against that
-record; no key's cipher contexts outlive the call that screens it.
+pairings the screen names are opened with ``AESGCM``, each as its key is
+screened unless a verified hit comes before it, and the earliest trial that
+verifies wins, so a reported decrypt always means a tag verified and the
+trial count is still the one a per-trial loop would have reached. A trial
+set is a ``PairOrder`` or a (key, IV) list. The server-direction probe is a
+lookup: the same screen names each key's needed IV, opened if it is a
+candidate. A ``TagScreen`` keeps each key's needed IVs for its record, so a
+caller that trials material in stages keeps one and no key is sealed twice
+against that record; no key's cipher contexts outlive the call that
+screens it.
 """
 
 from __future__ import annotations
 
 import struct
-from bisect import insort
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
@@ -229,58 +230,43 @@ def _trial_set(pairs: PairOrder | Iterable[tuple[Candidate, Candidate]]) -> Pair
     return pairs if isinstance(pairs, PairOrder) else _MaterialList((key.value, iv.value) for key, iv in pairs)
 
 
-def _first_verified(
-    screen: TagScreen, record: EncryptedRecord, trials: PairOrder | _MaterialList
-) -> tuple[object, int, int, bytes, bytes, bytes] | None:
-    """The first screen hit of ``trials`` whose tag really verifies on
-    ``record``, as (order, seq index, seq, key, IV, plaintext), or None.
-    ``trials.position`` turns the order into a position.
+def _trial(capture: SessionCapture, trials: PairOrder | _MaterialList, screen: TagScreen | None) -> TrialResult:
+    """Screen ``trials`` against the first client ApplicationData record and
+    return the earliest screen hit, in trial order (position, then seq
+    nearest the record's), whose tag really verifies. ``index`` is the
+    winner's position; trials count as if each material were opened at each
+    seq in turn until the winner verified.
 
-    Hits are opened in trial order: position, then seq nearest the record's.
-    Keys are screened in floor order, and a hit is opened once the next key's
-    floor lies past it, since no key screened later can have an earlier
-    trial; the walk stops at the first hit that verifies. So the keys screened
-    are those whose floor comes before the winner, every key when nothing
-    verifies, and the opens are those a full screen would make."""
-    pending: list = []  # screen hits not yet opened, as sorted (order, seq index, key, IV)
-
-    def verified_below(floor) -> tuple | None:
-        """Open the pending hits before ``floor`` (all when None), earliest first."""
-        while pending and (floor is None or pending[0][0] < floor):
-            order, seq_index, key, iv = pending.pop(0)
-            seq = screen.seqs[seq_index]
-            plaintext = _open_record(key, record, iv, seq)
-            if plaintext is not None:
-                return order, seq_index, seq, key, iv, plaintext
-        return None
-
+    Keys are screened in floor order, and each hit is opened when its key is
+    screened, unless a verified hit already comes before it; the walk stops
+    once the next key's floor lies past the best verified hit, since no key
+    screened later can have an earlier trial. So the keys screened are those
+    whose floor comes before the winner, every key when nothing verifies. A
+    hit names the one IV that matches the tag, so the winner's is the only
+    open unless the record verifies under two materials, as one can be
+    crafted to: then a key screened before the winner can cost one more."""
+    record = capture.first_client_record
+    screen = TagScreen(record) if screen is None else screen
+    best = None  # the earliest verified hit so far, as (order, seq index, key, IV, plaintext)
     for key, floor in trials.by_floor:
-        if pending:
-            found = verified_below(floor)
-            if found is not None:
-                return found
+        if best is not None and best[0] < floor:
+            break
         for seq_index, iv in enumerate(screen.needed_ivs(key)):
             order = None if iv is None else trials.order(key, iv)
-            if order is not None:
-                insort(pending, (order, seq_index, key, iv))
-    return verified_below(None)
-
-
-def _trial(capture: SessionCapture, trials: PairOrder | _MaterialList, screen: TagScreen | None) -> TrialResult:
-    """Screen ``trials`` against the first client ApplicationData record.
-    ``index`` is the winner's position; trials count as if each material were
-    opened at each seq in turn until the winner verified."""
-    record = capture.first_client_record
-    winner = _first_verified(TagScreen(record) if screen is None else screen, record, trials)
+            if order is None or (best is not None and best[:2] <= (order, seq_index)):
+                continue
+            plaintext = _open_record(key, record, iv, screen.seqs[seq_index])
+            if plaintext is not None:
+                best = order, seq_index, key, iv, plaintext
     per_material = 2 * SEQ_WINDOW + 1
-    if winner is None:
+    if best is None:
         raise NoValidDecrypt(len(trials) * per_material)
-    order, seq_index, seq, key, implicit_iv, plaintext = winner
+    order, seq_index, key, implicit_iv, plaintext = best
     position = trials.position(order)
     return TrialResult(
         key=key,
         implicit_iv=implicit_iv,
-        seq_used=seq,
+        seq_used=screen.seqs[seq_index],
         plaintext=plaintext,
         index=position,
         trials=position * per_material + seq_index + 1,
@@ -299,13 +285,13 @@ def trial_decrypt(
     Keys are screened in the order of their earliest pair (one AES-ECB
     decryption per distinct key names the IV each seq needs, whatever the IV
     count) until no unscreened key can pair earlier than a verified hit, and
-    only screen hits are opened, the earliest first; a reported decrypt always
-    passed a real ``AESGCM`` open. ``TrialResult.index`` is the winner's
-    position in ``pairs``, counted by ``PairOrder.rank`` for the order from
-    ``pair_candidates``, which is never generated. ``trials`` counts the trials
-    a loop over the pairs would have made up to the winner; when no pair
-    verifies, every key is screened and NoValidDecrypt carries pairs x
-    (2 * SEQ_WINDOW + 1).
+    only screen hits are opened, each as its key is screened unless a verified
+    hit comes before it; a reported decrypt always passed a real ``AESGCM``
+    open. ``TrialResult.index`` is the winner's position in ``pairs``, counted
+    by ``PairOrder.rank`` for the order from ``pair_candidates``, which is
+    never generated. ``trials`` counts the trials a loop over the pairs would
+    have made up to the winner; when no pair verifies, every key is screened
+    and NoValidDecrypt carries pairs x (2 * SEQ_WINDOW + 1).
 
     ``screen`` is an optional ``TagScreen`` of the first client record that
     the caller keeps across calls, so a key an earlier call screened is not

@@ -7,6 +7,9 @@ material come from ``generate_fixture``; only its extracts are replaced.
 
 from __future__ import annotations
 
+import contextlib
+import errno
+import os
 import pathlib
 import tempfile
 from collections import Counter
@@ -32,7 +35,7 @@ from keysift.memscan import (
     scan_windows,
 )
 
-from conftest import naive_pair_order, oracle_pipeline, oracle_standard_scan
+from conftest import _regex_find_all, naive_pair_order, oracle_pipeline, oracle_standard_scan
 
 # one file per band; names sort against band order, so ids and bands differ
 BAND_FILES = {1: ("b_band1.bin", 2 * MB), 2: ("c_band2.bin", 256 * 1024), 3: ("a_band3.bin", 8 * MB)}
@@ -254,7 +257,7 @@ def test_standard_stages_search_each_extract_for_a_pattern_once(tmp_path, monkey
         assert [
             (b.extract_id, b.offset, b.hypothesis.value, b.client_key, b.server_key, b.client_iv, b.server_iv)
             for b in scan_standard(extract_set, capture, cfg, bands)
-        ] == oracle_standard_scan(extract_set, capture, cfg, bands)
+        ] == oracle_standard_scan(extract_set, capture, cfg, bands, _regex_find_all)
 
     searches = Counter()
     real_find_all = memscan.find_all
@@ -334,6 +337,39 @@ def test_extract_grown_since_listing_exits_1_with_one_error_line(tmp_path, monke
     assert code == EXIT_ERROR
     assert len(err.splitlines()) == 1 and err.startswith("error: cannot read extract ")
     assert "size changed from" in err
+
+
+def test_extract_stat_failing_while_listed_exits_1_with_one_error_line(tmp_path, monkeypatch, capsys, windows_session):
+    # the file is listed, then gone before its size is read
+    root, _, truth = windows_session
+    extracts = _write_extracts(tmp_path / "extracts", {
+        1: [_key_window(truth.client_key), _iv_window(truth.client_iv)],
+    })
+    gone = extracts / BAND_FILES[1][0]
+    real_scandir = memscan.os.scandir
+
+    class Vanishing:
+        def __init__(self, entry):
+            self._entry, self.name = entry, entry.name
+
+        def is_file(self):
+            return self._entry.is_file()
+
+        def stat(self):
+            if self.name == gone.name:
+                raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(gone))
+            return self._entry.stat()
+
+    @contextlib.contextmanager
+    def scandir(path):
+        with real_scandir(path) as listing:
+            yield [Vanishing(entry) for entry in listing]
+
+    monkeypatch.setattr(memscan.os, "scandir", scandir)
+    code = main(["decrypt", "--extracts", str(extracts), "--capture", str(root)])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: cannot read extract {gone}: [Errno 2] No such file or directory: '{gone}'"]
 
 
 def _reference(extract_dir, capture, mode):

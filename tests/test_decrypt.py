@@ -824,6 +824,32 @@ def test_key_value_takes_its_lowest_floor_over_its_indices(colliding, monkeypatc
     assert _check_pairs(capture, PairOrder(keys, ivs)).key == first[0]
 
 
+def test_hit_after_a_verified_hit_is_not_opened(colliding, monkeypatch):
+    # the second key's hit sorts after the first key's, which verified when
+    # its key was screened, so the second key's hit is never opened
+    capture, first, second = colliding
+    junk = b"\x99\x99\x99\x99"
+    opened = _count_opens(monkeypatch)
+    for a, b in ((first, second), (second, first)):
+        opened.clear()
+        result = trial_decrypt(capture, [_cand(a[0], junk), _cand(b[0], junk), _cand(*a), _cand(*b)])
+        assert (result.index, result.key) == (2, a[0])
+        assert opened == [a[0]]
+
+
+def test_hit_before_a_verified_hit_is_opened_too(colliding, monkeypatch):
+    # the first key's hit verifies when its key is screened; the second key's
+    # sorts before it, so it is opened as well and wins: one open more than
+    # the winner needs, on a record made to verify under both materials
+    capture, first, second = colliding
+    opened = _count_opens(monkeypatch)
+    for a, b in ((first, second), (second, first)):
+        opened.clear()
+        result = trial_decrypt(capture, [_cand(a[0], b"\x99\x99\x99\x99"), _cand(*b), _cand(*a)])
+        assert (result.index, result.key) == (1, b[0])
+        assert opened == [a[0], b[0]]
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_two_verifying_keys_agree_with_per_pair_loop(colliding, seed):
     # random orders of both keys, each at one to three indices, among decoys
