@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import struct
 from enum import Enum
+from itertools import takewhile
 from pathlib import Path
 from typing import NamedTuple
 
@@ -295,13 +296,16 @@ def explicit_nonce_style(capture: SessionCapture) -> NonceStyle:
 
     The Windows crypto library sends each record's sequence number as its
     explicit nonce (RFC 5288 §3 allows it), which is what steers scanner
-    selection. The client's encrypted records (Finished and every later one,
-    in seq order) are counter-like when each nonce, read big-endian, is one
-    more than the one before. A lone client record has no step to read; it is
-    counter-like when its nonce is below 256.
+    selection. The client's encrypted records of the first epoch (Finished
+    and every later one, in seq order, up to an encrypted ChangeCipherSpec,
+    after which a renegotiated epoch restarts the count at 0, RFC 5246 §6.1)
+    are counter-like when each nonce, read big-endian, is one more than the
+    one before. A lone client record has no step to read; it is counter-like
+    when its nonce is below 256.
     """
-    nonces = [int.from_bytes(r.explicit_nonce, "big") for r in capture.records
-              if r.direction is Direction.CLIENT_TO_SERVER]
+    client = (r for r in capture.records if r.direction is Direction.CLIENT_TO_SERVER)
+    nonces = [int.from_bytes(r.explicit_nonce, "big")
+              for r in takewhile(lambda r: r.content_type != CONTENT_CHANGE_CIPHER_SPEC, client)]
     if len(nonces) > 1:
         counter_like = all(later == earlier + 1 for earlier, later in zip(nonces, nonces[1:]))
     else:

@@ -14,12 +14,12 @@ pairings the screen names are opened with ``AESGCM``, each as its key is
 screened unless a verified hit comes before it, and the earliest trial that
 verifies wins, so a reported decrypt always means a tag verified and the
 trial count is still the one a per-trial loop would have reached. A trial
-set is a ``PairOrder`` or a (key, IV) list. The server-direction probe is a
-lookup: the same screen names each key's needed IV, opened if it is a
-candidate. A ``TagScreen`` keeps each key's needed IVs for its record, so a
-caller that trials material in stages keeps one and no key is sealed twice
-against that record; no key's cipher contexts outlive the call that
-screens it.
+set is a ``PairOrder``, which holds each key and IV value at one index, or
+a (key, IV) list. The server-direction probe is a lookup: the same screen
+names each key's needed IV, opened if it is a candidate. A ``TagScreen``
+keeps each key's needed IVs for its record, so a caller that trials
+material in stages keeps one and no key is sealed twice against that
+record; no key's cipher contexts outlive the call that screens it.
 """
 
 from __future__ import annotations

@@ -332,25 +332,28 @@ class PairOrder:
     the trial set the tag screen in ``decrypt`` walks.
 
     Pairs sort by ``sort_key``: (cross-extract flag, |key offset - IV offset|,
-    key index, IV index), and ``len`` is K x V. ``by_floor`` lists each
-    distinct key value, lowest floor first, with a floor below the
-    ``sort_key`` of its every pair; ``order`` gives the earliest ``sort_key``
-    of a (key, IV) value pairing, and ``position`` its index, counted by
-    ``rank``. A value held at several indices takes its lowest floor and order.
+    key index, IV index), and ``len`` is K x V. Each key value and each IV
+    value is held at one index, as the scans give them; a repeat raises
+    ValueError. ``by_floor`` lists the key values, lowest floor first, with a
+    floor below the ``sort_key`` of its every pair; ``order`` gives the
+    ``sort_key`` of a (key, IV) value pairing, and ``position`` its index,
+    counted by ``rank``.
     """
 
     def __init__(self, keys: list[Candidate], ivs: list[Candidate]):
         self.keys = keys
         self.ivs = ivs
+        self._key_index = {key.value: ki for ki, key in enumerate(keys)}
+        self._iv_index = {iv.value: vi for vi, iv in enumerate(ivs)}
+        if len(self._key_index) < len(keys) or len(self._iv_index) < len(ivs):
+            raise ValueError("each key value and each IV value must be held once")
         # per extract id: (IV indices, their offsets), sorted by (offset,
         # index); the sort is stable, so equal offsets keep index order
         lanes: dict[int, list[int]] = {}
-        self._iv_indices: dict[bytes, list[int]] = {}
         for vi, iv in enumerate(ivs):
             if len(iv.value) != IV_LEN:
                 raise ValueError(f"implicit IVs must be {IV_LEN} bytes")
             lanes.setdefault(iv.extract_id, []).append(vi)
-            self._iv_indices.setdefault(iv.value, []).append(vi)
         self._lanes: dict[int, tuple[list[int], list[int]]] = {}
         for extract_id, members in lanes.items():
             members.sort(key=lambda vi: ivs[vi].offset)
@@ -363,21 +366,12 @@ class PairOrder:
             lane = self._lanes.get(key.extract_id)
             if lane is None:
                 floors.append((True, 0, ki))
-                continue
-            offs = lane[1]
-            o = key.offset
-            at = bisect_left(offs, o)
-            if at == len(offs):
-                nearest = o - offs[-1]
-            elif at == 0:
-                nearest = offs[0] - o
             else:
-                nearest = min(offs[at] - o, o - offs[at - 1])
-            floors.append((False, nearest, ki))
-        self._key_indices: dict[bytes, list[int]] = {}  # each value's indices, values by lowest floor
-        for _, _, ki in sorted(floors):
-            self._key_indices.setdefault(keys[ki].value, []).append(ki)
-        self.by_floor = [(value, floors[kis[0]]) for value, kis in self._key_indices.items()]
+                offs, o = lane[1], key.offset
+                at = bisect_left(offs, o)  # the nearest IV is at or just before it
+                nearest = min(offs[at] - o if at < len(offs) else math.inf, o - offs[at - 1] if at else math.inf)
+                floors.append((False, nearest, ki))
+        self.by_floor = [(keys[floor[2]].value, floor) for floor in sorted(floors)]
 
     def __len__(self) -> int:
         return len(self.keys) * len(self.ivs)
@@ -389,10 +383,10 @@ class PairOrder:
         return iv.extract_id != key.extract_id, abs(iv.offset - key.offset), ki, vi
 
     def order(self, key: bytes, iv: bytes) -> tuple[bool, int, int, int] | None:
-        """The lowest ``sort_key`` over the pairs holding the value ``key``, one
-        of ``by_floor``, and the value ``iv``, or None when no IV holds it."""
-        vis = self._iv_indices.get(iv)
-        return None if vis is None else min(self.sort_key(ki, vi) for ki in self._key_indices[key] for vi in vis)
+        """The ``sort_key`` of the pair of the value ``key``, one of
+        ``by_floor``, and the value ``iv``, or None when no IV holds it."""
+        vi = self._iv_index.get(iv)
+        return None if vi is None else self.sort_key(self._key_index[key], vi)
 
     def position(self, order: tuple[bool, int, int, int]) -> int:
         """The index of the pair whose ``sort_key`` is ``order``."""
@@ -431,6 +425,7 @@ def pair_candidates(keys: list[Candidate], ivs: list[Candidate]) -> PairOrder:
     Same-extract pairs come first, then closer key/IV offsets; list positions
     break remaining ties so the ordering is total and reproducible. The
     product is never built: ``PairOrder.rank`` counts a pair's position. With
-    no keys or no IVs the order is empty: length 0 and no floors.
+    no keys or no IVs the order is empty: length 0 and no floors. A repeated
+    key or IV value raises ValueError, as does an IV that is not 4 bytes.
     """
     return PairOrder(keys, ivs)

@@ -327,10 +327,12 @@ def oracle_pipeline(extract_dir, capture, mode):
     style is worked out here too, without ``explicit_nonce_style``."""
     cfg = ScanConfig(key_len_bytes=capture.key_len_bytes)
     extract_set = load_extracts(extract_dir)
-    # counter-like: the client's nonces step by one per record in seq order;
-    # a lone client record counts when its nonce is below 256
-    client = sorted((r.seq, struct.unpack(">Q", r.explicit_nonce)[0])
-                    for r in capture.records if r.direction is Direction.CLIENT_TO_SERVER)
+    # counter-like: the client's nonces before its first encrypted ChangeCipherSpec
+    # (content type 20) step by one per record in seq order; a lone client record
+    # counts when its nonce is below 256
+    client_records = [r for r in capture.records if r.direction is Direction.CLIENT_TO_SERVER]
+    epoch_end = min((r.seq for r in client_records if r.content_type == 20), default=math.inf)
+    client = sorted((r.seq, struct.unpack(">Q", r.explicit_nonce)[0]) for r in client_records if r.seq < epoch_end)
     if len(client) == 1:
         counter_like = client[0][1] < 256
     else:

@@ -437,6 +437,9 @@ def test_pcap_frames_that_carry_the_same_session(windows_fixture_32, tmp_path, m
     (lambda client, server: build_pcap(client, server, chunk=100, drop=1), None,
      "TCP stream 10.0.0.2:49152 -> 10.0.0.1:443: bytes 100-199 did not arrive"),
     (lambda client, server: build_pcap(client, server)[:20], None, "shorter than its global header"),
+    # a pcapng file opens with its Section Header Block type, not a pcap magic
+    (lambda client, server: b"\x0a\x0d\x0d\x0a" + build_pcap(client, server)[4:], None,
+     r"not a classic pcap file \(magic 0x0A0D0D0A\)"),
     (lambda client, server: build_pcap(client, server)[: 24 + 10], None, "truncated pcap packet header"),
     (lambda client, server: build_pcap(client, server)[: 24 + 16 + 10], None, "truncated pcap packet data"),
     (lambda client, server: build_pcap(client, server, linktype=101), None, "link type 101"),
@@ -444,7 +447,7 @@ def test_pcap_frames_that_carry_the_same_session(windows_fixture_32, tmp_path, m
      "no TLS-over-TCP stream"),
     (lambda client, server: build_pcap(client, server), ("10.7.7.7", 1, "10.8.8.8", 2),
      "no TLS stream matches filter"),
-], ids=["first-fragment-only", "snap-length-cut", "lost-segment", "global-header", "packet-header", "packet-data", "link-type", "no-tls", "filter-misses"])
+], ids=["first-fragment-only", "snap-length-cut", "lost-segment", "global-header", "pcapng-magic", "packet-header", "packet-data", "link-type", "no-tls", "filter-misses"])
 def test_pcap_input_rejected(windows_fixture_32, tmp_path, make, session_filter, message):
     pcap = make(*_fixture_streams(windows_fixture_32))
     with pytest.raises(MalformedRecord, match=message):

@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from keysift.capture import (
     CONTENT_APPLICATION_DATA,
+    CONTENT_CHANGE_CIPHER_SPEC,
+    CONTENT_HANDSHAKE,
     Direction,
     EncryptedRecord,
     NonceStyle,
@@ -38,6 +40,7 @@ from keysift.fixtures import (
     FixtureSpec,
     generate_fixture,
     reference_encrypt,
+    serialize_records,
     serialize_session,
 )
 from keysift.memscan import (
@@ -827,6 +830,37 @@ def test_auto_fallback_report_keeps_windows_counts(tmp_path):
     assert auto.candidates["ivs"] == windows.candidates["ivs"]
     assert auto.candidates["key_blocks"] == 0
     assert auto.trials["attempted"] == windows.trials["attempted"]
+
+
+def test_renegotiated_session_decrypts_its_first_epoch_in_auto_mode(tmp_path):
+    # each direction renegotiates after its seq-1 record: an encrypted handshake
+    # record (seq 2) and ChangeCipherSpec (seq 3) under the first keys, then one
+    # record under a second key pair whose explicit nonce restarts at 0 (RFC 5246
+    # §6.1); the nonce check reads the first epoch only, so auto mode runs the
+    # marker scan and opens the first epoch's records
+    from conftest import oracle_pipeline
+
+    paths, truth = generate_fixture(FixtureSpec(rng_seed=1), tmp_path / "fix")
+    sides = ((Direction.CLIENT_TO_SERVER, "client.tls", truth.client_key, truth.client_iv),
+             (Direction.SERVER_TO_CLIENT, "server.tls", truth.server_key, truth.server_iv))
+    for direction, name, key, iv in sides:
+        records = [
+            reference_encrypt(bytes(16), key, iv, (2).to_bytes(8, "big"), 2, CONTENT_HANDSHAKE, direction=direction),
+            reference_encrypt(b"\x01", key, iv, (3).to_bytes(8, "big"), 3, CONTENT_CHANGE_CIPHER_SPEC,
+                              direction=direction),
+            reference_encrypt(b"GET /next HTTP/1.1\r\n\r\n", key[::-1], iv[::-1], bytes(8), 0, direction=direction),
+        ]
+        stream = paths.root / name
+        stream.write_bytes(stream.read_bytes() + serialize_records(
+            [TlsRecord(r.content_type, r.record_version, r.explicit_nonce + r.ciphertext) for r in records]))
+    capture = parse_capture(paths.root)
+    report = run_pipeline(paths.extract_dir, capture, mode="auto", clock=lambda: 0.0)
+    assert (report.nonce_style, report.outcome, report.mode_used) == ("counter", "decrypted_partial", "windows")
+    assert report.to_dict() == oracle_pipeline(paths.extract_dir, capture, "auto")
+    assert [(r["direction"], r["seq"], r["ok"]) for r in report.session["records"]] == [
+        ("client_to_server", 1, True), ("server_to_client", 1, True),
+        ("client_to_server", 4, False), ("server_to_client", 4, False),
+    ]
 
 
 def test_run_pipeline_rejects_an_unknown_mode(windows_fixture_16):

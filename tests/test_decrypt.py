@@ -368,6 +368,17 @@ def test_trial_decrypt_rejects_iv_not_4_bytes(session_capture):
         pair_candidates([Candidate(truth.client_key, 0, 0)], [Candidate(b"\x01\x02\x03", 0, 0)])
 
 
+def test_pair_candidates_rejects_a_repeated_key_or_iv():
+    # the scans give each value once, so a pair order holds each key and IV value at one index
+    keys = [Candidate(KEY32, 0, 0), Candidate(bytes(32), 0, 40)]
+    ivs = [Candidate(IV, 0, 100), Candidate(b"\x01\x02\x03\x04", 1, 0)]
+    assert len(pair_candidates(keys, ivs)) == 4
+    with pytest.raises(ValueError):
+        pair_candidates(keys + [keys[0]._replace(extract_id=1)], ivs)
+    with pytest.raises(ValueError):
+        pair_candidates(keys, ivs + [ivs[0]._replace(offset=200)])
+
+
 def test_trial_decrypt_deterministic(session_capture):
     capture, truth = session_capture
     pairs = [_cand(bytes(32), bytes(4)), _cand(truth.client_key, truth.client_iv)]
@@ -762,20 +773,6 @@ def test_screen_agrees_with_per_pair_loop_on_pair_orders(fixture_name, request):
     assert result is not None and result.key == truth.client_key
     # with the true key dropped, every pair of the order is tried and fails
     _check_pairs(capture, pair_candidates([k for k in keys if k.value != truth.client_key], ivs))
-    # a hand-built order may hold a value at several indices: the true key and a
-    # decoy key twice, and each true IV again in another extract and right next to
-    # the true key, so the earliest pairing of a value is not at its first index
-    client = next(k for k in keys if k.value == truth.client_key)
-    true_ivs = [iv for iv in ivs if iv.value in (truth.client_iv, truth.server_iv)]
-    assert true_ivs
-    repeated_keys = keys + [client._replace(offset=client.offset + 7), keys[0]._replace(extract_id=9)]
-    repeated_ivs = (
-        [iv._replace(extract_id=9) for iv in true_ivs]
-        + ivs
-        + [iv._replace(extract_id=client.extract_id, offset=client.offset + 40) for iv in true_ivs]
-    )
-    result = _check_pairs(capture, PairOrder(repeated_keys, repeated_ivs))
-    assert result is not None and result.key == truth.client_key
 
 
 def test_screen_agrees_with_per_pair_loop_at_seq_other_than_the_records(captures):
@@ -809,17 +806,17 @@ def test_key_screened_first_does_not_win_with_a_later_trial(colliding):
         assert (result.index, result.key) == (1, b[0])
 
 
-def test_key_value_takes_its_lowest_floor_over_its_indices(colliding, monkeypatch):
-    # the first key sits alone in an extract without IVs at index 0, and again
-    # next to its IV at index 2: its lower floor is at the later index, and
-    # its pair there sorts before the second key's
+def test_pair_order_screens_keys_by_floor_not_by_index(colliding, monkeypatch):
+    # the second key sits alone in an extract without IVs at index 0, and the
+    # first key next to its IV at index 1: the first key's floor comes first,
+    # its pair wins, and the second key's floor lies past it, so it is never screened
     capture, first, second = colliding
-    keys = [Candidate(first[0], 5, 0), Candidate(second[0], 0, 100), Candidate(first[0], 0, 1000)]
+    keys = [Candidate(second[0], 5, 0), Candidate(first[0], 0, 1000)]
     ivs = [Candidate(second[1], 0, 140), Candidate(first[1], 0, 1004)]
     built, _ = _count_ciphers(monkeypatch)
     result = trial_decrypt(capture, PairOrder(keys, ivs))
     assert (result.index, result.key) == (0, first[0])
-    assert built == [first[0]]  # the second key's floor lies past the winner
+    assert built == [first[0]]
     monkeypatch.undo()
     assert _check_pairs(capture, PairOrder(keys, ivs)).key == first[0]
 
@@ -852,11 +849,11 @@ def test_hit_before_a_verified_hit_is_opened_too(colliding, monkeypatch):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_two_verifying_keys_agree_with_per_pair_loop(colliding, seed):
-    # random orders of both keys, each at one to three indices, among decoys
+    # random orders of both keys among decoys, each value at one index
     capture, first, second = colliding
     rng = random.Random(seed)
-    key_values = [first[0], second[0]] * rng.randint(1, 3) + [bytes([i]) * 32 for i in range(1, 5)]
-    iv_values = [first[1], second[1]] * rng.randint(1, 2) + [bytes([i, 0, 0, 1]) for i in range(1, 5)]
+    key_values = [first[0], second[0]] + [bytes([i]) * 32 for i in range(1, 5)]
+    iv_values = [first[1], second[1]] + [bytes([i, 0, 0, 1]) for i in range(1, 5)]
     place = lambda value: Candidate(value, rng.randrange(3), rng.randrange(0, 2000, 4))
     keys, ivs = [place(v) for v in key_values], [place(v) for v in iv_values]
     rng.shuffle(keys)

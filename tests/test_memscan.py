@@ -509,11 +509,11 @@ def test_scan_standard_deterministic(tmp_path):
 
 
 def _cand_key(i, extract=0, offset=0):
-    return Candidate(bytes([i] * 4), extract, offset)
+    return Candidate(i.to_bytes(4, "big"), extract, offset)
 
 
 def _cand_iv(i, extract=0, offset=0):
-    return Candidate(bytes([i] * 4), extract, offset)
+    return Candidate(i.to_bytes(4, "big"), extract, offset)
 
 
 def test_pair_cardinality():
@@ -537,8 +537,8 @@ def test_pair_distance_ordering():
 
 
 def test_pair_budget_shape():
-    keys = [_cand_key(i % 250, extract=i) for i in range(6)]
-    ivs = [_cand_iv(i % 250, extract=i) for i in range(483)]
+    keys = [_cand_key(i, extract=i) for i in range(6)]
+    ivs = [_cand_iv(i, extract=i) for i in range(483)]
     pairs = pair_candidates(keys, ivs)
     assert len(pairs) == 6 * 483 == 2898
 
@@ -588,8 +588,8 @@ def test_pair_order_is_truthy():
 
 
 def test_pair_order_does_not_build_the_product():
-    keys = [_cand_key(i % 250, extract=i % 3, offset=i * 97 % 65_536) for i in range(1000)]
-    ivs = [_cand_iv(i % 250, extract=i % 3, offset=i * 61 % 65_536) for i in range(600)]
+    keys = [_cand_key(i, extract=i % 3, offset=i * 97 % 65_536) for i in range(1000)]
+    ivs = [_cand_iv(i, extract=i % 3, offset=i * 61 % 65_536) for i in range(600)]
     _, _, ki, vi = min(
         (k.extract_id != v.extract_id, abs(k.offset - v.offset), ki, vi)
         for ki, k in enumerate(keys)
